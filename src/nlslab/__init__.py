@@ -34,6 +34,7 @@ from .errors import (
     GridCompatibilityError,
     MassLossError,
     NlslabError,
+    SnapshotFormatError,
     SolverHealthError,
     SpaceTagError,
 )

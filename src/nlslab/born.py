@@ -26,13 +26,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
+    FREQUENCY,
     ComplexField,
     GridDescriptor,
-    _dft,
     _reflect_values,
+    _unit_phase,
+    forward_fourier,
     free_propagate,
     l2_norm,
-    quadratic_phase,
+    spectral_plan,
 )
 from .errors import ConvergenceError
 
@@ -51,7 +53,6 @@ class QuadratureSpec:
 
     t_max: float = 400.0
     panels: int = 48
-    scheme: str = "gauss_legendre_composite"
     tail_exponent_hint: float | None = None
     singular_exponent: float = 0.0
 
@@ -60,8 +61,6 @@ class QuadratureSpec:
             raise ValueError("panels must be >= 4")
         if not (self.t_max > 0):
             raise ValueError("t_max must be positive")
-        if self.scheme != "gauss_legendre_composite":
-            raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
         if not (self.singular_exponent > -1.0):
             raise ValueError("singular exponent must exceed -1 for integrability")
 
@@ -83,9 +82,9 @@ def _power_nonlinearity(values, sigma):
     return np.abs(values) ** (2.0 * sigma) * values
 
 
-def _chirp_transform(field, t):
-    """F(M_t field) mapped onto the dual grid, ignoring space tags."""
-    return _dft(quadratic_phase(field, t).retagged("position"))
+def _chirp_transform(plan, a, t):
+    """F(M_t a) on the dual grid, for samples ``a`` on ``plan.grid``."""
+    return plan.forward(a * _unit_phase(0.5 * plan.r2 / t))
 
 
 def flow_integrand(phi: ComplexField, t: float, sigma: float) -> ComplexField:
@@ -96,20 +95,19 @@ def flow_integrand(phi: ComplexField, t: float, sigma: float) -> ComplexField:
     |t|^(-n sigma) M_{-t} R F [ G(F M_t phi) ] with no dilation left.
     """
     n = phi.grid.dim
+    plan = spectral_plan(phi.grid)
     if abs(t) <= T_SWITCH:
         # the flow acts on phi as a function of its own variable, whatever
         # the tag says; conjugation through the transform handles that
-        u = free_propagate(phi.retagged("position"), t)
-        g = u.with_values(_power_nonlinearity(u.values, sigma))
-        out = free_propagate(g, -t)
-        return ComplexField(phi.grid, out.values, phi.space)
-    inner = _chirp_transform(phi, t)
-    g = inner.with_values(_power_nonlinearity(inner.values, sigma))
-    back = _dft(g.retagged("position"))
-    refl = back.with_values(_reflect_values(back.shaped))
-    out = quadratic_phase(refl, -t)
+        m = plan.free_multiplier(t)
+        u = np.fft.ifftn(np.fft.fftn(phi.shaped) * m)
+        g = _power_nonlinearity(u, sigma)
+        return phi.with_values(np.fft.ifftn(np.fft.fftn(g) * np.conj(m)))
+    inner = _chirp_transform(plan, phi.shaped, t)
+    g = _power_nonlinearity(inner, sigma)
+    back = _reflect_values(spectral_plan(plan.dual).forward(g))
     scale = abs(t) ** (-n * sigma)
-    return ComplexField(phi.grid, scale * out.values, phi.space)
+    return phi.with_values(scale * (back * _unit_phase(0.5 * plan.r2 / -t)))
 
 
 def expansion_lhs_integrand(phi: ComplexField, t: float, sigma: float) -> ComplexField:
@@ -119,21 +117,22 @@ def expansion_lhs_integrand(phi: ComplexField, t: float, sigma: float) -> Comple
     factorization read backwards), giving |t|^(-n sigma) U0(1/t) G(F M_t phi).
     """
     n = phi.grid.dim
-    dual = phi.grid.dual()
+    plan = spectral_plan(phi.grid)
+    dual = plan.dual
     if abs(t) <= T_SWITCH:
-        u = free_propagate(phi.retagged("position"), t)
-        g = u.with_values(_power_nonlinearity(u.values, sigma))
-        ghat = _dft(g)
-        if t == 0.0:
-            return ghat
-        return quadratic_phase(ghat, 1.0 / t)
-    inner = _chirp_transform(phi, t)
-    g = inner.with_values(_power_nonlinearity(inner.values, sigma))
+        g = _power_nonlinearity(plan.propagate(phi.shaped, t), sigma)
+        ghat = plan.forward(g)
+        if t != 0.0:
+            # M_{1/t} on the dual grid's own coordinates
+            ghat *= _unit_phase(0.5 * spectral_plan(dual).r2 / (1.0 / t))
+        return ComplexField(dual, ghat.reshape(-1), FREQUENCY)
+    inner = _chirp_transform(plan, phi.shaped, t)
+    g = _power_nonlinearity(inner, sigma)
     # U0(1/t) acts on G as a function of its own variable: conjugate through
     # the next transform rather than multiplying on the current coordinates
-    out = free_propagate(g.retagged("position"), 1.0 / t)
+    out = spectral_plan(dual).propagate(g, 1.0 / t)
     scale = abs(t) ** (-n * sigma)
-    return ComplexField(dual, scale * out.values, "frequency")
+    return ComplexField(dual, (scale * out).reshape(-1), FREQUENCY)
 
 
 def _panel_edges(t_max, panels):
@@ -241,7 +240,7 @@ def corollary2_sides(
     """
     n = phi.grid.dim
     sigma = 2.0 / n
-    phihat = _dft(phi)
+    phihat = forward_fourier(phi)
     lhs_ev = lambda t: expansion_lhs_integrand(phi, t, sigma)
     rhs_ev = lambda t: flow_integrand(phihat, -t, sigma)
     lhs = _refined_quadrature(lhs_ev, sign, q, n * sigma, parallel)
@@ -268,7 +267,7 @@ def subcritical_sides(
     if n == 2 and not (sigma > 2.0 / (n + 2)):
         raise ValueError(f"sigma={sigma} must exceed 2/(n+2) for n=2")
     a = n * sigma - 2.0
-    phihat = _dft(phi)
+    phihat = forward_fourier(phi)
     lhs_ev = lambda t: expansion_lhs_integrand(phi, t, sigma)
     rhs_ev = lambda t: flow_integrand(phihat, -t, sigma)
     plain = replace(q, singular_exponent=0.0)

@@ -10,6 +10,7 @@ Fourier transform on resolved fields and Plancherel holds to roundoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -166,54 +167,140 @@ def _require_space(f, space, op):
         raise SpaceTagError(f"{op} expects a {space}-space field, got {f.space}")
 
 
-def _alternating_signs(n):
-    # exp(-i * x0 * xi_k) = (-1)^k exactly on centered grids
-    k = np.arange(n) - n // 2
-    return np.where(k % 2 == 0, 1.0, -1.0)
+def _frozen(arr):
+    arr.flags.writeable = False
+    return arr
 
 
-def _apply_axis_weights(shaped, weights):
-    out = shaped
-    dim = shaped.ndim
-    for axis, w in enumerate(weights):
-        shape = [1] * dim
-        shape[axis] = len(w)
-        out = out * w.reshape(shape)
+def _unit_phase(w):
+    """exp(i w) for a real array w, written as cos + i sin."""
+    out = np.empty(np.shape(w), dtype=np.complex128)
+    np.cos(w, out=out.real)
+    np.sin(w, out=out.imag)
     return out
 
 
-def _dft(field: ComplexField) -> ComplexField:
-    """Continuum-convention forward transform onto the dual grid (tag-free)."""
-    g = field.grid
-    dual = g.dual()
-    pref = (2.0 * np.pi) ** (-0.5 * g.dim) * g.cell_volume
-    spec = np.fft.fftshift(np.fft.fftn(field.shaped))
-    signs = [_alternating_signs(n) for n in g.counts]
-    spec = pref * _apply_axis_weights(spec, signs)
-    return ComplexField(dual, spec.reshape(-1), FREQUENCY)
+def _outer_shell(grid):
+    """Boolean mask of the outer 1/8 of each axis range, centered order."""
+    outer = np.zeros(grid.counts, dtype=bool)
+    for axis in range(grid.dim):
+        x = np.abs(grid.axis_coords(axis))
+        cut = (1.0 - OUTER_SHELL) * grid.extents[axis]
+        shape = [1] * grid.dim
+        shape[axis] = len(x)
+        outer |= (x >= cut).reshape(shape)
+    return outer
 
 
-def _idft(field: ComplexField) -> ComplexField:
-    """Inverse of :func:`_dft`, mapping a field back onto the dual of its grid."""
-    g = field.grid
-    dual = g.dual()
-    signs = [_alternating_signs(n) for n in g.counts]
-    spec = _apply_axis_weights(field.shaped, signs)
-    pref = (2.0 * np.pi) ** (-0.5 * g.dim) * g.cell_volume * g.size
-    vals = pref * np.fft.ifftn(np.fft.ifftshift(spec))
-    return ComplexField(dual, vals.reshape(-1), POSITION)
+class SpectralPlan:
+    """The continuum-convention transform of one grid and the symbols the
+    spectral operators multiply by.
+
+    This is the one place that knows the convention: the prefactor
+    (2pi)^{-n/2} h^n, the alternating signs exp(-i x0 xi_k) = (-1)^k of a
+    centered grid, and the shift between centered and FFT order.  Both
+    transforms map samples on ``grid`` onto ``dual``.  Inner loops skip them
+    and stay in FFT order, where the free flow is ``ifftn(fftn(a) * m)``
+    with ``m = free_multiplier(t)`` and the prefactors cancel.
+
+    Arrays are built on first use and are read-only, so one plan per grid
+    (:func:`spectral_plan`) is shared by every caller and thread.
+    Multipliers for a time t are built per call and never cached.
+    """
+
+    def __init__(self, grid: GridDescriptor):
+        self.grid = grid
+        self.dual = grid.dual()
+        self.prefactor = (2.0 * np.pi) ** (-0.5 * grid.dim) * grid.cell_volume
+
+    @cached_property
+    def signs(self):
+        """(-1)^k along every axis, in centered order."""
+        out = np.ones(self.grid.counts)
+        for axis, n in enumerate(self.grid.counts):
+            k = np.arange(n) - n // 2
+            shape = [1] * self.grid.dim
+            shape[axis] = n
+            out = out * np.where(k % 2 == 0, 1.0, -1.0).reshape(shape)
+        return _frozen(out)
+
+    @cached_property
+    def r2(self):
+        """|x|^2 on the grid, centered order."""
+        return _frozen(self.grid.radius_squared())
+
+    @cached_property
+    def xi2(self):
+        """|xi|^2 on the dual grid, FFT order."""
+        return _frozen(np.fft.ifftshift(self.dual.radius_squared()))
+
+    @cached_property
+    def derivative_symbol(self):
+        """i xi in FFT order (one-dimensional grids)."""
+        if self.grid.dim != 1:
+            raise ValueError("the derivative symbol is one-dimensional")
+        return _frozen(1j * np.fft.ifftshift(self.dual.axis_coords(0)))
+
+    @cached_property
+    def shell(self):
+        """Outer-shell mask of the grid, centered order."""
+        return _frozen(_outer_shell(self.grid))
+
+    @cached_property
+    def dual_shell(self):
+        """Outer-shell mask of the dual grid, FFT order."""
+        return _frozen(np.fft.ifftshift(_outer_shell(self.dual)))
+
+    def forward(self, a):
+        """Continuum forward transform of samples on ``grid``: the centered
+        spectrum on ``dual``."""
+        spec = np.fft.fftshift(np.fft.fftn(a))
+        spec *= self.signs
+        spec *= self.prefactor
+        return spec
+
+    def inverse(self, a):
+        """Continuum inverse transform of spectral samples on ``grid``,
+        landing on ``dual`` (the inverse of the dual grid's forward)."""
+        vals = np.fft.ifftn(np.fft.ifftshift(a * self.signs))
+        vals *= self.prefactor * self.grid.size
+        return vals
+
+    def free_multiplier(self, t):
+        """exp(-i t |xi|^2 / 2) in FFT order."""
+        return _unit_phase((-0.5 * t) * self.xi2)
+
+    def propagate(self, a, t):
+        """The free flow U0(t) of samples read as a function of position."""
+        spec = np.fft.fftn(a)
+        spec *= self.free_multiplier(t)
+        return np.fft.ifftn(spec)
+
+    def derivative(self, a):
+        """d/dx of samples on a one-dimensional grid, spectrally."""
+        spec = np.fft.fftn(a)
+        spec *= self.derivative_symbol
+        return np.fft.ifftn(spec)
+
+
+@lru_cache(maxsize=16)
+def spectral_plan(grid: GridDescriptor) -> SpectralPlan:
+    """The shared plan of ``grid`` (grids are frozen, so equal grids share)."""
+    return SpectralPlan(grid)
 
 
 def forward_fourier(f: ComplexField) -> ComplexField:
     """F f(xi) = (2pi)^{-n/2} integral f(x) exp(-i x.xi) dx, discretized."""
     _require_space(f, POSITION, "forward_fourier")
-    return _dft(f)
+    plan = spectral_plan(f.grid)
+    return ComplexField(plan.dual, plan.forward(f.shaped).reshape(-1), FREQUENCY)
 
 
 def inverse_fourier(f: ComplexField) -> ComplexField:
     """Inverse transform; round-trips with forward_fourier to roundoff."""
     _require_space(f, FREQUENCY, "inverse_fourier")
-    return _idft(f)
+    plan = spectral_plan(f.grid)
+    return ComplexField(plan.dual, plan.inverse(f.shaped).reshape(-1), POSITION)
 
 
 def free_propagate(f: ComplexField, t: float) -> ComplexField:
@@ -223,13 +310,10 @@ def free_propagate(f: ComplexField, t: float) -> ComplexField:
     get the multiplier on their own coordinates.
     """
     t = float(t)
+    plan = spectral_plan(f.grid)
     if f.space == FREQUENCY:
-        phase = np.exp(-0.5j * t * f.grid.radius_squared())
-        return f.with_values(f.shaped * phase)
-    spec = _dft(f)
-    phase = np.exp(-0.5j * t * spec.grid.radius_squared())
-    out = _idft(spec.with_values(spec.shaped * phase))
-    return ComplexField(f.grid, out.values, f.space)
+        return f.with_values(f.shaped * _unit_phase((-0.5 * t) * plan.r2))
+    return f.with_values(plan.propagate(f.shaped, t))
 
 
 def quadratic_phase(f: ComplexField, t: float) -> ComplexField:
@@ -237,8 +321,7 @@ def quadratic_phase(f: ComplexField, t: float) -> ComplexField:
     t = float(t)
     if t == 0.0:
         raise ValueError("quadratic_phase requires t != 0")
-    phase = np.exp(0.5j * f.grid.radius_squared() / t)
-    return f.with_values(f.shaped * phase)
+    return f.with_values(f.shaped * _unit_phase(0.5 * spectral_plan(f.grid).r2 / t))
 
 
 def _reflect_values(shaped):
@@ -282,10 +365,10 @@ def resample(f: ComplexField, target: GridDescriptor) -> ComplexField:
 
     _check_mass_on_target(f, target)
 
-    spec = _dft(f)
-    dual = spec.grid
+    plan = spectral_plan(src)
+    dual = plan.dual
     pref = (2.0 * np.pi) ** (-0.5 * src.dim) * dual.cell_volume
-    vals = spec.shaped
+    vals = plan.forward(f.shaped)
     # Contract one axis at a time with exp(i x_target xi), blockwise to
     # bound memory; rows for out-of-domain target points are zeroed.
     for axis in range(src.dim):
@@ -330,19 +413,18 @@ def _check_mass_on_target(f, target):
 
 def norms(f: ComplexField) -> dict:
     """L2 norm, |xi|-weighted spectral seminorm, |x|-weighted norm, sup norm."""
-    g = f.grid
-    vol = g.cell_volume
+    plan = spectral_plan(f.grid)
+    vol = f.grid.cell_volume
     shaped = f.shaped
     l2 = float(np.sqrt(vol * np.sum(np.abs(shaped) ** 2)))
     if f.space == POSITION:
-        spec = _dft(f)
+        spec, spec_vol = plan.forward(shaped), plan.dual.cell_volume
+        w = np.sqrt(np.fft.fftshift(plan.xi2))
     else:
-        spec = f
-    w = np.sqrt(spec.grid.radius_squared())
-    h1 = float(
-        np.sqrt(spec.grid.cell_volume * np.sum((w * np.abs(spec.shaped)) ** 2))
-    )
-    r = np.sqrt(g.radius_squared())
+        spec, spec_vol = shaped, vol
+        w = np.sqrt(plan.r2)
+    h1 = float(np.sqrt(spec_vol * np.sum((w * np.abs(spec)) ** 2)))
+    r = np.sqrt(plan.r2)
     weighted_x = float(np.sqrt(vol * np.sum((r * np.abs(shaped)) ** 2)))
     linf = float(np.max(np.abs(shaped))) if shaped.size else 0.0
     return {"l2": l2, "h1_seminorm": h1, "weighted_x": weighted_x, "linf": linf}
@@ -366,29 +448,27 @@ class FieldDiagnostics:
     boundary_mass_fraction: float
 
 
-def _outer_shell_fraction(field: ComplexField) -> float:
-    g = field.grid
-    density = np.abs(field.shaped) ** 2
+def _shell_fraction(values, shell) -> float:
+    """Share of the mass of ``values`` that lies on the mask ``shell``."""
+    density = np.abs(values) ** 2
     total = density.sum()
     if total == 0.0:
         return 0.0
-    outer = np.zeros(g.counts, dtype=bool)
-    for axis in range(g.dim):
-        x = np.abs(g.axis_coords(axis))
-        cut = (1.0 - OUTER_SHELL) * g.extents[axis]
-        shape = [1] * g.dim
-        shape[axis] = len(x)
-        outer |= (x >= cut).reshape(shape)
-    return float(density[outer].sum() / total)
+    return float(density[shell].sum() / total)
 
 
 def diagnostics(f: ComplexField) -> FieldDiagnostics:
+    plan = spectral_plan(f.grid)
     if f.space == POSITION:
-        boundary = _outer_shell_fraction(f)
-        tail = _outer_shell_fraction(_dft(f))
+        boundary = _shell_fraction(f.shaped, plan.shell)
+        # the fraction is blind to the transform's prefactor and signs, so
+        # the raw spectrum in FFT order will do
+        tail = _shell_fraction(np.fft.fftn(f.shaped), plan.dual_shell)
     else:
-        tail = _outer_shell_fraction(f)
-        boundary = _outer_shell_fraction(_idft(f))
+        tail = _shell_fraction(f.shaped, plan.shell)
+        boundary = _shell_fraction(
+            plan.inverse(f.shaped), np.fft.fftshift(plan.dual_shell)
+        )
     return FieldDiagnostics(
         l2=l2_norm(f),
         spectral_tail_fraction=tail,

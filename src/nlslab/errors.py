@@ -32,5 +32,13 @@ class ConvergenceError(NlslabError):
     """A horizon ladder or quadrature refinement failed to converge."""
 
 
+class SnapshotFormatError(NlslabError, ValueError):
+    """A field snapshot file is truncated or malformed.
+
+    Also a ValueError, which is what readers caught before the format was
+    checked field by field.
+    """
+
+
 class ConfigError(NlslabError):
     """An experiment configuration is malformed."""

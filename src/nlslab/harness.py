@@ -12,7 +12,8 @@ import copy
 import json
 import os
 import time
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from .core import (
     l2_difference,
     l2_norm,
 )
-from .errors import ConfigError, NlslabError
+from .errors import ConfigError, NlslabError, SnapshotFormatError
 from .reports import VerificationReport, write_csv_table
 from .scattering import (
     ScatteringConfig,
@@ -197,7 +198,10 @@ class InitialDatumSpec:
 def make_datum(spec: InitialDatumSpec, grid: GridDescriptor) -> ComplexField:
     """Sample the requested datum and require it to be resolved."""
     if spec.kind == "file":
-        f = snapshot_io.read_snapshot(spec.path)
+        try:
+            f = snapshot_io.read_snapshot(spec.path)
+        except (OSError, SnapshotFormatError) as exc:
+            raise ConfigError(f"cannot read datum file {spec.path}: {exc}") from exc
         if f.grid.counts != grid.counts:
             _fail_datum("snapshot grid does not match the configured grid")
         field = f
@@ -272,13 +276,30 @@ def load_config(path):
     return data
 
 
-def _grid_from(section):
+@contextmanager
+def _config_values(section):
+    """Report a value that a constructor rejects as a ConfigError."""
     try:
+        yield
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ConfigError(f"bad {section} section: {exc}") from exc
+
+
+def _grid_from(section):
+    with _config_values("grid"):
         return GridDescriptor.centered(
             tuple(section["counts"]), tuple(section["spacings"])
         )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad grid section: {exc}") from exc
+
+
+def _nls_params_from(section, dim):
+    with _config_values("equation"):
+        return NLSParams(dim=dim, sigma=float(section["sigma"]), mu=float(section["mu"]))
+
+
+def _step_control_from(section, name):
+    with _config_values(name):
+        return StepControl(dt=float(section["dt"]))
 
 
 def _datum_from(section):
@@ -289,26 +310,29 @@ def _datum_from(section):
 
 
 def _scattering_from(section, corrector=None):
-    kwargs = dict(
-        horizon=float(section["horizon"]),
-        tol=float(section["tol"]),
-        ladder_factor=float(section["ladder_factor"]),
-        max_rungs=int(section["max_rungs"]),
-        initializer=section["initializer"],
-        control=StepControl(dt=float(section["dt"])),
-    )
-    if corrector is not None:
-        kwargs["corrector"] = corrector
-    return ScatteringConfig(**kwargs)
+    control = _step_control_from(section, "scattering")
+    with _config_values("scattering"):
+        kwargs = dict(
+            horizon=float(section["horizon"]),
+            tol=float(section["tol"]),
+            ladder_factor=float(section["ladder_factor"]),
+            max_rungs=int(section["max_rungs"]),
+            initializer=section["initializer"],
+            control=control,
+        )
+        if corrector is not None:
+            kwargs["corrector"] = corrector
+        return ScatteringConfig(**kwargs)
 
 
 def _quadrature_from(section, singular_exponent=0.0):
-    return QuadratureSpec(
-        t_max=float(section["t_max"]),
-        panels=int(section["panels"]),
-        tail_exponent_hint=section.get("tail_exponent_hint"),
-        singular_exponent=singular_exponent,
-    )
+    with _config_values("quadrature"):
+        return QuadratureSpec(
+            t_max=float(section["t_max"]),
+            panels=int(section["panels"]),
+            tail_exponent_hint=section.get("tail_exponent_hint"),
+            singular_exponent=singular_exponent,
+        )
 
 
 def run(experiment, overrides=None, out_dir=None, parallel=False):
@@ -392,10 +416,9 @@ def _run_solve(config, parallel):
     started = time.monotonic()
     grid = _grid_from(config["grid"])
     datum = make_datum(_datum_from(config["datum"]), grid)
-    eq = config["equation"]
-    p = NLSParams(dim=grid.dim, sigma=float(eq["sigma"]), mu=float(eq["mu"]))
+    p = _nls_params_from(config["equation"], grid.dim)
     ev = config["evolve"]
-    control = StepControl(dt=float(ev["dt"]))
+    control = _step_control_from(ev, "evolve")
     report = VerificationReport(
         identity="cauchy_evolution_health",
         grid={"counts": list(grid.counts), "spacings": list(grid.spacings)},
@@ -462,8 +485,7 @@ def _run_wave_op(config, parallel):
     started = time.monotonic()
     grid = _grid_from(config["grid"])
     datum = make_datum(_datum_from(config["datum"]), grid)
-    eq = config["equation"]
-    p = NLSParams(dim=grid.dim, sigma=float(eq["sigma"]), mu=float(eq["mu"]))
+    p = _nls_params_from(config["equation"], grid.dim)
     cfg = _scattering_from(config["scattering"])
     report = VerificationReport(
         identity="wave_operator_round_trip",
@@ -485,8 +507,7 @@ def _run_thm1(config, parallel):
     started = time.monotonic()
     grid = _grid_from(config["grid"])
     datum = make_datum(_datum_from(config["datum"]), grid)
-    eq = config["equation"]
-    p = NLSParams(dim=grid.dim, sigma=float(eq["sigma"]), mu=float(eq["mu"]))
+    p = _nls_params_from(config["equation"], grid.dim)
     cfg = _scattering_from(config["scattering"])
     tol = float(config["verify"]["tolerance"])
     report = verify_theorem1(datum, p, cfg, tolerance=tol)
@@ -494,11 +515,7 @@ def _run_thm1(config, parallel):
         doubled_counts = tuple(config["verify"]["doubled_counts"])
         big = GridDescriptor.centered(doubled_counts, grid.spacings)
         datum2 = make_datum(_datum_from(config["datum"]), big)
-        cfg2 = ScatteringConfig(
-            horizon=2.0 * cfg.horizon, tol=cfg.tol,
-            ladder_factor=cfg.ladder_factor, max_rungs=cfg.max_rungs,
-            initializer=cfg.initializer, control=cfg.control,
-        )
+        cfg2 = replace(cfg, horizon=2.0 * cfg.horizon)
         rep2 = verify_theorem1(datum2, p, cfg2, tolerance=tol)
         base = list(report.residuals)
         for r, r2 in zip(base, rep2.residuals):
@@ -515,8 +532,7 @@ def _run_thm1(config, parallel):
 def _run_conjugation(config, parallel):
     grid = _grid_from(config["grid"])
     datum = make_datum(_datum_from(config["datum"]), grid)
-    eq = config["equation"]
-    p = NLSParams(dim=grid.dim, sigma=float(eq["sigma"]), mu=float(eq["mu"]))
+    p = _nls_params_from(config["equation"], grid.dim)
     cfg = _scattering_from(config["scattering"])
     return verify_conjugation(
         datum, p, cfg, tolerance=float(config["verify"]["tolerance"])
@@ -556,6 +572,7 @@ def _run_corollary2(config, parallel):
 
 
 def _run_proposition(config, parallel):
+    started = time.monotonic()
     grid = _grid_from(config["grid"])
     datum = make_datum(_datum_from(config["datum"]), grid)
     corr = _quadrature_from(config["quadrature"])
@@ -586,6 +603,8 @@ def _run_proposition(config, parallel):
                 combined.ladders[f"{k}_{label}"] = v
             for d in rep.fitted_rates:
                 combined.add_rate(f"{d['name']}_{label}", d["value"])
+    # the +1 branch stamped its own half of the run; the report covers both
+    combined.stamp(started)
     return combined
 
 
@@ -593,13 +612,14 @@ def _run_dnls_gauge(config, parallel):
     started = time.monotonic()
     grid = _grid_from(config["grid"])
     datum = make_datum(_datum_from(config["datum"]), grid)
-    lam = float(config["equation"]["lambda"])
+    with _config_values("equation"):
+        lam = float(config["equation"]["lambda"])
+        p_nls = NLSParams(dim=1, sigma=2.0, mu=0.5 * lam * lam)
+        p_dnls = DNLSParams(lam)
     ev = config["evolve"]
-    control = StepControl(dt=float(ev["dt"]))
+    control = _step_control_from(ev, "evolve")
     tol = float(config["verify"]["tolerance"])
     inv_tol = float(config["verify"]["inverse_tol"])
-    p_nls = NLSParams(dim=1, sigma=2.0, mu=0.5 * lam * lam)
-    p_dnls = DNLSParams(lam)
     report = VerificationReport(
         identity="gauge_equivalence",
         grid={"counts": list(grid.counts), "spacings": list(grid.spacings)},
@@ -689,8 +709,7 @@ def _run_lemmas(config, parallel):
     started = time.monotonic()
     fine = _grid_from(config["grid"])
     datum = make_datum(_datum_from(config["datum"]), fine)
-    eq = config["equation"]
-    p = NLSParams(dim=fine.dim, sigma=float(eq["sigma"]), mu=float(eq["mu"]))
+    p = _nls_params_from(config["equation"], fine.dim)
     cfg = _scattering_from(config["scattering"])
     times = [float(t) for t in config["verify"]["ladder_times"]]
     scat_grid = _grid_from(config["scattering_grid"])

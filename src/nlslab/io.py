@@ -9,14 +9,20 @@ Layout (little endian):
   payload interleaved f64 (re, im) pairs, row-major
 """
 
+import math
 import struct
 
 import numpy as np
 
 from .core import FREQUENCY, POSITION, ComplexField, GridDescriptor
+from .errors import SnapshotFormatError
 
 MAGIC = b"NLSF"
 VERSION = 1
+
+_HEADER = struct.Struct("<4sII")
+_AXIS = struct.Struct("<Qdd")
+_SAMPLE_BYTES = 16
 
 _SPACE_CODE = {POSITION: 0, FREQUENCY: 1}
 _CODE_SPACE = {v: k for k, v in _SPACE_CODE.items()}
@@ -25,27 +31,50 @@ _CODE_SPACE = {v: k for k, v in _SPACE_CODE.items()}
 def write_snapshot(path, field: ComplexField):
     g = field.grid
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sII", MAGIC, VERSION, g.dim))
+        fh.write(_HEADER.pack(MAGIC, VERSION, g.dim))
         for n, h, x0 in zip(g.counts, g.spacings, g.offsets):
-            fh.write(struct.pack("<Qdd", n, h, x0))
+            fh.write(_AXIS.pack(n, h, x0))
         fh.write(struct.pack("<B", _SPACE_CODE[field.space]))
         fh.write(np.ascontiguousarray(field.values, dtype="<c16").tobytes())
 
 
 def read_snapshot(path) -> ComplexField:
+    """Read a snapshot, checking every header field and the payload length.
+
+    Raises SnapshotFormatError on a truncated or malformed file.
+    """
     with open(path, "rb") as fh:
-        magic, version, dim = struct.unpack("<4sII", fh.read(12))
-        if magic != MAGIC:
-            raise ValueError(f"not a field snapshot: bad magic {magic!r}")
-        if version != VERSION:
-            raise ValueError(f"unsupported snapshot version {version}")
-        counts, spacings, offsets = [], [], []
-        for _ in range(dim):
-            n, h, x0 = struct.unpack("<Qdd", fh.read(24))
-            counts.append(n)
-            spacings.append(h)
-            offsets.append(x0)
-        (code,) = struct.unpack("<B", fh.read(1))
-        grid = GridDescriptor(tuple(counts), tuple(spacings), tuple(offsets))
-        values = np.frombuffer(fh.read(), dtype="<c16")
-    return ComplexField(grid, values.astype(np.complex128), _CODE_SPACE[code])
+        data = fh.read()
+
+    def bad(msg):
+        return SnapshotFormatError(f"{path}: {msg}")
+
+    if len(data) < _HEADER.size:
+        raise bad(f"{len(data)} bytes, shorter than the {_HEADER.size}-byte header")
+    magic, version, dim = _HEADER.unpack_from(data)
+    if magic != MAGIC:
+        raise bad(f"not a field snapshot: bad magic {magic!r}")
+    if version != VERSION:
+        raise bad(f"unsupported snapshot version {version}")
+    if dim not in (1, 2):
+        raise bad(f"dimension must be 1 or 2, got {dim}")
+    head = _HEADER.size + dim * _AXIS.size + 1
+    if len(data) < head:
+        raise bad(f"header truncated: {len(data)} bytes, need {head}")
+    axes = [_AXIS.unpack_from(data, _HEADER.size + i * _AXIS.size) for i in range(dim)]
+    code = data[head - 1]
+    if code not in _CODE_SPACE:
+        raise bad(f"unknown space code {code}")
+    counts, spacings, offsets = zip(*axes)
+    expected = math.prod(counts) * _SAMPLE_BYTES
+    if len(data) - head != expected:
+        raise bad(
+            f"payload holds {len(data) - head} bytes, counts {list(counts)} "
+            f"need {expected}"
+        )
+    try:
+        grid = GridDescriptor(counts, spacings, offsets)
+        values = np.frombuffer(data, dtype="<c16", offset=head)
+        return ComplexField(grid, values.astype(np.complex128), _CODE_SPACE[code])
+    except ValueError as exc:
+        raise bad(str(exc)) from exc

@@ -17,11 +17,11 @@ import numpy as np
 from .core import (
     POSITION,
     ComplexField,
-    _dft,
-    _idft,
+    _require_space,
+    _unit_phase,
     diagnostics,
-    free_propagate,
     l2_norm,
+    spectral_plan,
 )
 from .errors import SolverHealthError
 
@@ -78,14 +78,28 @@ class StepControl:
 
 
 def _nonlinear_phase(values, dt_half, p: NLSParams):
-    return values * np.exp(-1j * p.mu * np.abs(values) ** (2.0 * p.sigma) * dt_half)
+    w = values.real**2 + values.imag**2
+    if p.sigma != 1.0:
+        w **= p.sigma
+    w *= -p.mu * dt_half
+    out = _unit_phase(w)
+    out *= values
+    return out
+
+
+def _strang_step(a, half, m, p: NLSParams):
+    """Half nonlinear phase, free flow by the FFT-order multiplier ``m``,
+    half nonlinear phase, all on raw arrays."""
+    spec = np.fft.fftn(_nonlinear_phase(a, half, p))
+    spec *= m
+    return _nonlinear_phase(np.fft.ifftn(spec), half, p)
 
 
 def nls_step(u: ComplexField, dt: float, p: NLSParams) -> ComplexField:
     """One Strang step: half nonlinear phase, free flow, half nonlinear phase."""
-    v = _nonlinear_phase(u.values, 0.5 * dt, p)
-    v = free_propagate(u.with_values(v), dt)
-    return v.with_values(_nonlinear_phase(v.values, 0.5 * dt, p))
+    _require_space(u, POSITION, "nls_step")
+    m = spectral_plan(u.grid).free_multiplier(dt)
+    return u.with_values(_strang_step(u.shaped, 0.5 * dt, m, p))
 
 
 def _check_health(f, mass0, c: StepControl, t, context):
@@ -93,16 +107,39 @@ def _check_health(f, mass0, c: StepControl, t, context):
     drift = abs(mass - mass0) / mass0 if mass0 > 0 else 0.0
     d = diagnostics(f)
     bad = {}
-    if drift > c.mass_drift_tol:
+    # written as "not within" so that a NaN or infinite monitor is a violation
+    if not drift <= c.mass_drift_tol:
         bad["mass_drift"] = drift
-    if d.spectral_tail_fraction > c.tail_tol:
+    if not d.spectral_tail_fraction <= c.tail_tol:
         bad["spectral_tail_fraction"] = d.spectral_tail_fraction
-    if d.boundary_mass_fraction > c.boundary_tol:
+    if not d.boundary_mass_fraction <= c.boundary_tol:
         bad["boundary_mass_fraction"] = d.boundary_mass_fraction
     if bad:
         bad["t"] = t
         raise SolverHealthError(f"{context}: health violation at t={t:.6g}: {bad}", bad)
     return drift, d
+
+
+def _step_counts(span, dt, c: StepControl, what):
+    """Full steps, the exact final partial step, and their total."""
+    n_full = int(abs(span) / dt)
+    remainder = abs(span) - n_full * dt
+    if remainder < 1e-12 * dt:
+        remainder = 0.0
+    total_steps = n_full + (1 if remainder else 0)
+    if total_steps > c.max_steps:
+        raise SolverHealthError(
+            f"{what} needs {total_steps} steps, max_steps={c.max_steps}"
+        )
+    return n_full, remainder, total_steps
+
+
+def _require_finite(a, t, context):
+    if not np.isfinite(a).all():
+        raise SolverHealthError(
+            f"{context}: non-finite state at t={t:.6g}",
+            {"mass_drift": float("nan"), "t": t},
+        )
 
 
 def nls_evolve(
@@ -117,61 +154,63 @@ def nls_evolve(
 
     ``observer(t, field)``, when given, is called after every step (and once
     at t0).  Aborts with SolverHealthError when the resolution or mass
-    monitors trip.
+    monitors trip or the state stops being finite.  The steps run on raw
+    arrays; fields are built only for the observer, the monitors and the
+    result.
     """
+    _require_space(u0, POSITION, "nls_evolve")
     span = t1 - t0
     if span == 0.0:
         return u0
-    n_full = int(abs(span) / c.dt)
-    remainder = abs(span) - n_full * c.dt
-    if remainder < 1e-12 * c.dt:
-        remainder = 0.0
-    total_steps = n_full + (1 if remainder else 0)
-    if total_steps > c.max_steps:
-        raise SolverHealthError(
-            f"evolution needs {total_steps} steps, max_steps={c.max_steps}"
-        )
+    n_full, remainder, total_steps = _step_counts(span, c.dt, c, "evolution")
     sgn = 1.0 if span > 0 else -1.0
     mass0 = l2_norm(u0) ** 2
     check_every = max(1, total_steps // HEALTH_CHECKS_PER_RUN)
-    u = u0
     t = t0
-    _check_health(u, mass0, c, t, "nls_evolve (initial state)")
+    _check_health(u0, mass0, c, t, "nls_evolve (initial state)")
     if observer is not None:
-        observer(t, u)
+        observer(t, u0)
+    plan = spectral_plan(u0.grid)
+    full = plan.free_multiplier(sgn * c.dt)
+    last = plan.free_multiplier(sgn * remainder) if remainder else None
+    a = u0.shaped
+    u = u0
     for k in range(total_steps):
-        dt = c.dt if k < n_full else remainder
-        u = nls_step(u, sgn * dt, p)
+        if k < n_full:
+            a = _strang_step(a, 0.5 * sgn * c.dt, full, p)
+        else:
+            a = _strang_step(a, 0.5 * sgn * remainder, last, p)
         t = t0 + sgn * min((k + 1) * c.dt, abs(span))
+        _require_finite(a, t, "nls_evolve")
+        check = (k + 1) % check_every == 0 or k + 1 == total_steps
+        if observer is not None or check:
+            u = u0.with_values(a)
         if observer is not None:
             observer(t, u)
-        if (k + 1) % check_every == 0 or k + 1 == total_steps:
+        if check:
             _check_health(u, mass0, c, t, "nls_evolve")
     return u
 
 
-def _spatial_derivative(values_shaped, grid):
-    f = ComplexField(grid, values_shaped.reshape(-1), POSITION)
-    spec = _dft(f)
-    xi = spec.grid.axis_coords(0)
-    return _idft(spec.with_values(spec.shaped * (1j * xi))).shaped
-
-
-def _dnls_rhs(w_values, t, psi_grid, lam):
-    """dw/dt = lambda * U0(-t)[ (|psi|^2)_x psi ], psi = U0(t) w."""
-    if (
-        not np.isfinite(w_values.view(np.float64)).all()
-        or np.max(np.abs(w_values)) > 1e8
-    ):
+def _dnls_rhs(w, t, plan, lam):
+    """dw/dt = lambda * U0(-t)[ (|psi|^2)_x psi ], psi = U0(t) w, on raw
+    arrays in position order."""
+    if not np.max(np.abs(w)) <= 1e8:
         raise SolverHealthError(
             f"dnls_evolve: blow-up in a Runge-Kutta stage at t={t:.6g}",
             {"mass_drift": float("inf"), "t": t},
         )
-    w = ComplexField(psi_grid, w_values.reshape(-1), POSITION)
-    psi = free_propagate(w, t)
-    density_x = _spatial_derivative(np.abs(psi.shaped) ** 2, psi_grid)
-    forcing = psi.with_values(density_x * psi.shaped)
-    return lam * free_propagate(forcing, -t).shaped
+    m = plan.free_multiplier(t)
+    spec = np.fft.fftn(w)
+    spec *= m
+    psi = np.fft.ifftn(spec)
+    forcing = plan.derivative(psi.real**2 + psi.imag**2)
+    forcing *= psi
+    spec = np.fft.fftn(forcing)
+    spec *= np.conj(m)
+    out = np.fft.ifftn(spec)
+    out *= lam
+    return out
 
 
 def dnls_evolve(
@@ -190,6 +229,7 @@ def dnls_evolve(
     """
     if psi0.grid.dim != 1:
         raise SolverHealthError("dnls_evolve is one-dimensional")
+    _require_space(psi0, POSITION, "dnls_evolve")
     dt = c.dt
     last_exc = None
     for _ in range(MAX_DT_HALVINGS + 1):
@@ -211,42 +251,33 @@ def _dnls_run(psi0, t0, t1, p, c, dt, observer):
     span = t1 - t0
     if span == 0.0:
         return psi0
-    n_full = int(abs(span) / dt)
-    remainder = abs(span) - n_full * dt
-    if remainder < 1e-12 * dt:
-        remainder = 0.0
-    total_steps = n_full + (1 if remainder else 0)
-    if total_steps > c.max_steps:
-        raise SolverHealthError(
-            f"dnls evolution needs {total_steps} steps, max_steps={c.max_steps}"
-        )
+    n_full, remainder, total_steps = _step_counts(span, dt, c, "dnls evolution")
     sgn = 1.0 if span > 0 else -1.0
-    grid = psi0.grid
+    plan = spectral_plan(psi0.grid)
     mass0 = l2_norm(psi0) ** 2
     check_every = max(1, total_steps // HEALTH_CHECKS_PER_RUN)
     _check_health(psi0, mass0, c, t0, "dnls_evolve (initial state)")
     # interaction picture state at t0: w = U0(-t0) psi(t0)
-    w = free_propagate(psi0, -t0).shaped
+    w = plan.propagate(psi0.shaped, -t0)
     t = t0
     if observer is not None:
         observer(t0, psi0)
+    psi = psi0
     for k in range(total_steps):
         h = (dt if k < n_full else remainder) * sgn
-        k1 = _dnls_rhs(w, t, grid, p.lam)
-        k2 = _dnls_rhs(w + 0.5 * h * k1, t + 0.5 * h, grid, p.lam)
-        k3 = _dnls_rhs(w + 0.5 * h * k2, t + 0.5 * h, grid, p.lam)
-        k4 = _dnls_rhs(w + h * k3, t + h, grid, p.lam)
+        k1 = _dnls_rhs(w, t, plan, p.lam)
+        k2 = _dnls_rhs(w + 0.5 * h * k1, t + 0.5 * h, plan, p.lam)
+        k3 = _dnls_rhs(w + 0.5 * h * k2, t + 0.5 * h, plan, p.lam)
+        k4 = _dnls_rhs(w + h * k3, t + h, plan, p.lam)
         w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = t0 + sgn * min((k + 1) * dt, abs(span))
-        if not np.isfinite(w.view(np.float64)).all():
-            raise SolverHealthError(
-                f"dnls_evolve: blow-up at t={t:.6g} (dt={h:.3g})",
-                {"mass_drift": float("inf"), "t": t},
-            )
-        psi = free_propagate(ComplexField(grid, w.reshape(-1), POSITION), t)
+        _require_finite(w, t, "dnls_evolve")
+        check = (k + 1) % check_every == 0 or k + 1 == total_steps
+        if observer is not None or check:
+            psi = psi0.with_values(plan.propagate(w, t))
         if observer is not None:
             observer(t, psi)
-        if (k + 1) % check_every == 0 or k + 1 == total_steps:
+        if check:
             _check_health(psi, mass0, c, t, "dnls_evolve")
     return psi
 
@@ -268,12 +299,12 @@ def residual(trajectory, equation) -> float:
     for k in range(1, len(snaps) - 1):
         u = snaps[k].field
         du_dt = (snaps[k + 1].field.values - snaps[k - 1].field.values) / (2.0 * dt)
-        spec = _dft(u)
-        lap = _idft(spec.with_values(spec.shaped * (-spec.grid.radius_squared()))).values
+        plan = spectral_plan(u.grid)
+        lap = np.fft.ifftn(np.fft.fftn(u.shaped) * -plan.xi2).reshape(-1)
         if isinstance(equation, NLSParams):
             rhs = equation.mu * np.abs(u.values) ** (2.0 * equation.sigma) * u.values
         elif isinstance(equation, DNLSParams):
-            dens_x = _spatial_derivative(np.abs(u.shaped) ** 2, u.grid).reshape(-1)
+            dens_x = plan.derivative(np.abs(u.shaped) ** 2).reshape(-1)
             rhs = 1j * equation.lam * dens_x * u.values
         else:
             raise TypeError(f"unknown equation parameters: {equation!r}")

@@ -1,4 +1,4 @@
-"""Small numeric helpers: log-log slope fits and ladder bookkeeping."""
+"""Small numeric helpers: log-log slope fits."""
 
 import numpy as np
 
@@ -16,15 +16,3 @@ def fit_loglog_slope(xs, ys):
         raise ValueError("slope fit needs positive data")
     slope, intercept = np.polyfit(np.log(xs), np.log(ys), 1)
     return float(slope), float(intercept)
-
-
-def is_nonincreasing(values, slack=0.0):
-    values = list(values)
-    return all(b <= a * (1.0 + slack) for a, b in zip(values, values[1:]))
-
-
-def geometric_tail(last_change, ratio):
-    """Sum of a geometric tail with first term last_change*ratio."""
-    if not (0.0 < ratio < 1.0):
-        return float("inf")
-    return last_change * ratio / (1.0 - ratio)

@@ -204,6 +204,7 @@ THM1_SCATTERING = {"horizon": 200.0, "tol": 1e-4, "ladder_factor": 2.0,
                    "max_rungs": 1, "initializer": "free", "dt": 0.025}
 
 
+@pytest.mark.slow
 class TestCriterion06Theorem1:
     @pytest.mark.parametrize("mu", [1.0, -1.0])
     def test_n1_residual_and_horizon_doubling(self, mu):
@@ -265,6 +266,7 @@ class TestCriterion06Theorem1:
         assert rep.verdict == "pass"
 
 
+@pytest.mark.slow
 class TestCriterion07Conjugation:
     def test_both_identities(self):
         rep = run(

@@ -1,14 +1,17 @@
 """Config handling, datum library, experiment driver, CLI, determinism."""
 
 import json
+import struct
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
+from nlslab import cli
 from nlslab.core import GridDescriptor, l2_norm
-from nlslab.errors import ConfigError, NlslabError
+from nlslab.errors import ConfigError, NlslabError, SnapshotFormatError
 from nlslab.harness import (
     DEFAULTS,
     InitialDatumSpec,
@@ -65,6 +68,44 @@ class TestMakeDatum:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             InitialDatumSpec("vortex")
+
+
+class TestSnapshotFormat:
+    """A malformed NLSF file is a format error, and as a datum a config
+    error (exit 2), never a traceback."""
+
+    @staticmethod
+    def _header(count=64):
+        return (struct.pack("<4sII", b"NLSF", 1, 1)
+                + struct.pack("<Qdd", count, 0.5, -0.25 * count) + b"\x00")
+
+    @pytest.mark.parametrize("kind", ["random", "header_only", "short_payload"])
+    def test_malformed_file(self, kind, tmp_path, capsys):
+        if kind == "random":
+            data = np.random.default_rng(3).bytes(40)
+        elif kind == "header_only":
+            data = struct.pack("<4sII", b"NLSF", 1, 1)
+        else:
+            data = self._header() + b"\x00" * (16 * 63)
+        path = tmp_path / "bad.nlsf"
+        path.write_bytes(data)
+        with pytest.raises(SnapshotFormatError):
+            read_snapshot(path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"grid": {"counts": [64], "spacings": [0.5]},
+             "datum": {"kind": "file", "path": str(path)}}
+        ))
+        code = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error:" in err and "Traceback" not in err
+
+    def test_well_formed_header_round_trip(self, tmp_path):
+        path = tmp_path / "ok.nlsf"
+        path.write_bytes(self._header() + b"\x00" * (16 * 64))
+        f = read_snapshot(path)
+        assert f.grid.counts == (64,) and not f.values.any()
 
 
 class TestConfigHandling:
@@ -170,6 +211,19 @@ class TestCli:
         proc = self._run("solve", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize("experiment, overrides", [
+        ("wave_op", {"scattering": {"horizon": -1}}),
+        ("wave_op", {"scattering": {"dt": 0}}),
+        ("corollary2", {"quadrature": {"panels": 2}}),
+    ])
+    def test_rejected_value_exit_two(self, experiment, overrides, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        code = cli.main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and "Traceback" not in err
+
     def test_missing_experiment_exit_two(self):
         proc = self._run()
         assert proc.returncode == 2
@@ -206,3 +260,16 @@ class TestDnlsGaugeExperiment:
             out_dir=tmp_path,
         )
         assert rep.verdict == "pass"
+
+
+class TestPropositionExperiment:
+    def test_report_times_both_signs(self):
+        light = {
+            "grid": {"counts": [512]},
+            "scattering": {"horizon": 5.0, "dt": 0.05},
+            "quadrature": {"t_max": 100.0, "panels": 4},
+        }
+        start = time.monotonic()
+        rep = run("proposition", light)
+        elapsed = time.monotonic() - start
+        assert rep.wall_clock_s >= 0.9 * elapsed

@@ -143,6 +143,47 @@ class TestNlsEvolve:
         assert l2_difference(out, ref) < 1e-12
 
 
+class TestRawLoop:
+    """nls_evolve runs its steps on raw arrays; nls_step is the public form
+    of the same kernel, so the two must agree step for step."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("t1", [0.37, -0.37])
+    def test_evolve_equals_repeated_steps(self, dim, t1):
+        # 0.37 = 7 steps of 0.05 plus a partial step of 0.02
+        if dim == 1:
+            g = grid1d(512, 0.05)
+            f = gaussian_field(g, amplitude=0.5)
+        else:
+            g = GridDescriptor.centered((64, 64), (0.2, 0.2))
+            f = field_from_function(g, lambda x, y: 0.6 * np.exp(-0.5 * (x**2 + y**2)))
+        p = NLSParams(dim=dim, mu=1.0)
+        dt = 0.05
+        out = nls_evolve(f, 0.0, t1, p, StepControl(dt=dt))
+        u, sgn = f, np.sign(t1)
+        for _ in range(7):
+            u = nls_step(u, sgn * dt, p)
+        u = nls_step(u, t1 - sgn * 7 * dt, p)
+        assert l2_difference(out, u) <= 1e-13 * l2_norm(f)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_datum_is_health_violation(self):
+        f = gaussian_field(grid1d(256, 0.1), amplitude=1e200)
+        p = NLSParams(dim=1, sigma=2.0, mu=1.0)
+        with pytest.raises(SolverHealthError) as info:
+            nls_evolve(f, 0.0, 0.1, p, StepControl(dt=0.01))
+        assert info.value.diagnostics["t"] == 0.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_state_turning_non_finite_is_health_violation(self):
+        # finite mass, but |u|^4 overflows in the first nonlinear phase
+        f = gaussian_field(grid1d(256, 0.1), amplitude=1e100)
+        p = NLSParams(dim=1, sigma=2.0, mu=1.0)
+        with pytest.raises(SolverHealthError) as info:
+            nls_evolve(f, 0.0, 0.1, p, StepControl(dt=0.01))
+        assert info.value.diagnostics["t"] > 0.0
+
+
 class TestDnlsEvolve:
     def test_lambda_zero_is_free(self):
         g = grid1d(256, 0.1)

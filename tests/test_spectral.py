@@ -21,6 +21,7 @@ from nlslab.core import (
     norms,
     quadratic_phase,
     resample,
+    spectral_plan,
 )
 from nlslab.errors import MassLossError, SpaceTagError
 from nlslab.io import read_snapshot, write_snapshot
@@ -186,6 +187,32 @@ class TestFreePropagate:
         a = forward_fourier(free_propagate(f, 1.3))
         b = free_propagate(forward_fourier(f), 1.3)
         assert l2_difference(a, b) < 1e-12 * l2_norm(f)
+
+
+class TestSpectralPlan:
+    def test_one_read_only_plan_per_grid(self):
+        # the plan is shared by every caller and by the --parallel threads,
+        # so equal grids get the same plan and no array can be written
+        g = GridDescriptor.centered((32, 16), (0.3, 0.2))
+        plan = spectral_plan(g)
+        assert spectral_plan(GridDescriptor.centered((32, 16), (0.3, 0.2))) is plan
+        for arr in (plan.signs, plan.r2, plan.xi2, plan.shell, plan.dual_shell):
+            assert arr.shape == g.counts
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1
+        assert not spectral_plan(grid1d(64, 0.1)).derivative_symbol.flags.writeable
+
+    def test_fft_order_symbols_match_centered_grids(self):
+        g = GridDescriptor.centered((16, 8), (0.3, 0.2))
+        plan = spectral_plan(g)
+        assert np.array_equal(np.fft.fftshift(plan.xi2), g.dual().radius_squared())
+        assert np.array_equal(plan.r2, g.radius_squared())
+
+    def test_derivative_of_gaussian(self):
+        g = grid1d(512, 0.05)
+        x = g.axis_coords(0)
+        out = spectral_plan(g).derivative(np.exp(-0.5 * x**2))
+        assert np.max(np.abs(out - (-x * np.exp(-0.5 * x**2)))) < 1e-12
 
 
 class TestQuadraticPhase:
