@@ -15,12 +15,13 @@ pin.
 Quadrature is composite Gauss-Legendre on panels graded linearly near zero
 and geometrically in the tail.  A singular endpoint weight |t|^a with
 a in (-1, 0) is removed exactly by the substitution t = s^(1/(1+a)), under
-which t^a dt = ds/(1+a).
+which t^a dt = ds/(1+a).  The part of the half line beyond t_max is
+estimated, not bounded: ``_tail_bound`` extrapolates the algebraic decay
+from a single sample at 0.995 t_max.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,7 +48,7 @@ class QuadratureSpec:
     """Half-line quadrature plan.
 
     tail_exponent_hint overrides the decay exponent n*sigma used for the
-    certified tail bound; singular_exponent is the endpoint weight power a
+    tail estimate; singular_exponent is the endpoint weight power a
     (0 for unweighted integrals).
     """
 
@@ -147,7 +148,7 @@ def _panel_edges(t_max, panels):
     return np.concatenate([lin, log])
 
 
-def _quad_panels(evaluator, sign, spec: QuadratureSpec, panels, parallel=False):
+def _quad_panels(evaluator, sign, spec: QuadratureSpec, panels):
     """sign-oriented integral of |t|^a * evaluator(sign*t) over [0, t_max]."""
     a = spec.singular_exponent
     p = 1.0 + a
@@ -160,34 +161,18 @@ def _quad_panels(evaluator, sign, spec: QuadratureSpec, panels, parallel=False):
         # smooth relative variation
         cascade = edges_s[1] * 10.0 ** -np.arange(12.0, 0.0, -1.0)
         edges_s = np.concatenate([[0.0], cascade, edges_s[1:]])
-    n_panels = len(edges_s) - 1
-
-    def one_panel(i):
-        sa, sb = edges_s[i], edges_s[i + 1]
+    # a fixed order keeps results bitwise reproducible: nodes are summed
+    # within a panel, then panels into a zero total
+    total = 0.0
+    for sa, sb in zip(edges_s[:-1], edges_s[1:]):
         mid, half = 0.5 * (sa + sb), 0.5 * (sb - sa)
         acc = None
         for x, w in zip(nodes, weights):
-            s = mid + half * x
-            t = s ** (1.0 / p)
-            fld = evaluator(sign * t)
+            fld = evaluator(sign * (mid + half * x) ** (1.0 / p))
             contrib = (w * half / p) * fld.values
             acc = contrib if acc is None else acc + contrib
-        return acc, fld
-
-    results = [None] * n_panels
-    if parallel:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(one_panel, i) for i in range(n_panels)]
-            for i, fut in enumerate(futures):
-                results[i] = fut.result()
-    else:
-        for i in range(n_panels):
-            results[i] = one_panel(i)
-    template = results[0][1]
-    total = np.zeros_like(results[0][0])
-    for acc, _ in results:
         total = total + acc
-    return ComplexField(template.grid, sign * total, template.space)
+    return ComplexField(fld.grid, sign * total, fld.space)
 
 
 def _tail_bound(evaluator, sign, spec: QuadratureSpec, n_sigma):
@@ -204,9 +189,9 @@ def _tail_bound(evaluator, sign, spec: QuadratureSpec, n_sigma):
     return c * spec.t_max ** (1.0 - q) / (q - 1.0)
 
 
-def _refined_quadrature(evaluator, sign, spec, n_sigma, parallel=False):
-    coarse = _quad_panels(evaluator, sign, spec, spec.panels, parallel)
-    fine = _quad_panels(evaluator, sign, spec, 2 * spec.panels, parallel)
+def _refined_quadrature(evaluator, sign, spec, n_sigma):
+    coarse = _quad_panels(evaluator, sign, spec, spec.panels)
+    fine = _quad_panels(evaluator, sign, spec, 2 * spec.panels)
     delta = float(
         np.sqrt(fine.grid.cell_volume * np.sum(np.abs(fine.values - coarse.values) ** 2))
     )
@@ -215,10 +200,10 @@ def _refined_quadrature(evaluator, sign, spec, n_sigma, parallel=False):
 
 
 def born_integral(
-    phi: ComplexField, sign: int, sigma: float, q: QuadratureSpec, parallel=False
+    phi: ComplexField, sign: int, sigma: float, q: QuadratureSpec
 ) -> QuadratureResult:
     """Oriented integral of U0(-t) G(U0(t) phi) dt from 0 to sign*infinity,
-    truncated at t_max with a certified algebraic tail bound.
+    truncated at t_max with an extrapolated algebraic tail estimate.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -226,12 +211,10 @@ def born_integral(
     if n * sigma - q.singular_exponent <= 1.0 and q.tail_exponent_hint is None:
         raise ConvergenceError(f"n*sigma = {n * sigma} <= 1 + a: tail diverges")
     ev = lambda t: flow_integrand(phi, t, sigma)
-    return _refined_quadrature(ev, sign, q, n * sigma, parallel)
+    return _refined_quadrature(ev, sign, q, n * sigma)
 
 
-def corollary2_sides(
-    phi: ComplexField, sign: int, q: QuadratureSpec, parallel=False
-) -> tuple:
+def corollary2_sides(phi: ComplexField, sign: int, q: QuadratureSpec) -> tuple:
     """Both sides of the critical expansion identity, independently pipelined.
 
     Left route: nonlinear flow -> transform -> quadratic-phase multiply.
@@ -243,14 +226,23 @@ def corollary2_sides(
     phihat = forward_fourier(phi)
     lhs_ev = lambda t: expansion_lhs_integrand(phi, t, sigma)
     rhs_ev = lambda t: flow_integrand(phihat, -t, sigma)
-    lhs = _refined_quadrature(lhs_ev, sign, q, n * sigma, parallel)
-    rhs = _refined_quadrature(rhs_ev, sign, q, n * sigma, parallel)
+    lhs = _refined_quadrature(lhs_ev, sign, q, n * sigma)
+    rhs = _refined_quadrature(rhs_ev, sign, q, n * sigma)
     return lhs, rhs
 
 
+def _check_subcritical_window(n: int, sigma: float):
+    """Raise ValueError unless the weighted identities hold for (n, sigma)."""
+    if n > 2:
+        raise ValueError("sub-critical identities are run for n <= 2 only")
+    if not (1.0 / n < sigma < 2.0 / n):
+        raise ValueError(f"sigma={sigma} outside validity window (1/n, 2/n)")
+    if n == 2 and not (sigma > 2.0 / (n + 2)):
+        raise ValueError(f"sigma={sigma} must exceed 2/(n+2) for n=2")
+
+
 def subcritical_sides(
-    phi: ComplexField, sign: int, n: int, sigma: float, q: QuadratureSpec,
-    parallel=False,
+    phi: ComplexField, sign: int, n: int, sigma: float, q: QuadratureSpec
 ) -> tuple:
     """The two weighted sub-critical identities, four integrals in all.
 
@@ -260,12 +252,7 @@ def subcritical_sides(
     """
     if phi.grid.dim != n:
         raise ValueError("phi dimension does not match n")
-    if n > 2:
-        raise ValueError("sub-critical identities are run for n <= 2 only")
-    if not (1.0 / n < sigma < 2.0 / n):
-        raise ValueError(f"sigma={sigma} outside validity window (1/n, 2/n)")
-    if n == 2 and not (sigma > 2.0 / (n + 2)):
-        raise ValueError(f"sigma={sigma} must exceed 2/(n+2) for n=2")
+    _check_subcritical_window(n, sigma)
     a = n * sigma - 2.0
     phihat = forward_fourier(phi)
     lhs_ev = lambda t: expansion_lhs_integrand(phi, t, sigma)
@@ -273,12 +260,12 @@ def subcritical_sides(
     plain = replace(q, singular_exponent=0.0)
     weighted = replace(q, singular_exponent=a)
     identity1 = (
-        _refined_quadrature(lhs_ev, sign, plain, n * sigma, parallel),
-        _refined_quadrature(rhs_ev, sign, weighted, n * sigma, parallel),
+        _refined_quadrature(lhs_ev, sign, plain, n * sigma),
+        _refined_quadrature(rhs_ev, sign, weighted, n * sigma),
     )
     identity2 = (
-        _refined_quadrature(lhs_ev, sign, weighted, n * sigma, parallel),
-        _refined_quadrature(rhs_ev, sign, plain, n * sigma, parallel),
+        _refined_quadrature(lhs_ev, sign, weighted, n * sigma),
+        _refined_quadrature(rhs_ev, sign, plain, n * sigma),
     )
     return identity1, identity2
 

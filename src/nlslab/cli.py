@@ -24,8 +24,8 @@ def build_parser():
         p.add_argument("--out", help="output directory for reports and tables")
         p.add_argument(
             "--parallel", action="store_true",
-            help="evaluate quadrature panels concurrently (results match "
-                 "sequential mode)",
+            help="accepted for compatibility and recorded as params.parallel "
+                 "in the report; the computation is the same either way",
         )
     return parser
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import io as snapshot_io
 from .born import (
     QuadratureSpec,
-    born_integral,
+    _check_subcritical_window,
     corollary2_sides,
     subcritical_sides,
     verify_proposition,
@@ -278,18 +278,40 @@ def load_config(path):
 
 @contextmanager
 def _config_values(section):
-    """Report a value that a constructor rejects as a ConfigError."""
+    """Report a value that a conversion or a constructor rejects as a
+    ConfigError."""
     try:
         yield
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad {section} section: {exc}") from exc
 
 
-def _grid_from(section):
-    with _config_values("grid"):
-        return GridDescriptor.centered(
+def _numbers(values, convert=float):
+    """A non-empty list of numbers, each passed through ``convert``."""
+    if not isinstance(values, (list, tuple)) or not values:
+        raise TypeError(f"expected a non-empty list of numbers, got {values!r}")
+    return [convert(v) for v in values]
+
+
+def _optional_float(value):
+    return None if value is None else float(value)
+
+
+def _section_floats(config, section, *keys):
+    """The named numbers of one section, read before any work starts."""
+    with _config_values(section):
+        return [float(config[section][k]) for k in keys]
+
+
+def _grid_from(section, name="grid"):
+    with _config_values(name):
+        grid = GridDescriptor.centered(
             tuple(section["counts"]), tuple(section["spacings"])
         )
+        if int(section["dim"]) != grid.dim:
+            raise ValueError(f"dim {section['dim']!r} does not match counts "
+                             f"{list(grid.counts)}")
+        return grid
 
 
 def _nls_params_from(section, dim):
@@ -303,10 +325,16 @@ def _step_control_from(section, name):
 
 
 def _datum_from(section):
-    known = {k: section[k] for k in
-             ("kind", "amplitude", "width", "center", "wavenumber",
-              "normalize", "path") if k in section}
-    return InitialDatumSpec(**known)
+    with _config_values("datum"):
+        return InitialDatumSpec(
+            kind=section["kind"],
+            amplitude=float(section["amplitude"]),
+            width=float(section["width"]),
+            center=float(section["center"]),
+            wavenumber=float(section["wavenumber"]),
+            normalize=_optional_float(section["normalize"]),
+            path=section["path"],
+        )
 
 
 def _scattering_from(section, corrector=None):
@@ -325,24 +353,31 @@ def _scattering_from(section, corrector=None):
         return ScatteringConfig(**kwargs)
 
 
-def _quadrature_from(section, singular_exponent=0.0):
+def _quadrature_from(section):
     with _config_values("quadrature"):
         return QuadratureSpec(
             t_max=float(section["t_max"]),
             panels=int(section["panels"]),
-            tail_exponent_hint=section.get("tail_exponent_hint"),
-            singular_exponent=singular_exponent,
+            tail_exponent_hint=_optional_float(section["tail_exponent_hint"]),
         )
 
 
 def run(experiment, overrides=None, out_dir=None, parallel=False):
-    """Execute one experiment; write report and tables; return the report."""
+    """Execute one experiment; write report and tables; return the report.
+
+    Every experiment goes through here: the resolved config, the one timer,
+    and the grid and datum of the ``grid``/``datum`` sections are set up
+    once, and the runner adds only its identity's residuals.  ``parallel``
+    is echoed into the params; it selects no different computation.
+    """
     config = _merge_config(experiment, overrides)
-    runner = _RUNNERS[experiment]
-    report = runner(config, parallel)
-    report.params["experiment"] = experiment
-    report.params["config"] = config
-    report.params["parallel"] = bool(parallel)
+    started = time.monotonic()
+    grid = _grid_from(config["grid"])
+    datum = make_datum(_datum_from(config["datum"]), grid)
+    report = _RUNNERS[experiment](config, grid, datum)
+    report.grid = {"counts": list(grid.counts), "spacings": list(grid.spacings)}
+    report.params.update(experiment=experiment, config=config, parallel=bool(parallel))
+    report.stamp(started)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -412,18 +447,17 @@ def _spectral_soundness_residuals(report, grid):
     report.add_residual("free_group_factorization", worst, 1e-8)
 
 
-def _run_solve(config, parallel):
-    started = time.monotonic()
-    grid = _grid_from(config["grid"])
-    datum = make_datum(_datum_from(config["datum"]), grid)
+def _run_solve(config, grid, datum):
     p = _nls_params_from(config["equation"], grid.dim)
     ev = config["evolve"]
     control = _step_control_from(ev, "evolve")
-    report = VerificationReport(
-        identity="cauchy_evolution_health",
-        grid={"counts": list(grid.counts), "spacings": list(grid.spacings)},
+    t0, t1 = _section_floats(config, "evolve", "t0", "t1")
+    drift_tol, reversibility_tol = _section_floats(
+        config, "verify", "mass_drift_tol", "reversibility_tol"
     )
-    stride = int(config["output"].get("snapshot_stride", 0))
+    with _config_values("output"):
+        stride = int(config["output"]["snapshot_stride"])
+    report = VerificationReport(identity="cauchy_evolution_health")
     strided = {}
     observer = None
     if stride > 0:
@@ -434,18 +468,17 @@ def _run_solve(config, parallel):
             if k % stride == 0:
                 strided[f"step{k:06d}"] = fld
 
-    u1 = nls_evolve(datum, float(ev["t0"]), float(ev["t1"]), p, control,
-                    observer=observer)
+    u1 = nls_evolve(datum, t0, t1, p, control, observer=observer)
     drift = abs(l2_norm(u1) ** 2 - l2_norm(datum) ** 2) / l2_norm(datum) ** 2
-    report.add_residual("mass_drift", drift, float(config["verify"]["mass_drift_tol"]))
-    back = nls_evolve(u1, float(ev["t1"]), float(ev["t0"]), p, control)
+    report.add_residual("mass_drift", drift, drift_tol)
+    back = nls_evolve(u1, t1, t0, p, control)
     report.add_residual(
         "reversibility",
         l2_difference(back, datum) / l2_norm(datum),
-        float(config["verify"]["reversibility_tol"]),
+        reversibility_tol,
     )
     if p.mu == 0.0:
-        exact = free_propagate(datum, float(ev["t1"]) - float(ev["t0"]))
+        exact = free_propagate(datum, t1 - t0)
         report.add_residual(
             "free_propagation_exact",
             l2_difference(u1, exact) / l2_norm(datum),
@@ -476,21 +509,14 @@ def _run_solve(config, parallel):
         report._snapshots = dict(strided)
         if config["output"]["snapshots"]:
             report._snapshots.update({"initial": datum, "final": u1})
-    report.stamp(started)
     report.provenance["datum"] = config["datum"]
     return report
 
 
-def _run_wave_op(config, parallel):
-    started = time.monotonic()
-    grid = _grid_from(config["grid"])
-    datum = make_datum(_datum_from(config["datum"]), grid)
+def _run_wave_op(config, grid, datum):
     p = _nls_params_from(config["equation"], grid.dim)
     cfg = _scattering_from(config["scattering"])
-    report = VerificationReport(
-        identity="wave_operator_round_trip",
-        grid={"counts": list(grid.counts), "spacings": list(grid.spacings)},
-    )
+    report = VerificationReport(identity="wave_operator_round_trip")
     for sign, label in ((+1, "plus"), (-1, "minus")):
         w = wave_operator(datum, sign, p, cfg)
         back = inverse_wave_operator(w.field, sign, p, cfg)
@@ -499,60 +525,50 @@ def _run_wave_op(config, parallel):
         report.ladders[f"forward_{label}"] = w.horizon_ladder
         report.ladders[f"inverse_{label}"] = back.horizon_ladder
         report.horizons.append(cfg.horizon)
-    report.stamp(started)
     return report
 
 
-def _run_thm1(config, parallel):
-    started = time.monotonic()
-    grid = _grid_from(config["grid"])
-    datum = make_datum(_datum_from(config["datum"]), grid)
+def _run_thm1(config, grid, datum):
     p = _nls_params_from(config["equation"], grid.dim)
     cfg = _scattering_from(config["scattering"])
-    tol = float(config["verify"]["tolerance"])
-    report = verify_theorem1(datum, p, cfg, tolerance=tol)
+    [tol] = _section_floats(config, "verify", "tolerance")
+    datum2 = None
     if config["verify"].get("double_horizon"):
-        doubled_counts = tuple(config["verify"]["doubled_counts"])
-        big = GridDescriptor.centered(doubled_counts, grid.spacings)
+        with _config_values("verify"):
+            big = GridDescriptor.centered(
+                _numbers(config["verify"]["doubled_counts"], int), grid.spacings
+            )
         datum2 = make_datum(_datum_from(config["datum"]), big)
+    report = verify_theorem1(datum, p, cfg, tolerance=tol)
+    if datum2 is not None:
         cfg2 = replace(cfg, horizon=2.0 * cfg.horizon)
         rep2 = verify_theorem1(datum2, p, cfg2, tolerance=tol)
-        base = list(report.residuals)
-        for r, r2 in zip(base, rep2.residuals):
+        for r, r2 in zip(list(report.residuals), rep2.residuals):
             report.add_residual(f"{r2.name}_doubled_horizon", r2.value, tol)
             report.add_residual(
                 f"{r.name}_decreases_with_horizon",
                 r2.value / r.value if r.value > 0 else 0.0,
                 1.0,
             )
-    report.stamp(started)
     return report
 
 
-def _run_conjugation(config, parallel):
-    grid = _grid_from(config["grid"])
-    datum = make_datum(_datum_from(config["datum"]), grid)
+def _run_conjugation(config, grid, datum):
     p = _nls_params_from(config["equation"], grid.dim)
     cfg = _scattering_from(config["scattering"])
-    return verify_conjugation(
-        datum, p, cfg, tolerance=float(config["verify"]["tolerance"])
-    )
+    [tol] = _section_floats(config, "verify", "tolerance")
+    return verify_conjugation(datum, p, cfg, tolerance=tol)
 
 
-def _run_corollary2(config, parallel):
-    started = time.monotonic()
-    grid = _grid_from(config["grid"])
-    datum = make_datum(_datum_from(config["datum"]), grid)
+def _run_corollary2(config, grid, datum):
     q = _quadrature_from(config["quadrature"])
-    tol = float(config["verify"]["tolerance"])
-    rtol = float(config["verify"]["refinement_tol"])
+    tol, rtol = _section_floats(config, "verify", "tolerance", "refinement_tol")
     report = VerificationReport(
         identity="critical_expansion_identity",
-        grid={"counts": list(grid.counts), "spacings": list(grid.spacings)},
         params={"t_max": q.t_max, "panels": q.panels},
     )
     for sign, label in ((+1, "plus"), (-1, "minus")):
-        lhs, rhs = corollary2_sides(datum, sign, q, parallel=parallel)
+        lhs, rhs = corollary2_sides(datum, sign, q)
         scale = l2_norm(lhs.field)
         report.add_residual(
             f"sides_difference_{label}",
@@ -567,62 +583,48 @@ def _run_corollary2(config, parallel):
         report.ladders[f"tail_bounds_{label}"] = [
             ("lhs", lhs.tail_bound), ("rhs", rhs.tail_bound)
         ]
-    report.stamp(started)
     return report
 
 
-def _run_proposition(config, parallel):
-    started = time.monotonic()
-    grid = _grid_from(config["grid"])
-    datum = make_datum(_datum_from(config["datum"]), grid)
-    corr = _quadrature_from(config["quadrature"])
-    cfg = _scattering_from(config["scattering"], corrector=corr)
-    deltas = [float(d) for d in config["verify"]["deltas"]]
-    margin = float(config["verify"]["slope_margin"])
+def _run_proposition(config, grid, datum):
     q = _quadrature_from(config["quadrature"])
-    combined = None
+    cfg = _scattering_from(config["scattering"], corrector=q)
+    with _config_values("verify"):
+        deltas = _numbers(config["verify"]["deltas"])
+        margin = float(config["verify"]["slope_margin"])
+        if len(deltas) < 3:
+            raise ValueError("the remainder slope fit needs at least 3 deltas")
+    merged = None
     for sign, label in ((+1, "plus"), (-1, "minus")):
         rep = verify_proposition(
             datum, sign, grid.dim, deltas, cfg, q=q,
             tolerance_slope_margin=margin,
         )
-        if combined is None:
-            combined = rep
-            combined.identity = "small_data_expansion_both_signs"
-            for r in combined.residuals:
-                r.name = f"{r.name}_{label}"
-            combined.ladders = {f"{k}_{label}": v for k, v in combined.ladders.items()}
-            combined.fitted_rates = [
-                {"name": f"{d['name']}_{label}", "value": d["value"]}
-                for d in combined.fitted_rates
-            ]
-        else:
-            for r in rep.residuals:
-                combined.add_residual(f"{r.name}_{label}", r.value, r.tolerance)
-            for k, v in rep.ladders.items():
-                combined.ladders[f"{k}_{label}"] = v
-            for d in rep.fitted_rates:
-                combined.add_rate(f"{d['name']}_{label}", d["value"])
-    # the +1 branch stamped its own half of the run; the report covers both
-    combined.stamp(started)
-    return combined
+        if merged is None:
+            # the +1 branch's params and notes describe the merged report
+            merged = replace(rep, identity="small_data_expansion_both_signs",
+                             residuals=[], fitted_rates=[], ladders={})
+        merged.merge(rep, label)
+    return merged
 
 
-def _run_dnls_gauge(config, parallel):
-    started = time.monotonic()
-    grid = _grid_from(config["grid"])
-    datum = make_datum(_datum_from(config["datum"]), grid)
+def _run_dnls_gauge(config, grid, datum):
     with _config_values("equation"):
         lam = float(config["equation"]["lambda"])
         p_nls = NLSParams(dim=1, sigma=2.0, mu=0.5 * lam * lam)
         p_dnls = DNLSParams(lam)
     ev = config["evolve"]
     control = _step_control_from(ev, "evolve")
-    tol = float(config["verify"]["tolerance"])
-    inv_tol = float(config["verify"]["inverse_tol"])
+    with _config_values("evolve"):
+        t_now, t1 = float(ev["t0"]), float(ev["t1"])
+        checkpoints = _numbers(ev["checkpoints"])
+        if checkpoints[-1] != t1:
+            raise ValueError(f"the last checkpoint {checkpoints[-1]} is not t1 = {t1}")
+    tol, inv_tol, drift_tol = _section_floats(
+        config, "verify", "tolerance", "inverse_tol", "mass_drift_tol"
+    )
     report = VerificationReport(
         identity="gauge_equivalence",
-        grid={"counts": list(grid.counts), "spacings": list(grid.spacings)},
         params={"lambda": lam, "mu": 0.5 * lam * lam, "dt": control.dt},
     )
     # gauge pair inverse identity
@@ -632,9 +634,7 @@ def _run_dnls_gauge(config, parallel):
         float(np.max(np.abs(twisted.values - datum.values))),
         inv_tol,
     )
-    checkpoints = [float(t) for t in ev["checkpoints"]]
     u, psi = datum, gauge(datum, GaugeParams(lam, +1))
-    t_now = float(ev["t0"])
     worst_fwd, worst_bwd = 0.0, 0.0
     rows = []
     for t in checkpoints:
@@ -649,10 +649,7 @@ def _run_dnls_gauge(config, parallel):
     report.add_residual("quintic_to_derivative", worst_fwd, tol)
     report.add_residual("derivative_to_quintic", worst_bwd, tol)
     drift = abs(l2_norm(psi) ** 2 - l2_norm(datum) ** 2) / l2_norm(datum) ** 2
-    report.add_residual(
-        "derivative_solver_mass_drift", drift,
-        float(config["verify"]["mass_drift_tol"]),
-    )
+    report.add_residual("derivative_solver_mass_drift", drift, drift_tol)
     if config["verify"].get("order_check"):
         # fixed probe well above roundoff, independent of the configured datum
         probe_grid = GridDescriptor.centered((512,), (0.08,))
@@ -667,28 +664,22 @@ def _run_dnls_gauge(config, parallel):
         report.add_residual(
             "rk4_order_ratio_deviation", abs(errs[0] / errs[1] - 16.0), 4.0
         )
-    report.stamp(started)
     return report
 
 
-def _run_subcritical(config, parallel):
-    started = time.monotonic()
-    grid = _grid_from(config["grid"])
-    datum = make_datum(_datum_from(config["datum"]), grid)
-    sigma = float(config["equation"]["sigma"])
+def _run_subcritical(config, grid, datum):
+    with _config_values("equation"):
+        sigma = float(config["equation"]["sigma"])
+        _check_subcritical_window(grid.dim, sigma)
     q = _quadrature_from(config["quadrature"])
-    tol = float(config["verify"]["tolerance"])
-    rtol = float(config["verify"]["refinement_tol"])
+    tol, rtol = _section_floats(config, "verify", "tolerance", "refinement_tol")
     report = VerificationReport(
         identity="subcritical_weighted_identities",
-        grid={"counts": list(grid.counts), "spacings": list(grid.spacings)},
         params={"sigma": sigma, "t_max": q.t_max, "panels": q.panels,
                 "weight_exponent": grid.dim * sigma - 2.0},
     )
     for sign, label in ((+1, "plus"), (-1, "minus")):
-        (i1l, i1r), (i2l, i2r) = subcritical_sides(
-            datum, sign, grid.dim, sigma, q, parallel=parallel
-        )
+        (i1l, i1r), (i2l, i2r) = subcritical_sides(datum, sign, grid.dim, sigma, q)
         for idx, (lhs, rhs) in (("1", (i1l, i1r)), ("2", (i2l, i2r))):
             scale = l2_norm(lhs.field)
             report.add_residual(
@@ -701,24 +692,24 @@ def _run_subcritical(config, parallel):
                 max(lhs.refinement_delta, rhs.refinement_delta) / scale,
                 rtol,
             )
-    report.stamp(started)
     return report
 
 
-def _run_lemmas(config, parallel):
-    started = time.monotonic()
-    fine = _grid_from(config["grid"])
-    datum = make_datum(_datum_from(config["datum"]), fine)
-    p = _nls_params_from(config["equation"], fine.dim)
+def _run_lemmas(config, grid, datum):
+    p = _nls_params_from(config["equation"], grid.dim)
     cfg = _scattering_from(config["scattering"])
-    times = [float(t) for t in config["verify"]["ladder_times"]]
-    scat_grid = _grid_from(config["scattering_grid"])
+    scat_grid = _grid_from(config["scattering_grid"], "scattering_grid")
+    lemma1_grid = _grid_from(config["lemma1_grid"], "lemma1_grid")
+    with _config_values("verify"):
+        times = _numbers(config["verify"]["ladder_times"])
+    slope_bound, match_tol, involution_tol = _section_floats(
+        config, "verify", "slope_bound", "match_tol", "involution_tol"
+    )
     report = verify_lemma23(
         datum, p, cfg, ladder_times=times, scattering_grid=scat_grid,
-        tolerance=float(config["verify"]["match_tol"]),
+        tolerance=match_tol,
     )
     # decay ladder of the static-profile route (smooth-data rate ~ t^{-1})
-    lemma1_grid = _grid_from(config["lemma1_grid"])
     profile_freq = ComplexField(
         lemma1_grid.dual(),
         make_datum(_datum_from(config["datum"]), lemma1_grid.dual()).values,
@@ -728,11 +719,7 @@ def _run_lemmas(config, parallel):
     report.ladders["static_profile_decay"] = ladder
     slope = float(np.polyfit(np.log(times), np.log([e for _, e in ladder]), 1)[0])
     report.add_rate("static_profile_decay_slope", slope)
-    report.add_residual(
-        "static_profile_slope_bound",
-        slope,
-        float(config["verify"]["slope_bound"]),
-    )
+    report.add_residual("static_profile_slope_bound", slope, slope_bound)
     # double application of the conformal map reflects the snapshot
     probe = make_datum(
         InitialDatumSpec("gaussian", amplitude=1.0, width=0.9, center=1.2),
@@ -744,11 +731,7 @@ def _run_lemmas(config, parallel):
         worst = max(
             worst, float(np.max(np.abs(twice.field.values - reflect(probe).values)))
         )
-    report.add_residual(
-        "double_conformal_is_reflection", worst,
-        float(config["verify"]["involution_tol"]),
-    )
-    report.stamp(started)
+    report.add_residual("double_conformal_is_reflection", worst, involution_tol)
     return report
 
 

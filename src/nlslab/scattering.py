@@ -150,15 +150,24 @@ def wave_operator(
     )
 
 
-def _ladder_tail(ladder, factor):
+def _decay_exponent(ladder, factor):
+    """q in change ~ T^(-q), from the last two rungs; None when either is 0."""
     changes = [c for _, c in ladder]
-    if len(changes) < 2 or changes[-1] == 0.0:
-        return changes[-1] if changes else float("nan")
-    if changes[-2] <= changes[-1]:
-        return changes[-1]
-    q = np.log(changes[-2] / changes[-1]) / np.log(factor)
+    if len(changes) < 2 or changes[-1] == 0.0 or changes[-2] == 0.0:
+        return None
+    return float(np.log(changes[-2] / changes[-1]) / np.log(factor))
+
+
+def _ladder_tail(ladder, factor):
+    """Geometric sum of the changes still to come; the last change itself
+    when the ladder does not decay."""
+    if not ladder:
+        return float("nan")
+    q = _decay_exponent(ladder, factor)
+    if q is None or q <= 0:
+        return ladder[-1][1]
     r = factor**-q
-    return float(changes[-1] * r / (1.0 - r))
+    return float(ladder[-1][1] * r / (1.0 - r))
 
 
 def inverse_wave_operator(
@@ -193,7 +202,7 @@ def inverse_wave_operator(
                 break
     converged = bool(ladder) and ladder[-1][1] < cfg.tol
     if cfg.max_rungs >= 2 and not converged:
-        q = _fitted_decay(ladder, cfg.ladder_factor)
+        q = _decay_exponent(ladder, cfg.ladder_factor)
         if q is not None and q <= 0:
             raise ConvergenceError(
                 f"inverse wave operator ladder diverges: fitted decay exponent "
@@ -210,13 +219,6 @@ def inverse_wave_operator(
         converged,
         _ladder_tail(ladder, cfg.ladder_factor),
     )
-
-
-def _fitted_decay(ladder, factor):
-    changes = [c for _, c in ladder]
-    if len(changes) < 2 or changes[-1] == 0.0 or changes[-2] == 0.0:
-        return None
-    return float(np.log(changes[-2] / changes[-1]) / np.log(factor))
 
 
 def _host_on(field_as_samples, grid):

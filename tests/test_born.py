@@ -131,12 +131,6 @@ class TestBornIntegral:
         with pytest.raises(ConvergenceError):
             born_integral(phi, +1, 0.4, QuadratureSpec(t_max=100.0, panels=8))
 
-    def test_parallel_matches_sequential(self, phi):
-        spec = QuadratureSpec(t_max=400.0, panels=24)
-        seq = born_integral(phi, +1, 2.0, spec, parallel=False)
-        par = born_integral(phi, +1, 2.0, spec, parallel=True)
-        assert np.array_equal(seq.field.values, par.field.values)
-
 
 class TestScalarSubstitutionOracles:
     def test_inverse_sqrt_weight(self):

@@ -1,13 +1,19 @@
 """Config handling, datum library, experiment driver, CLI, determinism."""
 
+import contextlib
+import io
 import json
 import struct
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nlslab import cli
 from nlslab.core import GridDescriptor, l2_norm
@@ -20,7 +26,7 @@ from nlslab.harness import (
     run,
 )
 from nlslab.io import read_snapshot, write_snapshot
-from nlslab.reports import strip_timing
+from nlslab.reports import VerificationReport, strip_timing
 
 
 @pytest.fixture
@@ -215,6 +221,18 @@ class TestCli:
         ("wave_op", {"scattering": {"horizon": -1}}),
         ("wave_op", {"scattering": {"dt": 0}}),
         ("corollary2", {"quadrature": {"panels": 2}}),
+        ("solve", {"datum": {"amplitude": "x"}}),
+        ("solve", {"evolve": {"t1": "x"}}),
+        ("solve", {"output": {"snapshot_stride": "x"}}),
+        ("wave_op", {"datum": {"width": "x"}}),
+        ("subcritical", {"equation": {"sigma": "x"}}),
+        ("subcritical", {"equation": {"sigma": 3.0}}),
+        ("thm1", {"verify": {"doubled_counts": "ab"}}),
+        ("corollary2", {"verify": {"tolerance": "x"}}),
+        ("dnls_gauge", {"evolve": {"checkpoints": 5}}),
+        ("proposition", {"verify": {"deltas": "abc"}}),
+        ("proposition", {"verify": {"deltas": [0.4, 0.2]}}),
+        ("lemmas", {"verify": {"ladder_times": [1, "x"]}}),
     ])
     def test_rejected_value_exit_two(self, experiment, overrides, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -273,3 +291,95 @@ class TestPropositionExperiment:
         rep = run("proposition", light)
         elapsed = time.monotonic() - start
         assert rep.wall_clock_s >= 0.9 * elapsed
+
+
+def _numeric_keys():
+    """(experiment, section, key) for every key whose default is a number
+    or a list of numbers."""
+    def number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    return [
+        (experiment, section, key)
+        for experiment, sections in DEFAULTS.items()
+        for section, values in sections.items()
+        for key, default in values.items()
+        if number(default)
+        or (isinstance(default, list) and default and all(map(number, default)))
+    ]
+
+
+# keys that some experiment leaves null by default, where null is valid
+_NULLABLE = {
+    (section, key)
+    for sections in DEFAULTS.values()
+    for section, values in sections.items()
+    for key, default in values.items()
+    if default is None
+}
+
+
+def _float_rejects(text):
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+_junk_text = st.text(max_size=6).filter(_float_rejects)
+_JUNK = st.one_of(
+    _junk_text,
+    st.lists(_junk_text, max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    st.none(),
+)
+
+
+class TestConfigFuzz:
+    """Junk where a number is required is a config error (exit 2), found
+    before any evolution or quadrature runs."""
+
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(target=st.sampled_from(_numeric_keys()), junk=_JUNK)
+    def test_junk_number_exits_two(self, target, junk):
+        experiment, section, key = target
+        assume(not (junk is None and (section, key) in _NULLABLE))
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps({section: {key: junk}}))
+            argv = [experiment, "--config", str(cfg), "--out", str(Path(tmp) / "o")]
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+        assert code == 2
+        assert err.getvalue().startswith("config error:")
+
+
+class TestReportMerge:
+    def test_suffixes_order_and_first_branch_kept(self):
+        first = VerificationReport("id", params={"sign": 1}, grid={"counts": [8]},
+                                   notes=["first"])
+        first.add_residual("a", 1.0, 2.0)
+        first.ladders["sweep"] = [(1.0, 2.0)]
+        first.add_rate("slope", 0.5)
+        second = VerificationReport("id", params={"sign": -1}, grid={"counts": [16]},
+                                    notes=["second"])
+        second.add_residual("b", 3.0, 4.0)
+        second.add_residual("c", 5.0, 1.0)
+        second.ladders["sweep"] = [(3.0, 4.0)]
+        second.add_rate("slope", 0.25)
+        first.merge(second, "minus")
+        assert [(r.name, r.value, r.tolerance) for r in first.residuals] == [
+            ("a", 1.0, 2.0), ("b_minus", 3.0, 4.0), ("c_minus", 5.0, 1.0)
+        ]
+        assert list(first.ladders.items()) == [
+            ("sweep", [(1.0, 2.0)]), ("sweep_minus", [(3.0, 4.0)])
+        ]
+        assert first.fitted_rates == [
+            {"name": "slope", "value": 0.5}, {"name": "slope_minus", "value": 0.25}
+        ]
+        assert first.params == {"sign": 1}
+        assert first.grid == {"counts": [8]}
+        assert first.notes == ["first"]
+        assert first.verdict == "fail"

@@ -191,8 +191,8 @@ class TestFreePropagate:
 
 class TestSpectralPlan:
     def test_one_read_only_plan_per_grid(self):
-        # the plan is shared by every caller and by the --parallel threads,
-        # so equal grids get the same plan and no array can be written
+        # the plan is shared by every caller, so equal grids get the same
+        # plan and no array can be written
         g = GridDescriptor.centered((32, 16), (0.3, 0.2))
         plan = spectral_plan(g)
         assert spectral_plan(GridDescriptor.centered((32, 16), (0.3, 0.2))) is plan
