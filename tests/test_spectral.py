@@ -272,6 +272,49 @@ class TestDilate:
         assert l2_difference(back, direct) < 1e-8
 
 
+# 2pi to long-double precision
+TWO_PI_LD = np.longdouble("6.28318530717958647692528676655900577")
+
+
+def dense_resample(f, target, chunk=512):
+    """The band-limited interpolant of ``f`` at the ``target`` points, summed
+    directly as exp(i x xi) @ spectrum, one axis at a time, in row chunks.
+
+    Each phase x xi is formed in long double and reduced mod 2pi before the
+    float64 exp: rounded to float64 as it is, a phase of a few thousand rad
+    is off by ~1e-12, which on a broadband spectrum puts the plain float64
+    sum ~1e-11 away from the exact one.  Points outside the source box are
+    zero and are not summed.
+    """
+    spec = forward_fourier(f)
+    vals = spec.shaped
+    for axis in range(f.grid.dim):
+        n, m = f.grid.counts[axis], target.counts[axis]
+        x = (np.arange(m) - m // 2) * np.longdouble(target.spacings[axis])
+        xi = (np.arange(n) - n // 2) * np.longdouble(spec.grid.spacings[axis])
+        rows = np.flatnonzero(np.abs(x) <= f.grid.extents[axis])
+        vals = np.moveaxis(vals, axis, 0)
+        out = np.zeros((m,) + vals.shape[1:], dtype=np.complex128)
+        for start in range(0, len(rows), chunk):
+            block = rows[start : start + chunk]
+            phase = np.remainder(np.outer(x[block], xi), TWO_PI_LD).astype(np.float64)
+            out[block] = np.tensordot(np.exp(1j * phase), vals, axes=(1, 0))
+        vals = np.moveaxis(out, 0, axis)
+    pref = (2 * np.pi) ** (-0.5 * f.grid.dim) * spec.grid.cell_volume
+    return pref * vals
+
+
+def outside_box(source, target):
+    """Mask of the target points outside the source box, shaped like a field."""
+    out = np.zeros(target.counts, dtype=bool)
+    for axis in range(target.dim):
+        shape = [1] * target.dim
+        shape[axis] = target.counts[axis]
+        far = np.abs(target.axis_coords(axis)) > source.extents[axis]
+        out |= far.reshape(shape)
+    return out
+
+
 class TestResample:
     def test_same_grid_identity(self):
         f = gaussian_field(grid1d(256))
@@ -320,6 +363,40 @@ class TestResample:
         np.testing.assert_allclose(
             out.values[inside], np.exp(-2.0 * x[inside] ** 2), atol=1e-9
         )
+
+    def check_against_dense(self, f, target):
+        out = resample(f, target).shaped
+        ref = dense_resample(f, target)
+        assert np.all(out[outside_box(f.grid, target)] == 0)
+        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    # The grid pair of the Fourier exchange: h = 0.55 and its dual.  Going
+    # from the dual, the chirp phases reach ~2.5e6 rad at 4096 points and
+    # are only accurate enough when reduced mod 2pi in long double.  Going
+    # to the dual they stay below ~35 rad at any count.
+    def test_exchange_grid_to_dual(self):
+        g = grid1d(4096, 0.55)
+        f = gaussian_field(g, width=0.8, center=0.4, wavenumber=2.5)
+        self.check_against_dense(f, g.dual())
+
+    @pytest.mark.parametrize("n", [4096, 8192])
+    def test_exchange_grid_from_dual(self, n):
+        # a spectrum filling most of the band weights the large phases; most
+        # target points lie outside the dual's box and must come out as 0
+        g = grid1d(n, 0.55)
+        f = random_band_limited(g.dual(), seed=5, band=0.9)
+        self.check_against_dense(f, g)
+
+    def test_two_dim_unequal_counts(self):
+        # one axis gains points and the other loses them; both reach past
+        # the source box
+        src = GridDescriptor.centered((64, 32), (0.25, 0.4))
+        f = field_from_function(
+            src, lambda x, y: np.exp(-(x**2) / 2 - (y - 0.5) ** 2 + 1.5j * x - 0.7j * y)
+        )
+        target = GridDescriptor.centered((128, 16), (0.3, 0.9))
+        assert outside_box(src, target).any()
+        self.check_against_dense(f, target)
 
 
 class TestNorms:
