@@ -8,7 +8,6 @@ from .born import (
     corollary2_sides,
     nonlinear_flow,
     subcritical_sides,
-    verify_proposition,
 )
 from .core import (
     FREQUENCY,
@@ -47,6 +46,7 @@ from .scattering import (
     inverse_wave_operator,
     verify_conjugation,
     verify_lemma23,
+    verify_proposition,
     verify_theorem1,
     wave_operator,
 )

@@ -270,104 +270,6 @@ def subcritical_sides(
     return identity1, identity2
 
 
-def verify_proposition(
-    phi: ComplexField,
-    sign: int,
-    n: int,
-    deltas,
-    cfg,
-    q: QuadratureSpec | None = None,
-    mu: float = 1.0,
-    tolerance_slope_margin: float = 0.5,
-):
-    """Small-data expansion of the wave operators against the quadrature
-    corrector, for amplitudes ``deltas`` (each delta = epsilon^(n/4)).
-
-    For each delta the forward and inverse operators are computed by the
-    scattering module and the first-order term i * mu * delta^(1+4/n) * K is
-    removed, K the oriented half-line corrector integral.  Reported: the
-    coefficient-convergence error (must decrease in delta), and the fitted
-    remainder slope, which is asserted only against the weaker candidate
-    rate 1 + 4/n (plus a margin); both claimed remainder rates are recorded
-    for comparison since they disagree away from n = 4.
-
-    Sign convention (validated numerically by the test suite): the forward
-    operator carries +i * K and the inverse carries -i * K, for both sign
-    branches, with K oriented toward sign*infinity.
-    """
-    import time as _time
-
-    from .reports import VerificationReport
-    from .scattering import inverse_wave_operator, wave_operator
-    from .util import fit_loglog_slope
-
-    started = _time.monotonic()
-    if q is None:
-        q = QuadratureSpec(t_max=20000.0, panels=64)
-    deltas = sorted(deltas, reverse=True)
-    if len(deltas) < 3:
-        raise ValueError("remainder slope fit needs at least 3 deltas")
-    sigma = 2.0 / n
-    power = 1.0 + 4.0 / n
-    from .solvers import NLSParams
-
-    p = NLSParams(dim=n, sigma=sigma, mu=mu)
-    k_res = born_integral(phi, sign, sigma, q)
-    k = k_res.field
-    k_norm = l2_norm(k)
-    report = VerificationReport(
-        identity="small_data_expansion",
-        params={"sign": sign, "dim": n, "mu": mu, "deltas": list(deltas),
-                "horizon": cfg.horizon, "initializer": cfg.initializer,
-                "first_order_sign": {"forward": "+i", "inverse": "-i"},
-                "corrector_tail_bound": k_res.tail_bound,
-                "corrector_refinement_delta": k_res.refinement_delta},
-        grid={"counts": list(phi.grid.counts), "spacings": list(phi.grid.spacings)},
-    )
-    rows = {"forward": [], "inverse": []}
-    for delta in deltas:
-        a = phi.with_values(delta * phi.values)
-        w = wave_operator(a, sign, p, cfg).field
-        w_inv = inverse_wave_operator(a, sign, p, cfg).field
-        first = mu * delta**power * k.values
-        for name, out, orient in (("forward", w, +1.0), ("inverse", w_inv, -1.0)):
-            linear = out.values - a.values
-            coeff_err = float(
-                np.sqrt(
-                    phi.grid.cell_volume
-                    * np.sum(np.abs(linear / (mu * delta**power) - orient * 1j * k.values) ** 2)
-                )
-            ) / k_norm
-            remainder = float(
-                np.sqrt(
-                    phi.grid.cell_volume
-                    * np.sum(np.abs(linear - orient * 1j * first) ** 2)
-                )
-            )
-            rows[name].append((delta, coeff_err, remainder))
-    for name, table in rows.items():
-        report.ladders[f"{name}_sweep"] = table
-        errs = [c for _, c, _ in table]
-        decreasing = all(b < a for a, b in zip(errs, errs[1:]))
-        report.add_residual(f"{name}_coefficient_convergence_monotone",
-                            0.0 if decreasing else 1.0, 0.5)
-        slope, _ = fit_loglog_slope([d for d, _, _ in table], [r for _, _, r in table])
-        report.add_rate(f"{name}_remainder_slope", slope)
-        report.add_residual(
-            f"{name}_remainder_slope_exceeds_first_order",
-            power + tolerance_slope_margin - slope,
-            0.0,
-        )
-    report.notes.append(
-        "candidate remainder rates in delta: "
-        f"{4.0 / n * (2.0 + 4.0 / n):.6g} (claimed) vs "
-        f"{4.0 / n * (2.0 + n / 4.0):.6g} (proof bound); "
-        "only slope > first-order + margin is asserted"
-    )
-    report.stamp(started)
-    return report
-
-
 def scalar_weighted_integral(fn, a, t_max, panels):
     """Quadrature of t^a * fn(t) over [0, t_max] through the exact same panel
     and substitution machinery, using a constant 8-point field; scalar

@@ -24,7 +24,6 @@ from .born import (
     _check_subcritical_window,
     corollary2_sides,
     subcritical_sides,
-    verify_proposition,
 )
 from .core import (
     ComplexField,
@@ -42,6 +41,7 @@ from .scattering import (
     inverse_wave_operator,
     verify_conjugation,
     verify_lemma23,
+    verify_proposition,
     verify_theorem1,
     wave_operator,
 )
@@ -90,7 +90,6 @@ DEFAULTS = {
         "scattering": {"horizon": 6.0, "tol": 2e-4, "ladder_factor": 2.0,
                        "max_rungs": 3, "initializer": "free", "dt": 0.04},
         "verify": {},
-        "output": {"snapshots": False},
     },
     "thm1": {
         "grid": {"dim": 1, "counts": [4096], "spacings": [0.55]},
@@ -102,7 +101,6 @@ DEFAULTS = {
                        "max_rungs": 1, "initializer": "free", "dt": 0.025},
         "verify": {"tolerance": 1e-3, "double_horizon": True,
                    "doubled_counts": [8192]},
-        "output": {"snapshots": False},
     },
     "conjugation": {
         "grid": {"dim": 1, "counts": [4096], "spacings": [0.55]},
@@ -113,7 +111,6 @@ DEFAULTS = {
         "scattering": {"horizon": 200.0, "tol": 1e-4, "ladder_factor": 2.0,
                        "max_rungs": 1, "initializer": "free", "dt": 0.025},
         "verify": {"tolerance": 1e-3},
-        "output": {"snapshots": False},
     },
     "corollary2": {
         "grid": {"dim": 1, "counts": [1024], "spacings": [0.039]},
@@ -123,7 +120,6 @@ DEFAULTS = {
         "quadrature": {"t_max": 25600.0, "panels": 80,
                        "tail_exponent_hint": None},
         "verify": {"tolerance": 1e-4, "refinement_tol": 1e-6},
-        "output": {"snapshots": False},
     },
     "proposition": {
         "grid": {"dim": 1, "counts": [4096], "spacings": [0.34]},
@@ -135,7 +131,6 @@ DEFAULTS = {
         "quadrature": {"t_max": 20000.0, "panels": 64,
                        "tail_exponent_hint": None},
         "verify": {"deltas": [0.4, 0.2, 0.1], "slope_margin": 0.5},
-        "output": {"snapshots": False},
     },
     "dnls_gauge": {
         "grid": {"dim": 1, "counts": [2048], "spacings": [0.0195]},
@@ -147,7 +142,6 @@ DEFAULTS = {
                    "checkpoints": [0.25, 0.5, 0.75, 1.0]},
         "verify": {"tolerance": 1e-5, "inverse_tol": 1e-12,
                    "order_check": True, "mass_drift_tol": 1e-8},
-        "output": {"snapshots": False},
     },
     "subcritical": {
         "grid": {"dim": 1, "counts": [1024], "spacings": [0.039]},
@@ -158,7 +152,6 @@ DEFAULTS = {
         "quadrature": {"t_max": 1e9, "panels": 144,
                        "tail_exponent_hint": None},
         "verify": {"tolerance": 1e-4, "refinement_tol": 1e-6},
-        "output": {"snapshots": False},
     },
     "lemmas": {
         "grid": {"dim": 1, "counts": [4096], "spacings": [0.004]},
@@ -173,7 +166,6 @@ DEFAULTS = {
         "verify": {"ladder_times": [10.0, 20.0, 40.0, 80.0],
                    "slope_bound": -0.4, "match_tol": 1e-2,
                    "involution_tol": 1e-6},
-        "output": {"snapshots": False},
     },
 }
 

@@ -6,6 +6,11 @@ phase rotation), so the splitting error is purely commutator-driven and mass
 is conserved to roundoff.  The derivative equation is integrated in the
 interaction picture w(t) = U0(-t) psi(t), which removes the stiff linear
 phase from the RK4 stability constraint.
+
+Both solvers march through one loop, ``_march``: it owns the step count,
+the health monitors and the observer calls, and each solver supplies only
+its step and the map from its raw state to the solution.  A health
+violation fails the run at once; nothing is retried with a smaller step.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from .core import (
 from .errors import SolverHealthError
 
 HEALTH_CHECKS_PER_RUN = 8
-MAX_DT_HALVINGS = 4
 
 
 @dataclass(frozen=True)
@@ -117,14 +121,13 @@ def _check_health(f, mass0, c: StepControl, t, context):
     if bad:
         bad["t"] = t
         raise SolverHealthError(f"{context}: health violation at t={t:.6g}: {bad}", bad)
-    return drift, d
 
 
-def _step_counts(span, dt, c: StepControl, what):
+def _step_counts(span, c: StepControl, what):
     """Full steps, the exact final partial step, and their total."""
-    n_full = int(abs(span) / dt)
-    remainder = abs(span) - n_full * dt
-    if remainder < 1e-12 * dt:
+    n_full = int(abs(span) / c.dt)
+    remainder = abs(span) - n_full * c.dt
+    if remainder < 1e-12 * c.dt:
         remainder = 0.0
     total_steps = n_full + (1 if remainder else 0)
     if total_steps > c.max_steps:
@@ -134,12 +137,44 @@ def _step_counts(span, dt, c: StepControl, what):
     return n_full, remainder, total_steps
 
 
-def _require_finite(a, t, context):
-    if not np.isfinite(a).all():
-        raise SolverHealthError(
-            f"{context}: non-finite state at t={t:.6g}",
-            {"mass_drift": float("nan"), "t": t},
-        )
+def _march(u0, t0, t1, c: StepControl, observer, context, a, step, values):
+    """The one marching loop of both solvers.
+
+    ``a`` is the raw state at t0, ``step(a, t, h)`` advances it from t by the
+    signed step h, and ``values(a, t)`` maps it to the position samples of
+    the solution at t.  Full steps of c.dt run first, then the exact final
+    partial step.  The state must stay finite after every step, and the
+    health monitors run at t0, HEALTH_CHECKS_PER_RUN times along the way and
+    at t1; the first violation raises SolverHealthError.  Fields are built
+    only for the observer, the monitors and the result.
+    """
+    span = t1 - t0
+    if span == 0.0:
+        return u0
+    n_full, remainder, total_steps = _step_counts(span, c, context)
+    sgn = 1.0 if span > 0 else -1.0
+    mass0 = l2_norm(u0) ** 2
+    check_every = max(1, total_steps // HEALTH_CHECKS_PER_RUN)
+    t = t0
+    _check_health(u0, mass0, c, t, f"{context} (initial state)")
+    if observer is not None:
+        observer(t, u0)
+    u = u0
+    for k in range(total_steps):
+        a = step(a, t, sgn * (c.dt if k < n_full else remainder))
+        t = t0 + sgn * min((k + 1) * c.dt, abs(span))
+        if not np.isfinite(a).all():
+            raise SolverHealthError(
+                f"{context}: non-finite state at t={t:.6g}", {"t": t}
+            )
+        check = (k + 1) % check_every == 0 or k + 1 == total_steps
+        if observer is not None or check:
+            u = u0.with_values(values(a, t))
+        if observer is not None:
+            observer(t, u)
+        if check:
+            _check_health(u, mass0, c, t, context)
+    return u
 
 
 def nls_evolve(
@@ -154,42 +189,20 @@ def nls_evolve(
 
     ``observer(t, field)``, when given, is called after every step (and once
     at t0).  Aborts with SolverHealthError when the resolution or mass
-    monitors trip or the state stops being finite.  The steps run on raw
-    arrays; fields are built only for the observer, the monitors and the
-    result.
+    monitors trip or the state stops being finite.
     """
     _require_space(u0, POSITION, "nls_evolve")
-    span = t1 - t0
-    if span == 0.0:
-        return u0
-    n_full, remainder, total_steps = _step_counts(span, c.dt, c, "evolution")
-    sgn = 1.0 if span > 0 else -1.0
-    mass0 = l2_norm(u0) ** 2
-    check_every = max(1, total_steps // HEALTH_CHECKS_PER_RUN)
-    t = t0
-    _check_health(u0, mass0, c, t, "nls_evolve (initial state)")
-    if observer is not None:
-        observer(t, u0)
     plan = spectral_plan(u0.grid)
-    full = plan.free_multiplier(sgn * c.dt)
-    last = plan.free_multiplier(sgn * remainder) if remainder else None
-    a = u0.shaped
-    u = u0
-    for k in range(total_steps):
-        if k < n_full:
-            a = _strang_step(a, 0.5 * sgn * c.dt, full, p)
-        else:
-            a = _strang_step(a, 0.5 * sgn * remainder, last, p)
-        t = t0 + sgn * min((k + 1) * c.dt, abs(span))
-        _require_finite(a, t, "nls_evolve")
-        check = (k + 1) % check_every == 0 or k + 1 == total_steps
-        if observer is not None or check:
-            u = u0.with_values(a)
-        if observer is not None:
-            observer(t, u)
-        if check:
-            _check_health(u, mass0, c, t, "nls_evolve")
-    return u
+    # the free-flow multipliers of the full and of the final partial step
+    multipliers = {}
+
+    def step(a, t, h):
+        if h not in multipliers:
+            multipliers[h] = plan.free_multiplier(h)
+        return _strang_step(a, 0.5 * h, multipliers[h], p)
+
+    return _march(u0, t0, t1, c, observer, "nls_evolve", u0.shaped, step,
+                  lambda a, t: a)
 
 
 def _dnls_rhs(w, t, plan, lam):
@@ -197,8 +210,7 @@ def _dnls_rhs(w, t, plan, lam):
     arrays in position order."""
     if not np.max(np.abs(w)) <= 1e8:
         raise SolverHealthError(
-            f"dnls_evolve: blow-up in a Runge-Kutta stage at t={t:.6g}",
-            {"mass_drift": float("inf"), "t": t},
+            f"dnls_evolve: blow-up in a Runge-Kutta stage at t={t:.6g}", {"t": t}
         )
     m = plan.free_multiplier(t)
     spec = np.fft.fftn(w)
@@ -221,65 +233,27 @@ def dnls_evolve(
     c: StepControl,
     observer=None,
 ) -> ComplexField:
-    """Integrating-factor RK4 for the derivative equation (1d only).
+    """Integrating-factor RK4 for the derivative equation (1d only), on the
+    interaction-picture state w(t) = U0(-t) psi(t).
 
     Mass is conserved by the continuum equation; the measured drift is a
-    pure accuracy monitor.  On violation the step is halved and the run
-    restarted, up to MAX_DT_HALVINGS times.
+    pure accuracy monitor.  ``observer`` and the health monitors work as in
+    ``nls_evolve``; a violation or a blow-up fails at once.
     """
     if psi0.grid.dim != 1:
         raise SolverHealthError("dnls_evolve is one-dimensional")
     _require_space(psi0, POSITION, "dnls_evolve")
-    dt = c.dt
-    last_exc = None
-    for _ in range(MAX_DT_HALVINGS + 1):
-        try:
-            return _dnls_run(psi0, t0, t1, p, c, dt, observer)
-        except SolverHealthError as exc:
-            if "mass_drift" not in exc.diagnostics:
-                raise
-            last_exc = exc
-            dt *= 0.5
-    raise SolverHealthError(
-        f"dnls_evolve: mass drift persists after {MAX_DT_HALVINGS} dt halvings "
-        f"(last: {last_exc})",
-        last_exc.diagnostics if last_exc else None,
-    )
-
-
-def _dnls_run(psi0, t0, t1, p, c, dt, observer):
-    span = t1 - t0
-    if span == 0.0:
-        return psi0
-    n_full, remainder, total_steps = _step_counts(span, dt, c, "dnls evolution")
-    sgn = 1.0 if span > 0 else -1.0
     plan = spectral_plan(psi0.grid)
-    mass0 = l2_norm(psi0) ** 2
-    check_every = max(1, total_steps // HEALTH_CHECKS_PER_RUN)
-    _check_health(psi0, mass0, c, t0, "dnls_evolve (initial state)")
-    # interaction picture state at t0: w = U0(-t0) psi(t0)
-    w = plan.propagate(psi0.shaped, -t0)
-    t = t0
-    if observer is not None:
-        observer(t0, psi0)
-    psi = psi0
-    for k in range(total_steps):
-        h = (dt if k < n_full else remainder) * sgn
+
+    def step(w, t, h):
         k1 = _dnls_rhs(w, t, plan, p.lam)
         k2 = _dnls_rhs(w + 0.5 * h * k1, t + 0.5 * h, plan, p.lam)
         k3 = _dnls_rhs(w + 0.5 * h * k2, t + 0.5 * h, plan, p.lam)
         k4 = _dnls_rhs(w + h * k3, t + h, plan, p.lam)
-        w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = t0 + sgn * min((k + 1) * dt, abs(span))
-        _require_finite(w, t, "dnls_evolve")
-        check = (k + 1) % check_every == 0 or k + 1 == total_steps
-        if observer is not None or check:
-            psi = psi0.with_values(plan.propagate(w, t))
-        if observer is not None:
-            observer(t, psi)
-        if check:
-            _check_health(psi, mass0, c, t, "dnls_evolve")
-    return psi
+        return w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    return _march(psi0, t0, t1, c, observer, "dnls_evolve",
+                  plan.propagate(psi0.shaped, -t0), step, plan.propagate)
 
 
 def residual(trajectory, equation) -> float:

@@ -17,7 +17,6 @@ from nlslab.born import (
     corollary2_sides,
     scalar_weighted_integral,
     subcritical_sides,
-    verify_proposition,
 )
 from nlslab.core import (
     FREQUENCY,
@@ -36,7 +35,7 @@ from nlslab.core import (
 )
 from nlslab.harness import InitialDatumSpec, make_datum, run
 from nlslab.reports import strip_timing
-from nlslab.scattering import ScatteringConfig, verify_theorem1
+from nlslab.scattering import ScatteringConfig, verify_proposition, verify_theorem1
 from nlslab.solvers import (
     DNLSParams,
     NLSParams,

@@ -223,6 +223,7 @@ class TestCli:
         ("proposition", {"verify": {"deltas": "abc"}}),
         ("proposition", {"verify": {"deltas": [0.4, 0.2]}}),
         ("lemmas", {"verify": {"ladder_times": [1, "x"]}}),
+        ("thm1", {"output": {"snapshots": True}}),
     ])
     def test_rejected_value_exit_two(self, experiment, overrides, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -147,6 +147,11 @@ class TestInverseWaveOperator:
         scale = delta**5 * l2_norm(k)
         assert with_minus < 0.1 * scale
 
+    def test_ladder_exhaustion_raises(self, wide_grid, params):
+        a = normalized_gaussian(wide_grid, 0.3)
+        with pytest.raises(ConvergenceError):
+            inverse_wave_operator(a, +1, params, light_cfg(horizon=2.0, tol=1e-14))
+
     def test_tail_estimate_reported_not_applied(self, wide_grid, params):
         a = normalized_gaussian(wide_grid, 0.25)
         r = inverse_wave_operator(a, +1, params, light_cfg(horizon=10.0, tol=5e-5))

@@ -216,12 +216,18 @@ class TestDnlsEvolve:
         with pytest.raises(SolverHealthError):
             dnls_evolve(f, 0.0, 0.1, DNLSParams(1.0), StepControl(dt=0.01))
 
-    def test_instability_triggers_halving_then_error(self):
-        # absurd dt: the run blows up, halves four times, then reports
-        g = grid1d(128, 0.05)
+    def test_blow_up_fails_at_once(self):
+        # a healthy start and an absurd dt: the first run blows up inside
+        # its first step and is not rerun with a smaller one
+        g = grid1d(512, 0.1)
         f = sech_field(g, 3.0)
-        with pytest.raises(SolverHealthError):
-            dnls_evolve(f, 0.0, 20.0, DNLSParams(8.0), StepControl(dt=2.0))
+        seen = []
+        with pytest.raises(SolverHealthError) as info:
+            dnls_evolve(f, 0.0, 20.0, DNLSParams(8.0), StepControl(dt=2.0),
+                        observer=lambda t, fld: seen.append(t))
+        assert seen == [0.0]
+        assert info.value.diagnostics["t"] > 0.0
+        assert "halvings" not in str(info.value)
 
 
 class TestResidual:
