@@ -44,6 +44,8 @@ from .scattering import (
     ScatteringConfig,
     ScatteringResult,
     inverse_wave_operator,
+    lens_inverse_wave_operator,
+    lens_wave_operator,
     verify_conjugation,
     verify_lemma23,
     verify_proposition,

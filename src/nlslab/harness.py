@@ -88,7 +88,7 @@ DEFAULTS = {
                   "center": 0.0, "wavenumber": 0.0, "normalize": None,
                   "path": None},
         "scattering": {"horizon": 6.0, "tol": 2e-4, "ladder_factor": 2.0,
-                       "max_rungs": 3, "initializer": "free", "dt": 0.04},
+                       "max_rungs": 3, "dt": 0.04},
         "verify": {},
     },
     "thm1": {
@@ -98,7 +98,7 @@ DEFAULTS = {
                   "center": 0.0, "wavenumber": 0.0, "normalize": 0.3,
                   "path": None},
         "scattering": {"horizon": 200.0, "tol": 1e-4, "ladder_factor": 2.0,
-                       "max_rungs": 1, "initializer": "free", "dt": 0.025},
+                       "max_rungs": 1, "dt": 0.025},
         "verify": {"tolerance": 1e-3, "double_horizon": True,
                    "doubled_counts": [8192]},
     },
@@ -109,7 +109,7 @@ DEFAULTS = {
                   "center": 0.0, "wavenumber": 0.0, "normalize": 0.3,
                   "path": None},
         "scattering": {"horizon": 200.0, "tol": 1e-4, "ladder_factor": 2.0,
-                       "max_rungs": 1, "initializer": "free", "dt": 0.025},
+                       "max_rungs": 1, "dt": 0.025},
         "verify": {"tolerance": 1e-3},
     },
     "corollary2": {
@@ -126,8 +126,7 @@ DEFAULTS = {
         "datum": {"kind": "gaussian", "amplitude": 1.0, "width": 1.0,
                   "center": 0.0, "wavenumber": 0.0, "normalize": 1.0,
                   "path": None},
-        "scattering": {"horizon": 140.0, "tol": 1e-4, "ladder_factor": 2.0,
-                       "max_rungs": 1, "initializer": "born", "dt": 0.028},
+        "scattering": {"dt": 0.01},
         "quadrature": {"t_max": 20000.0, "panels": 64,
                        "tail_exponent_hint": None},
         "verify": {"deltas": [0.4, 0.2, 0.1], "slope_margin": 0.5},
@@ -159,8 +158,7 @@ DEFAULTS = {
         "datum": {"kind": "gaussian", "amplitude": 1.0, "width": 1.0,
                   "center": 0.0, "wavenumber": 0.0, "normalize": 0.3,
                   "path": None},
-        "scattering": {"horizon": 80.0, "tol": 1e-4, "ladder_factor": 2.0,
-                       "max_rungs": 1, "initializer": "free", "dt": 0.02},
+        "scattering": {"horizon": 80.0, "dt": 0.02},
         "lemma1_grid": {"dim": 1, "counts": [4096], "spacings": [0.2]},
         "scattering_grid": {"dim": 1, "counts": [4096], "spacings": [0.55]},
         "verify": {"ladder_times": [10.0, 20.0, 40.0, 80.0],
@@ -329,20 +327,16 @@ def _datum_from(section):
         )
 
 
-def _scattering_from(section, corrector=None):
+def _scattering_from(section):
     control = _step_control_from(section, "scattering")
     with _config_values("scattering"):
-        kwargs = dict(
+        return ScatteringConfig(
             horizon=float(section["horizon"]),
             tol=float(section["tol"]),
             ladder_factor=float(section["ladder_factor"]),
             max_rungs=int(section["max_rungs"]),
-            initializer=section["initializer"],
             control=control,
         )
-        if corrector is not None:
-            kwargs["corrector"] = corrector
-        return ScatteringConfig(**kwargs)
 
 
 def _quadrature_from(section):
@@ -580,7 +574,7 @@ def _run_corollary2(config, grid, datum):
 
 def _run_proposition(config, grid, datum):
     q = _quadrature_from(config["quadrature"])
-    cfg = _scattering_from(config["scattering"], corrector=q)
+    control = _step_control_from(config["scattering"], "scattering")
     with _config_values("verify"):
         deltas = _numbers(config["verify"]["deltas"])
         margin = float(config["verify"]["slope_margin"])
@@ -589,7 +583,7 @@ def _run_proposition(config, grid, datum):
     merged = None
     for sign, label in ((+1, "plus"), (-1, "minus")):
         rep = verify_proposition(
-            datum, sign, grid.dim, deltas, cfg, q=q,
+            datum, sign, grid.dim, deltas, control, q=q,
             tolerance_slope_margin=margin,
         )
         if merged is None:
@@ -689,7 +683,10 @@ def _run_subcritical(config, grid, datum):
 
 def _run_lemmas(config, grid, datum):
     p = _nls_params_from(config["equation"], grid.dim)
-    cfg = _scattering_from(config["scattering"])
+    control = _step_control_from(config["scattering"], "scattering")
+    with _config_values("scattering"):
+        cfg = ScatteringConfig(horizon=float(config["scattering"]["horizon"]),
+                               control=control)
     scat_grid = _grid_from(config["scattering_grid"], "scattering_grid")
     lemma1_grid = _grid_from(config["lemma1_grid"], "lemma1_grid")
     with _config_values("verify"):

@@ -202,7 +202,7 @@ class TestCriterion05DoubleConformalIsReflection:
 
 THM1_GRID = {"dim": 1, "counts": [4096], "spacings": [0.55]}
 THM1_SCATTERING = {"horizon": 200.0, "tol": 1e-4, "ladder_factor": 2.0,
-                   "max_rungs": 1, "initializer": "free", "dt": 0.025}
+                   "max_rungs": 1, "dt": 0.025}
 
 
 @pytest.mark.slow
@@ -320,13 +320,8 @@ class TestCriterion09SmallDataExpansion:
     def test_coefficient_convergence_and_remainder_slope(self, sign):
         g = GridDescriptor.centered((4096,), (0.34,))
         phi = make_datum(InitialDatumSpec("gaussian", normalize=1.0), g)
-        cfg = ScatteringConfig(
-            horizon=140.0, tol=1e-4, max_rungs=1, initializer="born",
-            control=StepControl(dt=0.028),
-            corrector=QuadratureSpec(t_max=20000.0, panels=48),
-        )
         rep = verify_proposition(
-            phi, sign, 1, [0.4, 0.2, 0.1], cfg,
+            phi, sign, 1, [0.4, 0.2, 0.1], StepControl(dt=0.01),
             q=QuadratureSpec(t_max=20000.0, panels=64),
         )
         slopes = {d["name"]: d["value"] for d in rep.fitted_rates}

@@ -224,6 +224,8 @@ class TestCli:
         ("proposition", {"verify": {"deltas": [0.4, 0.2]}}),
         ("lemmas", {"verify": {"ladder_times": [1, "x"]}}),
         ("thm1", {"output": {"snapshots": True}}),
+        ("wave_op", {"scattering": {"initializer": "free"}}),
+        ("lemmas", {"scattering": {"max_rungs": 3}}),
     ])
     def test_rejected_value_exit_two(self, experiment, overrides, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -275,7 +277,7 @@ class TestPropositionExperiment:
     def test_report_times_both_signs(self):
         light = {
             "grid": {"counts": [512]},
-            "scattering": {"horizon": 5.0, "dt": 0.05},
+            "scattering": {"dt": 0.05},
             "quadrature": {"t_max": 100.0, "panels": 4},
         }
         start = time.monotonic()

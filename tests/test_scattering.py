@@ -14,6 +14,8 @@ from nlslab.errors import ConvergenceError, NlslabError
 from nlslab.scattering import (
     ScatteringConfig,
     inverse_wave_operator,
+    lens_inverse_wave_operator,
+    lens_wave_operator,
     verify_conjugation,
     verify_lemma23,
     verify_theorem1,
@@ -44,7 +46,6 @@ def params():
 def light_cfg(horizon=12.0, **kw):
     defaults = dict(
         horizon=horizon, tol=1e-4, max_rungs=3, control=StepControl(dt=0.04),
-        corrector=QuadratureSpec(t_max=4000.0, panels=32),
     )
     defaults.update(kw)
     return ScatteringConfig(**defaults)
@@ -87,20 +88,6 @@ class TestWaveOperator:
         assert abs(l2_difference(w, a) - scale) / scale < 0.05
         assert with_plus < 0.1 * scale
         assert with_minus > 1.5 * scale
-
-    def test_born_initializer_shrinks_horizon_bias(self, params):
-        g = grid1d(2048, 0.25)  # L = 256: holds the 4x-horizon reference
-        a = normalized_gaussian(g, 0.25)
-        ref = wave_operator(
-            a, +1, params, light_cfg(horizon=40.0, max_rungs=1, initializer="born")
-        ).field
-        free_run = wave_operator(a, +1, params, light_cfg(horizon=10.0, max_rungs=1))
-        born_run = wave_operator(
-            a, +1, params, light_cfg(horizon=10.0, max_rungs=1, initializer="born")
-        )
-        bias_free = l2_difference(free_run.field, ref)
-        bias_born = l2_difference(born_run.field, ref)
-        assert bias_born < 0.05 * bias_free
 
     def test_ladder_exhaustion_raises(self, wide_grid, params):
         a = normalized_gaussian(wide_grid, 0.3)
@@ -157,6 +144,53 @@ class TestInverseWaveOperator:
         r = inverse_wave_operator(a, +1, params, light_cfg(horizon=10.0, tol=5e-5))
         assert r.converged
         assert np.isfinite(r.tail_estimate)
+
+
+class TestLensWaveOperators:
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_free_equation_identity(self, wide_grid, sign):
+        f = normalized_gaussian(wide_grid, 0.2)
+        p0 = NLSParams(dim=1, sigma=2.0, mu=0.0)
+        control = StepControl(dt=0.01)
+        assert l2_difference(lens_wave_operator(f, sign, p0, control), f) < 1e-12
+        assert l2_difference(lens_inverse_wave_operator(f, sign, p0, control), f) < 1e-12
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_round_trips(self, wide_grid, params, sign):
+        # Strang is time-reversible, so each composition undoes itself
+        a = normalized_gaussian(wide_grid, 0.25)
+        control = StepControl(dt=0.01)
+        w = lens_wave_operator(a, sign, params, control)
+        w_inv = lens_inverse_wave_operator(a, sign, params, control)
+        assert l2_difference(lens_inverse_wave_operator(w, sign, params, control), a) < 1e-10
+        assert l2_difference(lens_wave_operator(w_inv, sign, params, control), a) < 1e-10
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_ladder_bias_halves_when_horizon_doubles(self, wide_grid, params, sign):
+        # the lens route has no horizon, so the ladder's distance from it is
+        # the ladder's truncation bias, which falls like T^-1
+        a = normalized_gaussian(wide_grid, 0.25)
+        for ladder_op, lens_op in ((wave_operator, lens_wave_operator),
+                                   (inverse_wave_operator, lens_inverse_wave_operator)):
+            exact = lens_op(a, sign, params, StepControl(dt=0.04))
+            bias = [
+                l2_difference(
+                    ladder_op(a, sign, params, light_cfg(horizon=T, max_rungs=1)).field,
+                    exact,
+                )
+                for T in (5.0, 10.0)
+            ]
+            assert 0.4 <= bias[1] / bias[0] <= 0.6
+
+    def test_guards(self, wide_grid, params):
+        control = StepControl(dt=0.01)
+        with pytest.raises(NlslabError):
+            lens_wave_operator(gaussian_field(wide_grid, amplitude=1.0), +1, params, control)
+        with pytest.raises(ValueError):
+            lens_inverse_wave_operator(
+                normalized_gaussian(wide_grid, 0.2), +1,
+                NLSParams(dim=1, sigma=1.5, mu=1.0), control,
+            )
 
 
 class TestVerifyTheorem1:
