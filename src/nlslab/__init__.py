@@ -41,8 +41,6 @@ from .harness import DEFAULTS, EXPERIMENTS, InitialDatumSpec, make_datum, run
 from .io import read_snapshot, write_snapshot
 from .reports import VerificationReport
 from .scattering import (
-    ScatteringConfig,
-    ScatteringResult,
     inverse_wave_operator,
     lens_inverse_wave_operator,
     lens_wave_operator,

@@ -29,7 +29,7 @@ class SolverHealthError(NlslabError):
 
 
 class ConvergenceError(NlslabError):
-    """A horizon ladder or quadrature refinement failed to converge."""
+    """A half-line quadrature has a tail that does not converge."""
 
 
 class SnapshotFormatError(NlslabError, ValueError):

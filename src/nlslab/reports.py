@@ -41,7 +41,6 @@ class VerificationReport:
     params: dict = field(default_factory=dict)
     grid: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
-    horizons: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
     fitted_rates: list = field(default_factory=list)
     ladders: dict = field(default_factory=dict)
@@ -75,7 +74,6 @@ class VerificationReport:
             "params": self.params,
             "grid": self.grid,
             "provenance": self.provenance,
-            "horizons": list(self.horizons),
             "residuals": [r.as_dict() for r in self.residuals],
             "fitted_rates": list(self.fitted_rates),
             "ladders": self.ladders,

@@ -1,17 +1,19 @@
 """Numerical wave operators, their inverses, and the operator-identity
 verifications built on them.
 
-The horizon ladder truncates t -> +-infinity at a horizon T that each rung
-doubles; its bias falls like 1/T.  The lens route is exact for sigma = 2/n:
-the pseudo-conformal (lens) transform swaps t = +-infinity with tau = 0, so
-W+- become finite-time evolutions joined by the Fourier transform.  The
-small-data expansion runs on the lens route; the theorem-1, conjugation and
-lemma checks keep the ladder as their independent side.
+The truncated operators replace t -> +-infinity by one evolution to a
+horizon T; their bias falls like 1/T, and callers measure it against a
+doubled horizon or the lens route.  The lens route is exact for
+sigma = 2/n: the pseudo-conformal (lens) transform swaps t = +-infinity with
+tau = 0, so W+- become finite-time evolutions joined by the Fourier
+transform.  The small-data expansion runs on the lens route; the theorem-1,
+conjugation and lemma checks keep the truncated operators as their
+independent side.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .core import (
     l2_norm,
     resample,
 )
-from .errors import ConvergenceError, NlslabError
+from .errors import NlslabError
 from .reports import VerificationReport
 from .solvers import NLSParams, StepControl, nls_evolve
 from .transforms import SnapshotAtTime, conjugate, pseudo_conformal, reflect
@@ -38,33 +40,6 @@ SMALL_DATA_THRESHOLD = 0.5
 # Lens time T1 of the lens route.  At T1 = 1 the pseudo-conformal dilation
 # by |t| = T1 leaves the grid unchanged, so no work grid is needed.
 LENS_TIME = 1.0
-
-
-@dataclass(frozen=True)
-class ScatteringConfig:
-    """Horizon ladder and solver settings for wave-operator runs."""
-
-    horizon: float
-    tol: float = 1e-4
-    ladder_factor: float = 2.0
-    max_rungs: int = 3
-    control: StepControl = dc_field(default_factory=lambda: StepControl(dt=0.02))
-
-    def __post_init__(self):
-        if not (self.horizon > 0):
-            raise ValueError("horizon must be positive")
-        if not (self.ladder_factor > 1):
-            raise ValueError("ladder_factor must exceed 1")
-        if self.max_rungs < 1:
-            raise ValueError("max_rungs must be >= 1")
-
-
-@dataclass(frozen=True)
-class ScatteringResult:
-    field: ComplexField
-    horizon_ladder: list
-    converged: bool
-    tail_estimate: float
 
 
 def _check_datum(f, sign):
@@ -82,90 +57,32 @@ def _as_function(f):
     return f.retagged(POSITION)
 
 
-def _rung_ladder(rung_field, like, cfg, what):
-    """Run ``rung_field(horizon)`` on the horizon ladder until two successive
-    rungs agree within cfg.tol.  A single-rung ladder returns unconverged
-    with a NaN tail; an exhausted longer one raises ConvergenceError.  The
-    result lives on ``like``'s grid and space."""
-    ladder = []
-    previous = None
-    for rung in range(cfg.max_rungs):
-        horizon = cfg.horizon * cfg.ladder_factor**rung
-        current = rung_field(horizon)
-        if previous is not None:
-            change = l2_difference(current, previous)
-            ladder.append((horizon, change))
-            if change < cfg.tol:
-                return ScatteringResult(
-                    ComplexField(like.grid, current.values, like.space),
-                    ladder,
-                    True,
-                    _ladder_tail(ladder, cfg.ladder_factor),
-                )
-        previous = current
-    if cfg.max_rungs > 1:
-        raise ConvergenceError(
-            f"{what} ladder did not converge after {cfg.max_rungs} rungs: "
-            f"changes {[c for _, c in ladder]}, tol {cfg.tol}"
-        )
-    return ScatteringResult(
-        ComplexField(like.grid, current.values, like.space), ladder, False, float("nan")
-    )
+def _check_truncated(f, sign, horizon):
+    _check_datum(f, sign)
+    if not (horizon > 0):
+        raise ValueError("horizon must be positive")
 
 
 def wave_operator(
-    u_pm: ComplexField, sign: int, p: NLSParams, cfg: ScatteringConfig
-) -> ScatteringResult:
-    """Map the asymptotic state at sign*infinity to the solution at t = 0.
-
-    Each rung seeds u(sign*T) = U0(sign*T) u_pm and integrates to zero;
-    rungs extend until successive u(0) agree within cfg.tol.  Raises
-    ConvergenceError when the ladder is exhausted.
-    """
-    _check_datum(u_pm, sign)
-    a = _as_function(u_pm)
-
-    def rung(horizon):
-        u_init = free_propagate(a, sign * horizon)
-        return nls_evolve(u_init, sign * horizon, 0.0, p, cfg.control)
-
-    return _rung_ladder(rung, u_pm, cfg, "wave operator")
-
-
-def _ladder_tail(ladder, factor):
-    """Geometric sum of the changes still to come, with change ~ T^(-q)
-    fitted to the last two rungs; the last change itself when there is no
-    such decay."""
-    changes = [c for _, c in ladder]
-    if len(changes) < 2 or changes[-1] == 0.0 or changes[-2] == 0.0:
-        return changes[-1]
-    q = float(np.log(changes[-2] / changes[-1]) / np.log(factor))
-    if q <= 0:
-        return changes[-1]
-    r = factor**-q
-    return float(changes[-1] * r / (1.0 - r))
+    u_pm: ComplexField, sign: int, p: NLSParams, horizon: float, control: StepControl
+) -> ComplexField:
+    """W_sign u_pm truncated at the horizon T: the free state
+    u(sign*T) = U0(sign*T) u_pm evolves back to t = 0.  The truncation bias
+    falls like 1/T."""
+    _check_truncated(u_pm, sign, horizon)
+    u_init = free_propagate(_as_function(u_pm), sign * horizon)
+    return nls_evolve(u_init, sign * horizon, 0.0, p, control).retagged(u_pm.space)
 
 
 def inverse_wave_operator(
-    u0: ComplexField, sign: int, p: NLSParams, cfg: ScatteringConfig
-) -> ScatteringResult:
-    """Map Cauchy data at t = 0 to the asymptotic state at sign*infinity.
-
-    The trajectory is continued across rungs; the asymptotic state at each
-    rung is U0(-sign*T) u(sign*T).  The change ladder is fitted to C*T^(-q);
-    the extrapolated tail is reported, never applied.  Raises
-    ConvergenceError when the ladder is exhausted.
-    """
-    _check_datum(u0, sign)
-    state, t_now = _as_function(u0), 0.0
-
-    def rung(horizon):
-        nonlocal state, t_now
-        state = nls_evolve(state, t_now, sign * horizon, p, cfg.control)
-        t_now = sign * horizon
-        return free_propagate(state, -sign * horizon)
-
-    return _rung_ladder(rung, u0, cfg, "inverse wave operator")
+    u0: ComplexField, sign: int, p: NLSParams, horizon: float, control: StepControl
+) -> ComplexField:
+    """W_sign^{-1} u0 truncated at the horizon T: u0 evolves to t = sign*T,
+    and the asymptotic state is U0(-sign*T) u(sign*T).  The truncation bias
+    falls like 1/T."""
+    _check_truncated(u0, sign, horizon)
+    u_t = nls_evolve(_as_function(u0), 0.0, sign * horizon, p, control)
+    return free_propagate(u_t, -sign * horizon).retagged(u0.space)
 
 
 def _check_lens(u, sign, p):
@@ -214,49 +131,46 @@ def _inverse_transform_as_function(f):
 
 
 def verify_theorem1(
-    u0: ComplexField, p: NLSParams, cfg: ScatteringConfig, tolerance=1e-3
+    u0: ComplexField, p: NLSParams, horizon: float, control: StepControl,
+    tolerance=1e-3,
 ) -> VerificationReport:
     """Residuals of the transform-conjugation identity between the inverse
-    and forward wave operators, both sign choices."""
+    and forward wave operators truncated at ``horizon``, both sign choices."""
     report = VerificationReport(
         identity="fourier_exchanges_wave_operators",
         params={"sigma": p.sigma, "mu": p.mu, "dim": p.dim,
-                "horizon": cfg.horizon, "dt": cfg.control.dt,
-                "max_rungs": cfg.max_rungs},
+                "horizon": horizon, "dt": control.dt},
         grid={"counts": list(u0.grid.counts), "spacings": list(u0.grid.spacings)},
     )
     uhat = forward_fourier(u0)
     hosted = resample(_as_function(uhat), u0.grid)
     scale = l2_norm(u0)
     for sign, label in ((+1, "plus"), (-1, "minus")):
-        inv = inverse_wave_operator(u0, sign, p, cfg)
-        a_side = forward_fourier(inv.field)
-        fwd = wave_operator(hosted, -sign, p, cfg)
-        b_side = resample(fwd.field, a_side.grid)
+        a_side = forward_fourier(inverse_wave_operator(u0, sign, p, horizon, control))
+        fwd = wave_operator(hosted, -sign, p, horizon, control)
+        b_side = resample(fwd, a_side.grid)
         resid = l2_difference(a_side, b_side.retagged(a_side.space)) / scale
         report.add_residual(f"sign_{label}", resid, tolerance)
-        report.ladders[f"inverse_{label}"] = inv.horizon_ladder
-        report.ladders[f"forward_{label}"] = fwd.horizon_ladder
-        report.horizons.append(cfg.horizon)
     return report
 
 
 def verify_conjugation(
-    u0: ComplexField, p: NLSParams, cfg: ScatteringConfig, tolerance=1e-3
+    u0: ComplexField, p: NLSParams, horizon: float, control: StepControl,
+    tolerance=1e-3,
 ) -> VerificationReport:
-    """Residuals of both conjugation identities relating W+ and W-."""
+    """Residuals of both conjugation identities relating W+ and W-, each
+    truncated at ``horizon``."""
     report = VerificationReport(
         identity="conjugation_identities",
         params={"sigma": p.sigma, "mu": p.mu, "dim": p.dim,
-                "horizon": cfg.horizon, "dt": cfg.control.dt,
-                "max_rungs": cfg.max_rungs},
+                "horizon": horizon, "dt": control.dt},
         grid={"counts": list(u0.grid.counts), "spacings": list(u0.grid.spacings)},
     )
     scale = l2_norm(u0)
     # W_s = C W_{-s} C on the datum itself
     for sign, label in ((+1, "plus"), (-1, "minus")):
-        direct = wave_operator(u0, sign, p, cfg).field
-        routed = conjugate(wave_operator(conjugate(u0), -sign, p, cfg).field)
+        direct = wave_operator(u0, sign, p, horizon, control)
+        routed = conjugate(wave_operator(conjugate(u0), -sign, p, horizon, control))
         report.add_residual(
             f"conjugation_sandwich_{label}",
             l2_difference(direct, routed) / scale,
@@ -266,8 +180,8 @@ def verify_conjugation(
     cfu = conjugate(forward_fourier(u0))
     hosted = resample(_as_function(cfu), u0.grid)
     for sign, label in ((+1, "plus"), (-1, "minus")):
-        lhs = inverse_wave_operator(u0, sign, p, cfg).field
-        mid = wave_operator(hosted, sign, p, cfg).field
+        lhs = inverse_wave_operator(u0, sign, p, horizon, control)
+        mid = wave_operator(hosted, sign, p, horizon, control)
         rhs = _inverse_transform_as_function(conjugate(mid))
         lhs_on_dual = resample(lhs, rhs.grid)
         report.add_residual(
@@ -371,7 +285,8 @@ def verify_proposition(
 def verify_lemma23(
     u0: ComplexField,
     p: NLSParams,
-    cfg: ScatteringConfig,
+    horizon: float,
+    control: StepControl,
     ladder_times=(10.0, 20.0, 40.0, 80.0),
     scattering_grid: GridDescriptor | None = None,
     tolerance=1e-2,
@@ -387,8 +302,8 @@ def verify_lemma23(
     report = VerificationReport(
         identity="conformal_boundary_matching",
         params={"sigma": p.sigma, "mu": p.mu, "dim": p.dim,
-                "horizon": cfg.horizon, "ladder_times": list(ladder_times),
-                "dt": cfg.control.dt},
+                "horizon": horizon, "ladder_times": list(ladder_times),
+                "dt": control.dt},
         grid={"counts": list(u0.grid.counts), "spacings": list(u0.grid.spacings)},
     )
     scale = l2_norm(u0)
@@ -399,7 +314,7 @@ def verify_lemma23(
     snaps = {}
     state, t_now = u0, 0.0
     for tau in taus:
-        seg = _segment_control(cfg.control, abs(tau - t_now))
+        seg = _segment_control(control, abs(tau - t_now))
         state = nls_evolve(state, t_now, tau, p, seg)
         snaps[tau] = state
         t_now = tau
@@ -423,11 +338,9 @@ def verify_lemma23(
         u0s = resample(u0, scattering_grid)
         scale_s = l2_norm(u0s)
         for sign, label in ((+1, "plus"), (-1, "minus")):
-            u_t = nls_evolve(
-                u0s, 0.0, sign * cfg.horizon, p, cfg.control
-            )
-            u_asym = free_propagate(u_t, -sign * cfg.horizon)
-            v_limit = pseudo_conformal(SnapshotAtTime(u_t, sign * cfg.horizon)).field
+            u_t = nls_evolve(u0s, 0.0, sign * horizon, p, control)
+            u_asym = free_propagate(u_t, -sign * horizon)
+            v_limit = pseudo_conformal(SnapshotAtTime(u_t, sign * horizon)).field
             predicted = _inverse_transform_as_function(reflect(v_limit))
             moved = resample(u_asym, predicted.grid)
             resid = l2_difference(moved.retagged(predicted.space), predicted) / scale_s

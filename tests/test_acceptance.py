@@ -35,7 +35,7 @@ from nlslab.core import (
 )
 from nlslab.harness import InitialDatumSpec, make_datum, run
 from nlslab.reports import strip_timing
-from nlslab.scattering import ScatteringConfig, verify_proposition, verify_theorem1
+from nlslab.scattering import verify_proposition, verify_theorem1
 from nlslab.solvers import (
     DNLSParams,
     NLSParams,
@@ -201,8 +201,7 @@ class TestCriterion05DoubleConformalIsReflection:
 
 
 THM1_GRID = {"dim": 1, "counts": [4096], "spacings": [0.55]}
-THM1_SCATTERING = {"horizon": 200.0, "tol": 1e-4, "ladder_factor": 2.0,
-                   "max_rungs": 1, "dt": 0.025}
+THM1_SCATTERING = {"horizon": 200.0, "dt": 0.025}
 
 
 @pytest.mark.slow
@@ -236,9 +235,7 @@ class TestCriterion06Theorem1:
             InitialDatumSpec("gaussian", amplitude=1.0, width=1.0, normalize=0.3), g2
         )
         p = NLSParams(dim=2, mu=1.0)
-        cfg = ScatteringConfig(horizon=12.0, tol=1e-4, max_rungs=1,
-                               control=StepControl(dt=0.02))
-        rep = verify_theorem1(datum, p, cfg, tolerance=1e-2)
+        rep = verify_theorem1(datum, p, 12.0, StepControl(dt=0.02), tolerance=1e-2)
         worst = max(r.value for r in rep.residuals)
         report(
             "criterion 6b: n=2 cubic smoke at N=256^2 (resolvable horizon T=12) < 1e-2",
@@ -261,9 +258,7 @@ class TestCriterion06Theorem1:
             InitialDatumSpec("gaussian", amplitude=1.0, width=3.0, normalize=0.3), g2
         )
         p = NLSParams(dim=2, mu=1.0)
-        cfg = ScatteringConfig(horizon=50.0, tol=1e-4, max_rungs=1,
-                               control=StepControl(dt=0.02))
-        rep = verify_theorem1(datum, p, cfg, tolerance=1e-2)
+        rep = verify_theorem1(datum, p, 50.0, StepControl(dt=0.02), tolerance=1e-2)
         assert rep.verdict == "pass"
 
 

@@ -226,6 +226,11 @@ class TestCli:
         ("thm1", {"output": {"snapshots": True}}),
         ("wave_op", {"scattering": {"initializer": "free"}}),
         ("lemmas", {"scattering": {"max_rungs": 3}}),
+        ("thm1", {"scattering": {"max_rungs": 1}}),
+        ("conjugation", {"scattering": {"tol": 1e-4}}),
+        ("wave_op", {"scattering": {"ladder_factor": 2.0}}),
+        ("thm1", {"scattering": {"horizon": 0}}),
+        ("lemmas", {"scattering": {"horizon": 0}}),
     ])
     def test_rejected_value_exit_two(self, experiment, overrides, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -234,6 +239,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error:") and "Traceback" not in err
+
+    def test_horizon_change_gate_exit_one(self, tmp_path):
+        # doubling the default horizon moves each operator by ~5.5e-6
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"verify": {"tolerance": 1e-9}}))
+        code = cli.main(["wave_op", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        report = json.loads((tmp_path / "o" / "wave_op_report.json").read_text())
+        failed = {r["name"] for r in report["residuals"] if not r["pass"]}
+        assert failed == {f"{name}_horizon_change_{label}"
+                          for name in ("forward", "inverse") for label in ("plus", "minus")}
 
     def test_missing_experiment_exit_two(self):
         proc = self._run()
