@@ -180,6 +180,16 @@ def _unit_phase(w):
     return out
 
 
+def _density_power(values, sigma):
+    """|v|^(2 sigma) as (re^2 + im^2)^sigma: no square root, and no power at
+    all when sigma = 1."""
+    w = values.real**2
+    w += values.imag**2
+    if sigma != 1.0:
+        w **= sigma
+    return w
+
+
 def _outer_shell(grid):
     """Boolean mask of the outer 1/8 of each axis range, centered order."""
     outer = np.zeros(grid.counts, dtype=bool)
@@ -201,7 +211,9 @@ class SpectralPlan:
     centered grid, and the shift between centered and FFT order.  Both
     transforms map samples on ``grid`` onto ``dual``.  Inner loops skip them
     and stay in FFT order, where the free flow is ``ifftn(fftn(a) * m)``
-    with ``m = free_multiplier(t)`` and the prefactors cancel.
+    with ``m = free_multiplier(t)`` and the prefactors cancel.  Transforms
+    act on the trailing ``axes``, so a stack of fields with one leading
+    batch axis goes through in one call.
 
     Arrays are built on first use and are read-only, so one plan per grid
     (:func:`spectral_plan`) is shared by every caller and thread.
@@ -212,6 +224,7 @@ class SpectralPlan:
         self.grid = grid
         self.dual = grid.dual()
         self.prefactor = (2.0 * np.pi) ** (-0.5 * grid.dim) * grid.cell_volume
+        self.axes = tuple(range(-grid.dim, 0))
 
     @cached_property
     def signs(self):
@@ -254,7 +267,7 @@ class SpectralPlan:
     def forward(self, a):
         """Continuum forward transform of samples on ``grid``: the centered
         spectrum on ``dual``."""
-        spec = np.fft.fftshift(np.fft.fftn(a))
+        spec = np.fft.fftshift(np.fft.fftn(a, axes=self.axes), axes=self.axes)
         spec *= self.signs
         spec *= self.prefactor
         return spec
@@ -262,7 +275,8 @@ class SpectralPlan:
     def inverse(self, a):
         """Continuum inverse transform of spectral samples on ``grid``,
         landing on ``dual`` (the inverse of the dual grid's forward)."""
-        vals = np.fft.ifftn(np.fft.ifftshift(a * self.signs))
+        vals = np.fft.ifftn(np.fft.ifftshift(a * self.signs, axes=self.axes),
+                            axes=self.axes)
         vals *= self.prefactor * self.grid.size
         return vals
 
@@ -272,9 +286,9 @@ class SpectralPlan:
 
     def propagate(self, a, t):
         """The free flow U0(t) of samples read as a function of position."""
-        spec = np.fft.fftn(a)
+        spec = np.fft.fftn(a, axes=self.axes)
         spec *= self.free_multiplier(t)
-        return np.fft.ifftn(spec)
+        return np.fft.ifftn(spec, axes=self.axes)
 
     def derivative(self, a):
         """d/dx of samples on a one-dimensional grid, spectrally."""

@@ -37,7 +37,7 @@ from .core import (
 from .errors import ConfigError, NlslabError, SnapshotFormatError
 from .reports import VerificationReport, write_csv_table
 from .scattering import (
-    inverse_wave_operator,
+    inverse_wave_operators,
     verify_conjugation,
     verify_lemma23,
     verify_proposition,
@@ -498,17 +498,18 @@ def _run_wave_op(config, grid, datum):
     horizon, control = _scattering_from(config["scattering"])
     [tol] = _section_floats(config, "verify", "tolerance")
     report = VerificationReport(identity="wave_operator_round_trip")
+    horizons = [horizon, 2.0 * horizon]
     for sign, label in ((+1, "plus"), (-1, "minus")):
-        # each operator runs at T and 2T; the 2T result goes on, gated by
-        # how far doubling the horizon moved it
-        fld = datum
-        for name, op in (("forward", wave_operator), ("inverse", inverse_wave_operator)):
-            short = op(fld, sign, p, horizon, control)
-            fld = op(fld, sign, p, 2.0 * horizon, control)
-            change = l2_difference(fld, short)
+        # each operator runs at T and 2T, the inverse on one trajectory
+        # continued from T to 2T; the 2T results go on, gated by how far
+        # doubling the horizon moved them
+        forward = [wave_operator(datum, sign, p, h, control) for h in horizons]
+        inverse = inverse_wave_operators(forward[1], sign, p, horizons, control)
+        for name, (short, long) in (("forward", forward), ("inverse", inverse)):
+            change = l2_difference(long, short)
             report.add_residual(f"{name}_horizon_change_{label}", change, tol)
             report.ladders[f"{name}_{label}"] = [(2.0 * horizon, change)]
-        rel = l2_difference(fld, datum) / l2_norm(datum)
+        rel = l2_difference(inverse[1], datum) / l2_norm(datum)
         report.add_residual(f"round_trip_{label}", rel, 2.0 * tol)
     return report
 
@@ -549,7 +550,7 @@ def _run_corollary2(config, grid, datum):
     tol, rtol = _section_floats(config, "verify", "tolerance", "refinement_tol")
     report = VerificationReport(
         identity="critical_expansion_identity",
-        params={"t_max": q.t_max, "panels": q.panels},
+        params={"t_max": q.t_max, "panels": q.panels, "evaluations": {}},
     )
     for sign, label in ((+1, "plus"), (-1, "minus")):
         lhs, rhs = corollary2_sides(datum, sign, q)
@@ -565,8 +566,13 @@ def _run_corollary2(config, grid, datum):
             rtol,
         )
         report.ladders[f"tail_bounds_{label}"] = [
-            ("lhs", lhs.tail_bound), ("rhs", rhs.tail_bound)
+            ("lhs", lhs.tail_bound), ("rhs", rhs.tail_bound),
+            ("lhs_decay_exponent", lhs.decay_exponent),
+            ("rhs_decay_exponent", rhs.decay_exponent),
         ]
+        report.params["evaluations"].update(
+            {f"lhs_{label}": lhs.evaluations, f"rhs_{label}": rhs.evaluations}
+        )
     return report
 
 
@@ -660,11 +666,15 @@ def _run_subcritical(config, grid, datum):
     report = VerificationReport(
         identity="subcritical_weighted_identities",
         params={"sigma": sigma, "t_max": q.t_max, "panels": q.panels,
-                "weight_exponent": grid.dim * sigma - 2.0},
+                "weight_exponent": grid.dim * sigma - 2.0, "evaluations": {}},
     )
     for sign, label in ((+1, "plus"), (-1, "minus")):
         (i1l, i1r), (i2l, i2r) = subcritical_sides(datum, sign, grid.dim, sigma, q)
         for idx, (lhs, rhs) in (("1", (i1l, i1r)), ("2", (i2l, i2r))):
+            report.params["evaluations"].update(
+                {f"identity{idx}_lhs_{label}": lhs.evaluations,
+                 f"identity{idx}_rhs_{label}": rhs.evaluations}
+            )
             scale = l2_norm(lhs.field)
             report.add_residual(
                 f"identity{idx}_difference_{label}",

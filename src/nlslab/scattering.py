@@ -80,9 +80,26 @@ def inverse_wave_operator(
     """W_sign^{-1} u0 truncated at the horizon T: u0 evolves to t = sign*T,
     and the asymptotic state is U0(-sign*T) u(sign*T).  The truncation bias
     falls like 1/T."""
-    _check_truncated(u0, sign, horizon)
-    u_t = nls_evolve(_as_function(u0), 0.0, sign * horizon, p, control)
-    return free_propagate(u_t, -sign * horizon).retagged(u0.space)
+    [out] = inverse_wave_operators(u0, sign, p, [horizon], control)
+    return out
+
+
+def inverse_wave_operators(
+    u0: ComplexField, sign: int, p: NLSParams, horizons, control: StepControl
+) -> list:
+    """W_sign^{-1} u0 truncated at each of the increasing ``horizons``, read
+    off one trajectory: u continues from sign*T_k to sign*T_{k+1}, so the
+    last horizon costs no more steps than a single operator."""
+    for horizon in horizons:
+        _check_truncated(u0, sign, horizon)
+    if any(b <= a for a, b in zip(horizons, horizons[1:])):
+        raise ValueError("horizons must increase")
+    out, u, t = [], _as_function(u0), 0.0
+    for horizon in horizons:
+        u = nls_evolve(u, t, sign * horizon, p, control)
+        t = sign * horizon
+        out.append(free_propagate(u, -t).retagged(u0.space))
+    return out
 
 
 def _check_lens(u, sign, p):
@@ -236,7 +253,9 @@ def verify_proposition(
                 "dt": control.dt,
                 "first_order_sign": {"forward": "+i", "inverse": "-i"},
                 "corrector_tail_bound": k_res.tail_bound,
-                "corrector_refinement_delta": k_res.refinement_delta},
+                "corrector_refinement_delta": k_res.refinement_delta,
+                "corrector_decay_exponent": k_res.decay_exponent,
+                "corrector_evaluations": k_res.evaluations},
         grid={"counts": list(phi.grid.counts), "spacings": list(phi.grid.spacings)},
     )
     rows = {"forward": [], "inverse": []}

@@ -22,6 +22,7 @@ import numpy as np
 from .core import (
     POSITION,
     ComplexField,
+    _density_power,
     _require_space,
     _unit_phase,
     diagnostics,
@@ -82,9 +83,7 @@ class StepControl:
 
 
 def _nonlinear_phase(values, dt_half, p: NLSParams):
-    w = values.real**2 + values.imag**2
-    if p.sigma != 1.0:
-        w **= p.sigma
+    w = _density_power(values, p.sigma)
     w *= -p.mu * dt_half
     out = _unit_phase(w)
     out *= values

@@ -18,10 +18,12 @@ from nlslab.born import (
 )
 from nlslab.core import (
     GridDescriptor,
+    _reflect_values,
     field_from_function,
     forward_fourier,
     l2_difference,
     l2_norm,
+    spectral_plan,
 )
 from nlslab.errors import ConvergenceError
 
@@ -97,6 +99,154 @@ class TestIntegrandFactorization:
         finally:
             born_module.T_SWITCH = saved
         assert l2_difference(direct, factored) / l2_norm(direct) < 1e-9
+
+
+def _power(v, sigma):
+    return np.abs(v) ** (2.0 * sigma) * v
+
+
+def flow_node(phi, t, sigma):
+    """One node of U0(-t) G(U0(t) phi), literally or factorized by T_SWITCH."""
+    plan = spectral_plan(phi.grid)
+    if abs(t) <= born_module.T_SWITCH:
+        m = plan.free_multiplier(t)
+        u = np.fft.ifftn(np.fft.fftn(phi.shaped) * m)
+        return np.fft.ifftn(np.fft.fftn(_power(u, sigma)) * np.conj(m))
+    inner = plan.forward(phi.shaped * np.exp(0.5j * plan.r2 / t))
+    back = _reflect_values(spectral_plan(plan.dual).forward(_power(inner, sigma)))
+    return abs(t) ** (-phi.grid.dim * sigma) * back * np.exp(-0.5j * plan.r2 / t)
+
+
+def lhs_node(phi, t, sigma):
+    """One node of exp(i t |xi|^2/2) F[G(U0(t) phi)], likewise."""
+    plan = spectral_plan(phi.grid)
+    dual = spectral_plan(plan.dual)
+    if abs(t) <= born_module.T_SWITCH:
+        ghat = plan.forward(_power(plan.propagate(phi.shaped, t), sigma))
+        return ghat * np.exp(0.5j * t * dual.r2)
+    inner = plan.forward(phi.shaped * np.exp(0.5j * plan.r2 / t))
+    return abs(t) ** (-phi.grid.dim * sigma) * dual.propagate(_power(inner, sigma), 1.0 / t)
+
+
+def _row_error(rows, refs):
+    return max(np.linalg.norm(r - e) / np.linalg.norm(e) for r, e in zip(rows, refs))
+
+
+# both branches, both orientations, and t = 0
+NODE_TIMES = [0.0, 0.3, -0.7, 1.0, 1.5, -4.0, 37.0, -2500.0]
+
+ROW_CASES = {
+    "1d_quintic": (lambda: gaussian_field(grid1d(1024, 0.039)), 2.0),
+    "1d_subcritical": (lambda: gaussian_field(grid1d(1024, 0.039), center=0.4,
+                                              wavenumber=0.6), 1.5),
+    "2d_cubic": (lambda: field_from_function(
+        GridDescriptor.centered((64, 32), (0.3, 0.45)),
+        lambda x, y: np.exp(-0.5 * (x - 0.3) ** 2 - 0.4 * y**2 + 0.5j * y)), 1.0),
+}
+
+
+class TestRowEvaluators:
+    """Each panel's nodes are evaluated as one block; every row must match
+    the per-node evaluation."""
+
+    @pytest.mark.parametrize("case", sorted(ROW_CASES))
+    def test_flow_rows_match_per_node(self, case):
+        make, sigma = ROW_CASES[case]
+        phi = make()
+        for f in (phi, forward_fourier(phi)):
+            rows = born_module._flow_rows(f, NODE_TIMES, sigma)
+            assert rows.shape == (len(NODE_TIMES),) + f.grid.counts
+            assert _row_error(rows, [flow_node(f, t, sigma) for t in NODE_TIMES]) < 1e-14
+
+    @pytest.mark.parametrize("case", sorted(ROW_CASES))
+    def test_lhs_rows_match_per_node(self, case):
+        make, sigma = ROW_CASES[case]
+        phi = make()
+        rows = born_module._lhs_rows(phi, NODE_TIMES, sigma)
+        assert _row_error(rows, [lhs_node(phi, t, sigma) for t in NODE_TIMES]) < 1e-14
+
+    def test_lhs_at_zero_is_transform_of_nonlinearity(self, phi):
+        row = expansion_lhs_integrand(phi, 0.0, 2.0)
+        expected = forward_fourier(phi.with_values(_power(phi.values, 2.0)))
+        assert l2_difference(row, expected) < 1e-14 * l2_norm(expected)
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_panels_straddling_switch_match_per_node_sum(self, phi, sign):
+        # t_max <= 8 gives linear panels; [0.625, 1.25] straddles T_SWITCH
+        spec = QuadratureSpec(t_max=5.0, panels=8)
+        rows = lambda ts: born_module._lhs_rows(phi, ts, 2.0)
+        out = born_module._quad_panels(rows, forward_fourier(phi), sign, spec, 8)
+        nodes, weights = np.polynomial.legendre.leggauss(born_module.GL_NODES)
+        edges = np.linspace(0.0, 5.0, 9)
+        total = 0.0
+        for sa, sb in zip(edges[:-1], edges[1:]):
+            mid, half = 0.5 * (sa + sb), 0.5 * (sb - sa)
+            total = total + sum(w * half * lhs_node(phi, sign * (mid + half * x), 2.0)
+                                for x, w in zip(nodes, weights))
+        expected = sign * total.reshape(-1)
+        assert np.linalg.norm(out.values - expected) < 1e-14 * np.linalg.norm(expected)
+
+    def test_quad_panels_bitwise_reproducible(self, phi):
+        spec = QuadratureSpec(t_max=400.0, panels=12)
+        rows = lambda ts: born_module._flow_rows(phi, ts, 2.0)
+        a = born_module._quad_panels(rows, phi, -1, spec, 12)
+        b = born_module._quad_panels(rows, phi, -1, spec, 12)
+        assert np.array_equal(a.values, b.values)
+
+
+class TestTailBound:
+    """The tail is extrapolated from two samples with the smaller of the
+    measured and the assumed decay exponent."""
+
+    @staticmethod
+    def power_rows(exponent):
+        ones = np.ones(8)
+        return lambda ts: np.abs(np.asarray(ts))[:, None] ** -exponent * ones
+
+    TEMPLATE = field_from_function(GridDescriptor.centered((8,), (1.0,)), lambda x: 1.0 + 0 * x)
+
+    def test_slower_measured_decay_is_used(self):
+        spec = QuadratureSpec(t_max=100.0, panels=8)
+        tail, measured = born_module._tail_bound(self.power_rows(1.5), self.TEMPLATE,
+                                                 +1, spec, 2.0)
+        # norm sqrt(8) t^-1.5 integrates to sqrt(8) * 2 t_max^-0.5 beyond t_max
+        exact = np.sqrt(8.0) * 2.0 / np.sqrt(100.0)
+        assert abs(measured - 1.5) < 1e-12
+        assert abs(tail - exact) < 1e-12 * exact
+
+    def test_faster_measured_decay_keeps_assumed_exponent(self):
+        spec = QuadratureSpec(t_max=100.0, panels=8)
+        tail, measured = born_module._tail_bound(self.power_rows(3.0), self.TEMPLATE,
+                                                 -1, spec, 2.0)
+        t_cal = 99.5
+        assumed = np.sqrt(8.0) * t_cal**-3.0 * t_cal**2.0 * 100.0**-1.0
+        assert abs(measured - 3.0) < 1e-12
+        assert abs(tail - assumed) < 1e-12 * assumed
+
+    def test_measured_non_integrable_decay_rejected(self):
+        spec = QuadratureSpec(t_max=100.0, panels=8)
+        with pytest.raises(ConvergenceError):
+            born_module._tail_bound(self.power_rows(0.8), self.TEMPLATE, +1, spec, 2.0)
+
+    def test_measured_exponent_reported(self, phi):
+        out = born_integral(phi, +1, 2.0, QuadratureSpec(t_max=400.0, panels=8))
+        # the integrand norm is (pi/5)^(1/4) / (1 + t^2) for this datum
+        t1, t2 = 200.0, 398.0
+        expected = np.log((1.0 + t2**2) / (1.0 + t1**2)) / np.log(t2 / t1)
+        assert abs(out.decay_exponent - expected) < 1e-9
+
+
+class TestEvaluationCount:
+    def test_plain_rule(self, phi):
+        out = born_integral(phi, +1, 2.0, QuadratureSpec(t_max=400.0, panels=8))
+        # coarse 8 and fine 16 panels of 10 nodes, plus two tail samples
+        assert out.evaluations == 10 * (8 + 16) + 2
+
+    def test_weighted_rule_counts_the_cascade(self, phi):
+        (_, weighted), _ = subcritical_sides(phi, +1, 1, 1.5,
+                                             QuadratureSpec(t_max=1e5, panels=8))
+        # the first panel is cascaded into 12 more on both rules
+        assert weighted.evaluations == 10 * (8 + 12 + 16 + 12) + 2
 
 
 class TestBornIntegral:

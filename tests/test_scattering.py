@@ -13,6 +13,7 @@ from nlslab.core import (
 from nlslab.errors import NlslabError
 from nlslab.scattering import (
     inverse_wave_operator,
+    inverse_wave_operators,
     lens_inverse_wave_operator,
     lens_wave_operator,
     verify_conjugation,
@@ -115,6 +116,23 @@ class TestInverseWaveOperator:
             back = inverse_wave_operator(w, sign, params, 12.0, LIGHT_CONTROL)
             rel = l2_difference(back, f) / l2_norm(f)
             assert rel < 2 * tol
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_continued_trajectory_matches_fresh_runs(self, wide_grid, params, sign):
+        # T/dt and 2T/dt are whole step counts, so continuing from T to 2T
+        # takes the very steps of a fresh run to 2T
+        f = normalized_gaussian(wide_grid, 0.2)
+        short, long = inverse_wave_operators(f, sign, params, [6.0, 12.0], LIGHT_CONTROL)
+        assert np.array_equal(short.values,
+                              inverse_wave_operator(f, sign, params, 6.0, LIGHT_CONTROL).values)
+        assert np.array_equal(long.values,
+                              inverse_wave_operator(f, sign, params, 12.0, LIGHT_CONTROL).values)
+
+    @pytest.mark.parametrize("horizons", [[6.0, 6.0], [12.0, 6.0], [0.0, 6.0]])
+    def test_horizons_must_increase_from_positive(self, wide_grid, params, horizons):
+        f = normalized_gaussian(wide_grid, 0.2)
+        with pytest.raises(ValueError):
+            inverse_wave_operators(f, +1, params, horizons, LIGHT_CONTROL)
 
     def test_inverse_first_order_sign_flipped(self, wide_grid, params):
         delta = 0.2

@@ -10,6 +10,7 @@ from nlslab.core import (
     POSITION,
     ComplexField,
     GridDescriptor,
+    _density_power,
     diagnostics,
     dilate,
     field_from_function,
@@ -207,6 +208,35 @@ class TestSpectralPlan:
         plan = spectral_plan(g)
         assert np.array_equal(np.fft.fftshift(plan.xi2), g.dual().radius_squared())
         assert np.array_equal(plan.r2, g.radius_squared())
+
+    @pytest.mark.parametrize("counts, spacings", [
+        ((1024,), (0.039,)), ((4096,), (0.34,)), ((64, 32), (0.3, 0.45)),
+        ((256, 256), (0.64, 0.64)),
+    ])
+    def test_dual_of_dual_symbols_are_reordered(self, counts, spacings):
+        # the quadrature rows share one chirp between a grid and its dual
+        plan = spectral_plan(GridDescriptor.centered(counts, spacings))
+        back = spectral_plan(plan.dual)
+        assert np.array_equal(back.xi2, np.fft.ifftshift(plan.r2))
+        assert np.array_equal(back.r2, np.fft.fftshift(plan.xi2))
+
+    def test_stacked_fields_transform_row_by_row(self):
+        g = GridDescriptor.centered((16, 8), (0.3, 0.2))
+        plan = spectral_plan(g)
+        rng = np.random.default_rng(3)
+        stack = rng.standard_normal((3, 16, 8)) + 1j * rng.standard_normal((3, 16, 8))
+        for op in (plan.forward, plan.inverse, lambda a: plan.propagate(a, 0.7)):
+            out = op(stack)
+            for row, a in zip(out, stack):
+                assert np.array_equal(row, op(a))
+
+    def test_density_power(self):
+        rng = np.random.default_rng(4)
+        v = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+        assert np.array_equal(_density_power(v, 1.0), v.real**2 + v.imag**2)
+        for sigma in (1.5, 2.0):
+            exact = np.abs(v) ** (2.0 * sigma)
+            assert np.max(np.abs(_density_power(v, sigma) / exact - 1.0)) < 1e-14
 
     def test_derivative_of_gaussian(self):
         g = grid1d(512, 0.05)
