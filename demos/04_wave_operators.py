@@ -13,7 +13,6 @@ import numpy as np
 from nlslab import (
     GridDescriptor,
     NLSParams,
-    StepControl,
     field_from_function,
     inverse_wave_operator,
     l2_difference,
@@ -28,24 +27,24 @@ phi = field_from_function(
     grid, lambda x: 0.2 * np.pi**-0.25 * np.exp(-0.5 * x**2)
 )
 p = NLSParams(dim=1, sigma=2.0, mu=1.0)
-control = StepControl(dt=0.02)
+dt = 0.02
 
-w = wave_operator(phi, -1, p, 20.0, control)
-change = l2_difference(w, wave_operator(phi, -1, p, 10.0, control))
+w = wave_operator(phi, -1, p, 20.0, dt)
+change = l2_difference(w, wave_operator(phi, -1, p, 10.0, dt))
 print(f"forward operator at T = 20: change from T = 10 {change:.2e}")
 print(f"interaction strength || W(a) - a || = {l2_difference(w, phi):.3e}")
 
-back = inverse_wave_operator(w, -1, p, 20.0, control)
+back = inverse_wave_operator(w, -1, p, 20.0, dt)
 print(f"round trip relative error: {l2_difference(back, phi) / l2_norm(phi):.2e}")
 
-lens = lens_wave_operator(phi, -1, p, control)
+lens = lens_wave_operator(phi, -1, p, dt)
 print("\nhorizon bias against the lens route (T, bias, T * bias):")
 for horizon in (5.0, 10.0, 20.0):
-    bias = l2_difference(wave_operator(phi, -1, p, horizon, control), lens)
+    bias = l2_difference(wave_operator(phi, -1, p, horizon, dt), lens)
     print(f"  {horizon:5.1f}  {bias:.2e}  {horizon * bias:.2e}")
 
 print("\ntransform-exchange identity (light config):")
-rep = verify_theorem1(phi, p, 30.0, control, tolerance=1e-3)
+rep = verify_theorem1(phi, p, 30.0, dt, tolerance=1e-3)
 for r in rep.residuals:
     print(f"  {r.name}: {r.value:.2e}  (tol {r.tolerance:.0e})")
 print("verdict:", rep.verdict)

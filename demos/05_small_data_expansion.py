@@ -15,7 +15,6 @@ from nlslab import (
     GridDescriptor,
     NLSParams,
     QuadratureSpec,
-    StepControl,
     born_integral,
     field_from_function,
     l2_norm,
@@ -32,12 +31,12 @@ print(f"corrector norm {l2_norm(k_plus.field):.6f}, "
       f"panel-doubling delta {k_plus.refinement_delta:.1e}, "
       f"tail bound {k_plus.tail_bound:.1e}")
 
-control = StepControl(dt=0.01)
+dt = 0.01
 print("\namplitude sweep (forward operator, + branch):")
 print(f"{'delta':>8} {'|W(a)-a|/d^5':>14} {'coeff err':>11} {'remainder':>11}")
 for delta in (0.4, 0.2, 0.1):
     a = phi.with_values(delta * phi.values)
-    w = lens_wave_operator(a, +1, p, control)
+    w = lens_wave_operator(a, +1, p, dt)
     linear = w.values - a.values
     vol = grid.cell_volume
     first = 1j * delta**5 * k_plus.field.values

@@ -14,7 +14,6 @@ from nlslab import (
     GaugeParams,
     GridDescriptor,
     NLSParams,
-    StepControl,
     dnls_evolve,
     field_from_function,
     gauge,
@@ -28,7 +27,7 @@ grid = GridDescriptor.centered((2048,), (0.0195,))
 u0 = field_from_function(grid, lambda x: 0.3 / np.cosh(x))
 p_quintic = NLSParams(dim=1, sigma=2.0, mu=0.5 * lam**2)
 p_derivative = DNLSParams(lam)
-control = StepControl(dt=2e-4)
+dt = 2e-4
 
 twisted = gauge(gauge(u0, GaugeParams(lam, +1)), GaugeParams(lam, -1))
 print(f"twist pair identity defect: {np.max(np.abs(twisted.values - u0.values)):.2e}")
@@ -37,8 +36,8 @@ u, psi = u0, gauge(u0, GaugeParams(lam, +1))
 t_now = 0.0
 print(f"\n{'t':>6} {'quintic->derivative':>20} {'derivative->quintic':>20}")
 for t in (0.25, 0.5, 0.75, 1.0):
-    u = nls_evolve(u, t_now, t, p_quintic, control)
-    psi = dnls_evolve(psi, t_now, t, p_derivative, control)
+    u = nls_evolve(u, t_now, t, p_quintic, dt)
+    psi = dnls_evolve(psi, t_now, t, p_derivative, dt)
     t_now = t
     fwd = l2_difference(gauge(u, GaugeParams(lam, +1)), psi) / l2_norm(psi)
     bwd = l2_difference(gauge(psi, GaugeParams(lam, -1)), u) / l2_norm(u)

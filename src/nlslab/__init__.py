@@ -53,7 +53,6 @@ from .scattering import (
 from .solvers import (
     DNLSParams,
     NLSParams,
-    StepControl,
     dnls_evolve,
     nls_evolve,
     nls_step,

@@ -51,14 +51,12 @@ T_SWITCH = 1.0
 class QuadratureSpec:
     """Half-line quadrature plan.
 
-    tail_exponent_hint overrides the decay exponent n*sigma used for the
-    tail estimate; singular_exponent is the endpoint weight power a
-    (0 for unweighted integrals).
+    singular_exponent is the endpoint weight power a (0 for unweighted
+    integrals).
     """
 
     t_max: float = 400.0
     panels: int = 48
-    tail_exponent_hint: float | None = None
     singular_exponent: float = 0.0
 
     def __post_init__(self):
@@ -266,11 +264,10 @@ def _tail_bound(rows, template, sign, spec: QuadratureSpec, n_sigma):
     decay is extrapolated from the later sample with the smaller of the
     measured and the assumed exponent.
     """
-    decay = spec.tail_exponent_hint if spec.tail_exponent_hint else n_sigma
     a = spec.singular_exponent
-    if decay - a <= 1.0:
+    if n_sigma - a <= 1.0:
         raise ConvergenceError(
-            f"integrand tail |t|^{a - decay:.3g} is not "
+            f"integrand tail |t|^{a - n_sigma:.3g} is not "
             "integrable: need decay - singular_exponent > 1"
         )
     t_mid, t_cal = 0.5 * spec.t_max, 0.995 * spec.t_max
@@ -281,7 +278,7 @@ def _tail_bound(rows, template, sign, spec: QuadratureSpec, n_sigma):
     if norm_cal == 0.0:
         return 0.0, float("nan")
     measured = float(np.log(norm_mid / norm_cal) / np.log(t_cal / t_mid))
-    q = min(measured, decay) - a
+    q = min(measured, n_sigma) - a
     if not q > 1.0:
         raise ConvergenceError(
             f"measured integrand tail |t|^{a - measured:.3g} is not "
@@ -317,7 +314,7 @@ def born_integral(
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     n = phi.grid.dim
-    if n * sigma - q.singular_exponent <= 1.0 and q.tail_exponent_hint is None:
+    if n * sigma - q.singular_exponent <= 1.0:
         raise ConvergenceError(f"n*sigma = {n * sigma} <= 1 + a: tail diverges")
     rows = lambda ts: _flow_rows(phi, ts, sigma)
     return _refined_quadrature(rows, phi, sign, q, n * sigma)

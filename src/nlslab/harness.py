@@ -44,7 +44,14 @@ from .scattering import (
     verify_theorem1,
     wave_operator,
 )
-from .solvers import DNLSParams, NLSParams, StepControl, dnls_evolve, nls_evolve
+from .solvers import (
+    BOUNDARY_TOL,
+    TAIL_TOL,
+    DNLSParams,
+    NLSParams,
+    dnls_evolve,
+    nls_evolve,
+)
 from .transforms import (
     GaugeParams,
     SnapshotAtTime,
@@ -53,6 +60,7 @@ from .transforms import (
     reflect,
     spectral_profile_decay_ladder,
 )
+from .util import fit_loglog_slope
 
 EXPERIMENTS = (
     "solve",
@@ -113,8 +121,7 @@ DEFAULTS = {
         "datum": {"kind": "gaussian", "amplitude": 1.0, "width": 1.0,
                   "center": 0.0, "wavenumber": 0.0, "normalize": None,
                   "path": None},
-        "quadrature": {"t_max": 25600.0, "panels": 80,
-                       "tail_exponent_hint": None},
+        "quadrature": {"t_max": 25600.0, "panels": 80},
         "verify": {"tolerance": 1e-4, "refinement_tol": 1e-6},
     },
     "proposition": {
@@ -123,8 +130,7 @@ DEFAULTS = {
                   "center": 0.0, "wavenumber": 0.0, "normalize": 1.0,
                   "path": None},
         "scattering": {"dt": 0.01},
-        "quadrature": {"t_max": 20000.0, "panels": 64,
-                       "tail_exponent_hint": None},
+        "quadrature": {"t_max": 20000.0, "panels": 64},
         "verify": {"deltas": [0.4, 0.2, 0.1], "slope_margin": 0.5},
     },
     "dnls_gauge": {
@@ -144,8 +150,7 @@ DEFAULTS = {
         "datum": {"kind": "gaussian", "amplitude": 1.0, "width": 1.0,
                   "center": 0.0, "wavenumber": 0.0, "normalize": None,
                   "path": None},
-        "quadrature": {"t_max": 1e9, "panels": 144,
-                       "tail_exponent_hint": None},
+        "quadrature": {"t_max": 1e9, "panels": 144},
         "verify": {"tolerance": 1e-4, "refinement_tol": 1e-6},
     },
     "lemmas": {
@@ -305,11 +310,6 @@ def _nls_params_from(section, dim):
         return NLSParams(dim=dim, sigma=float(section["sigma"]), mu=float(section["mu"]))
 
 
-def _step_control_from(section, name):
-    with _config_values(name):
-        return StepControl(dt=float(section["dt"]))
-
-
 def _datum_from(section):
     with _config_values("datum"):
         return InitialDatumSpec(
@@ -323,22 +323,24 @@ def _datum_from(section):
         )
 
 
+def _positive(section, key):
+    """One positive number of a section, read inside ``_config_values``."""
+    value = float(section[key])
+    if not (value > 0):
+        raise ValueError(f"{key} must be positive")
+    return value
+
+
 def _scattering_from(section):
-    """The horizon and step control of a ``scattering`` section."""
-    control = _step_control_from(section, "scattering")
+    """The horizon and time step of a ``scattering`` section."""
     with _config_values("scattering"):
-        horizon = float(section["horizon"])
-        if not (horizon > 0):
-            raise ValueError("horizon must be positive")
-    return horizon, control
+        return _positive(section, "horizon"), _positive(section, "dt")
 
 
 def _quadrature_from(section):
     with _config_values("quadrature"):
         return QuadratureSpec(
-            t_max=float(section["t_max"]),
-            panels=int(section["panels"]),
-            tail_exponent_hint=_optional_float(section["tail_exponent_hint"]),
+            t_max=float(section["t_max"]), panels=int(section["panels"])
         )
 
 
@@ -430,8 +432,8 @@ def _spectral_soundness_residuals(report, grid):
 def _run_solve(config, grid, datum):
     p = _nls_params_from(config["equation"], grid.dim)
     ev = config["evolve"]
-    control = _step_control_from(ev, "evolve")
-    t0, t1 = _section_floats(config, "evolve", "t0", "t1")
+    with _config_values("evolve"):
+        t0, t1, dt = float(ev["t0"]), float(ev["t1"]), _positive(ev, "dt")
     drift_tol, reversibility_tol = _section_floats(
         config, "verify", "mass_drift_tol", "reversibility_tol"
     )
@@ -448,10 +450,10 @@ def _run_solve(config, grid, datum):
             if k % stride == 0:
                 strided[f"step{k:06d}"] = fld
 
-    u1 = nls_evolve(datum, t0, t1, p, control, observer=observer)
+    u1 = nls_evolve(datum, t0, t1, p, dt, observer=observer)
     drift = abs(l2_norm(u1) ** 2 - l2_norm(datum) ** 2) / l2_norm(datum) ** 2
     report.add_residual("mass_drift", drift, drift_tol)
-    back = nls_evolve(u1, t1, t0, p, control)
+    back = nls_evolve(u1, t1, t0, p, dt)
     report.add_residual(
         "reversibility",
         l2_difference(back, datum) / l2_norm(datum),
@@ -465,10 +467,8 @@ def _run_solve(config, grid, datum):
             1e-12,
         )
     d = diagnostics(u1)
-    report.add_residual("final_spectral_tail", d.spectral_tail_fraction,
-                        control.tail_tol)
-    report.add_residual("final_boundary_mass", d.boundary_mass_fraction,
-                        control.boundary_tol)
+    report.add_residual("final_spectral_tail", d.spectral_tail_fraction, TAIL_TOL)
+    report.add_residual("final_boundary_mass", d.boundary_mass_fraction, BOUNDARY_TOL)
     if config["verify"].get("spectral_checks"):
         _spectral_soundness_residuals(report, grid)
     if config["verify"].get("order_check"):
@@ -477,10 +477,10 @@ def _run_solve(config, grid, datum):
         probe_grid = GridDescriptor.centered((512,), (0.05,))
         probe = field_from_function(probe_grid, lambda x: 0.5 * np.exp(-0.5 * x**2))
         probe_p = NLSParams(dim=1, sigma=2.0, mu=1.0)
-        ref = nls_evolve(probe, 0.0, 1.0, probe_p, StepControl(dt=0.005))
+        ref = nls_evolve(probe, 0.0, 1.0, probe_p, 0.005)
         errs = [
-            l2_difference(nls_evolve(probe, 0.0, 1.0, probe_p, StepControl(dt=dt)), ref)
-            for dt in (0.04, 0.02)
+            l2_difference(nls_evolve(probe, 0.0, 1.0, probe_p, h), ref)
+            for h in (0.04, 0.02)
         ]
         report.add_residual(
             "split_step_order_ratio_deviation", abs(errs[0] / errs[1] - 4.0), 0.5
@@ -495,7 +495,7 @@ def _run_solve(config, grid, datum):
 
 def _run_wave_op(config, grid, datum):
     p = _nls_params_from(config["equation"], grid.dim)
-    horizon, control = _scattering_from(config["scattering"])
+    horizon, dt = _scattering_from(config["scattering"])
     [tol] = _section_floats(config, "verify", "tolerance")
     report = VerificationReport(identity="wave_operator_round_trip")
     horizons = [horizon, 2.0 * horizon]
@@ -503,8 +503,8 @@ def _run_wave_op(config, grid, datum):
         # each operator runs at T and 2T, the inverse on one trajectory
         # continued from T to 2T; the 2T results go on, gated by how far
         # doubling the horizon moved them
-        forward = [wave_operator(datum, sign, p, h, control) for h in horizons]
-        inverse = inverse_wave_operators(forward[1], sign, p, horizons, control)
+        forward = [wave_operator(datum, sign, p, h, dt) for h in horizons]
+        inverse = inverse_wave_operators(forward[1], sign, p, horizons, dt)
         for name, (short, long) in (("forward", forward), ("inverse", inverse)):
             change = l2_difference(long, short)
             report.add_residual(f"{name}_horizon_change_{label}", change, tol)
@@ -516,7 +516,7 @@ def _run_wave_op(config, grid, datum):
 
 def _run_thm1(config, grid, datum):
     p = _nls_params_from(config["equation"], grid.dim)
-    horizon, control = _scattering_from(config["scattering"])
+    horizon, dt = _scattering_from(config["scattering"])
     [tol] = _section_floats(config, "verify", "tolerance")
     datum2 = None
     if config["verify"].get("double_horizon"):
@@ -525,9 +525,9 @@ def _run_thm1(config, grid, datum):
                 _numbers(config["verify"]["doubled_counts"], int), grid.spacings
             )
         datum2 = make_datum(_datum_from(config["datum"]), big)
-    report = verify_theorem1(datum, p, horizon, control, tolerance=tol)
+    report = verify_theorem1(datum, p, horizon, dt, tolerance=tol)
     if datum2 is not None:
-        rep2 = verify_theorem1(datum2, p, 2.0 * horizon, control, tolerance=tol)
+        rep2 = verify_theorem1(datum2, p, 2.0 * horizon, dt, tolerance=tol)
         for r, r2 in zip(list(report.residuals), rep2.residuals):
             report.add_residual(f"{r2.name}_doubled_horizon", r2.value, tol)
             report.add_residual(
@@ -540,9 +540,29 @@ def _run_thm1(config, grid, datum):
 
 def _run_conjugation(config, grid, datum):
     p = _nls_params_from(config["equation"], grid.dim)
-    horizon, control = _scattering_from(config["scattering"])
+    horizon, dt = _scattering_from(config["scattering"])
     [tol] = _section_floats(config, "verify", "tolerance")
-    return verify_conjugation(datum, p, horizon, control, tolerance=tol)
+    return verify_conjugation(datum, p, horizon, dt, tolerance=tol)
+
+
+def _compare_sides(report, lhs, rhs, tolerances, names, prefix, label):
+    """Add the two residuals ``names`` of one pair of quadrature sides: their
+    difference and the larger refinement change, both relative to the left
+    side's norm.  Their tail estimates and decay exponents go into the
+    ladder ``tail_bounds_<prefix><label>``, their evaluation counts into
+    ``params["evaluations"]``."""
+    scale = l2_norm(lhs.field)
+    difference = l2_difference(lhs.field, rhs.field) / scale
+    refinement = max(lhs.refinement_delta, rhs.refinement_delta) / scale
+    for name, value, tol in zip(names, (difference, refinement), tolerances):
+        report.add_residual(name, value, tol)
+    report.ladders[f"tail_bounds_{prefix}{label}"] = [
+        ("lhs", lhs.tail_bound), ("rhs", rhs.tail_bound),
+        ("lhs_decay_exponent", lhs.decay_exponent),
+        ("rhs_decay_exponent", rhs.decay_exponent),
+    ]
+    report.params["evaluations"].update({f"{prefix}lhs_{label}": lhs.evaluations,
+                                         f"{prefix}rhs_{label}": rhs.evaluations})
 
 
 def _run_corollary2(config, grid, datum):
@@ -554,31 +574,15 @@ def _run_corollary2(config, grid, datum):
     )
     for sign, label in ((+1, "plus"), (-1, "minus")):
         lhs, rhs = corollary2_sides(datum, sign, q)
-        scale = l2_norm(lhs.field)
-        report.add_residual(
-            f"sides_difference_{label}",
-            l2_difference(lhs.field, rhs.field) / scale,
-            tol,
-        )
-        report.add_residual(
-            f"refinement_delta_{label}",
-            max(lhs.refinement_delta, rhs.refinement_delta) / scale,
-            rtol,
-        )
-        report.ladders[f"tail_bounds_{label}"] = [
-            ("lhs", lhs.tail_bound), ("rhs", rhs.tail_bound),
-            ("lhs_decay_exponent", lhs.decay_exponent),
-            ("rhs_decay_exponent", rhs.decay_exponent),
-        ]
-        report.params["evaluations"].update(
-            {f"lhs_{label}": lhs.evaluations, f"rhs_{label}": rhs.evaluations}
-        )
+        names = (f"sides_difference_{label}", f"refinement_delta_{label}")
+        _compare_sides(report, lhs, rhs, (tol, rtol), names, "", label)
     return report
 
 
 def _run_proposition(config, grid, datum):
     q = _quadrature_from(config["quadrature"])
-    control = _step_control_from(config["scattering"], "scattering")
+    with _config_values("scattering"):
+        dt = _positive(config["scattering"], "dt")
     with _config_values("verify"):
         deltas = _numbers(config["verify"]["deltas"])
         margin = float(config["verify"]["slope_margin"])
@@ -587,13 +591,17 @@ def _run_proposition(config, grid, datum):
     merged = None
     for sign, label in ((+1, "plus"), (-1, "minus")):
         rep = verify_proposition(
-            datum, sign, grid.dim, deltas, control, q=q,
+            datum, sign, grid.dim, deltas, dt, q=q,
             tolerance_slope_margin=margin,
         )
+        # each sign has its own corrector integral
+        corrector = {f"{key}_{label}": rep.params.pop(key)
+                     for key in list(rep.params) if key.startswith("corrector_")}
         if merged is None:
-            # the +1 branch's params and notes describe the merged report
+            # the +1 branch's other params and notes describe the merged report
             merged = replace(rep, identity="small_data_expansion_both_signs",
                              residuals=[], fitted_rates=[], ladders={})
+        merged.params.update(corrector)
         merged.merge(rep, label)
     return merged
 
@@ -604,9 +612,8 @@ def _run_dnls_gauge(config, grid, datum):
         p_nls = NLSParams(dim=1, sigma=2.0, mu=0.5 * lam * lam)
         p_dnls = DNLSParams(lam)
     ev = config["evolve"]
-    control = _step_control_from(ev, "evolve")
     with _config_values("evolve"):
-        t_now, t1 = float(ev["t0"]), float(ev["t1"])
+        t_now, t1, dt = float(ev["t0"]), float(ev["t1"]), _positive(ev, "dt")
         checkpoints = _numbers(ev["checkpoints"])
         if checkpoints[-1] != t1:
             raise ValueError(f"the last checkpoint {checkpoints[-1]} is not t1 = {t1}")
@@ -615,7 +622,7 @@ def _run_dnls_gauge(config, grid, datum):
     )
     report = VerificationReport(
         identity="gauge_equivalence",
-        params={"lambda": lam, "mu": 0.5 * lam * lam, "dt": control.dt},
+        params={"lambda": lam, "mu": 0.5 * lam * lam, "dt": dt},
     )
     # gauge pair inverse identity
     twisted = gauge(gauge(datum, GaugeParams(lam, +1)), GaugeParams(lam, -1))
@@ -628,8 +635,8 @@ def _run_dnls_gauge(config, grid, datum):
     worst_fwd, worst_bwd = 0.0, 0.0
     rows = []
     for t in checkpoints:
-        u = nls_evolve(u, t_now, t, p_nls, control)
-        psi = dnls_evolve(psi, t_now, t, p_dnls, control)
+        u = nls_evolve(u, t_now, t, p_nls, dt)
+        psi = dnls_evolve(psi, t_now, t, p_dnls, dt)
         t_now = t
         fwd = l2_difference(gauge(u, GaugeParams(lam, +1)), psi) / l2_norm(psi)
         bwd = l2_difference(gauge(psi, GaugeParams(lam, -1)), u) / l2_norm(u)
@@ -644,12 +651,10 @@ def _run_dnls_gauge(config, grid, datum):
         # fixed probe well above roundoff, independent of the configured datum
         probe_grid = GridDescriptor.centered((512,), (0.08,))
         probe = field_from_function(probe_grid, lambda x: 0.5 / np.cosh(x))
-        ref = dnls_evolve(probe, 0.0, 0.5, p_dnls, StepControl(dt=0.0025 / 8))
+        ref = dnls_evolve(probe, 0.0, 0.5, p_dnls, 0.0025 / 8)
         errs = [
-            l2_difference(
-                dnls_evolve(probe, 0.0, 0.5, p_dnls, StepControl(dt=dt)), ref
-            )
-            for dt in (0.005, 0.0025)
+            l2_difference(dnls_evolve(probe, 0.0, 0.5, p_dnls, h), ref)
+            for h in (0.005, 0.0025)
         ]
         report.add_residual(
             "rk4_order_ratio_deviation", abs(errs[0] / errs[1] - 16.0), 4.0
@@ -669,29 +674,17 @@ def _run_subcritical(config, grid, datum):
                 "weight_exponent": grid.dim * sigma - 2.0, "evaluations": {}},
     )
     for sign, label in ((+1, "plus"), (-1, "minus")):
-        (i1l, i1r), (i2l, i2r) = subcritical_sides(datum, sign, grid.dim, sigma, q)
-        for idx, (lhs, rhs) in (("1", (i1l, i1r)), ("2", (i2l, i2r))):
-            report.params["evaluations"].update(
-                {f"identity{idx}_lhs_{label}": lhs.evaluations,
-                 f"identity{idx}_rhs_{label}": rhs.evaluations}
-            )
-            scale = l2_norm(lhs.field)
-            report.add_residual(
-                f"identity{idx}_difference_{label}",
-                l2_difference(lhs.field, rhs.field) / scale,
-                tol,
-            )
-            report.add_residual(
-                f"identity{idx}_refinement_{label}",
-                max(lhs.refinement_delta, rhs.refinement_delta) / scale,
-                rtol,
-            )
+        identities = subcritical_sides(datum, sign, grid.dim, sigma, q)
+        for idx, (lhs, rhs) in zip("12", identities):
+            prefix = f"identity{idx}_"
+            names = (f"{prefix}difference_{label}", f"{prefix}refinement_{label}")
+            _compare_sides(report, lhs, rhs, (tol, rtol), names, prefix, label)
     return report
 
 
 def _run_lemmas(config, grid, datum):
     p = _nls_params_from(config["equation"], grid.dim)
-    horizon, control = _scattering_from(config["scattering"])
+    horizon, dt = _scattering_from(config["scattering"])
     scat_grid = _grid_from(config["scattering_grid"], "scattering_grid")
     lemma1_grid = _grid_from(config["lemma1_grid"], "lemma1_grid")
     with _config_values("verify"):
@@ -700,7 +693,7 @@ def _run_lemmas(config, grid, datum):
         config, "verify", "slope_bound", "match_tol", "involution_tol"
     )
     report = verify_lemma23(
-        datum, p, horizon, control, ladder_times=times, scattering_grid=scat_grid,
+        datum, p, horizon, dt, ladder_times=times, scattering_grid=scat_grid,
         tolerance=match_tol,
     )
     # decay ladder of the static-profile route (smooth-data rate ~ t^{-1})
@@ -711,7 +704,7 @@ def _run_lemmas(config, grid, datum):
     )
     ladder = spectral_profile_decay_ladder(profile_freq, times)
     report.ladders["static_profile_decay"] = ladder
-    slope = float(np.polyfit(np.log(times), np.log([e for _, e in ladder]), 1)[0])
+    slope, _ = fit_loglog_slope(times, [e for _, e in ladder])
     report.add_rate("static_profile_decay_slope", slope)
     report.add_residual("static_profile_slope_bound", slope, slope_bound)
     # double application of the conformal map reflects the snapshot

@@ -13,8 +13,6 @@ independent side.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .born import QuadratureSpec, born_integral
@@ -30,7 +28,7 @@ from .core import (
 )
 from .errors import NlslabError
 from .reports import VerificationReport
-from .solvers import NLSParams, StepControl, nls_evolve
+from .solvers import NLSParams, nls_evolve
 from .transforms import SnapshotAtTime, conjugate, pseudo_conformal, reflect
 from .util import fit_loglog_slope
 
@@ -64,28 +62,28 @@ def _check_truncated(f, sign, horizon):
 
 
 def wave_operator(
-    u_pm: ComplexField, sign: int, p: NLSParams, horizon: float, control: StepControl
+    u_pm: ComplexField, sign: int, p: NLSParams, horizon: float, dt: float
 ) -> ComplexField:
     """W_sign u_pm truncated at the horizon T: the free state
     u(sign*T) = U0(sign*T) u_pm evolves back to t = 0.  The truncation bias
     falls like 1/T."""
     _check_truncated(u_pm, sign, horizon)
     u_init = free_propagate(_as_function(u_pm), sign * horizon)
-    return nls_evolve(u_init, sign * horizon, 0.0, p, control).retagged(u_pm.space)
+    return nls_evolve(u_init, sign * horizon, 0.0, p, dt).retagged(u_pm.space)
 
 
 def inverse_wave_operator(
-    u0: ComplexField, sign: int, p: NLSParams, horizon: float, control: StepControl
+    u0: ComplexField, sign: int, p: NLSParams, horizon: float, dt: float
 ) -> ComplexField:
     """W_sign^{-1} u0 truncated at the horizon T: u0 evolves to t = sign*T,
     and the asymptotic state is U0(-sign*T) u(sign*T).  The truncation bias
     falls like 1/T."""
-    [out] = inverse_wave_operators(u0, sign, p, [horizon], control)
+    [out] = inverse_wave_operators(u0, sign, p, [horizon], dt)
     return out
 
 
 def inverse_wave_operators(
-    u0: ComplexField, sign: int, p: NLSParams, horizons, control: StepControl
+    u0: ComplexField, sign: int, p: NLSParams, horizons, dt: float
 ) -> list:
     """W_sign^{-1} u0 truncated at each of the increasing ``horizons``, read
     off one trajectory: u continues from sign*T_k to sign*T_{k+1}, so the
@@ -96,7 +94,7 @@ def inverse_wave_operators(
         raise ValueError("horizons must increase")
     out, u, t = [], _as_function(u0), 0.0
     for horizon in horizons:
-        u = nls_evolve(u, t, sign * horizon, p, control)
+        u = nls_evolve(u, t, sign * horizon, p, dt)
         t = sign * horizon
         out.append(free_propagate(u, -t).retagged(u0.space))
     return out
@@ -109,7 +107,7 @@ def _check_lens(u, sign, p):
 
 
 def lens_wave_operator(
-    u_pm: ComplexField, sign: int, p: NLSParams, control: StepControl
+    u_pm: ComplexField, sign: int, p: NLSParams, dt: float
 ) -> ComplexField:
     """W_sign u_pm through the lens transform, on the datum's dual grid.
 
@@ -119,14 +117,14 @@ def lens_wave_operator(
     """
     _check_lens(u_pm, sign, p)
     tau = -sign / LENS_TIME
-    v = nls_evolve(_inverse_transform_as_function(u_pm), 0.0, tau, p, control)
+    v = nls_evolve(_inverse_transform_as_function(u_pm), 0.0, tau, p, dt)
     u_t = reflect(pseudo_conformal(SnapshotAtTime(v, tau)).field)
-    u = nls_evolve(u_t, sign * LENS_TIME, 0.0, p, control)
+    u = nls_evolve(u_t, sign * LENS_TIME, 0.0, p, dt)
     return resample(u, u_pm.grid).retagged(u_pm.space)
 
 
 def lens_inverse_wave_operator(
-    u0: ComplexField, sign: int, p: NLSParams, control: StepControl
+    u0: ComplexField, sign: int, p: NLSParams, dt: float
 ) -> ComplexField:
     """W_sign^{-1} u0 through the lens transform, on the datum's grid.
 
@@ -135,9 +133,9 @@ def lens_inverse_wave_operator(
     resampled onto the datum grid.
     """
     _check_lens(u0, sign, p)
-    u = nls_evolve(_as_function(u0), 0.0, sign * LENS_TIME, p, control)
+    u = nls_evolve(_as_function(u0), 0.0, sign * LENS_TIME, p, dt)
     snap = pseudo_conformal(SnapshotAtTime(u, sign * LENS_TIME))
-    v = nls_evolve(snap.field, snap.time, 0.0, p, control)
+    v = nls_evolve(snap.field, snap.time, 0.0, p, dt)
     return resample(_as_function(forward_fourier(v)), u0.grid).retagged(u0.space)
 
 
@@ -148,23 +146,22 @@ def _inverse_transform_as_function(f):
 
 
 def verify_theorem1(
-    u0: ComplexField, p: NLSParams, horizon: float, control: StepControl,
-    tolerance=1e-3,
+    u0: ComplexField, p: NLSParams, horizon: float, dt: float, tolerance=1e-3,
 ) -> VerificationReport:
     """Residuals of the transform-conjugation identity between the inverse
     and forward wave operators truncated at ``horizon``, both sign choices."""
     report = VerificationReport(
         identity="fourier_exchanges_wave_operators",
         params={"sigma": p.sigma, "mu": p.mu, "dim": p.dim,
-                "horizon": horizon, "dt": control.dt},
+                "horizon": horizon, "dt": dt},
         grid={"counts": list(u0.grid.counts), "spacings": list(u0.grid.spacings)},
     )
     uhat = forward_fourier(u0)
     hosted = resample(_as_function(uhat), u0.grid)
     scale = l2_norm(u0)
     for sign, label in ((+1, "plus"), (-1, "minus")):
-        a_side = forward_fourier(inverse_wave_operator(u0, sign, p, horizon, control))
-        fwd = wave_operator(hosted, -sign, p, horizon, control)
+        a_side = forward_fourier(inverse_wave_operator(u0, sign, p, horizon, dt))
+        fwd = wave_operator(hosted, -sign, p, horizon, dt)
         b_side = resample(fwd, a_side.grid)
         resid = l2_difference(a_side, b_side.retagged(a_side.space)) / scale
         report.add_residual(f"sign_{label}", resid, tolerance)
@@ -172,22 +169,21 @@ def verify_theorem1(
 
 
 def verify_conjugation(
-    u0: ComplexField, p: NLSParams, horizon: float, control: StepControl,
-    tolerance=1e-3,
+    u0: ComplexField, p: NLSParams, horizon: float, dt: float, tolerance=1e-3,
 ) -> VerificationReport:
     """Residuals of both conjugation identities relating W+ and W-, each
     truncated at ``horizon``."""
     report = VerificationReport(
         identity="conjugation_identities",
         params={"sigma": p.sigma, "mu": p.mu, "dim": p.dim,
-                "horizon": horizon, "dt": control.dt},
+                "horizon": horizon, "dt": dt},
         grid={"counts": list(u0.grid.counts), "spacings": list(u0.grid.spacings)},
     )
     scale = l2_norm(u0)
     # W_s = C W_{-s} C on the datum itself
     for sign, label in ((+1, "plus"), (-1, "minus")):
-        direct = wave_operator(u0, sign, p, horizon, control)
-        routed = conjugate(wave_operator(conjugate(u0), -sign, p, horizon, control))
+        direct = wave_operator(u0, sign, p, horizon, dt)
+        routed = conjugate(wave_operator(conjugate(u0), -sign, p, horizon, dt))
         report.add_residual(
             f"conjugation_sandwich_{label}",
             l2_difference(direct, routed) / scale,
@@ -197,8 +193,8 @@ def verify_conjugation(
     cfu = conjugate(forward_fourier(u0))
     hosted = resample(_as_function(cfu), u0.grid)
     for sign, label in ((+1, "plus"), (-1, "minus")):
-        lhs = inverse_wave_operator(u0, sign, p, horizon, control)
-        mid = wave_operator(hosted, sign, p, horizon, control)
+        lhs = inverse_wave_operator(u0, sign, p, horizon, dt)
+        mid = wave_operator(hosted, sign, p, horizon, dt)
         rhs = _inverse_transform_as_function(conjugate(mid))
         lhs_on_dual = resample(lhs, rhs.grid)
         report.add_residual(
@@ -218,7 +214,7 @@ def verify_proposition(
     sign: int,
     n: int,
     deltas,
-    control: StepControl,
+    dt: float,
     q: QuadratureSpec,
     mu: float = 1.0,
     tolerance_slope_margin: float = 0.5,
@@ -227,7 +223,7 @@ def verify_proposition(
     corrector, for amplitudes ``deltas`` (each delta = epsilon^(n/4)).
 
     For each delta the forward and inverse operators are computed on the
-    lens route (no horizon bias) with steps ``control``, and the first-order
+    lens route (no horizon bias) with time step ``dt``, and the first-order
     term i * mu * delta^(1+4/n) * K is removed, K the oriented half-line
     corrector integral.  Reported: the coefficient-convergence error (must
     decrease in delta), and the fitted remainder slope, which is asserted
@@ -250,7 +246,7 @@ def verify_proposition(
     report = VerificationReport(
         identity="small_data_expansion",
         params={"sign": sign, "dim": n, "mu": mu, "deltas": list(deltas),
-                "dt": control.dt,
+                "dt": dt,
                 "first_order_sign": {"forward": "+i", "inverse": "-i"},
                 "corrector_tail_bound": k_res.tail_bound,
                 "corrector_refinement_delta": k_res.refinement_delta,
@@ -261,8 +257,8 @@ def verify_proposition(
     rows = {"forward": [], "inverse": []}
     for delta in deltas:
         a = phi.with_values(delta * phi.values)
-        w = lens_wave_operator(a, sign, p, control)
-        w_inv = lens_inverse_wave_operator(a, sign, p, control)
+        w = lens_wave_operator(a, sign, p, dt)
+        w_inv = lens_inverse_wave_operator(a, sign, p, dt)
         first = mu * delta**power * k.values
         for name, out, orient in (("forward", w, +1.0), ("inverse", w_inv, -1.0)):
             linear = out.values - a.values
@@ -305,7 +301,7 @@ def verify_lemma23(
     u0: ComplexField,
     p: NLSParams,
     horizon: float,
-    control: StepControl,
+    dt: float,
     ladder_times=(10.0, 20.0, 40.0, 80.0),
     scattering_grid: GridDescriptor | None = None,
     tolerance=1e-2,
@@ -322,19 +318,21 @@ def verify_lemma23(
         identity="conformal_boundary_matching",
         params={"sigma": p.sigma, "mu": p.mu, "dim": p.dim,
                 "horizon": horizon, "ladder_times": list(ladder_times),
-                "dt": control.dt},
+                "dt": dt},
         grid={"counts": list(u0.grid.counts), "spacings": list(u0.grid.spacings)},
     )
     scale = l2_norm(u0)
     # (i): snapshots of u at -1/t for the requested t values, reached by
-    # exact segment-wise evolution (closest to zero first)
+    # exact segment-wise evolution (closest to zero first), each segment in
+    # at least 4 equal steps of at most dt
     times = sorted(ladder_times)
     taus = sorted((-1.0 / t for t in times), reverse=True)
     snaps = {}
     state, t_now = u0, 0.0
     for tau in taus:
-        seg = _segment_control(control, abs(tau - t_now))
-        state = nls_evolve(state, t_now, tau, p, seg)
+        span = abs(tau - t_now)
+        seg_dt = span / max(4, int(np.ceil(span / dt)))
+        state = nls_evolve(state, t_now, tau, p, seg_dt)
         snaps[tau] = state
         t_now = tau
     target = _inverse_transform_as_function(u0)
@@ -350,14 +348,14 @@ def verify_lemma23(
     decreasing = all(b < a for a, b in zip(errs, errs[1:]))
     report.add_residual("ladder_monotone_decrease", 0.0 if decreasing else 1.0, 0.5)
     if len(errs) >= 2:
-        slope = float(np.polyfit(np.log(times), np.log(errs), 1)[0])
+        slope, _ = fit_loglog_slope(times, errs)
         report.add_rate("free_return_decay_slope", slope)
     # (ii): asymptotic states against reflected transform of the v-limits
     if scattering_grid is not None:
         u0s = resample(u0, scattering_grid)
         scale_s = l2_norm(u0s)
         for sign, label in ((+1, "plus"), (-1, "minus")):
-            u_t = nls_evolve(u0s, 0.0, sign * horizon, p, control)
+            u_t = nls_evolve(u0s, 0.0, sign * horizon, p, dt)
             u_asym = free_propagate(u_t, -sign * horizon)
             v_limit = pseudo_conformal(SnapshotAtTime(u_t, sign * horizon)).field
             predicted = _inverse_transform_as_function(reflect(v_limit))
@@ -365,8 +363,3 @@ def verify_lemma23(
             resid = l2_difference(moved.retagged(predicted.space), predicted) / scale_s
             report.add_residual(f"asymptotic_state_match_{label}", resid, tolerance)
     return report
-
-
-def _segment_control(control: StepControl, span):
-    """A StepControl whose dt divides the segment exactly (at least 4 steps)."""
-    return replace(control, dt=span / max(4, int(np.ceil(span / control.dt))))

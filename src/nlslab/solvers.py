@@ -11,6 +11,11 @@ Both solvers march through one loop, ``_march``: it owns the step count,
 the health monitors and the observer calls, and each solver supplies only
 its step and the map from its raw state to the solution.  A health
 violation fails the run at once; nothing is retried with a smaller step.
+
+The time step ``dt`` is the one numerical choice a caller makes.  The
+limits are constants: a run needs at most ``MAX_STEPS`` steps, and the
+monitors allow a relative mass drift of ``MASS_DRIFT_TOL``, a spectral-tail
+fraction of ``TAIL_TOL`` and a boundary-mass fraction of ``BOUNDARY_TOL``.
 """
 
 from __future__ import annotations
@@ -32,6 +37,10 @@ from .core import (
 from .errors import SolverHealthError
 
 HEALTH_CHECKS_PER_RUN = 8
+MAX_STEPS = 10_000_000
+MASS_DRIFT_TOL = 1e-8
+TAIL_TOL = 1e-5
+BOUNDARY_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -66,22 +75,6 @@ class DNLSParams:
             raise ValueError("lambda must be finite")
 
 
-@dataclass(frozen=True)
-class StepControl:
-    dt: float = 1e-3
-    max_steps: int = 10_000_000
-    mass_drift_tol: float = 1e-8
-    tail_tol: float = 1e-5
-    boundary_tol: float = 1e-5
-
-    def __post_init__(self):
-        if not (self.dt > 0):
-            raise ValueError("dt must be positive")
-        for name in ("mass_drift_tol", "tail_tol", "boundary_tol"):
-            if not (getattr(self, name) > 0):
-                raise ValueError(f"{name} must be positive")
-
-
 def _nonlinear_phase(values, dt_half, p: NLSParams):
     w = _density_power(values, p.sigma)
     w *= -p.mu * dt_half
@@ -105,63 +98,65 @@ def nls_step(u: ComplexField, dt: float, p: NLSParams) -> ComplexField:
     return u.with_values(_strang_step(u.shaped, 0.5 * dt, m, p))
 
 
-def _check_health(f, mass0, c: StepControl, t, context):
+def _check_health(f, mass0, t, context):
     mass = l2_norm(f) ** 2
     drift = abs(mass - mass0) / mass0 if mass0 > 0 else 0.0
     d = diagnostics(f)
     bad = {}
     # written as "not within" so that a NaN or infinite monitor is a violation
-    if not drift <= c.mass_drift_tol:
+    if not drift <= MASS_DRIFT_TOL:
         bad["mass_drift"] = drift
-    if not d.spectral_tail_fraction <= c.tail_tol:
+    if not d.spectral_tail_fraction <= TAIL_TOL:
         bad["spectral_tail_fraction"] = d.spectral_tail_fraction
-    if not d.boundary_mass_fraction <= c.boundary_tol:
+    if not d.boundary_mass_fraction <= BOUNDARY_TOL:
         bad["boundary_mass_fraction"] = d.boundary_mass_fraction
     if bad:
         bad["t"] = t
         raise SolverHealthError(f"{context}: health violation at t={t:.6g}: {bad}", bad)
 
 
-def _step_counts(span, c: StepControl, what):
+def _step_counts(span, dt, what):
     """Full steps, the exact final partial step, and their total."""
-    n_full = int(abs(span) / c.dt)
-    remainder = abs(span) - n_full * c.dt
-    if remainder < 1e-12 * c.dt:
+    n_full = int(abs(span) / dt)
+    remainder = abs(span) - n_full * dt
+    if remainder < 1e-12 * dt:
         remainder = 0.0
     total_steps = n_full + (1 if remainder else 0)
-    if total_steps > c.max_steps:
+    if total_steps > MAX_STEPS:
         raise SolverHealthError(
-            f"{what} needs {total_steps} steps, max_steps={c.max_steps}"
+            f"{what} needs {total_steps} steps, MAX_STEPS={MAX_STEPS}"
         )
     return n_full, remainder, total_steps
 
 
-def _march(u0, t0, t1, c: StepControl, observer, context, a, step, values):
+def _march(u0, t0, t1, dt, observer, context, a, step, values):
     """The one marching loop of both solvers.
 
     ``a`` is the raw state at t0, ``step(a, t, h)`` advances it from t by the
     signed step h, and ``values(a, t)`` maps it to the position samples of
-    the solution at t.  Full steps of c.dt run first, then the exact final
-    partial step.  The state must stay finite after every step, and the
-    health monitors run at t0, HEALTH_CHECKS_PER_RUN times along the way and
-    at t1; the first violation raises SolverHealthError.  Fields are built
-    only for the observer, the monitors and the result.
+    the solution at t.  Full steps of the positive dt run first, then the
+    exact final partial step.  The state must stay finite after every step,
+    and the health monitors run at t0, HEALTH_CHECKS_PER_RUN times along the
+    way and at t1; the first violation raises SolverHealthError.  Fields are
+    built only for the observer, the monitors and the result.
     """
+    if not (dt > 0):
+        raise ValueError(f"{context}: dt must be positive, got {dt!r}")
     span = t1 - t0
     if span == 0.0:
         return u0
-    n_full, remainder, total_steps = _step_counts(span, c, context)
+    n_full, remainder, total_steps = _step_counts(span, dt, context)
     sgn = 1.0 if span > 0 else -1.0
     mass0 = l2_norm(u0) ** 2
     check_every = max(1, total_steps // HEALTH_CHECKS_PER_RUN)
     t = t0
-    _check_health(u0, mass0, c, t, f"{context} (initial state)")
+    _check_health(u0, mass0, t, f"{context} (initial state)")
     if observer is not None:
         observer(t, u0)
     u = u0
     for k in range(total_steps):
-        a = step(a, t, sgn * (c.dt if k < n_full else remainder))
-        t = t0 + sgn * min((k + 1) * c.dt, abs(span))
+        a = step(a, t, sgn * (dt if k < n_full else remainder))
+        t = t0 + sgn * min((k + 1) * dt, abs(span))
         if not np.isfinite(a).all():
             raise SolverHealthError(
                 f"{context}: non-finite state at t={t:.6g}", {"t": t}
@@ -172,7 +167,7 @@ def _march(u0, t0, t1, c: StepControl, observer, context, a, step, values):
         if observer is not None:
             observer(t, u)
         if check:
-            _check_health(u, mass0, c, t, context)
+            _check_health(u, mass0, t, context)
     return u
 
 
@@ -181,14 +176,16 @@ def nls_evolve(
     t0: float,
     t1: float,
     p: NLSParams,
-    c: StepControl,
+    dt: float,
     observer=None,
 ) -> ComplexField:
-    """Evolve with repeated Strang steps and an exact final partial step.
+    """Evolve with repeated Strang steps of ``dt`` and an exact final
+    partial step.
 
     ``observer(t, field)``, when given, is called after every step (and once
     at t0).  Aborts with SolverHealthError when the resolution or mass
-    monitors trip or the state stops being finite.
+    monitors trip or the state stops being finite; a dt that is not
+    positive is a ValueError.
     """
     _require_space(u0, POSITION, "nls_evolve")
     plan = spectral_plan(u0.grid)
@@ -200,7 +197,7 @@ def nls_evolve(
             multipliers[h] = plan.free_multiplier(h)
         return _strang_step(a, 0.5 * h, multipliers[h], p)
 
-    return _march(u0, t0, t1, c, observer, "nls_evolve", u0.shaped, step,
+    return _march(u0, t0, t1, dt, observer, "nls_evolve", u0.shaped, step,
                   lambda a, t: a)
 
 
@@ -229,15 +226,15 @@ def dnls_evolve(
     t0: float,
     t1: float,
     p: DNLSParams,
-    c: StepControl,
+    dt: float,
     observer=None,
 ) -> ComplexField:
     """Integrating-factor RK4 for the derivative equation (1d only), on the
     interaction-picture state w(t) = U0(-t) psi(t).
 
     Mass is conserved by the continuum equation; the measured drift is a
-    pure accuracy monitor.  ``observer`` and the health monitors work as in
-    ``nls_evolve``; a violation or a blow-up fails at once.
+    pure accuracy monitor.  ``observer``, ``dt`` and the health monitors work
+    as in ``nls_evolve``; a violation or a blow-up fails at once.
     """
     if psi0.grid.dim != 1:
         raise SolverHealthError("dnls_evolve is one-dimensional")
@@ -251,7 +248,7 @@ def dnls_evolve(
         k4 = _dnls_rhs(w + h * k3, t + h, plan, p.lam)
         return w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    return _march(psi0, t0, t1, c, observer, "dnls_evolve",
+    return _march(psi0, t0, t1, dt, observer, "dnls_evolve",
                   plan.propagate(psi0.shaped, -t0), step, plan.propagate)
 
 

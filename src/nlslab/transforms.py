@@ -101,9 +101,7 @@ def gauge(f: ComplexField, g: GaugeParams) -> ComplexField:
             f"boundary mass fraction {d.boundary_mass_fraction:.2e} too large "
             "for the left-edge cumulative integral (limit 1e-6)"
         )
-    w = np.abs(f.values) ** 2
-    phase_arg = g.sign * g.lam * _cumulative_trapezoid(w, f.grid.spacings[0])
-    return f.with_values(f.values * np.exp(1j * phase_arg))
+    return f.with_values(f.values * np.exp(1j * gauge_phase_profile(f, g)))
 
 
 def gauge_phase_profile(f: ComplexField, g: GaugeParams) -> np.ndarray:

@@ -39,7 +39,6 @@ from nlslab.scattering import verify_proposition, verify_theorem1
 from nlslab.solvers import (
     DNLSParams,
     NLSParams,
-    StepControl,
     dnls_evolve,
     nls_evolve,
 )
@@ -131,7 +130,7 @@ class TestCriterion03SolverOrders:
         g = grid1d(1024, 0.12)
         f = gaussian_field(g, amplitude=0.5)
         p = NLSParams(dim=1, sigma=2.0, mu=1.0)
-        out = nls_evolve(f, 0.0, 10.0, p, StepControl(dt=1e-3))
+        out = nls_evolve(f, 0.0, 10.0, p, 1e-3)
         drift = abs(l2_norm(out) ** 2 - l2_norm(f) ** 2) / l2_norm(f) ** 2
         report(
             "criterion 3a: split-step mass drift < 1e-11 over 1e4 steps",
@@ -143,9 +142,9 @@ class TestCriterion03SolverOrders:
         g = grid1d(512, 0.05)
         f = gaussian_field(g, amplitude=0.5)
         p = NLSParams(dim=1, sigma=2.0, mu=1.0)
-        ref = nls_evolve(f, 0.0, 1.0, p, StepControl(dt=0.04 / 8))
+        ref = nls_evolve(f, 0.0, 1.0, p, 0.04 / 8)
         errs = [
-            l2_difference(nls_evolve(f, 0.0, 1.0, p, StepControl(dt=dt)), ref)
+            l2_difference(nls_evolve(f, 0.0, 1.0, p, dt), ref)
             for dt in (0.04, 0.02)
         ]
         ratio = errs[0] / errs[1]
@@ -159,13 +158,13 @@ class TestCriterion03SolverOrders:
         g = grid1d(512, 0.08)
         f = field_from_function(g, lambda x: 0.3 / np.cosh(x))
         p = DNLSParams(1.0)
-        ref = dnls_evolve(f, 0.0, 0.5, p, StepControl(dt=0.0025 / 8))
+        ref = dnls_evolve(f, 0.0, 0.5, p, 0.0025 / 8)
         errs = [
-            l2_difference(dnls_evolve(f, 0.0, 0.5, p, StepControl(dt=dt)), ref)
+            l2_difference(dnls_evolve(f, 0.0, 0.5, p, dt), ref)
             for dt in (0.005, 0.0025)
         ]
         ratio = errs[0] / errs[1]
-        out = dnls_evolve(f, 0.0, 1.0, p, StepControl(dt=1e-3))
+        out = dnls_evolve(f, 0.0, 1.0, p, 1e-3)
         drift = abs(l2_norm(out) ** 2 - l2_norm(f) ** 2) / l2_norm(f) ** 2
         report(
             "criterion 3c: RK4 order-4 ratio in [12, 20], mass drift < 1e-8",
@@ -235,7 +234,7 @@ class TestCriterion06Theorem1:
             InitialDatumSpec("gaussian", amplitude=1.0, width=1.0, normalize=0.3), g2
         )
         p = NLSParams(dim=2, mu=1.0)
-        rep = verify_theorem1(datum, p, 12.0, StepControl(dt=0.02), tolerance=1e-2)
+        rep = verify_theorem1(datum, p, 12.0, 0.02, tolerance=1e-2)
         worst = max(r.value for r in rep.residuals)
         report(
             "criterion 6b: n=2 cubic smoke at N=256^2 (resolvable horizon T=12) < 1e-2",
@@ -258,7 +257,7 @@ class TestCriterion06Theorem1:
             InitialDatumSpec("gaussian", amplitude=1.0, width=3.0, normalize=0.3), g2
         )
         p = NLSParams(dim=2, mu=1.0)
-        rep = verify_theorem1(datum, p, 50.0, StepControl(dt=0.02), tolerance=1e-2)
+        rep = verify_theorem1(datum, p, 50.0, 0.02, tolerance=1e-2)
         assert rep.verdict == "pass"
 
 
@@ -316,7 +315,7 @@ class TestCriterion09SmallDataExpansion:
         g = GridDescriptor.centered((4096,), (0.34,))
         phi = make_datum(InitialDatumSpec("gaussian", normalize=1.0), g)
         rep = verify_proposition(
-            phi, sign, 1, [0.4, 0.2, 0.1], StepControl(dt=0.01),
+            phi, sign, 1, [0.4, 0.2, 0.1], 0.01,
             q=QuadratureSpec(t_max=20000.0, panels=64),
         )
         slopes = {d["name"]: d["value"] for d in rep.fitted_rates}

@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nlslab import cli
+from nlslab.born import QuadratureSpec, born_integral
 from nlslab.core import GridDescriptor, l2_norm
 from nlslab.errors import ConfigError, NlslabError, SnapshotFormatError
 from nlslab.harness import (
@@ -231,6 +232,10 @@ class TestCli:
         ("wave_op", {"scattering": {"ladder_factor": 2.0}}),
         ("thm1", {"scattering": {"horizon": 0}}),
         ("lemmas", {"scattering": {"horizon": 0}}),
+        ("dnls_gauge", {"evolve": {"dt": 0}}),
+        ("solve", {"evolve": {"dt": -1e-3}}),
+        ("proposition", {"scattering": {"dt": -0.01}}),
+        ("corollary2", {"quadrature": {"tail_exponent_hint": 2.0}}),
     ])
     def test_rejected_value_exit_two(self, experiment, overrides, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -300,6 +305,42 @@ class TestPropositionExperiment:
         rep = run("proposition", light)
         elapsed = time.monotonic() - start
         assert rep.wall_clock_s >= 0.9 * elapsed
+
+    def test_report_records_each_signs_corrector(self):
+        light = {
+            "grid": {"counts": [512]},
+            "datum": {"center": 0.5, "wavenumber": 0.7},
+            "scattering": {"dt": 0.05},
+            "quadrature": {"t_max": 100.0, "panels": 4},
+        }
+        rep = run("proposition", light)
+        grid = GridDescriptor.centered((512,), (0.34,))
+        datum = make_datum(InitialDatumSpec("gaussian", center=0.5, wavenumber=0.7,
+                                            normalize=1.0), grid)
+        q = QuadratureSpec(t_max=100.0, panels=4)
+        names = ("tail_bound", "refinement_delta", "decay_exponent", "evaluations")
+        assert {key for key in rep.params if key.startswith("corrector_")} == {
+            f"corrector_{name}_{label}" for name in names for label in ("plus", "minus")
+        }
+        for sign, label in ((+1, "plus"), (-1, "minus")):
+            k = born_integral(datum, sign, 2.0, q)
+            for name in names:
+                assert rep.params[f"corrector_{name}_{label}"] == getattr(k, name)
+
+
+class TestSubcriticalExperiment:
+    def test_report_records_tail_bounds(self, tmp_path):
+        rep = run("subcritical", {"quadrature": {"t_max": 1e4, "panels": 16}},
+                  out_dir=tmp_path)
+        for idx in ("1", "2"):
+            for label in ("plus", "minus"):
+                name = f"tail_bounds_identity{idx}_{label}"
+                rows = dict(rep.ladders[name])
+                assert rows["lhs"] > 0 and rows["rhs"] > 0
+                # the integrands decay like |t|^(-n sigma) = |t|^-1.5
+                assert abs(rows["lhs_decay_exponent"] - 1.5) < 1e-2
+                assert abs(rows["rhs_decay_exponent"] - 1.5) < 1e-2
+                assert (tmp_path / f"subcritical_{name}.csv").exists()
 
 
 def _numeric_keys():

@@ -21,7 +21,7 @@ from nlslab.scattering import (
     verify_theorem1,
     wave_operator,
 )
-from nlslab.solvers import NLSParams, StepControl
+from nlslab.solvers import NLSParams
 
 from test_spectral import gaussian_field, grid1d
 
@@ -44,25 +44,25 @@ def params():
 
 
 LIGHT_HORIZON = 12.0
-LIGHT_CONTROL = StepControl(dt=0.04)
+LIGHT_DT = 0.04
 
 
 class TestWaveOperator:
     def test_zero_datum(self, wide_grid, params):
         z = field_from_function(wide_grid, lambda x: 0.0 * x)
-        r = wave_operator(z, +1, params, LIGHT_HORIZON, LIGHT_CONTROL)
+        r = wave_operator(z, +1, params, LIGHT_HORIZON, LIGHT_DT)
         assert l2_norm(r) == 0.0
 
     def test_free_equation_identity(self, wide_grid):
         f = normalized_gaussian(wide_grid, 0.2)
         p0 = NLSParams(dim=1, sigma=2.0, mu=0.0)
-        r = wave_operator(f, +1, p0, LIGHT_HORIZON, LIGHT_CONTROL)
+        r = wave_operator(f, +1, p0, LIGHT_HORIZON, LIGHT_DT)
         assert l2_difference(r, f) < 1e-12
 
     def test_small_data_guard(self, wide_grid, params):
         f = gaussian_field(wide_grid, amplitude=1.0)
         with pytest.raises(NlslabError):
-            wave_operator(f, +1, params, LIGHT_HORIZON, LIGHT_CONTROL)
+            wave_operator(f, +1, params, LIGHT_HORIZON, LIGHT_DT)
 
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_first_order_term_against_corrector(self, wide_grid, params, sign):
@@ -71,7 +71,7 @@ class TestWaveOperator:
         delta = 0.2
         phi = normalized_gaussian(wide_grid, 1.0)
         a = phi.with_values(delta * phi.values)
-        w = wave_operator(a, sign, params, 20.0, StepControl(dt=0.02))
+        w = wave_operator(a, sign, params, 20.0, 0.02)
         k = born_integral(phi, sign, 2.0, QuadratureSpec(t_max=4000.0, panels=48)).field
         first = delta**5 * k.values
         linear = w.values - a.values
@@ -87,14 +87,14 @@ class TestWaveOperator:
     @pytest.mark.parametrize("horizon", [0.0, -1.0])
     def test_nonpositive_horizon_rejected(self, wide_grid, params, op, horizon):
         with pytest.raises(ValueError):
-            op(normalized_gaussian(wide_grid, 0.2), +1, params, horizon, LIGHT_CONTROL)
+            op(normalized_gaussian(wide_grid, 0.2), +1, params, horizon, LIGHT_DT)
 
 
 class TestInverseWaveOperator:
     def test_free_equation_identity(self, wide_grid):
         f = normalized_gaussian(wide_grid, 0.2)
         p0 = NLSParams(dim=1, sigma=2.0, mu=0.0)
-        r = inverse_wave_operator(f, -1, p0, LIGHT_HORIZON, LIGHT_CONTROL)
+        r = inverse_wave_operator(f, -1, p0, LIGHT_HORIZON, LIGHT_DT)
         assert l2_difference(r, f) < 1e-12
 
     @pytest.mark.parametrize("sign", [+1, -1])
@@ -112,8 +112,8 @@ class TestInverseWaveOperator:
         # the 2T = 12 operators that a T = 6 wave_op run keeps
         tol = 2e-4
         for f in battery:
-            w = wave_operator(f, sign, params, 12.0, LIGHT_CONTROL)
-            back = inverse_wave_operator(w, sign, params, 12.0, LIGHT_CONTROL)
+            w = wave_operator(f, sign, params, 12.0, LIGHT_DT)
+            back = inverse_wave_operator(w, sign, params, 12.0, LIGHT_DT)
             rel = l2_difference(back, f) / l2_norm(f)
             assert rel < 2 * tol
 
@@ -122,23 +122,23 @@ class TestInverseWaveOperator:
         # T/dt and 2T/dt are whole step counts, so continuing from T to 2T
         # takes the very steps of a fresh run to 2T
         f = normalized_gaussian(wide_grid, 0.2)
-        short, long = inverse_wave_operators(f, sign, params, [6.0, 12.0], LIGHT_CONTROL)
+        short, long = inverse_wave_operators(f, sign, params, [6.0, 12.0], LIGHT_DT)
         assert np.array_equal(short.values,
-                              inverse_wave_operator(f, sign, params, 6.0, LIGHT_CONTROL).values)
+                              inverse_wave_operator(f, sign, params, 6.0, LIGHT_DT).values)
         assert np.array_equal(long.values,
-                              inverse_wave_operator(f, sign, params, 12.0, LIGHT_CONTROL).values)
+                              inverse_wave_operator(f, sign, params, 12.0, LIGHT_DT).values)
 
     @pytest.mark.parametrize("horizons", [[6.0, 6.0], [12.0, 6.0], [0.0, 6.0]])
     def test_horizons_must_increase_from_positive(self, wide_grid, params, horizons):
         f = normalized_gaussian(wide_grid, 0.2)
         with pytest.raises(ValueError):
-            inverse_wave_operators(f, +1, params, horizons, LIGHT_CONTROL)
+            inverse_wave_operators(f, +1, params, horizons, LIGHT_DT)
 
     def test_inverse_first_order_sign_flipped(self, wide_grid, params):
         delta = 0.2
         phi = normalized_gaussian(wide_grid, 1.0)
         a = phi.with_values(delta * phi.values)
-        w_inv = inverse_wave_operator(a, +1, params, 20.0, StepControl(dt=0.02))
+        w_inv = inverse_wave_operator(a, +1, params, 20.0, 0.02)
         k = born_integral(phi, +1, 2.0, QuadratureSpec(t_max=4000.0, panels=48)).field
         linear = w_inv.values - a.values
         vol = wide_grid.cell_volume
@@ -152,19 +152,19 @@ class TestLensWaveOperators:
     def test_free_equation_identity(self, wide_grid, sign):
         f = normalized_gaussian(wide_grid, 0.2)
         p0 = NLSParams(dim=1, sigma=2.0, mu=0.0)
-        control = StepControl(dt=0.01)
-        assert l2_difference(lens_wave_operator(f, sign, p0, control), f) < 1e-12
-        assert l2_difference(lens_inverse_wave_operator(f, sign, p0, control), f) < 1e-12
+        dt = 0.01
+        assert l2_difference(lens_wave_operator(f, sign, p0, dt), f) < 1e-12
+        assert l2_difference(lens_inverse_wave_operator(f, sign, p0, dt), f) < 1e-12
 
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_round_trips(self, wide_grid, params, sign):
         # Strang is time-reversible, so each composition undoes itself
         a = normalized_gaussian(wide_grid, 0.25)
-        control = StepControl(dt=0.01)
-        w = lens_wave_operator(a, sign, params, control)
-        w_inv = lens_inverse_wave_operator(a, sign, params, control)
-        assert l2_difference(lens_inverse_wave_operator(w, sign, params, control), a) < 1e-10
-        assert l2_difference(lens_wave_operator(w_inv, sign, params, control), a) < 1e-10
+        dt = 0.01
+        w = lens_wave_operator(a, sign, params, dt)
+        w_inv = lens_inverse_wave_operator(a, sign, params, dt)
+        assert l2_difference(lens_inverse_wave_operator(w, sign, params, dt), a) < 1e-10
+        assert l2_difference(lens_wave_operator(w_inv, sign, params, dt), a) < 1e-10
 
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_ladder_bias_halves_when_horizon_doubles(self, wide_grid, params, sign):
@@ -173,21 +173,21 @@ class TestLensWaveOperators:
         a = normalized_gaussian(wide_grid, 0.25)
         for truncated_op, lens_op in ((wave_operator, lens_wave_operator),
                                       (inverse_wave_operator, lens_inverse_wave_operator)):
-            exact = lens_op(a, sign, params, LIGHT_CONTROL)
+            exact = lens_op(a, sign, params, LIGHT_DT)
             bias = [
-                l2_difference(truncated_op(a, sign, params, T, LIGHT_CONTROL), exact)
+                l2_difference(truncated_op(a, sign, params, T, LIGHT_DT), exact)
                 for T in (5.0, 10.0)
             ]
             assert 0.4 <= bias[1] / bias[0] <= 0.6
 
     def test_guards(self, wide_grid, params):
-        control = StepControl(dt=0.01)
+        dt = 0.01
         with pytest.raises(NlslabError):
-            lens_wave_operator(gaussian_field(wide_grid, amplitude=1.0), +1, params, control)
+            lens_wave_operator(gaussian_field(wide_grid, amplitude=1.0), +1, params, dt)
         with pytest.raises(ValueError):
             lens_inverse_wave_operator(
                 normalized_gaussian(wide_grid, 0.2), +1,
-                NLSParams(dim=1, sigma=1.5, mu=1.0), control,
+                NLSParams(dim=1, sigma=1.5, mu=1.0), dt,
             )
 
 
@@ -195,7 +195,7 @@ class TestVerifyTheorem1:
     def test_free_equation_exact(self, wide_grid):
         u0 = normalized_gaussian(wide_grid, 0.2)
         p0 = NLSParams(dim=1, sigma=2.0, mu=0.0)
-        rep = verify_theorem1(u0, p0, LIGHT_HORIZON, LIGHT_CONTROL, tolerance=1e-9)
+        rep = verify_theorem1(u0, p0, LIGHT_HORIZON, LIGHT_DT, tolerance=1e-9)
         assert rep.verdict == "pass"
 
     @pytest.mark.parametrize("mu", [1.0, -1.0])
@@ -203,7 +203,7 @@ class TestVerifyTheorem1:
         g = grid1d(2048, 0.35)
         u0 = normalized_gaussian(g, 0.3)
         p = NLSParams(dim=1, sigma=2.0, mu=mu)
-        rep = verify_theorem1(u0, p, 60.0, StepControl(dt=0.02), tolerance=1e-3)
+        rep = verify_theorem1(u0, p, 60.0, 0.02, tolerance=1e-3)
         assert rep.verdict == "pass"
         for r in rep.residuals:
             assert r.value < 2e-4
@@ -214,7 +214,7 @@ class TestVerifyConjugation:
         g = grid1d(2048, 0.35)
         u0 = normalized_gaussian(g, 0.3)
         p = NLSParams(dim=1, sigma=2.0, mu=1.0)
-        rep = verify_conjugation(u0, p, 60.0, StepControl(dt=0.02), tolerance=1e-3)
+        rep = verify_conjugation(u0, p, 60.0, 0.02, tolerance=1e-3)
         assert rep.verdict == "pass"
 
 
@@ -225,7 +225,7 @@ class TestVerifyLemma23:
         p = NLSParams(dim=1, sigma=2.0, mu=1.0)
         scat = grid1d(2048, 0.35)
         rep = verify_lemma23(
-            u0, p, 80.0, StepControl(dt=0.02), ladder_times=(10.0, 20.0, 40.0),
+            u0, p, 80.0, 0.02, ladder_times=(10.0, 20.0, 40.0),
             scattering_grid=scat,
         )
         assert rep.verdict == "pass"
@@ -240,7 +240,7 @@ class TestVerifyLemma23:
         fine = GridDescriptor.centered((2048,), (0.008,))
         u0 = normalized_gaussian(fine, 0.3)
         p0 = NLSParams(dim=1, sigma=2.0, mu=0.0)
-        rep = verify_lemma23(u0, p0, 40.0, StepControl(dt=0.02),
+        rep = verify_lemma23(u0, p0, 40.0, 0.02,
                              ladder_times=(10.0, 20.0, 40.0))
         ladder = rep.ladders["free_return_to_transform"]
         for t, e in ladder:
@@ -254,10 +254,10 @@ class TestN2Smoke:
         u0 = normalized_gaussian(g, 0.1)
         p = NLSParams(dim=2, mu=1.0)
         # the 2T = 3 operators that a T = 1.5 wave_op run keeps
-        horizon, control, tol = 3.0, StepControl(dt=0.02), 2e-4
+        horizon, dt, tol = 3.0, 0.02, 2e-4
         p0 = NLSParams(dim=2, mu=0.0)
-        r0 = wave_operator(u0, +1, p0, horizon, control)
+        r0 = wave_operator(u0, +1, p0, horizon, dt)
         assert l2_difference(r0, u0) < 1e-12
-        w = wave_operator(u0, -1, p, horizon, control)
-        back = inverse_wave_operator(w, -1, p, horizon, control)
+        w = wave_operator(u0, -1, p, horizon, dt)
+        back = inverse_wave_operator(w, -1, p, horizon, dt)
         assert l2_difference(back, u0) / l2_norm(u0) < 2 * tol

@@ -16,7 +16,6 @@ from nlslab.errors import SolverHealthError
 from nlslab.solvers import (
     DNLSParams,
     NLSParams,
-    StepControl,
     dnls_evolve,
     nls_evolve,
     nls_step,
@@ -61,19 +60,19 @@ class TestNlsEvolve:
         g = grid1d(512, 0.05)
         f = gaussian_field(g, amplitude=0.5)
         p = NLSParams(dim=1, sigma=2.0, mu=1.0)
-        c = StepControl(dt=0.01)
-        fwd = nls_evolve(f, 0.0, 1.0, p, c)
-        back = nls_evolve(fwd, 1.0, 0.0, p, c)
+        dt = 0.01
+        fwd = nls_evolve(f, 0.0, 1.0, p, dt)
+        back = nls_evolve(fwd, 1.0, 0.0, p, dt)
         assert l2_difference(back, f) < 1e-11
 
     def test_order_two_self_convergence(self):
         g = grid1d(512, 0.05)
         f = gaussian_field(g, amplitude=0.5)
         p = NLSParams(dim=1, sigma=2.0, mu=1.0)
-        ref = nls_evolve(f, 0.0, 1.0, p, StepControl(dt=0.04 / 8))
+        ref = nls_evolve(f, 0.0, 1.0, p, 0.04 / 8)
         errs = []
         for dt in (0.04, 0.02):
-            out = nls_evolve(f, 0.0, 1.0, p, StepControl(dt=dt))
+            out = nls_evolve(f, 0.0, 1.0, p, dt)
             errs.append(l2_difference(out, ref))
         assert 3.5 < errs[0] / errs[1] < 4.5
 
@@ -81,7 +80,7 @@ class TestNlsEvolve:
         g = grid1d(512, 0.08)
         f = gaussian_field(g, amplitude=0.4)
         p = NLSParams(dim=1, sigma=2.0, mu=0.0)
-        out = nls_evolve(f, 0.0, 3.7, p, StepControl(dt=0.05))
+        out = nls_evolve(f, 0.0, 3.7, p, 0.05)
         ref = free_propagate(f, 3.7)
         assert l2_difference(out, ref) < 1e-12
 
@@ -89,7 +88,7 @@ class TestNlsEvolve:
         g = grid1d(1024, 0.12)
         f = gaussian_field(g, amplitude=0.5)
         p = NLSParams(dim=1, sigma=2.0, mu=1.0)
-        out = nls_evolve(f, 0.0, 10.0, p, StepControl(dt=1e-3))
+        out = nls_evolve(f, 0.0, 10.0, p, 1e-3)
         drift = abs(l2_norm(out) ** 2 - l2_norm(f) ** 2) / l2_norm(f) ** 2
         assert drift < 1e-11
 
@@ -97,7 +96,7 @@ class TestNlsEvolve:
         g = grid1d(256, 0.1)
         f = gaussian_field(g, amplitude=0.3)
         p = NLSParams(dim=1, sigma=2.0, mu=0.0)
-        out = nls_evolve(f, 0.0, 0.25, p, StepControl(dt=0.1))
+        out = nls_evolve(f, 0.0, 0.25, p, 0.1)
         ref = free_propagate(f, 0.25)
         assert l2_difference(out, ref) < 1e-12
 
@@ -106,14 +105,24 @@ class TestNlsEvolve:
         k_nyq = np.pi / 0.1
         f = gaussian_field(g, amplitude=1.0, wavenumber=0.9 * k_nyq)
         p = NLSParams(dim=1, sigma=2.0, mu=1.0)
+        # the datum's spectral-tail fraction is ~0.93 at t = 0, against TAIL_TOL
         with pytest.raises(SolverHealthError):
-            nls_evolve(f, 0.0, 0.5, p, StepControl(dt=0.01, tail_tol=1e-6))
+            nls_evolve(f, 0.0, 0.5, p, 0.01)
 
     def test_max_steps_guard(self):
         f = gaussian_field(grid1d(128, 0.1), amplitude=0.1)
         p = NLSParams(dim=1, sigma=2.0, mu=1.0)
-        with pytest.raises(SolverHealthError):
-            nls_evolve(f, 0.0, 1.0, p, StepControl(dt=1e-4, max_steps=100))
+        # 1e8 steps exceed MAX_STEPS, which is checked before any step runs
+        with pytest.raises(SolverHealthError, match="MAX_STEPS"):
+            nls_evolve(f, 0.0, 1.0, p, 1e-8)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01, float("nan")])
+    def test_non_positive_dt_rejected(self, dt):
+        f = gaussian_field(grid1d(128, 0.1), amplitude=0.1)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            nls_evolve(f, 0.0, 1.0, NLSParams(dim=1, sigma=2.0, mu=1.0), dt)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            dnls_evolve(f, 0.0, 1.0, DNLSParams(1.0), dt)
 
     def test_critical_scaling_invariance(self):
         # if u solves at sigma=2/n then L^{n/2} u(L^2 t, L x) solves
@@ -121,12 +130,12 @@ class TestNlsEvolve:
         p = NLSParams(dim=1, sigma=2.0, mu=1.0)
         g = grid1d(1024, 0.04)
         u0 = gaussian_field(g, amplitude=0.5)
-        u_t = nls_evolve(u0, 0.0, 0.8, p, StepControl(dt=0.002))
+        u_t = nls_evolve(u0, 0.0, 0.8, p, 0.002)
         g2 = GridDescriptor.centered((1024,), (0.04 / lam,))
         v0 = field_from_function(
             g2, lambda x: np.sqrt(lam) * 0.5 * np.exp(-0.5 * (lam * x) ** 2)
         )
-        v_t = nls_evolve(v0, 0.0, 0.8 / lam**2, p, StepControl(dt=0.002 / lam**2))
+        v_t = nls_evolve(v0, 0.0, 0.8 / lam**2, p, 0.002 / lam**2)
         # compare v(t/L^2, x) with L^{1/2} u(t, L x): the rescaled grid of u_t
         # coincides with g2 up to the dilation bookkeeping
         expected = np.sqrt(lam) * u_t.values
@@ -138,7 +147,7 @@ class TestNlsEvolve:
         f = field_from_function(g, lambda x, y: 0.3 * np.exp(-0.5 * (x**2 + y**2)))
         p = NLSParams(dim=2, mu=0.0)
         assert p.sigma == 1.0
-        out = nls_evolve(f, 0.0, 0.5, p, StepControl(dt=0.05))
+        out = nls_evolve(f, 0.0, 0.5, p, 0.05)
         ref = free_propagate(f, 0.5)
         assert l2_difference(out, ref) < 1e-12
 
@@ -159,7 +168,7 @@ class TestRawLoop:
             f = field_from_function(g, lambda x, y: 0.6 * np.exp(-0.5 * (x**2 + y**2)))
         p = NLSParams(dim=dim, mu=1.0)
         dt = 0.05
-        out = nls_evolve(f, 0.0, t1, p, StepControl(dt=dt))
+        out = nls_evolve(f, 0.0, t1, p, dt)
         u, sgn = f, np.sign(t1)
         for _ in range(7):
             u = nls_step(u, sgn * dt, p)
@@ -171,7 +180,7 @@ class TestRawLoop:
         f = gaussian_field(grid1d(256, 0.1), amplitude=1e200)
         p = NLSParams(dim=1, sigma=2.0, mu=1.0)
         with pytest.raises(SolverHealthError) as info:
-            nls_evolve(f, 0.0, 0.1, p, StepControl(dt=0.01))
+            nls_evolve(f, 0.0, 0.1, p, 0.01)
         assert info.value.diagnostics["t"] == 0.0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -180,7 +189,7 @@ class TestRawLoop:
         f = gaussian_field(grid1d(256, 0.1), amplitude=1e100)
         p = NLSParams(dim=1, sigma=2.0, mu=1.0)
         with pytest.raises(SolverHealthError) as info:
-            nls_evolve(f, 0.0, 0.1, p, StepControl(dt=0.01))
+            nls_evolve(f, 0.0, 0.1, p, 0.01)
         assert info.value.diagnostics["t"] > 0.0
 
 
@@ -188,14 +197,14 @@ class TestDnlsEvolve:
     def test_lambda_zero_is_free(self):
         g = grid1d(256, 0.1)
         f = sech_field(g, 0.4)
-        out = dnls_evolve(f, 0.0, 0.5, DNLSParams(0.0), StepControl(dt=0.01))
+        out = dnls_evolve(f, 0.0, 0.5, DNLSParams(0.0), 0.01)
         ref = free_propagate(f, 0.5)
         assert l2_difference(out, ref) < 1e-12
 
     def test_mass_drift_small(self):
         g = grid1d(512, 0.08)
         f = sech_field(g, 0.3)
-        out = dnls_evolve(f, 0.0, 1.0, DNLSParams(1.0), StepControl(dt=1e-3))
+        out = dnls_evolve(f, 0.0, 1.0, DNLSParams(1.0), 1e-3)
         drift = abs(l2_norm(out) ** 2 - l2_norm(f) ** 2) / l2_norm(f) ** 2
         assert drift < 1e-8
 
@@ -203,10 +212,10 @@ class TestDnlsEvolve:
         g = grid1d(256, 0.1)
         f = sech_field(g, 0.5)
         p = DNLSParams(1.0)
-        ref = dnls_evolve(f, 0.0, 0.5, p, StepControl(dt=0.0025 / 8))
+        ref = dnls_evolve(f, 0.0, 0.5, p, 0.0025 / 8)
         errs = []
         for dt in (0.005, 0.0025):
-            out = dnls_evolve(f, 0.0, 0.5, p, StepControl(dt=dt))
+            out = dnls_evolve(f, 0.0, 0.5, p, dt)
             errs.append(l2_difference(out, ref))
         assert 12.0 < errs[0] / errs[1] < 20.0
 
@@ -214,7 +223,7 @@ class TestDnlsEvolve:
         g = GridDescriptor.centered((32, 32), (0.3, 0.3))
         f = field_from_function(g, lambda x, y: 0.1 * np.exp(-(x**2 + y**2)))
         with pytest.raises(SolverHealthError):
-            dnls_evolve(f, 0.0, 0.1, DNLSParams(1.0), StepControl(dt=0.01))
+            dnls_evolve(f, 0.0, 0.1, DNLSParams(1.0), 0.01)
 
     def test_blow_up_fails_at_once(self):
         # a healthy start and an absurd dt: the first run blows up inside
@@ -223,7 +232,7 @@ class TestDnlsEvolve:
         f = sech_field(g, 3.0)
         seen = []
         with pytest.raises(SolverHealthError) as info:
-            dnls_evolve(f, 0.0, 20.0, DNLSParams(8.0), StepControl(dt=2.0),
+            dnls_evolve(f, 0.0, 20.0, DNLSParams(8.0), 2.0,
                         observer=lambda t, fld: seen.append(t))
         assert seen == [0.0]
         assert info.value.diagnostics["t"] > 0.0
@@ -278,7 +287,7 @@ class TestResidual:
         p = DNLSParams(1.0)
         snaps = []
         dnls_evolve(
-            f, 0.0, 0.004, p, StepControl(dt=2e-3),
+            f, 0.0, 0.004, p, 2e-3,
             observer=lambda t, fld: snaps.append(SnapshotAtTime(fld, t)),
         )
         assert residual(snaps, p) < 1e-4
@@ -293,11 +302,11 @@ class TestGaugeEquivalence:
         u0 = sech_field(g, 0.3)
         p_nls = NLSParams(dim=1, sigma=2.0, mu=0.5 * lam**2)
         p_dnls = DNLSParams(lam)
-        c = StepControl(dt=5e-4)
+        dt = 5e-4
         t_end = 0.25
-        u_t = nls_evolve(u0, 0.0, t_end, p_nls, c)
+        u_t = nls_evolve(u0, 0.0, t_end, p_nls, dt)
         psi0 = gauge(u0, GaugeParams(lam, +1))
-        psi_t = dnls_evolve(psi0, 0.0, t_end, p_dnls, c)
+        psi_t = dnls_evolve(psi0, 0.0, t_end, p_dnls, dt)
         lhs = gauge(u_t, GaugeParams(lam, +1))
         rel = l2_difference(lhs, psi_t) / l2_norm(psi_t)
         assert rel < 1e-5
