@@ -265,11 +265,6 @@ def _tail_bound(rows, template, sign, spec: QuadratureSpec, n_sigma):
     measured and the assumed exponent.
     """
     a = spec.singular_exponent
-    if n_sigma - a <= 1.0:
-        raise ConvergenceError(
-            f"integrand tail |t|^{a - n_sigma:.3g} is not "
-            "integrable: need decay - singular_exponent > 1"
-        )
     t_mid, t_cal = 0.5 * spec.t_max, 0.995 * spec.t_max
     block = rows(sign * np.array([t_mid, t_cal]))
     norm_mid, norm_cal = np.sqrt(
@@ -289,6 +284,15 @@ def _tail_bound(rows, template, sign, spec: QuadratureSpec, n_sigma):
 
 
 def _refined_quadrature(rows, template, sign, spec, n_sigma):
+    """The integral on ``spec.panels`` and twice as many panels, with its
+    tail estimate; an integrand whose assumed decay |t|^-n_sigma leaves the
+    weighted tail non-integrable is rejected before any panel runs."""
+    a = spec.singular_exponent
+    if n_sigma - a <= 1.0:
+        raise ConvergenceError(
+            f"integrand tail |t|^{a - n_sigma:.3g} is not "
+            "integrable: need decay - singular_exponent > 1"
+        )
     evaluations = 0
 
     def counted(ts):
@@ -314,8 +318,6 @@ def born_integral(
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     n = phi.grid.dim
-    if n * sigma - q.singular_exponent <= 1.0:
-        raise ConvergenceError(f"n*sigma = {n * sigma} <= 1 + a: tail diverges")
     rows = lambda ts: _flow_rows(phi, ts, sigma)
     return _refined_quadrature(rows, phi, sign, q, n * sigma)
 

@@ -324,10 +324,10 @@ def _datum_from(section):
 
 
 def _positive(section, key):
-    """One positive number of a section, read inside ``_config_values``."""
+    """One positive finite number of a section, read inside ``_config_values``."""
     value = float(section[key])
-    if not (value > 0):
-        raise ValueError(f"{key} must be positive")
+    if not (0 < value < np.inf):
+        raise ValueError(f"{key} must be positive and finite")
     return value
 
 
@@ -500,9 +500,8 @@ def _run_wave_op(config, grid, datum):
     report = VerificationReport(identity="wave_operator_round_trip")
     horizons = [horizon, 2.0 * horizon]
     for sign, label in ((+1, "plus"), (-1, "minus")):
-        # each operator runs at T and 2T, the inverse on one trajectory
-        # continued from T to 2T; the 2T results go on, gated by how far
-        # doubling the horizon moved them
+        # each operator runs at T and 2T; the 2T results go on, gated by how
+        # far doubling the horizon moved them
         forward = [wave_operator(datum, sign, p, h, dt) for h in horizons]
         inverse = inverse_wave_operators(forward[1], sign, p, horizons, dt)
         for name, (short, long) in (("forward", forward), ("inverse", inverse)):
@@ -598,9 +597,11 @@ def _run_proposition(config, grid, datum):
         corrector = {f"{key}_{label}": rep.params.pop(key)
                      for key in list(rep.params) if key.startswith("corrector_")}
         if merged is None:
-            # the +1 branch's other params and notes describe the merged report
+            # the +1 branch's other params and notes describe the merged
+            # report, which covers both signs
+            params = {k: v for k, v in rep.params.items() if k != "sign"}
             merged = replace(rep, identity="small_data_expansion_both_signs",
-                             residuals=[], fitted_rates=[], ladders={})
+                             params=params, residuals=[], fitted_rates=[], ladders={})
         merged.params.update(corrector)
         merged.merge(rep, label)
     return merged

@@ -78,26 +78,24 @@ def inverse_wave_operator(
     """W_sign^{-1} u0 truncated at the horizon T: u0 evolves to t = sign*T,
     and the asymptotic state is U0(-sign*T) u(sign*T).  The truncation bias
     falls like 1/T."""
-    [out] = inverse_wave_operators(u0, sign, p, [horizon], dt)
-    return out
+    _check_truncated(u0, sign, horizon)
+    u = nls_evolve(_as_function(u0), 0.0, sign * horizon, p, dt)
+    return free_propagate(u, -sign * horizon).retagged(u0.space)
 
 
 def inverse_wave_operators(
     u0: ComplexField, sign: int, p: NLSParams, horizons, dt: float
 ) -> list:
-    """W_sign^{-1} u0 truncated at each of the increasing ``horizons``, read
-    off one trajectory: u continues from sign*T_k to sign*T_{k+1}, so the
-    last horizon costs no more steps than a single operator."""
-    for horizon in horizons:
-        _check_truncated(u0, sign, horizon)
+    """W_sign^{-1} u0 truncated at each of the increasing ``horizons``.
+
+    Each horizon is its own evolution from t = 0.  A run continued from one
+    horizon to the next is not bitwise a run to the next: it applies the
+    evolution's pending half-kick at the first horizon and then starts
+    afresh, where a single run fuses the two half-kicks into one.
+    """
     if any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise ValueError("horizons must increase")
-    out, u, t = [], _as_function(u0), 0.0
-    for horizon in horizons:
-        u = nls_evolve(u, t, sign * horizon, p, dt)
-        t = sign * horizon
-        out.append(free_propagate(u, -t).retagged(u0.space))
-    return out
+    return [inverse_wave_operator(u0, sign, p, h, dt) for h in horizons]
 
 
 def _check_lens(u, sign, p):

@@ -7,6 +7,14 @@ is conserved to roundoff.  The derivative equation is integrated in the
 interaction picture w(t) = U0(-t) psi(t), which removes the stiff linear
 phase from the RK4 stability constraint.
 
+A kick (the nonlinear phase) leaves |u| unchanged, so the trailing half-kick
+of one Strang step and the leading half-kick of the next are one kick of
+their summed time.  ``nls_evolve`` keeps its state drifted with a half-kick
+pending: each step is one kick and one FFT pair, and the pending half-kick
+is applied only to the fields it hands out.  The state and its work arrays
+are allocated once per evolution, and every step runs in place on them.
+``nls_step`` runs the same kernel followed by its trailing half-kick.
+
 Both solvers march through one loop, ``_march``: it owns the step count,
 the health monitors and the observer calls, and each solver supplies only
 its step and the map from its raw state to the solution.  A health
@@ -27,9 +35,7 @@ import numpy as np
 from .core import (
     POSITION,
     ComplexField,
-    _density_power,
     _require_space,
-    _unit_phase,
     diagnostics,
     l2_norm,
     spectral_plan,
@@ -75,27 +81,46 @@ class DNLSParams:
             raise ValueError("lambda must be finite")
 
 
-def _nonlinear_phase(values, dt_half, p: NLSParams):
-    w = _density_power(values, p.sigma)
-    w *= -p.mu * dt_half
-    out = _unit_phase(w)
-    out *= values
-    return out
+def _kick(a, tau, p: NLSParams, scratch, w):
+    """The nonlinear flow for the signed time ``tau``, in place on ``a``:
+    a *= exp(-i mu tau |a|^(2 sigma)).  ``scratch`` (complex) and ``w``
+    (real) are work arrays of a's shape; no array is allocated."""
+    np.square(a.real, out=w)
+    np.square(a.imag, out=scratch.real)
+    w += scratch.real
+    if p.sigma != 1.0:
+        w **= p.sigma
+    w *= -p.mu * tau
+    np.cos(w, out=scratch.real)
+    np.sin(w, out=scratch.imag)
+    # phase times state: complex products round differently in the other order
+    return np.multiply(scratch, a, out=a)
 
 
-def _strang_step(a, half, m, p: NLSParams):
-    """Half nonlinear phase, free flow by the FFT-order multiplier ``m``,
-    half nonlinear phase, all on raw arrays."""
-    spec = np.fft.fftn(_nonlinear_phase(a, half, p))
+def _kick_drift(a, tau, m, p: NLSParams, spec, w):
+    """The split-step kernel, in place on ``a``: a kick of ``tau``, then the
+    free flow by the FFT-order multiplier ``m``, with ``spec`` holding first
+    the phase and then the spectrum."""
+    _kick(a, tau, p, spec, w)
+    np.fft.fftn(a, out=spec)
     spec *= m
-    return _nonlinear_phase(np.fft.ifftn(spec), half, p)
+    return np.fft.ifftn(spec, out=a)
+
+
+def _buffers(a0):
+    """A copy of ``a0`` to evolve in place, with its complex and real work
+    arrays."""
+    a = np.array(a0, dtype=np.complex128)
+    return a, np.empty_like(a), np.empty(a.shape)
 
 
 def nls_step(u: ComplexField, dt: float, p: NLSParams) -> ComplexField:
     """One Strang step: half nonlinear phase, free flow, half nonlinear phase."""
     _require_space(u, POSITION, "nls_step")
     m = spectral_plan(u.grid).free_multiplier(dt)
-    return u.with_values(_strang_step(u.shaped, 0.5 * dt, m, p))
+    a, spec, w = _buffers(u.shaped)
+    _kick_drift(a, 0.5 * dt, m, p, spec, w)
+    return u.with_values(_kick(a, 0.5 * dt, p, spec, w))
 
 
 def _check_health(f, mass0, t, context):
@@ -134,14 +159,16 @@ def _march(u0, t0, t1, dt, observer, context, a, step, values):
 
     ``a`` is the raw state at t0, ``step(a, t, h)`` advances it from t by the
     signed step h, and ``values(a, t)`` maps it to the position samples of
-    the solution at t.  Full steps of the positive dt run first, then the
-    exact final partial step.  The state must stay finite after every step,
-    and the health monitors run at t0, HEALTH_CHECKS_PER_RUN times along the
-    way and at t1; the first violation raises SolverHealthError.  Fields are
-    built only for the observer, the monitors and the result.
+    the solution at t.  ``step`` may update ``a`` in place, so ``values``
+    returns an array that later steps do not touch.  Full steps of the
+    positive dt run first, then the exact final partial step.  The state
+    must stay finite after every step, and the health monitors run at t0,
+    HEALTH_CHECKS_PER_RUN times along the way and at t1; the first violation
+    raises SolverHealthError.  Fields are built only for the observer, the
+    monitors and the result.
     """
-    if not (dt > 0):
-        raise ValueError(f"{context}: dt must be positive, got {dt!r}")
+    if not (0 < dt < np.inf):
+        raise ValueError(f"{context}: dt must be positive and finite, got {dt!r}")
     span = t1 - t0
     if span == 0.0:
         return u0
@@ -185,20 +212,36 @@ def nls_evolve(
     ``observer(t, field)``, when given, is called after every step (and once
     at t0).  Aborts with SolverHealthError when the resolution or mass
     monitors trip or the state stops being finite; a dt that is not
-    positive is a ValueError.
+    positive and finite is a ValueError.
     """
     _require_space(u0, POSITION, "nls_evolve")
     plan = spectral_plan(u0.grid)
+    a0, spec, w = _buffers(u0.shaped)
     # the free-flow multipliers of the full and of the final partial step
     multipliers = {}
+    # the raw state is drifted with this half-kick still to apply: each step
+    # applies it together with its own leading half-kick, as one kick
+    pending = 0.0
 
     def step(a, t, h):
+        nonlocal pending
         if h not in multipliers:
             multipliers[h] = plan.free_multiplier(h)
-        return _strang_step(a, 0.5 * h, multipliers[h], p)
+        _kick_drift(a, pending + 0.5 * h, multipliers[h], p, spec, w)
+        pending = 0.5 * h
+        return a
 
-    return _march(u0, t0, t1, dt, observer, "nls_evolve", u0.shaped, step,
-                  lambda a, t: a)
+    def values(a, t):
+        # a fresh array, so that no field aliases the evolving state; the
+        # pending kick can overflow where the drifted state did not
+        out = _kick(a.copy(), pending, p, spec, w)
+        if not np.isfinite(out).all():
+            raise SolverHealthError(
+                f"nls_evolve: non-finite state at t={t:.6g}", {"t": t}
+            )
+        return out
+
+    return _march(u0, t0, t1, dt, observer, "nls_evolve", a0, step, values)
 
 
 def _dnls_rhs(w, t, plan, lam):

@@ -281,6 +281,16 @@ class TestBornIntegral:
         with pytest.raises(ConvergenceError):
             born_integral(phi, +1, 0.4, QuadratureSpec(t_max=100.0, panels=8))
 
+    def test_divergent_spec_rejected_before_any_panel(self, phi, monkeypatch):
+        # a weight |t|^1 against the critical decay |t|^-2 leaves |t|^-1
+        def no_panels(*args):
+            raise AssertionError("a panel pass ran")
+
+        monkeypatch.setattr(born_module, "_quad_panels", no_panels)
+        with pytest.raises(ConvergenceError):
+            corollary2_sides(phi, +1, QuadratureSpec(t_max=100.0, panels=8,
+                                                     singular_exponent=1.0))
+
 
 class TestScalarSubstitutionOracles:
     def test_inverse_sqrt_weight(self):

@@ -236,6 +236,7 @@ class TestCli:
         ("solve", {"evolve": {"dt": -1e-3}}),
         ("proposition", {"scattering": {"dt": -0.01}}),
         ("corollary2", {"quadrature": {"tail_exponent_hint": 2.0}}),
+        ("solve", {"evolve": {"dt": float("inf")}}),
     ])
     def test_rejected_value_exit_two(self, experiment, overrides, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -306,14 +307,18 @@ class TestPropositionExperiment:
         elapsed = time.monotonic() - start
         assert rep.wall_clock_s >= 0.9 * elapsed
 
-    def test_report_records_each_signs_corrector(self):
+    @pytest.fixture(scope="class")
+    def off_centre_report(self):
         light = {
             "grid": {"counts": [512]},
             "datum": {"center": 0.5, "wavenumber": 0.7},
             "scattering": {"dt": 0.05},
             "quadrature": {"t_max": 100.0, "panels": 4},
         }
-        rep = run("proposition", light)
+        return run("proposition", light)
+
+    def test_report_records_each_signs_corrector(self, off_centre_report):
+        rep = off_centre_report
         grid = GridDescriptor.centered((512,), (0.34,))
         datum = make_datum(InitialDatumSpec("gaussian", center=0.5, wavenumber=0.7,
                                             normalize=1.0), grid)
@@ -326,6 +331,11 @@ class TestPropositionExperiment:
             k = born_integral(datum, sign, 2.0, q)
             for name in names:
                 assert rep.params[f"corrector_{name}_{label}"] == getattr(k, name)
+
+    def test_merged_params_name_no_single_sign(self, off_centre_report):
+        # the merged report covers both signs, so no one ``sign`` describes it
+        assert "sign" not in off_centre_report.params
+        assert off_centre_report.identity == "small_data_expansion_both_signs"
 
 
 class TestSubcriticalExperiment:

@@ -116,7 +116,7 @@ class TestNlsEvolve:
         with pytest.raises(SolverHealthError, match="MAX_STEPS"):
             nls_evolve(f, 0.0, 1.0, p, 1e-8)
 
-    @pytest.mark.parametrize("dt", [0.0, -0.01, float("nan")])
+    @pytest.mark.parametrize("dt", [0.0, -0.01, float("nan"), float("inf")])
     def test_non_positive_dt_rejected(self, dt):
         f = gaussian_field(grid1d(128, 0.1), amplitude=0.1)
         with pytest.raises(ValueError, match="dt must be positive"):
@@ -156,24 +156,63 @@ class TestRawLoop:
     """nls_evolve runs its steps on raw arrays; nls_step is the public form
     of the same kernel, so the two must agree step for step."""
 
+    @staticmethod
+    def datum(dim):
+        if dim == 1:
+            return gaussian_field(grid1d(512, 0.05), amplitude=0.5)
+        g = GridDescriptor.centered((64, 64), (0.2, 0.2))
+        return field_from_function(g, lambda x, y: 0.6 * np.exp(-0.5 * (x**2 + y**2)))
+
+    @staticmethod
+    def repeated_steps(f, t1, p, dt=0.05):
+        """The fields after each of 7 steps of dt and the partial step to t1."""
+        u, sgn, out = f, np.sign(t1), []
+        for _ in range(7):
+            u = nls_step(u, sgn * dt, p)
+            out.append(u)
+        out.append(nls_step(u, t1 - sgn * 7 * dt, p))
+        return out
+
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("t1", [0.37, -0.37])
     def test_evolve_equals_repeated_steps(self, dim, t1):
         # 0.37 = 7 steps of 0.05 plus a partial step of 0.02
-        if dim == 1:
-            g = grid1d(512, 0.05)
-            f = gaussian_field(g, amplitude=0.5)
-        else:
-            g = GridDescriptor.centered((64, 64), (0.2, 0.2))
-            f = field_from_function(g, lambda x, y: 0.6 * np.exp(-0.5 * (x**2 + y**2)))
+        f = self.datum(dim)
         p = NLSParams(dim=dim, mu=1.0)
-        dt = 0.05
-        out = nls_evolve(f, 0.0, t1, p, dt)
-        u, sgn = f, np.sign(t1)
-        for _ in range(7):
-            u = nls_step(u, sgn * dt, p)
-        u = nls_step(u, t1 - sgn * 7 * dt, p)
+        out = nls_evolve(f, 0.0, t1, p, 0.05)
+        u = self.repeated_steps(f, t1, p)[-1]
         assert l2_difference(out, u) <= 1e-13 * l2_norm(f)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("t1", [0.37, -0.37])
+    def test_observed_fields_equal_repeated_steps(self, dim, t1):
+        # the evolution keeps a half-kick pending between steps; every
+        # observed field has it applied
+        f = self.datum(dim)
+        p = NLSParams(dim=dim, mu=1.0)
+        seen = []
+        nls_evolve(f, 0.0, t1, p, 0.05, observer=lambda t, u: seen.append((t, u)))
+        steps = self.repeated_steps(f, t1, p)
+        assert seen[0][0] == 0.0 and seen[0][1] is f
+        assert [t for t, _ in seen[1:]] == pytest.approx(
+            [np.sign(t1) * 0.05 * k for k in range(1, 8)] + [t1], abs=1e-15)
+        for (_, u), ref in zip(seen[1:], steps, strict=True):
+            assert l2_difference(u, ref) <= 1e-13 * l2_norm(f)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_fields_do_not_alias_the_state(self, dim):
+        # the state is evolved in place; no field handed out may share it
+        f = self.datum(dim)
+        before = f.values.copy()
+        seen = []
+        out = nls_evolve(f, 0.0, 0.37, NLSParams(dim=dim, mu=1.0), 0.05,
+                         observer=lambda t, u: seen.append((u, u.values.copy())))
+        assert np.array_equal(f.values, before)
+        assert out is seen[-1][0]
+        for u, copy in seen:
+            assert np.array_equal(u.values, copy)
+        for (u, _), (v, _) in zip(seen, seen[1:]):
+            assert not np.shares_memory(u.values, v.values)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_datum_is_health_violation(self):
@@ -191,6 +230,18 @@ class TestRawLoop:
         with pytest.raises(SolverHealthError) as info:
             nls_evolve(f, 0.0, 0.1, p, 0.01)
         assert info.value.diagnostics["t"] > 0.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_pending_kick_turning_non_finite_is_health_violation(self):
+        # with mu = 0 the kicks are exact identities until |u|^4 overflows:
+        # the datum focuses within the one step to a peak whose |u|^4 is
+        # infinite, so only the pending half-kick meets the overflow
+        g = grid1d(2048, 0.05)
+        narrow = field_from_function(g, lambda x: 1e78 * np.exp(-0.5 * (x / 0.1) ** 2))
+        f = free_propagate(narrow, -1.0)
+        with pytest.raises(SolverHealthError) as info:
+            nls_evolve(f, 0.0, 1.0, NLSParams(dim=1, sigma=2.0, mu=0.0), 1.0)
+        assert info.value.diagnostics["t"] == 1.0
 
 
 class TestDnlsEvolve:
