@@ -41,13 +41,14 @@ from .harness import DEFAULTS, EXPERIMENTS, InitialDatumSpec, make_datum, run
 from .io import read_snapshot, write_snapshot
 from .reports import VerificationReport
 from .scattering import (
+    asymptotic_state_residuals,
+    conjugation_residuals,
+    free_return_ladder,
     inverse_wave_operator,
     lens_inverse_wave_operator,
     lens_wave_operator,
-    verify_conjugation,
-    verify_lemma23,
-    verify_proposition,
-    verify_theorem1,
+    small_data_sweep,
+    theorem1_residuals,
     wave_operator,
 )
 from .solvers import (

@@ -54,16 +54,6 @@ class VerificationReport:
     def add_rate(self, name, value):
         self.fitted_rates.append({"name": name, "value": float(value)})
 
-    def merge(self, other, label):
-        """Append other's residuals, ladders and fitted rates, in order and
-        each name suffixed ``_label``; params, grid and notes stay ours."""
-        for r in other.residuals:
-            self.add_residual(f"{r.name}_{label}", r.value, r.tolerance)
-        for name, rows in other.ladders.items():
-            self.ladders[f"{name}_{label}"] = rows
-        for rate in other.fitted_rates:
-            self.add_rate(f"{rate['name']}_{label}", rate["value"])
-
     @property
     def verdict(self):
         return "pass" if all(r.ok for r in self.residuals) else "fail"

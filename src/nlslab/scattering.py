@@ -1,5 +1,5 @@
-"""Numerical wave operators, their inverses, and the operator-identity
-verifications built on them.
+"""Numerical wave operators, their inverses, and the residuals of the
+operator identities built on them.
 
 The truncated operators replace t -> +-infinity by one evolution to a
 horizon T; their bias falls like 1/T, and callers measure it against a
@@ -27,10 +27,8 @@ from .core import (
     resample,
 )
 from .errors import NlslabError
-from .reports import VerificationReport
 from .solvers import NLSParams, nls_evolve
 from .transforms import SnapshotAtTime, conjugate, pseudo_conformal, reflect
-from .util import fit_loglog_slope
 
 
 SMALL_DATA_THRESHOLD = 0.5
@@ -83,21 +81,6 @@ def inverse_wave_operator(
     return free_propagate(u, -sign * horizon).retagged(u0.space)
 
 
-def inverse_wave_operators(
-    u0: ComplexField, sign: int, p: NLSParams, horizons, dt: float
-) -> list:
-    """W_sign^{-1} u0 truncated at each of the increasing ``horizons``.
-
-    Each horizon is its own evolution from t = 0.  A run continued from one
-    horizon to the next is not bitwise a run to the next: it applies the
-    evolution's pending half-kick at the first horizon and then starts
-    afresh, where a single run fuses the two half-kicks into one.
-    """
-    if any(b <= a for a, b in zip(horizons, horizons[1:])):
-        raise ValueError("horizons must increase")
-    return [inverse_wave_operator(u0, sign, p, h, dt) for h in horizons]
-
-
 def _check_lens(u, sign, p):
     if not p.critical:
         raise ValueError("the lens route needs the critical power sigma = 2/n")
@@ -143,49 +126,42 @@ def _inverse_transform_as_function(f):
     return _as_function(reflect(forward_fourier(_as_function(f))))
 
 
-def verify_theorem1(
-    u0: ComplexField, p: NLSParams, horizon: float, dt: float, tolerance=1e-3,
-) -> VerificationReport:
-    """Residuals of the transform-conjugation identity between the inverse
-    and forward wave operators truncated at ``horizon``, both sign choices."""
-    report = VerificationReport(
-        identity="fourier_exchanges_wave_operators",
-        params={"sigma": p.sigma, "mu": p.mu, "dim": p.dim,
-                "horizon": horizon, "dt": dt},
-        grid={"counts": list(u0.grid.counts), "spacings": list(u0.grid.spacings)},
-    )
+def theorem1_residuals(
+    u0: ComplexField, p: NLSParams, horizon: float, dt: float
+) -> dict:
+    """Residuals of the Fourier exchange F W_s^{-1} = W_{-s} F between the
+    inverse and forward wave operators truncated at ``horizon``, relative to
+    ||u0||, keyed ``sign_plus`` and ``sign_minus``."""
     uhat = forward_fourier(u0)
     hosted = resample(_as_function(uhat), u0.grid)
     scale = l2_norm(u0)
+    residuals = {}
     for sign, label in ((+1, "plus"), (-1, "minus")):
         a_side = forward_fourier(inverse_wave_operator(u0, sign, p, horizon, dt))
         fwd = wave_operator(hosted, -sign, p, horizon, dt)
         b_side = resample(fwd, a_side.grid)
-        resid = l2_difference(a_side, b_side.retagged(a_side.space)) / scale
-        report.add_residual(f"sign_{label}", resid, tolerance)
-    return report
+        residuals[f"sign_{label}"] = (
+            l2_difference(a_side, b_side.retagged(a_side.space)) / scale
+        )
+    return residuals
 
 
-def verify_conjugation(
-    u0: ComplexField, p: NLSParams, horizon: float, dt: float, tolerance=1e-3,
-) -> VerificationReport:
+def conjugation_residuals(
+    u0: ComplexField, p: NLSParams, horizon: float, dt: float
+) -> dict:
     """Residuals of both conjugation identities relating W+ and W-, each
-    truncated at ``horizon``."""
-    report = VerificationReport(
-        identity="conjugation_identities",
-        params={"sigma": p.sigma, "mu": p.mu, "dim": p.dim,
-                "horizon": horizon, "dt": dt},
-        grid={"counts": list(u0.grid.counts), "spacings": list(u0.grid.spacings)},
-    )
+    truncated at ``horizon``, relative to ||u0||: the sandwich
+    W_s = C W_{-s} C, keyed ``conjugation_sandwich_<sign>``, then
+    W_s^{-1} = (C F)^{-1} W_s (C F), keyed
+    ``transform_conjugated_inverse_<sign>``."""
     scale = l2_norm(u0)
+    residuals = {}
     # W_s = C W_{-s} C on the datum itself
     for sign, label in ((+1, "plus"), (-1, "minus")):
         direct = wave_operator(u0, sign, p, horizon, dt)
         routed = conjugate(wave_operator(conjugate(u0), -sign, p, horizon, dt))
-        report.add_residual(
-            f"conjugation_sandwich_{label}",
-            l2_difference(direct, routed) / scale,
-            tolerance,
+        residuals[f"conjugation_sandwich_{label}"] = (
+            l2_difference(direct, routed) / scale
         )
     # W_s^{-1} = (C F)^{-1} W_s (C F): right side via hosting C F u0
     cfu = conjugate(forward_fourier(u0))
@@ -195,63 +171,36 @@ def verify_conjugation(
         mid = wave_operator(hosted, sign, p, horizon, dt)
         rhs = _inverse_transform_as_function(conjugate(mid))
         lhs_on_dual = resample(lhs, rhs.grid)
-        report.add_residual(
-            f"transform_conjugated_inverse_{label}",
-            l2_difference(lhs_on_dual.retagged(rhs.space), rhs) / scale,
-            tolerance,
+        residuals[f"transform_conjugated_inverse_{label}"] = (
+            l2_difference(lhs_on_dual.retagged(rhs.space), rhs) / scale
         )
-    report.notes.append(
-        "conjugation_sandwich residuals check a symmetry of the discrete scheme "
-        "that any real-coefficient integrator satisfies (Strang at 2.9e-13): "
-        "the sign and conjugation plumbing, not the continuum identity")
-    return report
+    return residuals
 
 
-def verify_proposition(
-    phi: ComplexField,
-    sign: int,
-    n: int,
-    deltas,
-    dt: float,
+def small_data_sweep(
+    phi: ComplexField, sign: int, p: NLSParams, deltas, dt: float,
     q: QuadratureSpec,
-    mu: float = 1.0,
-    tolerance_slope_margin: float = 0.5,
-) -> VerificationReport:
+) -> tuple:
     """Small-data expansion of the wave operators against the quadrature
     corrector, for amplitudes ``deltas`` (each delta = epsilon^(n/4)).
 
     For each delta the forward and inverse operators are computed on the
     lens route (no horizon bias) with time step ``dt``, and the first-order
     term i * mu * delta^(1+4/n) * K is removed, K the oriented half-line
-    corrector integral.  Reported: the coefficient-convergence error (must
-    decrease in delta), and the fitted remainder slope, which is asserted
-    only against the weaker candidate rate 1 + 4/n (plus a margin); both
-    claimed remainder rates are recorded since they disagree away from n = 4.
+    corrector integral.  Returns the corrector's ``QuadratureResult`` and,
+    under ``forward`` and ``inverse``, one row (delta, coefficient error,
+    remainder) per delta in the given order: the coefficient error is
+    relative to ||K|| and the remainder is absolute.
 
     Sign convention (validated numerically by the test suite): the forward
     operator carries +i * K and the inverse carries -i * K, for both sign
     branches, with K oriented toward sign*infinity.
     """
-    deltas = sorted(deltas, reverse=True)
-    if len(deltas) < 3:
-        raise ValueError("remainder slope fit needs at least 3 deltas")
-    sigma = 2.0 / n
-    power = 1.0 + 4.0 / n
-    p = NLSParams(dim=n, sigma=sigma, mu=mu)
-    k_res = born_integral(phi, sign, sigma, q)
-    k = k_res.field
+    mu = p.mu
+    power = 1.0 + 4.0 / p.dim
+    corrector = born_integral(phi, sign, p.sigma, q)
+    k = corrector.field
     k_norm = l2_norm(k)
-    report = VerificationReport(
-        identity="small_data_expansion",
-        params={"sign": sign, "dim": n, "mu": mu, "deltas": list(deltas),
-                "dt": dt,
-                "first_order_sign": {"forward": "+i", "inverse": "-i"},
-                "corrector_tail_bound": k_res.tail_bound,
-                "corrector_refinement_delta": k_res.refinement_delta,
-                "corrector_decay_exponent": k_res.decay_exponent,
-                "corrector_evaluations": k_res.evaluations},
-        grid={"counts": list(phi.grid.counts), "spacings": list(phi.grid.spacings)},
-    )
     rows = {"forward": [], "inverse": []}
     for delta in deltas:
         a = phi.with_values(delta * phi.values)
@@ -273,56 +222,21 @@ def verify_proposition(
                 )
             )
             rows[name].append((delta, coeff_err, remainder))
-    for name, table in rows.items():
-        report.ladders[f"{name}_sweep"] = table
-        errs = [c for _, c, _ in table]
-        decreasing = all(b < a for a, b in zip(errs, errs[1:]))
-        report.add_residual(f"{name}_coefficient_convergence_monotone",
-                            0.0 if decreasing else 1.0, 0.5)
-        slope, _ = fit_loglog_slope([d for d, _, _ in table], [r for _, _, r in table])
-        report.add_rate(f"{name}_remainder_slope", slope)
-        report.add_residual(
-            f"{name}_remainder_slope_exceeds_first_order",
-            power + tolerance_slope_margin - slope,
-            0.0,
-        )
-    report.notes.append(
-        "candidate remainder rates in delta: "
-        f"{4.0 / n * (2.0 + 4.0 / n):.6g} (claimed) vs "
-        f"{4.0 / n * (2.0 + n / 4.0):.6g} (proof bound); "
-        "only slope > first-order + margin is asserted"
-    )
-    return report
+    return corrector, rows
 
 
-def verify_lemma23(
-    u0: ComplexField,
-    p: NLSParams,
-    horizon: float,
-    dt: float,
-    ladder_times=(10.0, 20.0, 40.0, 80.0),
-    scattering_grid: GridDescriptor | None = None,
-    tolerance=1e-2,
-) -> VerificationReport:
-    """Finite-horizon forms of the two boundary-matching lemmas.
-
-    (i) the conformal image v of the solved trajectory satisfies
-    || U0(-t) v(t) - F^{-1} u0 || decreasing along a dyadic t-ladder, on the
-    caller-supplied fine grid;
-    (ii) on a wide scattering grid, the asymptotic states of u match
-    F^{-1} R (one-sided limits of v at 0), both signs.
-    """
-    report = VerificationReport(
-        identity="conformal_boundary_matching",
-        params={"sigma": p.sigma, "mu": p.mu, "dim": p.dim,
-                "horizon": horizon, "ladder_times": list(ladder_times),
-                "dt": dt},
-        grid={"counts": list(u0.grid.counts), "spacings": list(u0.grid.spacings)},
-    )
+def free_return_ladder(
+    u0: ComplexField, p: NLSParams, dt: float, ladder_times
+) -> list:
+    """Finite-horizon form of the first boundary-matching lemma: the
+    conformal image v of the solved trajectory satisfies
+    || U0(-t) v(t) - F^{-1} u0 || -> 0.  Returns (t, error relative to
+    ||u0||) for each of ``ladder_times`` in increasing order, on the grid of
+    ``u0``."""
     scale = l2_norm(u0)
-    # (i): snapshots of u at -1/t for the requested t values, reached by
-    # exact segment-wise evolution (closest to zero first), each segment in
-    # at least 4 equal steps of at most dt
+    # snapshots of u at -1/t for the requested t values, reached by exact
+    # segment-wise evolution (closest to zero first), each segment in at
+    # least 4 equal steps of at most dt
     times = sorted(ladder_times)
     taus = sorted((-1.0 / t for t in times), reverse=True)
     snaps = {}
@@ -341,23 +255,27 @@ def verify_lemma23(
         back = free_propagate(v.field, -v.time)
         moved = resample(_as_function(back), target.grid)
         ladder.append((t, l2_difference(moved.retagged(target.space), target) / scale))
-    report.ladders["free_return_to_transform"] = ladder
-    errs = [e for _, e in ladder]
-    decreasing = all(b < a for a, b in zip(errs, errs[1:]))
-    report.add_residual("ladder_monotone_decrease", 0.0 if decreasing else 1.0, 0.5)
-    if len(errs) >= 2:
-        slope, _ = fit_loglog_slope(times, errs)
-        report.add_rate("free_return_decay_slope", slope)
-    # (ii): asymptotic states against reflected transform of the v-limits
-    if scattering_grid is not None:
-        u0s = resample(u0, scattering_grid)
-        scale_s = l2_norm(u0s)
-        for sign, label in ((+1, "plus"), (-1, "minus")):
-            u_t = nls_evolve(u0s, 0.0, sign * horizon, p, dt)
-            u_asym = free_propagate(u_t, -sign * horizon)
-            v_limit = pseudo_conformal(SnapshotAtTime(u_t, sign * horizon)).field
-            predicted = _inverse_transform_as_function(reflect(v_limit))
-            moved = resample(u_asym, predicted.grid)
-            resid = l2_difference(moved.retagged(predicted.space), predicted) / scale_s
-            report.add_residual(f"asymptotic_state_match_{label}", resid, tolerance)
-    return report
+    return ladder
+
+
+def asymptotic_state_residuals(
+    u0: ComplexField, p: NLSParams, horizon: float, dt: float,
+    scattering_grid: GridDescriptor,
+) -> dict:
+    """Finite-horizon form of the second boundary-matching lemma: on the wide
+    ``scattering_grid``, the asymptotic states of u at ``horizon`` match
+    F^{-1} R of the one-sided limits of v at 0.  Residuals relative to
+    ||u0||, keyed ``asymptotic_state_match_<sign>``."""
+    u0s = resample(u0, scattering_grid)
+    scale = l2_norm(u0s)
+    residuals = {}
+    for sign, label in ((+1, "plus"), (-1, "minus")):
+        u_t = nls_evolve(u0s, 0.0, sign * horizon, p, dt)
+        u_asym = free_propagate(u_t, -sign * horizon)
+        v_limit = pseudo_conformal(SnapshotAtTime(u_t, sign * horizon)).field
+        predicted = _inverse_transform_as_function(reflect(v_limit))
+        moved = resample(u_asym, predicted.grid)
+        residuals[f"asymptotic_state_match_{label}"] = (
+            l2_difference(moved.retagged(predicted.space), predicted) / scale
+        )
+    return residuals

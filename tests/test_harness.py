@@ -27,7 +27,7 @@ from nlslab.harness import (
     run,
 )
 from nlslab.io import read_snapshot, write_snapshot
-from nlslab.reports import VerificationReport, strip_timing
+from nlslab.reports import strip_timing
 
 
 @pytest.fixture
@@ -53,7 +53,7 @@ class TestMakeDatum:
 
     def test_modulated(self, grid):
         f = make_datum(
-            InitialDatumSpec("modulated_gaussian", amplitude=1.0, wavenumber=3.0),
+            InitialDatumSpec("gaussian", amplitude=1.0, wavenumber=3.0),
             grid,
         )
         x = grid.axis_coords(0)
@@ -237,11 +237,27 @@ class TestCli:
         ("proposition", {"scattering": {"dt": -0.01}}),
         ("corollary2", {"quadrature": {"tail_exponent_hint": 2.0}}),
         ("solve", {"evolve": {"dt": float("inf")}}),
+        ("solve", {"datum": {"kind": "modulated_gaussian"}}),
+        ("lemmas", {"verify": {"ladder_times": [10.0]}}),
+        ("lemmas", {"verify": {"ladder_times": [0.0, 10.0]}}),
+        ("proposition", {"verify": {"deltas": [0.4, 0.2, -0.1]}}),
     ])
     def test_rejected_value_exit_two(self, experiment, overrides, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(overrides))
         code = cli.main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and "Traceback" not in err
+
+    def test_out_names_existing_file_exit_two(self, tmp_path, capsys):
+        # the output directory is made before the runner starts, so the
+        # clash is reported without any quadrature having run
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"quadrature": {"t_max": 100.0, "panels": 4}}))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = cli.main(["corollary2", "--config", str(cfg), "--out", str(taken)])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error:") and "Traceback" not in err
@@ -333,9 +349,93 @@ class TestPropositionExperiment:
                 assert rep.params[f"corrector_{name}_{label}"] == getattr(k, name)
 
     def test_merged_params_name_no_single_sign(self, off_centre_report):
-        # the merged report covers both signs, so no one ``sign`` describes it
+        # the one report covers both signs, so no one ``sign`` describes it
         assert "sign" not in off_centre_report.params
         assert off_centre_report.identity == "small_data_expansion_both_signs"
+
+
+# Light configs of the experiments whose runners add the values of the
+# scattering identity functions, and the shape of each report: identity,
+# residual names in order, fitted rates in order, ladder names in order,
+# params keys and notes.
+_LIGHT_SCATTERING = {"grid": {"counts": [1024], "spacings": [0.25]},
+                     "scattering": {"horizon": 6.0, "dt": 0.04}}
+_SHAPE_CASES = {
+    "thm1": (
+        {**_LIGHT_SCATTERING, "verify": {"double_horizon": True, "doubled_counts": [2048]}},
+        "fourier_exchanges_wave_operators",
+        ["sign_plus", "sign_minus",
+         "sign_plus_doubled_horizon", "sign_plus_decreases_with_horizon",
+         "sign_minus_doubled_horizon", "sign_minus_decreases_with_horizon"],
+        [],
+        [],
+        ["config", "dim", "dt", "experiment", "horizon", "mu", "parallel", "sigma"],
+        [],
+    ),
+    "conjugation": (
+        _LIGHT_SCATTERING,
+        "conjugation_identities",
+        ["conjugation_sandwich_plus", "conjugation_sandwich_minus",
+         "transform_conjugated_inverse_plus", "transform_conjugated_inverse_minus"],
+        [],
+        [],
+        ["config", "dim", "dt", "experiment", "horizon", "mu", "parallel", "sigma"],
+        ["conjugation_sandwich residuals check a symmetry of the discrete scheme "
+         "that any real-coefficient integrator satisfies (Strang at 2.9e-13): "
+         "the sign and conjugation plumbing, not the continuum identity"],
+    ),
+    "proposition": (
+        {"grid": {"counts": [512]}, "scattering": {"dt": 0.05},
+         "quadrature": {"t_max": 100.0, "panels": 4}},
+        "small_data_expansion_both_signs",
+        [f"{name}_{check}_{label}"
+         for label in ("plus", "minus")
+         for name in ("forward", "inverse")
+         for check in ("coefficient_convergence_monotone",
+                       "remainder_slope_exceeds_first_order")],
+        ["forward_remainder_slope_plus", "inverse_remainder_slope_plus",
+         "forward_remainder_slope_minus", "inverse_remainder_slope_minus"],
+        ["forward_sweep_plus", "inverse_sweep_plus",
+         "forward_sweep_minus", "inverse_sweep_minus"],
+        ["config", "corrector_decay_exponent_minus", "corrector_decay_exponent_plus",
+         "corrector_evaluations_minus", "corrector_evaluations_plus",
+         "corrector_refinement_delta_minus", "corrector_refinement_delta_plus",
+         "corrector_tail_bound_minus", "corrector_tail_bound_plus", "deltas", "dim",
+         "dt", "experiment", "first_order_sign", "mu", "parallel"],
+        ["candidate remainder rates in delta: 24 (claimed) vs 9 (proof bound); "
+         "only slope > first-order + margin is asserted"],
+    ),
+    "lemmas": (
+        {"grid": {"counts": [2048], "spacings": [0.008]},
+         "scattering_grid": {"counts": [2048], "spacings": [0.35]},
+         "verify": {"ladder_times": [10.0, 20.0, 40.0]}},
+        "conformal_boundary_matching",
+        ["ladder_monotone_decrease", "asymptotic_state_match_plus",
+         "asymptotic_state_match_minus", "static_profile_slope_bound",
+         "double_conformal_is_reflection"],
+        ["free_return_decay_slope", "static_profile_decay_slope"],
+        ["free_return_to_transform", "static_profile_decay"],
+        ["config", "dim", "dt", "experiment", "horizon", "ladder_times", "mu",
+         "parallel", "sigma"],
+        [],
+    ),
+}
+
+
+class TestReportShape:
+    @pytest.mark.parametrize("experiment", sorted(_SHAPE_CASES))
+    def test_light_report_shape(self, experiment):
+        config, identity, residuals, rates, ladders, params, notes = (
+            _SHAPE_CASES[experiment])
+        rep = run(experiment, config)
+        assert rep.identity == identity
+        assert [r.name for r in rep.residuals] == residuals
+        assert [r["name"] for r in rep.fitted_rates] == rates
+        assert list(rep.ladders) == ladders
+        assert sorted(rep.params) == params
+        assert rep.notes == notes
+        resolved = rep.params["config"]["grid"]
+        assert rep.grid == {"counts": resolved["counts"], "spacings": resolved["spacings"]}
 
 
 class TestSubcriticalExperiment:
@@ -414,32 +514,3 @@ class TestConfigFuzz:
                 code = cli.main(argv)
         assert code == 2
         assert err.getvalue().startswith("config error:")
-
-
-class TestReportMerge:
-    def test_suffixes_order_and_first_branch_kept(self):
-        first = VerificationReport("id", params={"sign": 1}, grid={"counts": [8]},
-                                   notes=["first"])
-        first.add_residual("a", 1.0, 2.0)
-        first.ladders["sweep"] = [(1.0, 2.0)]
-        first.add_rate("slope", 0.5)
-        second = VerificationReport("id", params={"sign": -1}, grid={"counts": [16]},
-                                    notes=["second"])
-        second.add_residual("b", 3.0, 4.0)
-        second.add_residual("c", 5.0, 1.0)
-        second.ladders["sweep"] = [(3.0, 4.0)]
-        second.add_rate("slope", 0.25)
-        first.merge(second, "minus")
-        assert [(r.name, r.value, r.tolerance) for r in first.residuals] == [
-            ("a", 1.0, 2.0), ("b_minus", 3.0, 4.0), ("c_minus", 5.0, 1.0)
-        ]
-        assert list(first.ladders.items()) == [
-            ("sweep", [(1.0, 2.0)]), ("sweep_minus", [(3.0, 4.0)])
-        ]
-        assert first.fitted_rates == [
-            {"name": "slope", "value": 0.5}, {"name": "slope_minus", "value": 0.25}
-        ]
-        assert first.params == {"sign": 1}
-        assert first.grid == {"counts": [8]}
-        assert first.notes == ["first"]
-        assert first.verdict == "fail"
