@@ -231,7 +231,59 @@ def _fail_datum(msg):
     raise NlslabError(f"make_datum: {msg}")
 
 
+# Keys whose number, or each number of whose list, must be positive.
+_POSITIVE = {"dt", "horizon", "width", "spacings", "t_max", "deltas",
+             "ladder_times"}
+# Keys that take null, and otherwise a value of the type of this one.
+_NULLABLE = {"normalize": 0.0, "path": ""}
+_KINDS = {bool: "true or false", str: "a string", int: "an integer",
+          float: "a finite number"}
+
+
+def _scalar(value, kind, positive):
+    """``value`` as ``kind``, or None when ``kind`` does not take it: a bool
+    takes only a bool, a string only a string, an int only an integral
+    number and a float only a finite number.  A bool is not a number."""
+    if kind in (bool, str):
+        return value if type(value) is kind else None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    if (not np.isfinite(number) or (positive and number <= 0)
+            or (kind is int and not number.is_integer())):
+        return None
+    return kind(value)
+
+
+def _typed(section, key, value, default):
+    """``value`` of ``section.key`` converted by the type of ``default``; a
+    list takes a non-empty list of the type of its first element.  A value
+    of another type is a ConfigError."""
+    if key in _NULLABLE and value is None:
+        return None
+    default = _NULLABLE.get(key, default)
+    each = isinstance(default, list)
+    kind = type(default[0] if each else default)
+    positive = key in _POSITIVE
+    items = value if each else [value]
+    converted = ([_scalar(v, kind, positive) for v in items]
+                 if isinstance(items, list) else [])
+    if not converted or None in converted:
+        what = "a positive finite number" if positive else _KINDS[kind]
+        if each:
+            what = f"a non-empty list, each element {what}"
+        if key in _NULLABLE:
+            what = f"null or {what}"
+        raise ConfigError(f"{section}.{key} must be {what}, got {value!r}")
+    return converted if each else converted[0]
+
+
 def _merge_config(experiment, overrides):
+    """The defaults of ``experiment`` with ``overrides`` applied, each value
+    converted by the type of its default in ``DEFAULTS``."""
     if experiment not in DEFAULTS:
         raise ConfigError(
             f"unknown experiment {experiment!r}; choose from {', '.join(EXPERIMENTS)}"
@@ -251,7 +303,7 @@ def _merge_config(experiment, overrides):
                 raise ConfigError(
                     f"unknown key {section}.{key} for experiment {experiment!r}"
                 )
-            resolved[section][key] = v
+            resolved[section][key] = _typed(section, key, v, resolved[section][key])
     return resolved
 
 
@@ -261,7 +313,8 @@ def load_config(path):
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # bad JSON, bytes that are not UTF-8, an int too long, arrays too deep
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
@@ -270,79 +323,30 @@ def load_config(path):
 
 @contextmanager
 def _config_values(section):
-    """Report a value that a conversion or a constructor rejects as a
-    ConfigError."""
+    """Report a value that a constructor rejects as a ConfigError."""
     try:
         yield
-    except (KeyError, ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad {section} section: {exc}") from exc
-
-
-def _numbers(values, convert=float):
-    """A non-empty list of numbers, each passed through ``convert``."""
-    if not isinstance(values, (list, tuple)) or not values:
-        raise TypeError(f"expected a non-empty list of numbers, got {values!r}")
-    return [convert(v) for v in values]
-
-
-def _optional_float(value):
-    return None if value is None else float(value)
-
-
-def _section_floats(config, section, *keys):
-    """The named numbers of one section, read before any work starts."""
-    with _config_values(section):
-        return [float(config[section][k]) for k in keys]
 
 
 def _grid_from(section, name="grid"):
     with _config_values(name):
-        grid = GridDescriptor.centered(
-            tuple(section["counts"]), tuple(section["spacings"])
-        )
-        if int(section["dim"]) != grid.dim:
-            raise ValueError(f"dim {section['dim']!r} does not match counts "
-                             f"{list(grid.counts)}")
-        return grid
+        grid = GridDescriptor.centered(section["counts"], section["spacings"])
+    if section["dim"] != grid.dim:
+        raise ConfigError(f"{name}.dim {section['dim']} does not match counts "
+                          f"{list(grid.counts)}")
+    return grid
 
 
 def _nls_params_from(section, dim):
     with _config_values("equation"):
-        return NLSParams(dim=dim, sigma=float(section["sigma"]), mu=float(section["mu"]))
-
-
-def _datum_from(section):
-    with _config_values("datum"):
-        return InitialDatumSpec(
-            kind=section["kind"],
-            amplitude=float(section["amplitude"]),
-            width=float(section["width"]),
-            center=float(section["center"]),
-            wavenumber=float(section["wavenumber"]),
-            normalize=_optional_float(section["normalize"]),
-            path=section["path"],
-        )
-
-
-def _positive(section, key):
-    """One positive finite number of a section, read inside ``_config_values``."""
-    value = float(section[key])
-    if not (0 < value < np.inf):
-        raise ValueError(f"{key} must be positive and finite")
-    return value
-
-
-def _scattering_from(section):
-    """The horizon and time step of a ``scattering`` section."""
-    with _config_values("scattering"):
-        return _positive(section, "horizon"), _positive(section, "dt")
+        return NLSParams(dim=dim, sigma=section["sigma"], mu=section["mu"])
 
 
 def _quadrature_from(section):
     with _config_values("quadrature"):
-        return QuadratureSpec(
-            t_max=float(section["t_max"]), panels=int(section["panels"])
-        )
+        return QuadratureSpec(t_max=section["t_max"], panels=section["panels"])
 
 
 def _output_dir(path):
@@ -369,7 +373,7 @@ def run(experiment, overrides=None, out_dir=None, parallel=False):
     config = _merge_config(experiment, overrides)
     started = time.monotonic()
     grid = _grid_from(config["grid"])
-    datum = make_datum(_datum_from(config["datum"]), grid)
+    datum = make_datum(InitialDatumSpec(**config["datum"]), grid)
     out = None if out_dir is None else _output_dir(out_dir)
     identity, runner = _RUNNERS[experiment]
     report = VerificationReport(
@@ -389,7 +393,7 @@ def run(experiment, overrides=None, out_dir=None, parallel=False):
                     3: ["delta", "coefficient_error", "remainder"],
                 }.get(width, [f"col{i}" for i in range(width)])
                 write_csv_table(out / f"{experiment}_{name}.csv", header, rows)
-        for name, fld in getattr(report, "_snapshots", {}).items():
+        for name, fld in report.snapshots.items():
             snapshot_io.write_snapshot(out / f"{experiment}_{name}.nlsf", fld)
     return report
 
@@ -421,7 +425,7 @@ def _scattering_params(report, p, horizon, dt):
     report.params.update(sigma=p.sigma, mu=p.mu, dim=p.dim, horizon=horizon, dt=dt)
 
 
-def _spectral_soundness_residuals(report, grid):
+def _spectral_soundness_residuals(report):
     """Transform round-trip, Plancherel, closed-form free flow, group law,
     and the free-group factorization, on a reference Gaussian."""
     from .core import POSITION, dilate, forward_fourier, inverse_fourier, \
@@ -472,14 +476,9 @@ def _spectral_soundness_residuals(report, grid):
 
 def _run_solve(config, grid, datum, report):
     p = _nls_params_from(config["equation"], grid.dim)
-    ev = config["evolve"]
-    with _config_values("evolve"):
-        t0, t1, dt = float(ev["t0"]), float(ev["t1"]), _positive(ev, "dt")
-    drift_tol, reversibility_tol = _section_floats(
-        config, "verify", "mass_drift_tol", "reversibility_tol"
-    )
-    with _config_values("output"):
-        stride = int(config["output"]["snapshot_stride"])
+    t0, t1, dt = (config["evolve"][k] for k in ("t0", "t1", "dt"))
+    verify = config["verify"]
+    stride = config["output"]["snapshot_stride"]
     strided = {}
     observer = None
     if stride > 0:
@@ -492,12 +491,12 @@ def _run_solve(config, grid, datum, report):
 
     u1 = nls_evolve(datum, t0, t1, p, dt, observer=observer)
     drift = abs(l2_norm(u1) ** 2 - l2_norm(datum) ** 2) / l2_norm(datum) ** 2
-    report.add_residual("mass_drift", drift, drift_tol)
+    report.add_residual("mass_drift", drift, verify["mass_drift_tol"])
     back = nls_evolve(u1, t1, t0, p, dt)
     report.add_residual(
         "reversibility",
         l2_difference(back, datum) / l2_norm(datum),
-        reversibility_tol,
+        verify["reversibility_tol"],
     )
     if p.mu == 0.0:
         exact = free_propagate(datum, t1 - t0)
@@ -509,9 +508,9 @@ def _run_solve(config, grid, datum, report):
     d = diagnostics(u1)
     report.add_residual("final_spectral_tail", d.spectral_tail_fraction, TAIL_TOL)
     report.add_residual("final_boundary_mass", d.boundary_mass_fraction, BOUNDARY_TOL)
-    if config["verify"].get("spectral_checks"):
-        _spectral_soundness_residuals(report, grid)
-    if config["verify"].get("order_check"):
+    if verify["spectral_checks"]:
+        _spectral_soundness_residuals(report)
+    if verify["order_check"]:
         # fixed defocusing probe: the splitting is exact when mu = 0, so the
         # configured equation cannot always measure its own order
         probe_grid = GridDescriptor.centered((512,), (0.05,))
@@ -525,17 +524,16 @@ def _run_solve(config, grid, datum, report):
         report.add_residual(
             "split_step_order_ratio_deviation", abs(errs[0] / errs[1] - 4.0), 0.5
         )
-    if config["output"]["snapshots"] or strided:
-        report._snapshots = dict(strided)
-        if config["output"]["snapshots"]:
-            report._snapshots.update({"initial": datum, "final": u1})
+    report.snapshots.update(strided)
+    if config["output"]["snapshots"]:
+        report.snapshots.update(initial=datum, final=u1)
     report.provenance["datum"] = config["datum"]
 
 
 def _run_wave_op(config, grid, datum, report):
     p = _nls_params_from(config["equation"], grid.dim)
-    horizon, dt = _scattering_from(config["scattering"])
-    [tol] = _section_floats(config, "verify", "tolerance")
+    horizon, dt = config["scattering"]["horizon"], config["scattering"]["dt"]
+    tol = config["verify"]["tolerance"]
     horizons = [horizon, 2.0 * horizon]
     for sign, label in ((+1, "plus"), (-1, "minus")):
         # each operator runs at T and 2T; the 2T results go on, gated by how
@@ -552,15 +550,14 @@ def _run_wave_op(config, grid, datum, report):
 
 def _run_thm1(config, grid, datum, report):
     p = _nls_params_from(config["equation"], grid.dim)
-    horizon, dt = _scattering_from(config["scattering"])
-    [tol] = _section_floats(config, "verify", "tolerance")
+    horizon, dt = config["scattering"]["horizon"], config["scattering"]["dt"]
+    verify = config["verify"]
+    tol = verify["tolerance"]
     datum2 = None
-    if config["verify"].get("double_horizon"):
+    if verify["double_horizon"]:
         with _config_values("verify"):
-            big = GridDescriptor.centered(
-                _numbers(config["verify"]["doubled_counts"], int), grid.spacings
-            )
-        datum2 = make_datum(_datum_from(config["datum"]), big)
+            big = GridDescriptor.centered(verify["doubled_counts"], grid.spacings)
+        datum2 = make_datum(InitialDatumSpec(**config["datum"]), big)
     _scattering_params(report, p, horizon, dt)
     residuals = theorem1_residuals(datum, p, horizon, dt)
     _add_residuals(report, residuals, tol)
@@ -577,8 +574,8 @@ def _run_thm1(config, grid, datum, report):
 
 def _run_conjugation(config, grid, datum, report):
     p = _nls_params_from(config["equation"], grid.dim)
-    horizon, dt = _scattering_from(config["scattering"])
-    [tol] = _section_floats(config, "verify", "tolerance")
+    horizon, dt = config["scattering"]["horizon"], config["scattering"]["dt"]
+    tol = config["verify"]["tolerance"]
     _scattering_params(report, p, horizon, dt)
     _add_residuals(report, conjugation_residuals(datum, p, horizon, dt), tol)
     report.notes.append(
@@ -609,7 +606,7 @@ def _compare_sides(report, lhs, rhs, tolerances, names, prefix, label):
 
 def _run_corollary2(config, grid, datum, report):
     q = _quadrature_from(config["quadrature"])
-    tol, rtol = _section_floats(config, "verify", "tolerance", "refinement_tol")
+    tol, rtol = config["verify"]["tolerance"], config["verify"]["refinement_tol"]
     report.params.update(t_max=q.t_max, panels=q.panels, evaluations={})
     for sign, label in ((+1, "plus"), (-1, "minus")):
         lhs, rhs = corollary2_sides(datum, sign, q)
@@ -624,13 +621,12 @@ def _run_proposition(config, grid, datum, report):
     claimed remainder rates are recorded since they disagree away from
     n = 4."""
     q = _quadrature_from(config["quadrature"])
-    with _config_values("scattering"):
-        dt = _positive(config["scattering"], "dt")
-    with _config_values("verify"):
-        deltas = sorted(_numbers(config["verify"]["deltas"]), reverse=True)
-        margin = float(config["verify"]["slope_margin"])
-        if len(deltas) < 3 or not all(0 < d < np.inf for d in deltas):
-            raise ValueError("the remainder slope fit needs at least 3 positive deltas")
+    dt = config["scattering"]["dt"]
+    deltas = sorted(config["verify"]["deltas"], reverse=True)
+    margin = config["verify"]["slope_margin"]
+    if len(deltas) < 3:
+        raise ConfigError("verify.deltas must hold at least 3 deltas for the "
+                          "remainder slope fit")
     p = NLSParams(dim=grid.dim)
     power = 1.0 + 4.0 / p.dim
     report.params.update(dim=p.dim, mu=p.mu, deltas=deltas, dt=dt,
@@ -662,19 +658,16 @@ def _run_proposition(config, grid, datum, report):
 
 
 def _run_dnls_gauge(config, grid, datum, report):
-    with _config_values("equation"):
-        lam = float(config["equation"]["lambda"])
-        p_nls = NLSParams(dim=1, sigma=2.0, mu=0.5 * lam * lam)
-        p_dnls = DNLSParams(lam)
-    ev = config["evolve"]
-    with _config_values("evolve"):
-        t_now, t1, dt = float(ev["t0"]), float(ev["t1"]), _positive(ev, "dt")
-        checkpoints = _numbers(ev["checkpoints"])
-        if checkpoints[-1] != t1:
-            raise ValueError(f"the last checkpoint {checkpoints[-1]} is not t1 = {t1}")
-    tol, inv_tol, drift_tol = _section_floats(
-        config, "verify", "tolerance", "inverse_tol", "mass_drift_tol"
-    )
+    lam = config["equation"]["lambda"]
+    p_nls = NLSParams(dim=1, sigma=2.0, mu=0.5 * lam * lam)
+    p_dnls = DNLSParams(lam)
+    t_now, t1, dt, checkpoints = (
+        config["evolve"][k] for k in ("t0", "t1", "dt", "checkpoints"))
+    if checkpoints[-1] != t1:
+        raise ConfigError(f"evolve.checkpoints must end at evolve.t1 = {t1}, "
+                          f"not at {checkpoints[-1]}")
+    verify = config["verify"]
+    tol, inv_tol = verify["tolerance"], verify["inverse_tol"]
     report.params.update({"lambda": lam, "mu": 0.5 * lam * lam, "dt": dt})
     # gauge pair inverse identity
     twisted = gauge(gauge(datum, GaugeParams(lam, +1)), GaugeParams(lam, -1))
@@ -698,8 +691,8 @@ def _run_dnls_gauge(config, grid, datum, report):
     report.add_residual("quintic_to_derivative", worst_fwd, tol)
     report.add_residual("derivative_to_quintic", worst_bwd, tol)
     drift = abs(l2_norm(psi) ** 2 - l2_norm(datum) ** 2) / l2_norm(datum) ** 2
-    report.add_residual("derivative_solver_mass_drift", drift, drift_tol)
-    if config["verify"].get("order_check"):
+    report.add_residual("derivative_solver_mass_drift", drift, verify["mass_drift_tol"])
+    if verify["order_check"]:
         # fixed probe well above roundoff, independent of the configured datum
         probe_grid = GridDescriptor.centered((512,), (0.08,))
         probe = field_from_function(probe_grid, lambda x: 0.5 / np.cosh(x))
@@ -714,11 +707,11 @@ def _run_dnls_gauge(config, grid, datum, report):
 
 
 def _run_subcritical(config, grid, datum, report):
+    sigma = config["equation"]["sigma"]
     with _config_values("equation"):
-        sigma = float(config["equation"]["sigma"])
         _check_subcritical_window(grid.dim, sigma)
     q = _quadrature_from(config["quadrature"])
-    tol, rtol = _section_floats(config, "verify", "tolerance", "refinement_tol")
+    tol, rtol = config["verify"]["tolerance"], config["verify"]["refinement_tol"]
     report.params.update(sigma=sigma, t_max=q.t_max, panels=q.panels,
                          weight_exponent=grid.dim * sigma - 2.0, evaluations={})
     for sign, label in ((+1, "plus"), (-1, "minus")):
@@ -731,16 +724,14 @@ def _run_subcritical(config, grid, datum, report):
 
 def _run_lemmas(config, grid, datum, report):
     p = _nls_params_from(config["equation"], grid.dim)
-    horizon, dt = _scattering_from(config["scattering"])
+    horizon, dt = config["scattering"]["horizon"], config["scattering"]["dt"]
     scat_grid = _grid_from(config["scattering_grid"], "scattering_grid")
     lemma1_grid = _grid_from(config["lemma1_grid"], "lemma1_grid")
-    with _config_values("verify"):
-        times = _numbers(config["verify"]["ladder_times"])
-        if len(times) < 2 or not all(0 < t < np.inf for t in times):
-            raise ValueError("the decay slope fits need at least 2 positive ladder times")
-    slope_bound, match_tol, involution_tol = _section_floats(
-        config, "verify", "slope_bound", "match_tol", "involution_tol"
-    )
+    verify = config["verify"]
+    times = verify["ladder_times"]
+    if len(times) < 2:
+        raise ConfigError("verify.ladder_times must hold at least 2 times for "
+                          "the decay slope fits")
     _scattering_params(report, p, horizon, dt)
     report.params["ladder_times"] = times
     # the two boundary-matching lemmas: the conformal image's free return
@@ -749,19 +740,20 @@ def _run_lemmas(config, grid, datum, report):
                       free_return_ladder(datum, p, dt, times),
                       "ladder_monotone_decrease", "free_return_decay_slope")
     _add_residuals(
-        report, asymptotic_state_residuals(datum, p, horizon, dt, scat_grid), match_tol
+        report, asymptotic_state_residuals(datum, p, horizon, dt, scat_grid),
+        verify["match_tol"]
     )
     # decay ladder of the static-profile route (smooth-data rate ~ t^{-1})
     profile_freq = ComplexField(
         lemma1_grid.dual(),
-        make_datum(_datum_from(config["datum"]), lemma1_grid.dual()).values,
+        make_datum(InitialDatumSpec(**config["datum"]), lemma1_grid.dual()).values,
         "frequency",
     )
     ladder = spectral_profile_decay_ladder(profile_freq, times)
     report.ladders["static_profile_decay"] = ladder
     slope, _ = fit_loglog_slope(times, [e for _, e in ladder])
     report.add_rate("static_profile_decay_slope", slope)
-    report.add_residual("static_profile_slope_bound", slope, slope_bound)
+    report.add_residual("static_profile_slope_bound", slope, verify["slope_bound"])
     # double application of the conformal map reflects the snapshot
     probe = make_datum(
         InitialDatumSpec("gaussian", amplitude=1.0, width=0.9, center=1.2),
@@ -773,7 +765,7 @@ def _run_lemmas(config, grid, datum, report):
         worst = max(
             worst, float(np.max(np.abs(twice.field.values - reflect(probe).values)))
         )
-    report.add_residual("double_conformal_is_reflection", worst, involution_tol)
+    report.add_residual("double_conformal_is_reflection", worst, verify["involution_tol"])
 
 
 # experiment -> (report identity, runner)

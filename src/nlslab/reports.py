@@ -47,6 +47,9 @@ class VerificationReport:
     notes: list = field(default_factory=list)
     wall_clock_s: float = 0.0
     timestamp: str = ""
+    # name -> ComplexField, written beside the report as NLSF snapshots and
+    # left out of its JSON
+    snapshots: dict = field(default_factory=dict)
 
     def add_residual(self, name, value, tolerance):
         self.residuals.append(Residual(name, float(value), float(tolerance)))

@@ -142,7 +142,14 @@ def _check_health(f, mass0, t, context):
 
 def _step_counts(span, dt, what):
     """Full steps, the exact final partial step, and their total."""
-    n_full = int(abs(span) / dt)
+    steps = abs(span) / dt
+    # written as "not below" so that an infinite or NaN count, which int()
+    # cannot take, is refused too
+    if not steps < MAX_STEPS + 1:
+        raise SolverHealthError(
+            f"{what} needs {steps:.6g} steps, MAX_STEPS={MAX_STEPS}"
+        )
+    n_full = int(steps)
     remainder = abs(span) - n_full * dt
     if remainder < 1e-12 * dt:
         remainder = 0.0

@@ -35,7 +35,12 @@ from nlslab.core import (
 )
 from nlslab.harness import InitialDatumSpec, make_datum, run
 from nlslab.reports import strip_timing
-from nlslab.scattering import small_data_sweep, theorem1_residuals
+from nlslab.errors import SolverHealthError
+from nlslab.scattering import (
+    small_data_sweep,
+    theorem1_residuals,
+    wave_operator,
+)
 from nlslab.solvers import (
     DNLSParams,
     NLSParams,
@@ -241,22 +246,28 @@ class TestCriterion06Theorem1:
             f"worst residual {worst:.2e}",
         )
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="N=256^2 cannot host the T=50 smoke run: the forward route "
-        "evolves the transformed datum, whose position content x_eff and "
-        "spectral content k_eff satisfy k_eff*x_eff >~ 20, so resolving a "
-        "horizon-T spread needs N >~ (2/pi)*1.1*1.05*k*x*T ~ 765 points per "
-        "axis; at 256^2 the health guard aborts on the unresolvable hosted "
-        "datum (see decisions ledger)",
-    )
-    def test_n2_smoke_literal_T50(self):
+    @pytest.mark.parametrize("sign", [-1, +1])
+    def test_n2_T50_forward_route_unresolved(self, sign):
+        # N=256^2 cannot host the T=50 smoke run: the forward route evolves
+        # the transformed datum, whose position content x_eff and spectral
+        # content k_eff satisfy k_eff*x_eff >~ 20, so resolving a horizon-T
+        # spread needs N >~ (2/pi)*1.1*1.05*k*x*T ~ 765 points per axis.  The
+        # health guard aborts at the forward route's initial state, before
+        # any step: the hosted datum F u0, free-propagated to t = sign*T where
+        # W_sign starts, has spectral tail 0.17 and boundary mass 0.23.  The
+        # theorem-1 check reaches this abort through W_- for s = +1.
         g2 = GridDescriptor.centered((256, 256), (0.75, 0.75))
         datum = make_datum(
             InitialDatumSpec("gaussian", amplitude=1.0, width=3.0, normalize=0.3), g2
         )
+        hosted = resample(forward_fourier(datum).retagged(POSITION), g2)
         p = NLSParams(dim=2, mu=1.0)
-        assert max(theorem1_residuals(datum, p, 50.0, 0.02).values()) <= 1e-2
+        with pytest.raises(SolverHealthError, match=r"\(initial state\)") as exc:
+            wave_operator(hosted, sign, p, 50.0, 0.02)
+        bad = exc.value.diagnostics
+        assert bad["t"] == sign * 50.0
+        assert bad["spectral_tail_fraction"] > 0.1
+        assert bad["boundary_mass_fraction"] > 0.1
 
 
 @pytest.mark.slow

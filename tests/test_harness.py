@@ -22,6 +22,7 @@ from nlslab.errors import ConfigError, NlslabError, SnapshotFormatError
 from nlslab.harness import (
     DEFAULTS,
     InitialDatumSpec,
+    _merge_config,
     load_config,
     make_datum,
     run,
@@ -145,6 +146,29 @@ class TestConfigHandling:
         with pytest.raises(ConfigError):
             load_config(p)
 
+    @pytest.mark.parametrize("content", [
+        b'{"evolve": {"t1": ' + b"1" * 5000 + b"}}",  # past the int digit limit
+        b'{"datum": {"kind": "\xff"}}',  # not UTF-8
+        b'{"a": ' + b"[" * 100000 + b"]" * 100000 + b"}",  # nested past the stack
+    ], ids=["int_past_digit_limit", "not_utf8", "nested_past_recursion_limit"])
+    def test_undecodable_config(self, content, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_bytes(content)
+        with pytest.raises(ConfigError):
+            load_config(p)
+
+    @pytest.mark.parametrize("experiment", sorted(DEFAULTS))
+    def test_defaults_follow_their_own_schema(self, experiment):
+        # every default is a value its key takes, positive keys included
+        assert _merge_config(experiment, DEFAULTS[experiment]) == DEFAULTS[experiment]
+
+    def test_values_converted_by_default_type(self):
+        config = _merge_config("solve", {"grid": {"counts": [1024.0]},
+                                         "evolve": {"t1": 1}})
+        assert config["grid"]["counts"] == [1024]
+        assert type(config["grid"]["counts"][0]) is int
+        assert type(config["evolve"]["t1"]) is float
+
 
 class TestSolveExperiment:
     def test_free_solve_passes(self, tmp_path):
@@ -241,6 +265,22 @@ class TestCli:
         ("lemmas", {"verify": {"ladder_times": [10.0]}}),
         ("lemmas", {"verify": {"ladder_times": [0.0, 10.0]}}),
         ("proposition", {"verify": {"deltas": [0.4, 0.2, -0.1]}}),
+        ("solve", {"evolve": {"t1": float("inf")}}),
+        ("solve", {"evolve": {"t1": float("nan")}}),
+        ("solve", {"evolve": {"t0": float("nan")}}),
+        ("solve", {"datum": {"amplitude": float("nan")}}),
+        ("solve", {"datum": {"width": 0}}),
+        ("solve", {"datum": {"normalize": float("inf")}}),
+        ("corollary2", {"quadrature": {"t_max": float("inf")}}),
+        ("thm1", {"grid": {"counts": [1024], "spacings": [0.25]},
+                  "scattering": {"horizon": 6.0, "dt": 0.04},
+                  "verify": {"double_horizon": "no", "doubled_counts": [2048]}}),
+        ("solve", {"verify": {"spectral_checks": "no"}}),
+        ("solve", {"output": {"snapshots": "no"}}),
+        ("solve", {"datum": {"amplitude": True}}),
+        ("solve", {"grid": {"counts": [1024.7]}}),
+        ("solve", {"datum": {"path": 5}}),
+        ("wave_op", {"scattering": {"dt": True}}),
     ])
     def test_rejected_value_exit_two(self, experiment, overrides, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -488,29 +528,63 @@ def _float_rejects(text):
 
 
 _junk_text = st.text(max_size=6).filter(_float_rejects)
+_not_a_number = st.sampled_from([float("inf"), float("-inf"), float("nan"), True, False])
 _JUNK = st.one_of(
     _junk_text,
     st.lists(_junk_text, max_size=3),
     st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
     st.none(),
+    _not_a_number,
+    st.lists(_not_a_number, min_size=1, max_size=3),
+)
+
+# (experiment, section, key) for every key whose default is a bool
+_BOOL_KEYS = [
+    (experiment, section, key)
+    for experiment, sections in DEFAULTS.items()
+    for section, values in sections.items()
+    for key, default in values.items()
+    if isinstance(default, bool)
+]
+_NOT_A_BOOL = st.one_of(
+    st.text(max_size=6),
+    st.integers(),
+    st.floats(),
+    st.lists(st.booleans(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.booleans(), max_size=2),
+    st.none(),
 )
 
 
+def _cli_exit(experiment, overrides):
+    """The exit status and stderr of one CLI run on ``overrides``."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        argv = [experiment, "--config", str(cfg), "--out", str(Path(tmp) / "o")]
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+    return code, err.getvalue()
+
+
 class TestConfigFuzz:
-    """Junk where a number is required is a config error (exit 2), found
-    before any evolution or quadrature runs."""
+    """Junk where a number or a bool is required is a config error
+    (exit 2), found before any evolution or quadrature runs."""
 
     @settings(deadline=None, derandomize=True, max_examples=200)
     @given(target=st.sampled_from(_numeric_keys()), junk=_JUNK)
     def test_junk_number_exits_two(self, target, junk):
         experiment, section, key = target
         assume(not (junk is None and (section, key) in _NULLABLE))
-        err = io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp:
-            cfg = Path(tmp) / "cfg.json"
-            cfg.write_text(json.dumps({section: {key: junk}}))
-            argv = [experiment, "--config", str(cfg), "--out", str(Path(tmp) / "o")]
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(argv)
+        code, err = _cli_exit(experiment, {section: {key: junk}})
         assert code == 2
-        assert err.getvalue().startswith("config error:")
+        assert err.startswith("config error:")
+
+    @settings(deadline=None, derandomize=True, max_examples=100)
+    @given(target=st.sampled_from(_BOOL_KEYS), junk=_NOT_A_BOOL)
+    def test_junk_bool_exits_two(self, target, junk):
+        experiment, section, key = target
+        code, err = _cli_exit(experiment, {section: {key: junk}})
+        assert code == 2
+        assert err.startswith("config error:")

@@ -1,8 +1,12 @@
-"""Every module-level import of the package modules is used.
+"""Every module-level import of the package modules is used, and every
+module-level private name is referenced.
 
-No linter is a test dependency, so this is the unused-import check: a name
-bound by a top-level ``import`` or ``from ... import`` must be read
-somewhere else in its module.  ``__init__.py`` re-exports and is skipped.
+No linter is a test dependency, so these are the unused-import and
+dead-helper checks: a name bound by a top-level ``import`` or
+``from ... import`` must be read somewhere else in its module
+(``__init__.py`` re-exports and is skipped), and a private ``_name``
+defined at the top level of a package module must be read somewhere in the
+package.
 """
 
 import ast
@@ -38,3 +42,45 @@ def test_no_unused_module_imports(module):
 def test_check_sees_an_unused_import():
     source = "import json\nfrom .util import fit_loglog_slope, other\n\nprint(other)\n"
     assert unused_imports(source) == [(1, "json"), (2, "fit_loglog_slope")]
+
+
+def _defined_names(node):
+    """The names a top-level statement defines (imports excluded)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def unreferenced_private_names(sources):
+    """(module, line, name) of each private name that some module of
+    ``sources`` (module name -> source) defines at its top level and that no
+    module reads, as a name or an attribute."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            defined += [(module, node.lineno, name) for name in _defined_names(node)
+                        if name.startswith("_") and not name.startswith("__")]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    return sorted(entry for entry in defined if entry[2] not in read)
+
+
+def test_every_private_name_is_referenced():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_check_sees_an_unreferenced_private_name():
+    sources = {
+        "a.py": "_LIMIT = 3\n_OLD, _NEW = 1, 2\n\ndef _helper():\n    return _NEW\n",
+        "b.py": "from .a import _helper\n\nclass _Dead:\n    pass\n\nprint(_helper())\n",
+    }
+    assert unreferenced_private_names(sources) == [
+        ("a.py", 1, "_LIMIT"), ("a.py", 2, "_OLD"), ("b.py", 3, "_Dead"),
+    ]

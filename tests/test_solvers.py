@@ -116,6 +116,15 @@ class TestNlsEvolve:
         with pytest.raises(SolverHealthError, match="MAX_STEPS"):
             nls_evolve(f, 0.0, 1.0, p, 1e-8)
 
+    @pytest.mark.parametrize("t0, t1, dt", [(0.0, 1.0, 5e-324), (0.0, 1e308, 1e-3)])
+    def test_max_steps_guard_overflowing_count(self, t0, t1, dt):
+        # the step count overflows to inf, which the guard refuses before int()
+        f = gaussian_field(grid1d(128, 0.1), amplitude=0.1)
+        with pytest.raises(SolverHealthError, match="MAX_STEPS"):
+            nls_evolve(f, t0, t1, NLSParams(dim=1, sigma=2.0, mu=1.0), dt)
+        with pytest.raises(SolverHealthError, match="MAX_STEPS"):
+            dnls_evolve(f, t0, t1, DNLSParams(1.0), dt)
+
     @pytest.mark.parametrize("dt", [0.0, -0.01, float("nan"), float("inf")])
     def test_non_positive_dt_rejected(self, dt):
         f = gaussian_field(grid1d(128, 0.1), amplitude=0.1)
