@@ -46,9 +46,7 @@ for t in (1.0, 5.0, 10.0):
 print("\nfactorization of the free group (chirp, dilate, transform, chirp):")
 for t in (0.5, 2.0):
     direct = free_propagate(f, t)
-    factored = quadratic_phase(
-        dilate(forward_fourier(quadratic_phase(f, t)).retagged("position"), t), t
-    )
+    factored = quadratic_phase(dilate(forward_fourier(quadratic_phase(f, t)), t), t)
     err = l2_difference(resample(factored, grid), direct)
     print(f"  t={t}: reassembled vs direct {err:.2e}")
 

@@ -16,7 +16,6 @@ from nlslab import (
     reflect,
     spectral_profile_decay_ladder,
 )
-from nlslab.core import FREQUENCY
 
 grid = GridDescriptor.centered((1024,), (0.05,))
 f = field_from_function(grid, lambda x: np.exp(-0.5 * (x - 1.2) ** 2))
@@ -28,9 +27,8 @@ for tau in (2.3, -2.3):
           f"time restored to {twice.time:+.6f}, reflection defect {err:.2e}")
 
 profile_grid = GridDescriptor.centered((4096,), (0.2,))
-phi = field_from_function(
-    profile_grid.dual(), lambda xi: np.exp(-0.5 * xi**2)
-).retagged(FREQUENCY)
+# the profile is read as a function of frequency: it is sampled on the dual grid
+phi = field_from_function(profile_grid.dual(), lambda xi: np.exp(-0.5 * xi**2))
 print("\nstatic-profile ladder || U0(t) F^(-1) phi - (conformal phi)(t) ||:")
 ladder = spectral_profile_decay_ladder(phi, [10.0, 20.0, 40.0, 80.0])
 for t, e in ladder:

@@ -10,8 +10,6 @@ from .born import (
     subcritical_sides,
 )
 from .core import (
-    FREQUENCY,
-    POSITION,
     ComplexField,
     FieldDiagnostics,
     GridDescriptor,
@@ -35,7 +33,6 @@ from .errors import (
     NlslabError,
     SnapshotFormatError,
     SolverHealthError,
-    SpaceTagError,
 )
 from .harness import DEFAULTS, EXPERIMENTS, InitialDatumSpec, make_datum, run
 from .io import read_snapshot, write_snapshot

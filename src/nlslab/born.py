@@ -32,7 +32,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
-    FREQUENCY,
     ComplexField,
     GridDescriptor,
     _density_power,
@@ -116,11 +115,8 @@ def _decay(ts, n_sigma, dim):
 
 
 def _free_rows(plan, phi, ts, sigma):
-    """The multipliers U0(t) in FFT order, and the rows G(U0(t) phi).
-
-    The flow acts on phi as a function of its own variable, whatever the
-    tag says; conjugation through the transform handles that.
-    """
+    """The multipliers U0(t) in FFT order, and the rows G(U0(t) phi), with
+    the flow acting on phi as a function of its own variable."""
     m = _unit_phase(_column(-0.5 * ts, plan.grid.dim) * plan.xi2)
     u = np.fft.fftn(phi.shaped) * m
     np.fft.ifftn(u, axes=plan.axes, out=u)
@@ -210,7 +206,7 @@ def flow_integrand(phi: ComplexField, t: float, sigma: float) -> ComplexField:
 def expansion_lhs_integrand(phi: ComplexField, t: float, sigma: float) -> ComplexField:
     """exp(i t |xi|^2/2) F[ G(U0(t) phi) ], a field on phi's dual grid."""
     dual = spectral_plan(phi.grid).dual
-    return ComplexField(dual, _lhs_rows(phi, [t], sigma)[0].reshape(-1), FREQUENCY)
+    return ComplexField(dual, _lhs_rows(phi, [t], sigma)[0].reshape(-1))
 
 
 def _panel_edges(t_max, panels):
@@ -227,7 +223,7 @@ def _panel_edges(t_max, panels):
 
 def _quad_panels(rows, template, sign, spec: QuadratureSpec, panels):
     """sign-oriented integral of |t|^a * rows(sign*t) over [0, t_max], on
-    the grid and in the space of ``template``.
+    the grid of ``template``.
 
     ``rows(ts)`` returns one integrand row per time; each panel's
     GL_NODES times go in one call.
@@ -383,7 +379,7 @@ def scalar_weighted_integral(fn, a, t_max, panels):
     and substitution machinery, using a constant 8-point field; scalar
     oracles with known closed forms pin the substitution down."""
     grid = GridDescriptor.centered((8,), (1.0,))
-    ones = ComplexField(grid, np.ones(8), "position")
+    ones = ComplexField(grid, np.ones(8))
     rows = lambda ts: np.array([fn(abs(t)) for t in ts])[:, None] * ones.values
     spec = QuadratureSpec(t_max=t_max, panels=panels, singular_exponent=a)
     out = _quad_panels(rows, ones, +1, spec, panels)

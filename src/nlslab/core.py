@@ -5,6 +5,11 @@ axis is -N*h/2, so the sample coordinates straddle the origin and the dual
 (frequency) grid of a centered grid is again centered.  With the explicit
 (2pi)^{-n/2} h^n scaling the discrete transform matches the continuum
 Fourier transform on resolved fields and Plancherel holds to roundoff.
+
+A field is its samples on a grid and nothing more: whether they are read as
+a function of position or of frequency is up to the operator applied, and
+the transform F maps samples on a grid onto samples on its dual grid.  A
+snapshot file (see ``io``) therefore always writes space byte 0.
 """
 
 from __future__ import annotations
@@ -14,10 +19,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import GridCompatibilityError, MassLossError, SpaceTagError
-
-POSITION = "position"
-FREQUENCY = "frequency"
+from .errors import GridCompatibilityError, MassLossError
 
 # Fraction of the per-axis range counted as the "outer" shell by diagnostics.
 OUTER_SHELL = 0.125
@@ -122,14 +124,13 @@ def require_same_grid(a, b, what="fields"):
 
 @dataclass(frozen=True)
 class ComplexField:
-    """Complex samples on a grid, tagged position- or frequency-space.
+    """Complex samples on a grid.
 
     ``values`` is flat, row-major over the axes, and immutable.
     """
 
     grid: GridDescriptor
     values: np.ndarray
-    space: str
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.values, dtype=np.complex128).reshape(-1)
@@ -139,32 +140,21 @@ class ComplexField:
             raise ValueError("field contains non-finite entries")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
-        if self.space not in (POSITION, FREQUENCY):
-            raise ValueError(f"unknown space tag {self.space!r}")
 
     @property
     def shaped(self):
         return self.values.reshape(self.grid.counts)
 
     def with_values(self, values):
-        return ComplexField(self.grid, np.asarray(values).reshape(-1), self.space)
-
-    def retagged(self, space):
-        """Reinterpret the same samples in the other space (no transform)."""
-        return ComplexField(self.grid, self.values, space)
+        return ComplexField(self.grid, np.asarray(values).reshape(-1))
 
 
-def field_from_function(grid, fn, space=POSITION):
+def field_from_function(grid, fn):
     """Sample ``fn(*coords)`` on the grid."""
     coords = grid.coordinate_arrays()
     vals = np.asarray(fn(*coords), dtype=np.complex128)
     vals = np.broadcast_to(vals, grid.counts)
-    return ComplexField(grid, vals.reshape(-1), space)
-
-
-def _require_space(f, space, op):
-    if f.space != space:
-        raise SpaceTagError(f"{op} expects a {space}-space field, got {f.space}")
+    return ComplexField(grid, vals.reshape(-1))
 
 
 def _frozen(arr):
@@ -304,30 +294,22 @@ def spectral_plan(grid: GridDescriptor) -> SpectralPlan:
 
 
 def forward_fourier(f: ComplexField) -> ComplexField:
-    """F f(xi) = (2pi)^{-n/2} integral f(x) exp(-i x.xi) dx, discretized."""
-    _require_space(f, POSITION, "forward_fourier")
+    """F f(xi) = (2pi)^{-n/2} integral f(x) exp(-i x.xi) dx, discretized:
+    samples on a grid onto its dual grid."""
     plan = spectral_plan(f.grid)
-    return ComplexField(plan.dual, plan.forward(f.shaped).reshape(-1), FREQUENCY)
+    return ComplexField(plan.dual, plan.forward(f.shaped).reshape(-1))
 
 
 def inverse_fourier(f: ComplexField) -> ComplexField:
-    """Inverse transform; round-trips with forward_fourier to roundoff."""
-    _require_space(f, FREQUENCY, "inverse_fourier")
+    """F^{-1}, samples on a grid onto its dual grid; round-trips with
+    forward_fourier to roundoff."""
     plan = spectral_plan(f.grid)
-    return ComplexField(plan.dual, plan.inverse(f.shaped).reshape(-1), POSITION)
+    return ComplexField(plan.dual, plan.inverse(f.shaped).reshape(-1))
 
 
 def free_propagate(f: ComplexField, t: float) -> ComplexField:
-    """Multiply the spectrum by exp(-i t |xi|^2 / 2); exact for all t.
-
-    Position fields are conjugated through the transform; frequency fields
-    get the multiplier on their own coordinates.
-    """
-    t = float(t)
-    plan = spectral_plan(f.grid)
-    if f.space == FREQUENCY:
-        return f.with_values(f.shaped * _unit_phase((-0.5 * t) * plan.r2))
-    return f.with_values(plan.propagate(f.shaped, t))
+    """U0(t): multiply the spectrum by exp(-i t |xi|^2 / 2); exact for all t."""
+    return f.with_values(spectral_plan(f.grid).propagate(f.shaped, float(t)))
 
 
 def quadratic_phase(f: ComplexField, t: float) -> ComplexField:
@@ -360,7 +342,7 @@ def dilate(f: ComplexField, t: float) -> ComplexField:
     if t < 0:
         vals = _reflect_values(vals)
     new_grid = GridDescriptor.centered(g.counts, tuple(h * abs(t) for h in g.spacings))
-    return ComplexField(new_grid, (scale * vals).reshape(-1), f.space)
+    return ComplexField(new_grid, (scale * vals).reshape(-1))
 
 
 def resample(f: ComplexField, target: GridDescriptor) -> ComplexField:
@@ -372,18 +354,16 @@ def resample(f: ComplexField, target: GridDescriptor) -> ComplexField:
     unrolled).  Raises MassLossError when the target box fails to cover the
     mass of ``f``.
     """
-    _require_space(f, POSITION, "resample")
     src = f.grid
     if target.dim != src.dim:
         raise ValueError("resample cannot change dimensionality")
     if grids_close(src, target):
-        return ComplexField(target, f.values, f.space)
+        return ComplexField(target, f.values)
 
     _check_mass_on_target(f, target)
 
     plan = spectral_plan(src)
     dual = plan.dual
-    pref = (2.0 * np.pi) ** (-0.5 * src.dim) * dual.cell_volume
     vals = plan.forward(f.shaped)
     # Sum exp(i x xi) against the spectrum one axis at a time; rows for
     # out-of-domain target points are zeroed.
@@ -397,7 +377,7 @@ def resample(f: ComplexField, target: GridDescriptor) -> ComplexField:
         out = _chirp_z(np.moveaxis(vals, axis, -1), a, len(xt))
         out[..., ~inside] = 0.0
         vals = np.moveaxis(out, -1, axis)
-    return ComplexField(target, (pref * vals).reshape(-1), POSITION)
+    return ComplexField(target, (spectral_plan(dual).prefactor * vals).reshape(-1))
 
 
 def _chirp(a, m):
@@ -460,13 +440,9 @@ def norms(f: ComplexField) -> dict:
     vol = f.grid.cell_volume
     shaped = f.shaped
     l2 = float(np.sqrt(vol * np.sum(np.abs(shaped) ** 2)))
-    if f.space == POSITION:
-        spec, spec_vol = plan.forward(shaped), plan.dual.cell_volume
-        w = np.sqrt(np.fft.fftshift(plan.xi2))
-    else:
-        spec, spec_vol = shaped, vol
-        w = np.sqrt(plan.r2)
-    h1 = float(np.sqrt(spec_vol * np.sum((w * np.abs(spec)) ** 2)))
+    spec = plan.forward(shaped)
+    w = np.sqrt(np.fft.fftshift(plan.xi2))
+    h1 = float(np.sqrt(plan.dual.cell_volume * np.sum((w * np.abs(spec)) ** 2)))
     r = np.sqrt(plan.r2)
     weighted_x = float(np.sqrt(vol * np.sum((r * np.abs(shaped)) ** 2)))
     linf = float(np.max(np.abs(shaped))) if shaped.size else 0.0
@@ -502,16 +478,10 @@ def _shell_fraction(values, shell) -> float:
 
 def diagnostics(f: ComplexField) -> FieldDiagnostics:
     plan = spectral_plan(f.grid)
-    if f.space == POSITION:
-        boundary = _shell_fraction(f.shaped, plan.shell)
-        # the fraction is blind to the transform's prefactor and signs, so
-        # the raw spectrum in FFT order will do
-        tail = _shell_fraction(np.fft.fftn(f.shaped), plan.dual_shell)
-    else:
-        tail = _shell_fraction(f.shaped, plan.shell)
-        boundary = _shell_fraction(
-            plan.inverse(f.shaped), np.fft.fftshift(plan.dual_shell)
-        )
+    boundary = _shell_fraction(f.shaped, plan.shell)
+    # the fraction is blind to the transform's prefactor and signs, so the
+    # raw spectrum in FFT order will do
+    tail = _shell_fraction(np.fft.fftn(f.shaped), plan.dual_shell)
     return FieldDiagnostics(
         l2=l2_norm(f),
         spectral_tail_fraction=tail,

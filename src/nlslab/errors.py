@@ -5,10 +5,6 @@ class NlslabError(Exception):
     """Base class for all package errors."""
 
 
-class SpaceTagError(NlslabError):
-    """An operation received a field tagged with the wrong space."""
-
-
 class GridCompatibilityError(NlslabError):
     """Two fields live on grids that do not match within tolerance."""
 

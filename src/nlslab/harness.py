@@ -31,6 +31,7 @@ from .core import (
     diagnostics,
     field_from_function,
     free_propagate,
+    grids_close,
     l2_difference,
     l2_norm,
 )
@@ -188,15 +189,19 @@ class InitialDatumSpec:
 
 
 def make_datum(spec: InitialDatumSpec, grid: GridDescriptor) -> ComplexField:
-    """Sample the requested datum and require it to be resolved."""
+    """Sample the requested datum and require it to be resolved.  A file
+    datum must lie on ``grid``: equal counts and spacings."""
     if spec.kind == "file":
         try:
-            f = snapshot_io.read_snapshot(spec.path)
+            field = snapshot_io.read_snapshot(spec.path)
         except (OSError, SnapshotFormatError) as exc:
             raise ConfigError(f"cannot read datum file {spec.path}: {exc}") from exc
-        if f.grid.counts != grid.counts:
-            _fail_datum("snapshot grid does not match the configured grid")
-        field = f
+        if not grids_close(field.grid, grid):
+            raise ConfigError(
+                f"datum file {spec.path} holds counts {list(field.grid.counts)}, "
+                f"spacings {list(field.grid.spacings)}; the grid section asks for "
+                f"counts {list(grid.counts)}, spacings {list(grid.spacings)}"
+            )
     else:
         a, w, c, k = spec.amplitude, spec.width, spec.center, spec.wavenumber
 
@@ -428,8 +433,8 @@ def _scattering_params(report, p, horizon, dt):
 def _spectral_soundness_residuals(report):
     """Transform round-trip, Plancherel, closed-form free flow, group law,
     and the free-group factorization, on a reference Gaussian."""
-    from .core import POSITION, dilate, forward_fourier, inverse_fourier, \
-        quadratic_phase, resample
+    from .core import dilate, forward_fourier, inverse_fourier, quadratic_phase, \
+        resample
 
     ref_grid = GridDescriptor.centered((2048,), (0.08,))
     f = field_from_function(ref_grid, lambda x: np.exp(-0.5 * x**2))
@@ -441,7 +446,7 @@ def _spectral_soundness_residuals(report):
     spec_vals[band] = rng.standard_normal(band.sum()) + 1j * rng.standard_normal(
         band.sum()
     )
-    rand = inverse_fourier(ComplexField(dual, spec_vals, "frequency"))
+    rand = inverse_fourier(ComplexField(dual, spec_vals))
     fhat = forward_fourier(rand)
     report.add_residual(
         "transform_round_trip",
@@ -467,9 +472,7 @@ def _spectral_soundness_residuals(report):
     worst = 0.0
     for t in (0.5, 1.0, 2.0, 5.0):
         direct = free_propagate(f, t)
-        factored = quadratic_phase(
-            dilate(forward_fourier(quadratic_phase(f, t)).retagged(POSITION), t), t
-        )
+        factored = quadratic_phase(dilate(forward_fourier(quadratic_phase(f, t)), t), t)
         worst = max(worst, l2_difference(resample(factored, ref_grid), direct))
     report.add_residual("free_group_factorization", worst, 1e-8)
 
@@ -658,6 +661,8 @@ def _run_proposition(config, grid, datum, report):
 
 
 def _run_dnls_gauge(config, grid, datum, report):
+    if grid.dim != 1:
+        raise ConfigError(f"dnls_gauge is one-dimensional; grid.dim is {grid.dim}")
     lam = config["equation"]["lambda"]
     p_nls = NLSParams(dim=1, sigma=2.0, mu=0.5 * lam * lam)
     p_dnls = DNLSParams(lam)
@@ -744,12 +749,8 @@ def _run_lemmas(config, grid, datum, report):
         verify["match_tol"]
     )
     # decay ladder of the static-profile route (smooth-data rate ~ t^{-1})
-    profile_freq = ComplexField(
-        lemma1_grid.dual(),
-        make_datum(InitialDatumSpec(**config["datum"]), lemma1_grid.dual()).values,
-        "frequency",
-    )
-    ladder = spectral_profile_decay_ladder(profile_freq, times)
+    profile = make_datum(InitialDatumSpec(**config["datum"]), lemma1_grid.dual())
+    ladder = spectral_profile_decay_ladder(profile, times)
     report.ladders["static_profile_decay"] = ladder
     slope, _ = fit_loglog_slope(times, [e for _, e in ladder])
     report.add_rate("static_profile_decay_slope", slope)

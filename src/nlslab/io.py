@@ -5,7 +5,8 @@ Layout (little endian):
   version u32
   dim     u32
   per axis: N u64, h f64, x0 f64
-  space   u8   (0 = position, 1 = frequency)
+  space   u8   always 0: a field is its samples on the grid above, and
+               the reader rejects any other byte
   payload interleaved f64 (re, im) pairs, row-major
 """
 
@@ -14,7 +15,7 @@ import struct
 
 import numpy as np
 
-from .core import FREQUENCY, POSITION, ComplexField, GridDescriptor
+from .core import ComplexField, GridDescriptor
 from .errors import SnapshotFormatError
 
 MAGIC = b"NLSF"
@@ -24,9 +25,6 @@ _HEADER = struct.Struct("<4sII")
 _AXIS = struct.Struct("<Qdd")
 _SAMPLE_BYTES = 16
 
-_SPACE_CODE = {POSITION: 0, FREQUENCY: 1}
-_CODE_SPACE = {v: k for k, v in _SPACE_CODE.items()}
-
 
 def write_snapshot(path, field: ComplexField):
     g = field.grid
@@ -34,7 +32,7 @@ def write_snapshot(path, field: ComplexField):
         fh.write(_HEADER.pack(MAGIC, VERSION, g.dim))
         for n, h, x0 in zip(g.counts, g.spacings, g.offsets):
             fh.write(_AXIS.pack(n, h, x0))
-        fh.write(struct.pack("<B", _SPACE_CODE[field.space]))
+        fh.write(b"\x00")
         fh.write(np.ascontiguousarray(field.values, dtype="<c16").tobytes())
 
 
@@ -63,8 +61,8 @@ def read_snapshot(path) -> ComplexField:
         raise bad(f"header truncated: {len(data)} bytes, need {head}")
     axes = [_AXIS.unpack_from(data, _HEADER.size + i * _AXIS.size) for i in range(dim)]
     code = data[head - 1]
-    if code not in _CODE_SPACE:
-        raise bad(f"unknown space code {code}")
+    if code != 0:
+        raise bad(f"space byte is {code}, not 0")
     counts, spacings, offsets = zip(*axes)
     expected = math.prod(counts) * _SAMPLE_BYTES
     if len(data) - head != expected:
@@ -75,6 +73,6 @@ def read_snapshot(path) -> ComplexField:
     try:
         grid = GridDescriptor(counts, spacings, offsets)
         values = np.frombuffer(data, dtype="<c16", offset=head)
-        return ComplexField(grid, values.astype(np.complex128), _CODE_SPACE[code])
+        return ComplexField(grid, values.astype(np.complex128))
     except ValueError as exc:
         raise bad(str(exc)) from exc

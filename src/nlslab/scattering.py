@@ -17,11 +17,11 @@ import numpy as np
 
 from .born import QuadratureSpec, born_integral
 from .core import (
-    POSITION,
     ComplexField,
     GridDescriptor,
     forward_fourier,
     free_propagate,
+    inverse_fourier,
     l2_difference,
     l2_norm,
     resample,
@@ -49,10 +49,6 @@ def _check_datum(f, sign):
         )
 
 
-def _as_function(f):
-    return f.retagged(POSITION)
-
-
 def _check_truncated(f, sign, horizon):
     _check_datum(f, sign)
     if not (horizon > 0):
@@ -66,8 +62,8 @@ def wave_operator(
     u(sign*T) = U0(sign*T) u_pm evolves back to t = 0.  The truncation bias
     falls like 1/T."""
     _check_truncated(u_pm, sign, horizon)
-    u_init = free_propagate(_as_function(u_pm), sign * horizon)
-    return nls_evolve(u_init, sign * horizon, 0.0, p, dt).retagged(u_pm.space)
+    u_init = free_propagate(u_pm, sign * horizon)
+    return nls_evolve(u_init, sign * horizon, 0.0, p, dt)
 
 
 def inverse_wave_operator(
@@ -77,8 +73,8 @@ def inverse_wave_operator(
     and the asymptotic state is U0(-sign*T) u(sign*T).  The truncation bias
     falls like 1/T."""
     _check_truncated(u0, sign, horizon)
-    u = nls_evolve(_as_function(u0), 0.0, sign * horizon, p, dt)
-    return free_propagate(u, -sign * horizon).retagged(u0.space)
+    u = nls_evolve(u0, 0.0, sign * horizon, p, dt)
+    return free_propagate(u, -sign * horizon)
 
 
 def _check_lens(u, sign, p):
@@ -98,10 +94,10 @@ def lens_wave_operator(
     """
     _check_lens(u_pm, sign, p)
     tau = -sign / LENS_TIME
-    v = nls_evolve(_inverse_transform_as_function(u_pm), 0.0, tau, p, dt)
+    v = nls_evolve(inverse_fourier(u_pm), 0.0, tau, p, dt)
     u_t = reflect(pseudo_conformal(SnapshotAtTime(v, tau)).field)
     u = nls_evolve(u_t, sign * LENS_TIME, 0.0, p, dt)
-    return resample(u, u_pm.grid).retagged(u_pm.space)
+    return resample(u, u_pm.grid)
 
 
 def lens_inverse_wave_operator(
@@ -114,16 +110,10 @@ def lens_inverse_wave_operator(
     resampled onto the datum grid.
     """
     _check_lens(u0, sign, p)
-    u = nls_evolve(_as_function(u0), 0.0, sign * LENS_TIME, p, dt)
+    u = nls_evolve(u0, 0.0, sign * LENS_TIME, p, dt)
     snap = pseudo_conformal(SnapshotAtTime(u, sign * LENS_TIME))
     v = nls_evolve(snap.field, snap.time, 0.0, p, dt)
-    return resample(_as_function(forward_fourier(v)), u0.grid).retagged(u0.space)
-
-
-def _inverse_transform_as_function(f):
-    """F^{-1} applied to a field's samples viewed as a plain function:
-    F^{-1} g = R(F g), a function on the dual grid."""
-    return _as_function(reflect(forward_fourier(_as_function(f))))
+    return resample(forward_fourier(v), u0.grid)
 
 
 def theorem1_residuals(
@@ -133,16 +123,14 @@ def theorem1_residuals(
     inverse and forward wave operators truncated at ``horizon``, relative to
     ||u0||, keyed ``sign_plus`` and ``sign_minus``."""
     uhat = forward_fourier(u0)
-    hosted = resample(_as_function(uhat), u0.grid)
+    hosted = resample(uhat, u0.grid)
     scale = l2_norm(u0)
     residuals = {}
     for sign, label in ((+1, "plus"), (-1, "minus")):
         a_side = forward_fourier(inverse_wave_operator(u0, sign, p, horizon, dt))
         fwd = wave_operator(hosted, -sign, p, horizon, dt)
         b_side = resample(fwd, a_side.grid)
-        residuals[f"sign_{label}"] = (
-            l2_difference(a_side, b_side.retagged(a_side.space)) / scale
-        )
+        residuals[f"sign_{label}"] = l2_difference(a_side, b_side) / scale
     return residuals
 
 
@@ -165,14 +153,14 @@ def conjugation_residuals(
         )
     # W_s^{-1} = (C F)^{-1} W_s (C F): right side via hosting C F u0
     cfu = conjugate(forward_fourier(u0))
-    hosted = resample(_as_function(cfu), u0.grid)
+    hosted = resample(cfu, u0.grid)
     for sign, label in ((+1, "plus"), (-1, "minus")):
         lhs = inverse_wave_operator(u0, sign, p, horizon, dt)
         mid = wave_operator(hosted, sign, p, horizon, dt)
-        rhs = _inverse_transform_as_function(conjugate(mid))
+        rhs = inverse_fourier(conjugate(mid))
         lhs_on_dual = resample(lhs, rhs.grid)
         residuals[f"transform_conjugated_inverse_{label}"] = (
-            l2_difference(lhs_on_dual.retagged(rhs.space), rhs) / scale
+            l2_difference(lhs_on_dual, rhs) / scale
         )
     return residuals
 
@@ -247,14 +235,14 @@ def free_return_ladder(
         state = nls_evolve(state, t_now, tau, p, seg_dt)
         snaps[tau] = state
         t_now = tau
-    target = _inverse_transform_as_function(u0)
+    target = inverse_fourier(u0)
     ladder = []
     for t in times:
         tau = -1.0 / t
         v = pseudo_conformal(SnapshotAtTime(snaps[tau], tau))
         back = free_propagate(v.field, -v.time)
-        moved = resample(_as_function(back), target.grid)
-        ladder.append((t, l2_difference(moved.retagged(target.space), target) / scale))
+        moved = resample(back, target.grid)
+        ladder.append((t, l2_difference(moved, target) / scale))
     return ladder
 
 
@@ -273,9 +261,9 @@ def asymptotic_state_residuals(
         u_t = nls_evolve(u0s, 0.0, sign * horizon, p, dt)
         u_asym = free_propagate(u_t, -sign * horizon)
         v_limit = pseudo_conformal(SnapshotAtTime(u_t, sign * horizon)).field
-        predicted = _inverse_transform_as_function(reflect(v_limit))
+        predicted = inverse_fourier(reflect(v_limit))
         moved = resample(u_asym, predicted.grid)
         residuals[f"asymptotic_state_match_{label}"] = (
-            l2_difference(moved.retagged(predicted.space), predicted) / scale
+            l2_difference(moved, predicted) / scale
         )
     return residuals

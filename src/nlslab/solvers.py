@@ -33,9 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    POSITION,
     ComplexField,
-    _require_space,
     diagnostics,
     l2_norm,
     spectral_plan,
@@ -116,7 +114,6 @@ def _buffers(a0):
 
 def nls_step(u: ComplexField, dt: float, p: NLSParams) -> ComplexField:
     """One Strang step: half nonlinear phase, free flow, half nonlinear phase."""
-    _require_space(u, POSITION, "nls_step")
     m = spectral_plan(u.grid).free_multiplier(dt)
     a, spec, w = _buffers(u.shaped)
     _kick_drift(a, 0.5 * dt, m, p, spec, w)
@@ -221,7 +218,6 @@ def nls_evolve(
     monitors trip or the state stops being finite; a dt that is not
     positive and finite is a ValueError.
     """
-    _require_space(u0, POSITION, "nls_evolve")
     plan = spectral_plan(u0.grid)
     a0, spec, w = _buffers(u0.shaped)
     # the free-flow multipliers of the full and of the final partial step
@@ -288,7 +284,6 @@ def dnls_evolve(
     """
     if psi0.grid.dim != 1:
         raise SolverHealthError("dnls_evolve is one-dimensional")
-    _require_space(psi0, POSITION, "dnls_evolve")
     plan = spectral_plan(psi0.grid)
 
     def step(w, t, h):

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    FREQUENCY,
-    POSITION,
     ComplexField,
     _reflect_values,
     diagnostics,
@@ -93,8 +91,6 @@ def gauge(f: ComplexField, g: GaugeParams) -> ComplexField:
     """
     if f.grid.dim != 1:
         raise NlslabError("gauge transform is defined in one dimension only")
-    if f.space != POSITION:
-        raise NlslabError("gauge transform acts on position-space fields")
     d = diagnostics(f)
     if d.boundary_mass_fraction > 1e-6:
         raise NlslabError(
@@ -113,17 +109,16 @@ def gauge_phase_profile(f: ComplexField, g: GaugeParams) -> np.ndarray:
 def spectral_profile_decay_ladder(phi: ComplexField, times) -> list:
     """|| U0(t) F^{-1} phi - (Psi phi)(t, .) ||_L2 over a ladder of times.
 
-    ``phi`` is a frequency-space field (the static profile the
-    pseudo-conformal map is applied to).  Both routes are evaluated with the
-    actual operators and compared on the free route's grid.
+    ``phi`` is the static profile the pseudo-conformal map is applied to,
+    read as a function of frequency on its own grid.  Both routes are
+    evaluated with the actual operators and compared on the free route's
+    grid.
     """
-    if phi.space != FREQUENCY:
-        raise NlslabError("the decay ladder takes a frequency-space profile")
     base = inverse_fourier(phi)
     out = []
     for t in times:
         route_free = free_propagate(base, t)
-        snap = SnapshotAtTime(phi.retagged(POSITION), -1.0 / t)
+        snap = SnapshotAtTime(phi, -1.0 / t)
         route_psi = pseudo_conformal(snap).field
         moved = resample(route_psi, route_free.grid)
         out.append((float(t), l2_difference(route_free, moved)))

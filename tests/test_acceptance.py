@@ -19,9 +19,6 @@ from nlslab.born import (
     subcritical_sides,
 )
 from nlslab.core import (
-    FREQUENCY,
-    POSITION,
-    ComplexField,
     GridDescriptor,
     field_from_function,
     forward_fourier,
@@ -119,9 +116,7 @@ class TestCriterion02Factorization:
         g = grid1d(1024, 0.08)
         f = gaussian_field(g)
         direct = free_propagate(f, t)
-        factored = quadratic_phase(
-            dilate(forward_fourier(quadratic_phase(f, t)).retagged(POSITION), t), t
-        )
+        factored = quadratic_phase(dilate(forward_fourier(quadratic_phase(f, t)), t), t)
         err = l2_difference(resample(factored, g), direct)
         report(
             f"criterion 2: free-group factorization at t={t} to 1e-8",
@@ -181,7 +176,7 @@ class TestCriterion03SolverOrders:
 class TestCriterion04StaticProfileDecay:
     def test_ladder_slope(self):
         g = GridDescriptor.centered((4096,), (0.2,))
-        phi = gaussian_field(g.dual()).retagged(FREQUENCY)
+        phi = gaussian_field(g.dual())
         ladder = spectral_profile_decay_ladder(phi, [10.0, 20.0, 40.0, 80.0])
         slope, _ = fit_loglog_slope([t for t, _ in ladder], [e for _, e in ladder])
         report(
@@ -260,7 +255,7 @@ class TestCriterion06Theorem1:
         datum = make_datum(
             InitialDatumSpec("gaussian", amplitude=1.0, width=3.0, normalize=0.3), g2
         )
-        hosted = resample(forward_fourier(datum).retagged(POSITION), g2)
+        hosted = resample(forward_fourier(datum), g2)
         p = NLSParams(dim=2, mu=1.0)
         with pytest.raises(SolverHealthError, match=r"\(initial state\)") as exc:
             wave_operator(hosted, sign, p, 50.0, 0.02)

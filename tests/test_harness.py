@@ -83,18 +83,22 @@ class TestSnapshotFormat:
     error (exit 2), never a traceback."""
 
     @staticmethod
-    def _header(count=64):
+    def _header(count=64, space=b"\x00"):
         return (struct.pack("<4sII", b"NLSF", 1, 1)
-                + struct.pack("<Qdd", count, 0.5, -0.25 * count) + b"\x00")
+                + struct.pack("<Qdd", count, 0.5, -0.25 * count) + space)
 
-    @pytest.mark.parametrize("kind", ["random", "header_only", "short_payload"])
+    @pytest.mark.parametrize(
+        "kind", ["random", "header_only", "short_payload", "space_byte_one"])
     def test_malformed_file(self, kind, tmp_path, capsys):
         if kind == "random":
             data = np.random.default_rng(3).bytes(40)
         elif kind == "header_only":
             data = struct.pack("<4sII", b"NLSF", 1, 1)
-        else:
+        elif kind == "short_payload":
             data = self._header() + b"\x00" * (16 * 63)
+        else:
+            # the byte that once marked a frequency-space field
+            data = self._header(space=b"\x01") + b"\x00" * (16 * 64)
         path = tmp_path / "bad.nlsf"
         path.write_bytes(data)
         with pytest.raises(SnapshotFormatError):
@@ -114,6 +118,21 @@ class TestSnapshotFormat:
         path.write_bytes(self._header() + b"\x00" * (16 * 64))
         f = read_snapshot(path)
         assert f.grid.counts == (64,) and not f.values.any()
+
+    @pytest.mark.parametrize("counts, spacings", [([64], [0.5]), ([1024], [0.08])])
+    def test_off_grid_datum_file_exit_two(self, counts, spacings, tmp_path, capsys):
+        # the default solve grid is 1024 x 0.04: a file datum with other
+        # counts or another spacing is a config error, not a run on its own grid
+        grid = GridDescriptor.centered(counts, spacings)
+        path = tmp_path / "datum.nlsf"
+        write_snapshot(path, make_datum(InitialDatumSpec("gaussian", amplitude=0.3), grid))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"datum": {"kind": "file", "path": str(path)},
+                                   "evolve": {"t1": 0.01}}))
+        code = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and "Traceback" not in err
 
 
 class TestConfigHandling:
@@ -281,6 +300,8 @@ class TestCli:
         ("solve", {"grid": {"counts": [1024.7]}}),
         ("solve", {"datum": {"path": 5}}),
         ("wave_op", {"scattering": {"dt": True}}),
+        ("dnls_gauge", {"grid": {"dim": 2, "counts": [64, 64], "spacings": [0.5, 0.5]},
+                        "datum": {"kind": "gaussian"}}),
     ])
     def test_rejected_value_exit_two(self, experiment, overrides, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

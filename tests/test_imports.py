@@ -1,12 +1,14 @@
 """Every module-level import of the package modules is used, and every
-module-level private name is referenced.
+module-level name is referenced.
 
 No linter is a test dependency, so these are the unused-import and
-dead-helper checks: a name bound by a top-level ``import`` or
+dead-name checks: a name bound by a top-level ``import`` or
 ``from ... import`` must be read somewhere else in its module
-(``__init__.py`` re-exports and is skipped), and a private ``_name``
-defined at the top level of a package module must be read somewhere in the
-package.
+(``__init__.py`` re-exports and is skipped); a private ``_name`` defined at
+the top level of a package module must be read somewhere in the package;
+and a public name defined at the top level of a package module must be
+read by a package module, a test or a demo, where a re-export from
+``__init__.py`` does not count as a read.
 """
 
 import ast
@@ -14,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nlslab"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "nlslab"
 
 
 def unused_imports(source):
@@ -53,17 +56,18 @@ def _defined_names(node):
     return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
 
 
-def unreferenced_private_names(sources):
-    """(module, line, name) of each private name that some module of
-    ``sources`` (module name -> source) defines at its top level and that no
-    module reads, as a name or an attribute."""
+def unreferenced_names(sources, readers=(), private=False):
+    """(module, line, name) of each public (or, with ``private``, private)
+    name that some module of ``sources`` (module name -> source) defines at
+    its top level and that no source of ``sources`` or ``readers`` reads, as
+    a name or an attribute."""
     defined, read = [], set()
     for module, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
+        for node in ast.parse(source).body:
             defined += [(module, node.lineno, name) for name in _defined_names(node)
-                        if name.startswith("_") and not name.startswith("__")]
-        for n in ast.walk(tree):
+                        if name.startswith("_") == private and not name.startswith("__")]
+    for source in [*sources.values(), *readers]:
+        for n in ast.walk(ast.parse(source)):
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
                 read.add(n.id)
             elif isinstance(n, ast.Attribute):
@@ -73,7 +77,7 @@ def unreferenced_private_names(sources):
 
 def test_every_private_name_is_referenced():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
-    assert unreferenced_private_names(sources) == []
+    assert unreferenced_names(sources, private=True) == []
 
 
 def test_check_sees_an_unreferenced_private_name():
@@ -81,6 +85,26 @@ def test_check_sees_an_unreferenced_private_name():
         "a.py": "_LIMIT = 3\n_OLD, _NEW = 1, 2\n\ndef _helper():\n    return _NEW\n",
         "b.py": "from .a import _helper\n\nclass _Dead:\n    pass\n\nprint(_helper())\n",
     }
-    assert unreferenced_private_names(sources) == [
+    assert unreferenced_names(sources, private=True) == [
         ("a.py", 1, "_LIMIT"), ("a.py", 2, "_OLD"), ("b.py", 3, "_Dead"),
+    ]
+
+
+def test_every_public_name_is_referenced():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")
+               if p.name != "__init__.py"}
+    readers = [p.read_text() for folder in ("tests", "demos")
+               for p in (ROOT / folder).glob("*.py")]
+    assert unreferenced_names(sources, readers) == []
+
+
+def test_check_sees_an_unreferenced_public_name():
+    sources = {
+        "a.py": "LIMIT = 3\nOLD, NEW = 1, 2\n\ndef helper():\n    return NEW\n",
+        "b.py": "from .a import helper\n\nclass Dead:\n    pass\n\nclass Used:\n"
+                "    pass\n\nprint(helper())\n",
+    }
+    readers = ["from nlslab.b import Used\n\nprint(Used)\n"]
+    assert unreferenced_names(sources, readers) == [
+        ("a.py", 1, "LIMIT"), ("a.py", 2, "OLD"), ("b.py", 3, "Dead"),
     ]

@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlslab.core import (
-    FREQUENCY,
-    POSITION,
     ComplexField,
     GridDescriptor,
     _density_power,
@@ -24,7 +22,7 @@ from nlslab.core import (
     resample,
     spectral_plan,
 )
-from nlslab.errors import MassLossError, SpaceTagError
+from nlslab.errors import MassLossError
 from nlslab.io import read_snapshot, write_snapshot
 
 from oracles import (
@@ -61,8 +59,7 @@ def random_band_limited(grid, seed=0, band=0.25):
         shape[axis] = len(xi)
         mask &= (xi <= cut).reshape(shape)
     spec[mask] = rng.standard_normal(mask.sum()) + 1j * rng.standard_normal(mask.sum())
-    f = ComplexField(dual, spec.reshape(-1), FREQUENCY)
-    return inverse_fourier(f)
+    return inverse_fourier(ComplexField(dual, spec.reshape(-1)))
 
 
 class TestGridDescriptor:
@@ -112,12 +109,6 @@ class TestForwardFourier:
         shifted = np.exp(-0.5 * (xi - k0) ** 2)
         assert np.max(np.abs(fhat.values - shifted)) < 1e-10
 
-    def test_wrong_space_tag(self):
-        g = grid1d(256)
-        f = gaussian_field(g).retagged(FREQUENCY)
-        with pytest.raises(SpaceTagError):
-            forward_fourier(f)
-
     def test_plancherel(self):
         f = random_band_limited(grid1d(512, 0.07), seed=3)
         fhat = forward_fourier(f)
@@ -138,7 +129,7 @@ class TestForwardFourier:
 class TestInverseFourier:
     def test_gaussian(self):
         g = grid1d()
-        fhat = gaussian_field(g.dual(), width=1.0).retagged(FREQUENCY)
+        fhat = gaussian_field(g.dual(), width=1.0)
         f = inverse_fourier(fhat)
         expected = np.exp(-0.5 * f.grid.axis_coords(0) ** 2)
         assert np.max(np.abs(f.values - expected)) < 1e-12
@@ -147,15 +138,11 @@ class TestInverseFourier:
         g = grid1d(512, 0.08)
         dual = g.dual()
         xi = dual.axis_coords(0)
-        fhat = ComplexField(dual, np.exp(-0.5 * (xi - 3.0) ** 2), FREQUENCY)
+        fhat = ComplexField(dual, np.exp(-0.5 * (xi - 3.0) ** 2))
         f = inverse_fourier(fhat)
         x = f.grid.axis_coords(0)
         expected = np.exp(-0.5 * x**2) * np.exp(1j * 3.0 * x)
         assert np.max(np.abs(f.values - expected)) < 1e-10
-
-    def test_wrong_space_tag(self):
-        with pytest.raises(SpaceTagError):
-            inverse_fourier(gaussian_field(grid1d(256)))
 
 
 class TestFreePropagate:
@@ -184,9 +171,12 @@ class TestFreePropagate:
         assert abs(l2_norm(free_propagate(f, 3.7)) - l2_norm(f)) < 1e-13
 
     def test_frequency_space_multiplier(self):
+        # F U0(t) f = exp(-i t |xi|^2 / 2) F f
+        t = 1.3
         f = random_band_limited(grid1d(256, 0.1), seed=7)
-        a = forward_fourier(free_propagate(f, 1.3))
-        b = free_propagate(forward_fourier(f), 1.3)
+        a = forward_fourier(free_propagate(f, t))
+        fhat = forward_fourier(f)
+        b = fhat.with_values(fhat.values * np.exp(-0.5j * t * fhat.grid.axis_coords(0) ** 2))
         assert l2_difference(a, b) < 1e-12 * l2_norm(f)
 
 
@@ -295,7 +285,7 @@ class TestDilate:
         f = gaussian_field(g)
         direct = free_propagate(f, t)
         m1 = quadratic_phase(f, t)
-        fm = forward_fourier(m1).retagged(POSITION)
+        fm = forward_fourier(m1)
         dm = dilate(fm, t)
         factored = quadratic_phase(dm, t)
         back = resample(factored, g)
@@ -477,7 +467,6 @@ class TestSnapshotIO:
         p = tmp_path / "field.nlsf"
         write_snapshot(p, f)
         back = read_snapshot(p)
-        assert back.space == f.space
         assert back.grid.counts == f.grid.counts
         assert back.grid.spacings == f.grid.spacings
         assert np.array_equal(back.values, f.values)
@@ -486,11 +475,12 @@ class TestSnapshotIO:
         g = GridDescriptor.centered((16, 32), (0.3, 0.2))
         rng = np.random.default_rng(0)
         vals = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
-        f = ComplexField(g, vals, FREQUENCY)
+        # samples on a dual (frequency) grid are written like any others
+        f = ComplexField(g.dual(), vals)
         p = tmp_path / "field2d.nlsf"
         write_snapshot(p, f)
         back = read_snapshot(p)
-        assert back.space == FREQUENCY
+        assert back.grid == f.grid
         assert np.array_equal(back.values, f.values)
 
     def test_bad_magic(self, tmp_path):

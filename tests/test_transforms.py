@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from nlslab.core import (
-    FREQUENCY,
-    ComplexField,
     GridDescriptor,
     field_from_function,
     forward_fourier,
@@ -56,7 +54,7 @@ class TestPseudoConformal:
         # the free flow of F^{-1} phi and the conformal image of the static
         # profile agree up to O(1/t) for Gaussian data
         g = GridDescriptor.centered((4096,), (0.2,))
-        phi = gaussian_field(g.dual()).retagged(FREQUENCY)
+        phi = gaussian_field(g.dual())
         ladder = spectral_profile_decay_ladder(phi, [10.0, 20.0, 40.0, 80.0])
         errs = [e for _, e in ladder]
         assert all(b < a for a, b in zip(errs, errs[1:]))
