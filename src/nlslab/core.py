@@ -462,7 +462,6 @@ def l2_difference(a: ComplexField, b: ComplexField) -> float:
 class FieldDiagnostics:
     """Mass fractions in the outer 1/8 of the frequency and position ranges."""
 
-    l2: float
     spectral_tail_fraction: float
     boundary_mass_fraction: float
 
@@ -483,7 +482,6 @@ def diagnostics(f: ComplexField) -> FieldDiagnostics:
     # raw spectrum in FFT order will do
     tail = _shell_fraction(np.fft.fftn(f.shaped), plan.dual_shell)
     return FieldDiagnostics(
-        l2=l2_norm(f),
         spectral_tail_fraction=tail,
         boundary_mass_fraction=boundary,
     )

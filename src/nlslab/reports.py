@@ -50,6 +50,9 @@ class VerificationReport:
     # name -> ComplexField, written beside the report as NLSF snapshots and
     # left out of its JSON
     snapshots: dict = field(default_factory=dict)
+    # ladder name -> header of the CSV table that the ladder is written to
+    # beside the report; left out of its JSON
+    csv_headers: dict = field(default_factory=dict)
 
     def add_residual(self, name, value, tolerance):
         self.residuals.append(Residual(name, float(value), float(tolerance)))

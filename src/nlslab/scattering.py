@@ -196,19 +196,15 @@ def small_data_sweep(
         w_inv = lens_inverse_wave_operator(a, sign, p, dt)
         first = mu * delta**power * k.values
         for name, out, orient in (("forward", w, +1.0), ("inverse", w_inv, -1.0)):
-            linear = out.values - a.values
-            coeff_err = float(
-                np.sqrt(
-                    phi.grid.cell_volume
-                    * np.sum(np.abs(linear / (mu * delta**power) - orient * 1j * k.values) ** 2)
-                )
-            ) / k_norm
             remainder = float(
                 np.sqrt(
                     phi.grid.cell_volume
-                    * np.sum(np.abs(linear - orient * 1j * first) ** 2)
+                    * np.sum(np.abs(out.values - a.values - orient * 1j * first) ** 2)
                 )
             )
+            # the coefficient error ||(out - a) / (mu delta^power) - orient i K||
+            # / ||K|| is the remainder over |mu| delta^power ||K||
+            coeff_err = remainder / (abs(mu) * delta**power * k_norm)
             rows[name].append((delta, coeff_err, remainder))
     return corrector, rows
 

@@ -16,7 +16,6 @@ from nlslab.born import (
     born_integral,
     corollary2_sides,
     scalar_weighted_integral,
-    subcritical_sides,
 )
 from nlslab.core import (
     GridDescriptor,

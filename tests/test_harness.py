@@ -286,7 +286,7 @@ class TestCli:
         ("proposition", {"verify": {"deltas": [0.4, 0.2, -0.1]}}),
         ("solve", {"evolve": {"t1": float("inf")}}),
         ("solve", {"evolve": {"t1": float("nan")}}),
-        ("solve", {"evolve": {"t0": float("nan")}}),
+        ("dnls_gauge", {"evolve": {"t1": float("nan")}}),
         ("solve", {"datum": {"amplitude": float("nan")}}),
         ("solve", {"datum": {"width": 0}}),
         ("solve", {"datum": {"normalize": float("inf")}}),
@@ -294,7 +294,7 @@ class TestCli:
         ("thm1", {"grid": {"counts": [1024], "spacings": [0.25]},
                   "scattering": {"horizon": 6.0, "dt": 0.04},
                   "verify": {"double_horizon": "no", "doubled_counts": [2048]}}),
-        ("solve", {"verify": {"spectral_checks": "no"}}),
+        ("dnls_gauge", {"verify": {"order_check": "no"}}),
         ("solve", {"output": {"snapshots": "no"}}),
         ("solve", {"datum": {"amplitude": True}}),
         ("solve", {"grid": {"counts": [1024.7]}}),
@@ -310,6 +310,36 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error:") and "Traceback" not in err
+
+    # each key that held an auxiliary bound or a start time, set to the value
+    # it had, and the whole solve.verify section
+    @pytest.mark.parametrize("experiment, key, value", [
+        ("solve", "verify", {}),
+        ("solve", "verify.mass_drift_tol", 1e-11),
+        ("solve", "verify.reversibility_tol", 1e-9),
+        ("solve", "verify.spectral_checks", True),
+        ("solve", "verify.order_check", True),
+        ("solve", "evolve.t0", 0.0),
+        ("corollary2", "verify.refinement_tol", 1e-6),
+        ("subcritical", "verify.refinement_tol", 1e-6),
+        ("proposition", "verify.slope_margin", 0.5),
+        ("dnls_gauge", "verify.inverse_tol", 1e-12),
+        ("dnls_gauge", "verify.mass_drift_tol", 1e-8),
+        ("dnls_gauge", "evolve.t0", 0.0),
+        ("lemmas", "verify.slope_bound", -0.4),
+        ("lemmas", "verify.match_tol", 1e-2),
+        ("lemmas", "verify.involution_tol", 1e-6),
+    ])
+    def test_removed_key_exit_two(self, experiment, key, value, tmp_path, capsys):
+        section, _, name = key.partition(".")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {name: value} if name else value}))
+        code = cli.main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        # a key of a deleted section is reported by its section
+        named = key if section in DEFAULTS[experiment] else f"section {section!r}"
+        assert err.startswith("config error:") and named in err
 
     def test_out_names_existing_file_exit_two(self, tmp_path, capsys):
         # the output directory is made before the runner starts, so the
@@ -370,6 +400,8 @@ class TestDnlsGaugeExperiment:
             out_dir=tmp_path,
         )
         assert rep.verdict == "pass"
+        table = (tmp_path / "dnls_gauge_checkpoint_residuals.csv").read_text()
+        assert table.splitlines()[0] == "t,quintic_to_derivative,derivative_to_quintic"
 
 
 class TestPropositionExperiment:

@@ -1,5 +1,5 @@
-"""Every module-level import of the package modules is used, and every
-module-level name is referenced.
+"""Every module-level import of the package modules, tests and demos is
+used, and every module-level name is referenced.
 
 No linter is a test dependency, so these are the unused-import and
 dead-name checks: a name bound by a top-level ``import`` or
@@ -35,11 +35,17 @@ def unused_imports(source):
     return sorted((line, name) for name, line in bound.items() if name not in read)
 
 
-@pytest.mark.parametrize(
-    "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-)
+# package modules by file name, tests and demos by folder and file name
+_IMPORTING = {
+    **{p.name: p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"},
+    **{f"{folder}/{p.name}": p for folder in ("tests", "demos")
+       for p in (ROOT / folder).glob("*.py")},
+}
+
+
+@pytest.mark.parametrize("module", sorted(_IMPORTING))
 def test_no_unused_module_imports(module):
-    assert unused_imports((PACKAGE / module).read_text()) == []
+    assert unused_imports(_IMPORTING[module].read_text()) == []
 
 
 def test_check_sees_an_unused_import():

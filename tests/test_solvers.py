@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from nlslab.core import (
-    ComplexField,
     GridDescriptor,
     field_from_function,
     free_propagate,
