@@ -402,6 +402,8 @@ def run(experiment, overrides=None, out_dir=None, parallel=False):
 
 # CSV header of a ladder of (abscissa, value) pairs
 _PAIR = ("abscissa", "value")
+# CSV header of a ladder of named values
+_NAMED = ("quantity", "value")
 
 
 def _add_residuals(report, values, tolerance):
@@ -597,7 +599,7 @@ def _compare_sides(report, lhs, rhs, tolerance, names, prefix, label):
         difference, l2_difference(lhs.field, rhs.field) / scale, tolerance)
     report.add_residual(
         refinement, max(lhs.refinement_delta, rhs.refinement_delta) / scale, 1e-6)
-    _add_ladder(report, f"tail_bounds_{prefix}{label}", _PAIR, [
+    _add_ladder(report, f"tail_bounds_{prefix}{label}", _NAMED, [
         ("lhs", lhs.tail_bound), ("rhs", rhs.tail_bound),
         ("lhs_decay_exponent", lhs.decay_exponent),
         ("rhs_decay_exponent", rhs.decay_exponent),

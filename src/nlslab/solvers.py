@@ -5,7 +5,10 @@ Both substeps of the splitting are unitary (the nonlinear flow is an exact
 phase rotation), so the splitting error is purely commutator-driven and mass
 is conserved to roundoff.  The derivative equation is integrated in the
 interaction picture w(t) = U0(-t) psi(t), which removes the stiff linear
-phase from the RK4 stability constraint.
+phase from the RK4 stability constraint.  The RK4 state is the spectrum of
+w in FFT order, so a stage is four FFTs: one to psi, a pair for the
+derivative of |psi|^2, and one back.  Its blow-up guard reads psi, the
+field the nonlinearity uses.
 
 A kick (the nonlinear phase) leaves |u| unchanged, so the trailing half-kick
 of one Strang step and the leading half-kick of the next are one kick of
@@ -247,26 +250,6 @@ def nls_evolve(
     return _march(u0, t0, t1, dt, observer, "nls_evolve", a0, step, values)
 
 
-def _dnls_rhs(w, t, plan, lam):
-    """dw/dt = lambda * U0(-t)[ (|psi|^2)_x psi ], psi = U0(t) w, on raw
-    arrays in position order."""
-    if not np.max(np.abs(w)) <= 1e8:
-        raise SolverHealthError(
-            f"dnls_evolve: blow-up in a Runge-Kutta stage at t={t:.6g}", {"t": t}
-        )
-    m = plan.free_multiplier(t)
-    spec = np.fft.fftn(w)
-    spec *= m
-    psi = np.fft.ifftn(spec)
-    forcing = plan.derivative(psi.real**2 + psi.imag**2)
-    forcing *= psi
-    spec = np.fft.fftn(forcing)
-    spec *= np.conj(m)
-    out = np.fft.ifftn(spec)
-    out *= lam
-    return out
-
-
 def dnls_evolve(
     psi0: ComplexField,
     t0: float,
@@ -276,25 +259,69 @@ def dnls_evolve(
     observer=None,
 ) -> ComplexField:
     """Integrating-factor RK4 for the derivative equation (1d only), on the
-    interaction-picture state w(t) = U0(-t) psi(t).
+    spectrum of the interaction-picture state, w_hat(t) = fft(U0(-t) psi(t))
+    in FFT order.
+
+    With m(t) = exp(-i t |xi|^2 / 2), a stage at time t reads the solution
+    psi = ifft(w_hat m(t)), forms (|psi|^2)_x = ifft(i xi fft(|psi|^2)), and
+    returns lambda conj(m(t)) fft((|psi|^2)_x psi): four FFTs.  The RK4
+    combinations are linear, so they act on the spectra as they are.  The
+    multiplier is built once per distinct stage time: k2 and k3 share
+    m(t + h/2), and m(t + h) serves the next step and the output when their
+    time is the same float.
 
     Mass is conserved by the continuum equation; the measured drift is a
     pure accuracy monitor.  ``observer``, ``dt`` and the health monitors work
-    as in ``nls_evolve``; a violation or a blow-up fails at once.
+    as in ``nls_evolve``; a violation fails at once, and so does a stage
+    whose psi exceeds 1e8 in modulus (a blow-up).
     """
     if psi0.grid.dim != 1:
         raise SolverHealthError("dnls_evolve is one-dimensional")
     plan = spectral_plan(psi0.grid)
+    dxi = plan.derivative_symbol
+    # the last multiplier built, (time, m(time), conj(m(time)))
+    last = [None, None, None]
 
-    def step(w, t, h):
-        k1 = _dnls_rhs(w, t, plan, p.lam)
-        k2 = _dnls_rhs(w + 0.5 * h * k1, t + 0.5 * h, plan, p.lam)
-        k3 = _dnls_rhs(w + 0.5 * h * k2, t + 0.5 * h, plan, p.lam)
-        k4 = _dnls_rhs(w + h * k3, t + h, plan, p.lam)
-        return w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def phase(t):
+        if last[0] != t:
+            m = plan.free_multiplier(t)
+            last[:] = t, m, np.conj(m)
+        return last[1], last[2]
 
+    def stage(w_hat, t):
+        m, m_conj = phase(t)
+        psi = np.fft.ifft(w_hat * m)
+        density = psi.real**2
+        density += psi.imag**2
+        # sup |psi| <= 1e8, read off the density the nonlinearity needs; an
+        # overflowing or NaN density fails it too
+        if not density.max() <= 1e16:
+            raise SolverHealthError(
+                f"dnls_evolve: blow-up in a Runge-Kutta stage at t={t:.6g}",
+                {"t": t},
+            )
+        spec = np.fft.fft(density)
+        spec *= dxi
+        forcing = np.fft.ifft(spec)
+        forcing *= psi
+        out = np.fft.fft(forcing)
+        out *= m_conj
+        out *= p.lam
+        return out
+
+    def step(w_hat, t, h):
+        k1 = stage(w_hat, t)
+        k2 = stage(w_hat + 0.5 * h * k1, t + 0.5 * h)
+        k3 = stage(w_hat + 0.5 * h * k2, t + 0.5 * h)
+        k4 = stage(w_hat + h * k3, t + h)
+        return w_hat + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def values(w_hat, t):
+        return np.fft.ifft(w_hat * phase(t)[0])
+
+    w_hat0 = np.fft.fft(psi0.values) * phase(t0)[1]
     return _march(psi0, t0, t1, dt, observer, "dnls_evolve",
-                  plan.propagate(psi0.shaped, -t0), step, plan.propagate)
+                  w_hat0, step, values)
 
 
 def residual(trajectory, equation) -> float:

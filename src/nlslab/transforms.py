@@ -15,13 +15,14 @@ import numpy as np
 from .core import (
     ComplexField,
     _reflect_values,
-    diagnostics,
+    _shell_fraction,
     dilate,
     free_propagate,
     inverse_fourier,
     l2_difference,
     quadratic_phase,
     resample,
+    spectral_plan,
 )
 from .errors import NlslabError
 
@@ -91,10 +92,11 @@ def gauge(f: ComplexField, g: GaugeParams) -> ComplexField:
     """
     if f.grid.dim != 1:
         raise NlslabError("gauge transform is defined in one dimension only")
-    d = diagnostics(f)
-    if d.boundary_mass_fraction > 1e-6:
+    # the boundary fraction of ``diagnostics``, without its spectral tail
+    boundary = _shell_fraction(f.shaped, spectral_plan(f.grid).shell)
+    if boundary > 1e-6:
         raise NlslabError(
-            f"boundary mass fraction {d.boundary_mass_fraction:.2e} too large "
+            f"boundary mass fraction {boundary:.2e} too large "
             "for the left-edge cumulative integral (limit 1e-6)"
         )
     return f.with_values(f.values * np.exp(1j * gauge_phase_profile(f, g)))

@@ -543,7 +543,9 @@ class TestSubcriticalExperiment:
                 # the integrands decay like |t|^(-n sigma) = |t|^-1.5
                 assert abs(rows["lhs_decay_exponent"] - 1.5) < 1e-2
                 assert abs(rows["rhs_decay_exponent"] - 1.5) < 1e-2
-                assert (tmp_path / f"subcritical_{name}.csv").exists()
+                csv = tmp_path / f"subcritical_{name}.csv"
+                # the first column holds labels, not abscissae
+                assert csv.read_text().splitlines()[0] == "quantity,value"
 
 
 def _numeric_keys():

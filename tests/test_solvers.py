@@ -252,7 +252,71 @@ class TestRawLoop:
         assert info.value.diagnostics["t"] == 1.0
 
 
+def position_space_rk4(psi0, t0, t1, lam, steps):
+    """The interaction-picture RK4 on w = U0(-t) psi in position order, in
+    ``steps`` equal steps, each stage six raw FFTs: an independent reference
+    for the spectral state of ``dnls_evolve``."""
+    g = psi0.grid
+    xi = 2.0 * np.pi * np.fft.fftfreq(g.counts[0], g.spacings[0])
+
+    def m(t):
+        return np.exp(-0.5j * t * xi**2)
+
+    def rhs(w, t):
+        psi = np.fft.ifft(np.fft.fft(w) * m(t))
+        dens_x = np.fft.ifft(1j * xi * np.fft.fft(np.abs(psi) ** 2))
+        return lam * np.fft.ifft(np.fft.fft(dens_x * psi) * np.conj(m(t)))
+
+    h = (t1 - t0) / steps
+    w = np.fft.ifft(np.fft.fft(psi0.values) * np.conj(m(t0)))
+    for k in range(steps):
+        t = t0 + k * h
+        k1 = rhs(w, t)
+        k2 = rhs(w + 0.5 * h * k1, t + 0.5 * h)
+        k3 = rhs(w + 0.5 * h * k2, t + 0.5 * h)
+        k4 = rhs(w + h * k3, t + h)
+        w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return np.fft.ifft(np.fft.fft(w) * m(t1))
+
+
 class TestDnlsEvolve:
+    @pytest.mark.parametrize("t0, t1", [(0.0, 0.25), (0.3, 0.55), (0.2, -0.05)])
+    def test_matches_position_space_reference(self, t0, t1):
+        # pins the start state fft(psi0) conj(m(t0)) and the output
+        # ifft(w_hat m(t)) against the position-space form of the scheme
+        f = sech_field(grid1d(256, 0.1), 0.5)
+        out = dnls_evolve(f, t0, t1, DNLSParams(1.0), 0.01)
+        ref = position_space_rk4(f, t0, t1, 1.0, 25)
+        assert np.linalg.norm(out.values - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_restart_invariance(self):
+        # the checkpoint loop of the dnls_gauge experiment restarts each leg
+        # from the previous leg's field
+        f = sech_field(grid1d(256, 0.1), 0.5)
+        p = DNLSParams(1.0)
+        whole = dnls_evolve(f, 0.0, 0.25, p, 0.005)
+        legs = dnls_evolve(dnls_evolve(f, 0.0, 0.125, p, 0.005), 0.125, 0.25, p, 0.005)
+        assert l2_difference(whole, legs) <= 1e-13 * l2_norm(whole)
+
+    def test_four_ffts_a_stage(self, monkeypatch):
+        calls = [0]
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[0] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
+        monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
+        seen = []
+        dnls_evolve(sech_field(grid1d(256, 0.1), 0.5), 0.0, 0.05, DNLSParams(1.0),
+                    0.01, observer=lambda t, fld: seen.append(calls[0]))
+        # one FFT for the start state's spectrum; then per step four stages
+        # of four FFTs, and one inverse FFT for the field the observer gets
+        assert seen[0] == 1
+        assert np.diff(seen).tolist() == [16 + 1] * 5
+
     def test_lambda_zero_is_free(self):
         g = grid1d(256, 0.1)
         f = sech_field(g, 0.4)
@@ -295,6 +359,7 @@ class TestDnlsEvolve:
                         observer=lambda t, fld: seen.append(t))
         assert seen == [0.0]
         assert info.value.diagnostics["t"] > 0.0
+        assert "blow-up in a Runge-Kutta stage" in str(info.value)
         assert "halvings" not in str(info.value)
 
 
