@@ -38,6 +38,7 @@ from .core import (
     _unit_phase,
     forward_fourier,
     free_propagate,
+    l2_difference,
     spectral_plan,
 )
 from .errors import ConvergenceError
@@ -118,7 +119,7 @@ def _free_rows(plan, phi, ts, sigma):
     """The multipliers U0(t) in FFT order, and the rows G(U0(t) phi), with
     the flow acting on phi as a function of its own variable."""
     m = _unit_phase(_column(-0.5 * ts, plan.grid.dim) * plan.xi2)
-    u = np.fft.fftn(phi.shaped) * m
+    u = np.fft.fftn(phi.values) * m
     np.fft.ifftn(u, axes=plan.axes, out=u)
     u *= _density_power(u, sigma)
     return m, u
@@ -127,7 +128,7 @@ def _free_rows(plan, phi, ts, sigma):
 def _chirped_rows(plan, phi, ts, sigma):
     """The chirps M_t on the grid, and the rows G(F M_t phi) on its dual."""
     chirp = _unit_phase(0.5 * plan.r2 / _column(ts, plan.grid.dim))
-    g = plan.forward(phi.shaped * chirp)
+    g = plan.forward(phi.values * chirp)
     g *= _density_power(g, sigma)
     return chirp, g
 
@@ -206,7 +207,7 @@ def flow_integrand(phi: ComplexField, t: float, sigma: float) -> ComplexField:
 def expansion_lhs_integrand(phi: ComplexField, t: float, sigma: float) -> ComplexField:
     """exp(i t |xi|^2/2) F[ G(U0(t) phi) ], a field on phi's dual grid."""
     dual = spectral_plan(phi.grid).dual
-    return ComplexField(dual, _lhs_rows(phi, [t], sigma)[0].reshape(-1))
+    return ComplexField(dual, _lhs_rows(phi, [t], sigma)[0])
 
 
 def _panel_edges(t_max, panels):
@@ -298,9 +299,7 @@ def _refined_quadrature(rows, template, sign, spec, n_sigma):
 
     coarse = _quad_panels(counted, template, sign, spec, spec.panels)
     fine = _quad_panels(counted, template, sign, spec, 2 * spec.panels)
-    delta = float(
-        np.sqrt(fine.grid.cell_volume * np.sum(np.abs(fine.values - coarse.values) ** 2))
-    )
+    delta = l2_difference(fine, coarse)
     tail, decay = _tail_bound(counted, template, sign, spec, n_sigma)
     return QuadratureResult(fine, delta, tail, decay, evaluations)
 

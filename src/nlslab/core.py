@@ -15,7 +15,7 @@ snapshot file (see ``io``) therefore always writes space byte 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -96,11 +96,7 @@ class GridDescriptor:
 
     def radius_squared(self):
         """|x|^2 evaluated on the grid, shaped like a field."""
-        coords = self.coordinate_arrays()
-        r2 = np.zeros(self.counts)
-        for c in coords:
-            r2 = r2 + c**2
-        return r2
+        return sum(c**2 for c in self.coordinate_arrays())
 
     def dual(self):
         """The implied frequency grid: spacing 2*pi/(N*h), again centered."""
@@ -126,35 +122,32 @@ def require_same_grid(a, b, what="fields"):
 class ComplexField:
     """Complex samples on a grid.
 
-    ``values`` is flat, row-major over the axes, and immutable.
+    ``values`` has the grid's shape (``grid.counts``) and is immutable; it
+    may be given in any shape that holds ``grid.size`` samples in row-major
+    order.
     """
 
     grid: GridDescriptor
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.values, dtype=np.complex128).reshape(-1)
+        arr = np.ascontiguousarray(self.values, dtype=np.complex128)
         if arr.size != self.grid.size:
             raise ValueError(f"values length {arr.size} != grid size {self.grid.size}")
+        arr = arr.reshape(self.grid.counts)
         if not np.isfinite(arr.view(np.float64)).all():
             raise ValueError("field contains non-finite entries")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
-    @property
-    def shaped(self):
-        return self.values.reshape(self.grid.counts)
-
     def with_values(self, values):
-        return ComplexField(self.grid, np.asarray(values).reshape(-1))
+        return ComplexField(self.grid, values)
 
 
 def field_from_function(grid, fn):
     """Sample ``fn(*coords)`` on the grid."""
-    coords = grid.coordinate_arrays()
-    vals = np.asarray(fn(*coords), dtype=np.complex128)
-    vals = np.broadcast_to(vals, grid.counts)
-    return ComplexField(grid, vals.reshape(-1))
+    vals = np.asarray(fn(*grid.coordinate_arrays()), dtype=np.complex128)
+    return ComplexField(grid, np.broadcast_to(vals, grid.counts))
 
 
 def _frozen(arr):
@@ -182,14 +175,8 @@ def _density_power(values, sigma):
 
 def _outer_shell(grid):
     """Boolean mask of the outer 1/8 of each axis range, centered order."""
-    outer = np.zeros(grid.counts, dtype=bool)
-    for axis in range(grid.dim):
-        x = np.abs(grid.axis_coords(axis))
-        cut = (1.0 - OUTER_SHELL) * grid.extents[axis]
-        shape = [1] * grid.dim
-        shape[axis] = len(x)
-        outer |= (x >= cut).reshape(shape)
-    return outer
+    return reduce(np.logical_or, (np.abs(x) >= (1.0 - OUTER_SHELL) * e for x, e
+                                  in zip(grid.coordinate_arrays(), grid.extents)))
 
 
 class SpectralPlan:
@@ -218,14 +205,10 @@ class SpectralPlan:
 
     @cached_property
     def signs(self):
-        """(-1)^k along every axis, in centered order."""
-        out = np.ones(self.grid.counts)
-        for axis, n in enumerate(self.grid.counts):
-            k = np.arange(n) - n // 2
-            shape = [1] * self.grid.dim
-            shape[axis] = n
-            out = out * np.where(k % 2 == 0, 1.0, -1.0).reshape(shape)
-        return _frozen(out)
+        """(-1)^k along every axis, in centered order: k = x / h."""
+        g = self.grid
+        return _frozen(reduce(np.multiply, ((-1.0) ** np.rint(x / h) for x, h in
+                                            zip(g.coordinate_arrays(), g.spacings))))
 
     @cached_property
     def r2(self):
@@ -297,19 +280,19 @@ def forward_fourier(f: ComplexField) -> ComplexField:
     """F f(xi) = (2pi)^{-n/2} integral f(x) exp(-i x.xi) dx, discretized:
     samples on a grid onto its dual grid."""
     plan = spectral_plan(f.grid)
-    return ComplexField(plan.dual, plan.forward(f.shaped).reshape(-1))
+    return ComplexField(plan.dual, plan.forward(f.values))
 
 
 def inverse_fourier(f: ComplexField) -> ComplexField:
     """F^{-1}, samples on a grid onto its dual grid; round-trips with
     forward_fourier to roundoff."""
     plan = spectral_plan(f.grid)
-    return ComplexField(plan.dual, plan.inverse(f.shaped).reshape(-1))
+    return ComplexField(plan.dual, plan.inverse(f.values))
 
 
 def free_propagate(f: ComplexField, t: float) -> ComplexField:
     """U0(t): multiply the spectrum by exp(-i t |xi|^2 / 2); exact for all t."""
-    return f.with_values(spectral_plan(f.grid).propagate(f.shaped, float(t)))
+    return f.with_values(spectral_plan(f.grid).propagate(f.values, float(t)))
 
 
 def quadratic_phase(f: ComplexField, t: float) -> ComplexField:
@@ -317,12 +300,12 @@ def quadratic_phase(f: ComplexField, t: float) -> ComplexField:
     t = float(t)
     if t == 0.0:
         raise ValueError("quadratic_phase requires t != 0")
-    return f.with_values(f.shaped * _unit_phase(0.5 * spectral_plan(f.grid).r2 / t))
+    return f.with_values(f.values * _unit_phase(0.5 * spectral_plan(f.grid).r2 / t))
 
 
-def _reflect_values(shaped):
-    out = shaped
-    for axis in range(shaped.ndim):
+def _reflect_values(values):
+    out = values
+    for axis in range(values.ndim):
         out = np.roll(np.flip(out, axis=axis), 1, axis=axis)
     return out
 
@@ -338,11 +321,11 @@ def dilate(f: ComplexField, t: float) -> ComplexField:
         raise ValueError("dilate requires t != 0")
     g = f.grid
     scale = (1j * t) ** (-0.5 * g.dim)
-    vals = f.shaped
+    vals = f.values
     if t < 0:
         vals = _reflect_values(vals)
     new_grid = GridDescriptor.centered(g.counts, tuple(h * abs(t) for h in g.spacings))
-    return ComplexField(new_grid, (scale * vals).reshape(-1))
+    return ComplexField(new_grid, scale * vals)
 
 
 def resample(f: ComplexField, target: GridDescriptor) -> ComplexField:
@@ -364,7 +347,7 @@ def resample(f: ComplexField, target: GridDescriptor) -> ComplexField:
 
     plan = spectral_plan(src)
     dual = plan.dual
-    vals = plan.forward(f.shaped)
+    vals = plan.forward(f.values)
     # Sum exp(i x xi) against the spectrum one axis at a time; rows for
     # out-of-domain target points are zeroed.
     for axis in range(src.dim):
@@ -377,7 +360,7 @@ def resample(f: ComplexField, target: GridDescriptor) -> ComplexField:
         out = _chirp_z(np.moveaxis(vals, axis, -1), a, len(xt))
         out[..., ~inside] = 0.0
         vals = np.moveaxis(out, -1, axis)
-    return ComplexField(target, (spectral_plan(dual).prefactor * vals).reshape(-1))
+    return ComplexField(target, spectral_plan(dual).prefactor * vals)
 
 
 def _chirp(a, m):
@@ -413,21 +396,12 @@ def _chirp_z(vals, a, count):
 
 
 def _check_mass_on_target(f, target):
-    g = f.grid
-    density = np.abs(f.shaped) ** 2
-    total = density.sum()
-    if total == 0.0:
-        return
-    outside = np.zeros(g.counts, dtype=bool)
-    for axis in range(g.dim):
-        x = g.axis_coords(axis)
-        lo = target.offsets[axis]
-        hi = lo + target.counts[axis] * target.spacings[axis]
-        ax_out = (x < lo) | (x >= hi)
-        shape = [1] * g.dim
-        shape[axis] = len(x)
-        outside |= ax_out.reshape(shape)
-    lost = density[outside].sum() / total
+    outside = reduce(
+        np.logical_or,
+        ((x < lo) | (x >= lo + n * h)
+         for x, n, h, lo in zip(f.grid.coordinate_arrays(), target.counts,
+                                target.spacings, target.offsets)))
+    lost = _shell_fraction(f.values, outside)
     if lost > 1e-6:
         raise MassLossError(
             f"target grid drops {lost:.3e} of the field's mass (limit 1e-6)"
@@ -437,16 +411,14 @@ def _check_mass_on_target(f, target):
 def norms(f: ComplexField) -> dict:
     """L2 norm, |xi|-weighted spectral seminorm, |x|-weighted norm, sup norm."""
     plan = spectral_plan(f.grid)
-    vol = f.grid.cell_volume
-    shaped = f.shaped
-    l2 = float(np.sqrt(vol * np.sum(np.abs(shaped) ** 2)))
-    spec = plan.forward(shaped)
+    vals = f.values
+    spec = plan.forward(vals)
     w = np.sqrt(np.fft.fftshift(plan.xi2))
     h1 = float(np.sqrt(plan.dual.cell_volume * np.sum((w * np.abs(spec)) ** 2)))
     r = np.sqrt(plan.r2)
-    weighted_x = float(np.sqrt(vol * np.sum((r * np.abs(shaped)) ** 2)))
-    linf = float(np.max(np.abs(shaped))) if shaped.size else 0.0
-    return {"l2": l2, "h1_seminorm": h1, "weighted_x": weighted_x, "linf": linf}
+    weighted_x = float(np.sqrt(f.grid.cell_volume * np.sum((r * np.abs(vals)) ** 2)))
+    linf = float(np.max(np.abs(vals)))
+    return {"l2": l2_norm(f), "h1_seminorm": h1, "weighted_x": weighted_x, "linf": linf}
 
 
 def l2_norm(f: ComplexField) -> float:
@@ -477,10 +449,10 @@ def _shell_fraction(values, shell) -> float:
 
 def diagnostics(f: ComplexField) -> FieldDiagnostics:
     plan = spectral_plan(f.grid)
-    boundary = _shell_fraction(f.shaped, plan.shell)
+    boundary = _shell_fraction(f.values, plan.shell)
     # the fraction is blind to the transform's prefactor and signs, so the
     # raw spectrum in FFT order will do
-    tail = _shell_fraction(np.fft.fftn(f.shaped), plan.dual_shell)
+    tail = _shell_fraction(np.fft.fftn(f.values), plan.dual_shell)
     return FieldDiagnostics(
         spectral_tail_fraction=tail,
         boundary_mass_fraction=boundary,

@@ -217,11 +217,15 @@ def make_datum(spec: InitialDatumSpec, grid: GridDescriptor) -> ComplexField:
                 return a / np.cosh((x - c) / w) * np.exp(1j * k * x)
 
         field = field_from_function(grid, fn)
-    if spec.normalize is not None:
+    with np.errstate(over="ignore"):  # an overflowing mass is rejected below
         nrm = l2_norm(field)
-        if nrm == 0:
-            _fail_datum("cannot normalize a zero datum")
+    if spec.normalize is not None and nrm > 0:
         field = field.with_values(field.values * (spec.normalize / nrm))
+        nrm = l2_norm(field)
+    # every experiment divides by the datum's norm or by its mass
+    if not 0 < nrm ** 2 < np.inf:
+        raise ConfigError(f"make_datum: the datum's mass is zero or not finite "
+                          f"(L2 norm {nrm:.3g})")
     d = diagnostics(field)
     if d.spectral_tail_fraction > 1e-8 or d.boundary_mass_fraction > 1e-8:
         _fail_datum(
@@ -237,7 +241,7 @@ def _fail_datum(msg):
 
 # Keys whose number, or each number of whose list, must be positive.
 _POSITIVE = {"dt", "horizon", "width", "spacings", "t_max", "deltas",
-             "ladder_times"}
+             "ladder_times", "normalize"}
 # Keys that take null, and otherwise a value of the type of this one.
 _NULLABLE = {"normalize": 0.0, "path": ""}
 _KINDS = {bool: "true or false", str: "a string", int: "an integer",
@@ -463,12 +467,8 @@ def _spectral_soundness_residuals(report):
     worst = 0.0
     x = ref_grid.axis_coords(0)
     for t in (1.0, 5.0, 10.0):
-        out = free_propagate(f, t)
         exact = (1.0 + 1j * t) ** -0.5 * np.exp(-(x**2) / (2.0 * (1.0 + 1j * t)))
-        worst = max(
-            worst,
-            float(np.sqrt(ref_grid.cell_volume * np.sum(np.abs(out.values - exact) ** 2))),
-        )
+        worst = max(worst, l2_difference(free_propagate(f, t), f.with_values(exact)))
     report.add_residual("free_gaussian_closed_form", worst, 1e-8)
     a = free_propagate(free_propagate(rand, 0.3), 0.7)
     b = free_propagate(rand, 1.0)
@@ -733,9 +733,9 @@ def _run_lemmas(config, grid, datum, report):
     scat_grid = _grid_from(config["scattering_grid"], "scattering_grid")
     lemma1_grid = _grid_from(config["lemma1_grid"], "lemma1_grid")
     times = config["verify"]["ladder_times"]
-    if len(times) < 2:
-        raise ConfigError("verify.ladder_times must hold at least 2 times for "
-                          "the decay slope fits")
+    if len(set(times)) < len(times) or len(times) < 2:
+        raise ConfigError("verify.ladder_times must hold at least 2 distinct "
+                          "times for the decay slope fits")
     _scattering_params(report, p, horizon, dt)
     report.params["ladder_times"] = times
     # the two boundary-matching lemmas: the conformal image's free return

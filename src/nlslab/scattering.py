@@ -13,8 +13,6 @@ independent side.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .born import QuadratureSpec, born_integral
 from .core import (
     ComplexField,
@@ -196,12 +194,8 @@ def small_data_sweep(
         w_inv = lens_inverse_wave_operator(a, sign, p, dt)
         first = mu * delta**power * k.values
         for name, out, orient in (("forward", w, +1.0), ("inverse", w_inv, -1.0)):
-            remainder = float(
-                np.sqrt(
-                    phi.grid.cell_volume
-                    * np.sum(np.abs(out.values - a.values - orient * 1j * first) ** 2)
-                )
-            )
+            remainder = l2_norm(
+                out.with_values(out.values - a.values - orient * 1j * first))
             # the coefficient error ||(out - a) / (mu delta^power) - orient i K||
             # / ||K|| is the remainder over |mu| delta^power ||K||
             coeff_err = remainder / (abs(mu) * delta**power * k_norm)
@@ -218,17 +212,15 @@ def free_return_ladder(
     ||u0||) for each of ``ladder_times`` in increasing order, on the grid of
     ``u0``."""
     scale = l2_norm(u0)
-    # snapshots of u at -1/t for the requested t values, reached by exact
+    # snapshots of u at -1/t for the requested t values, reached by
     # segment-wise evolution (closest to zero first), each segment in at
-    # least 4 equal steps of at most dt
+    # least 4 steps
     times = sorted(ladder_times)
     taus = sorted((-1.0 / t for t in times), reverse=True)
     snaps = {}
     state, t_now = u0, 0.0
     for tau in taus:
-        span = abs(tau - t_now)
-        seg_dt = span / max(4, int(np.ceil(span / dt)))
-        state = nls_evolve(state, t_now, tau, p, seg_dt)
+        state = nls_evolve(state, t_now, tau, p, min(dt, abs(tau - t_now) / 4))
         snaps[tau] = state
         t_now = tau
     target = inverse_fourier(u0)

@@ -20,10 +20,12 @@ are allocated once per evolution, and every step runs in place on them.
 
 Both solvers march through one loop, ``_march``: it owns the step count,
 the health monitors and the observer calls, and each solver supplies only
-its step and the map from its raw state to the solution.  A health
+its step and the map from its raw state to the solution.  Every span is
+cut into n = ceil(|t1 - t0| / dt) equal steps, so an evolution has one
+step size and ``nls_evolve`` one free-flow multiplier.  A health
 violation fails the run at once; nothing is retried with a smaller step.
 
-The time step ``dt`` is the one numerical choice a caller makes.  The
+The largest time step ``dt`` is the one numerical choice a caller makes.  The
 limits are constants: a run needs at most ``MAX_STEPS`` steps, and the
 monitors allow a relative mass drift of ``MASS_DRIFT_TOL``, a spectral-tail
 fraction of ``TAIL_TOL`` and a boundary-mass fraction of ``BOUNDARY_TOL``.
@@ -31,6 +33,7 @@ fraction of ``TAIL_TOL`` and a boundary-mass fraction of ``BOUNDARY_TOL``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,7 +121,7 @@ def _buffers(a0):
 def nls_step(u: ComplexField, dt: float, p: NLSParams) -> ComplexField:
     """One Strang step: half nonlinear phase, free flow, half nonlinear phase."""
     m = spectral_plan(u.grid).free_multiplier(dt)
-    a, spec, w = _buffers(u.shaped)
+    a, spec, w = _buffers(u.values)
     _kick_drift(a, 0.5 * dt, m, p, spec, w)
     return u.with_values(_kick(a, 0.5 * dt, p, spec, w))
 
@@ -140,25 +143,18 @@ def _check_health(f, mass0, t, context):
         raise SolverHealthError(f"{context}: health violation at t={t:.6g}: {bad}", bad)
 
 
-def _step_counts(span, dt, what):
-    """Full steps, the exact final partial step, and their total."""
-    steps = abs(span) / dt
-    # written as "not below" so that an infinite or NaN count, which int()
-    # cannot take, is refused too
-    if not steps < MAX_STEPS + 1:
+def _step_count(span, dt, what):
+    """The number n = ceil(|span| / dt) of equal steps that cover ``span``;
+    a span within a relative 1e-12 of a whole number of dt takes that
+    number."""
+    steps = abs(span) / dt * (1.0 - 1e-12)
+    # written as "not within" so that an infinite or NaN count, which
+    # ceil() cannot take, is refused too
+    if not steps <= MAX_STEPS:
         raise SolverHealthError(
             f"{what} needs {steps:.6g} steps, MAX_STEPS={MAX_STEPS}"
         )
-    n_full = int(steps)
-    remainder = abs(span) - n_full * dt
-    if remainder < 1e-12 * dt:
-        remainder = 0.0
-    total_steps = n_full + (1 if remainder else 0)
-    if total_steps > MAX_STEPS:
-        raise SolverHealthError(
-            f"{what} needs {total_steps} steps, MAX_STEPS={MAX_STEPS}"
-        )
-    return n_full, remainder, total_steps
+    return max(1, math.ceil(steps))
 
 
 def _march(u0, t0, t1, dt, observer, context, a, step, values):
@@ -167,9 +163,10 @@ def _march(u0, t0, t1, dt, observer, context, a, step, values):
     ``a`` is the raw state at t0, ``step(a, t, h)`` advances it from t by the
     signed step h, and ``values(a, t)`` maps it to the position samples of
     the solution at t.  ``step`` may update ``a`` in place, so ``values``
-    returns an array that later steps do not touch.  Full steps of the
-    positive dt run first, then the exact final partial step.  The state
-    must stay finite after every step, and the health monitors run at t0,
+    returns an array that later steps do not touch.  The span is cut into
+    n = ceil(|t1 - t0| / dt) equal steps (see ``_step_count``), so every
+    call of ``step`` gets the same h = (t1 - t0) / n.  The state must stay
+    finite after every step, and the health monitors run at t0,
     HEALTH_CHECKS_PER_RUN times along the way and at t1; the first violation
     raises SolverHealthError.  Fields are built only for the observer, the
     monitors and the result.
@@ -179,7 +176,8 @@ def _march(u0, t0, t1, dt, observer, context, a, step, values):
     span = t1 - t0
     if span == 0.0:
         return u0
-    n_full, remainder, total_steps = _step_counts(span, dt, context)
+    total_steps = _step_count(span, dt, context)
+    h = span / total_steps
     sgn = 1.0 if span > 0 else -1.0
     mass0 = l2_norm(u0) ** 2
     check_every = max(1, total_steps // HEALTH_CHECKS_PER_RUN)
@@ -189,8 +187,8 @@ def _march(u0, t0, t1, dt, observer, context, a, step, values):
         observer(t, u0)
     u = u0
     for k in range(total_steps):
-        a = step(a, t, sgn * (dt if k < n_full else remainder))
-        t = t0 + sgn * min((k + 1) * dt, abs(span))
+        a = step(a, t, h)
+        t = t0 + sgn * min((k + 1) * abs(h), abs(span))
         if not np.isfinite(a).all():
             raise SolverHealthError(
                 f"{context}: non-finite state at t={t:.6g}", {"t": t}
@@ -213,8 +211,7 @@ def nls_evolve(
     dt: float,
     observer=None,
 ) -> ComplexField:
-    """Evolve with repeated Strang steps of ``dt`` and an exact final
-    partial step.
+    """Evolve with equal Strang steps of at most ``dt`` (see ``_march``).
 
     ``observer(t, field)``, when given, is called after every step (and once
     at t0).  Aborts with SolverHealthError when the resolution or mass
@@ -222,18 +219,18 @@ def nls_evolve(
     positive and finite is a ValueError.
     """
     plan = spectral_plan(u0.grid)
-    a0, spec, w = _buffers(u0.shaped)
-    # the free-flow multipliers of the full and of the final partial step
-    multipliers = {}
+    a0, spec, w = _buffers(u0.values)
+    # the free-flow multiplier of the one step size, built at the first step
+    m = None
     # the raw state is drifted with this half-kick still to apply: each step
     # applies it together with its own leading half-kick, as one kick
     pending = 0.0
 
     def step(a, t, h):
-        nonlocal pending
-        if h not in multipliers:
-            multipliers[h] = plan.free_multiplier(h)
-        _kick_drift(a, pending + 0.5 * h, multipliers[h], p, spec, w)
+        nonlocal m, pending
+        if m is None:
+            m = plan.free_multiplier(h)
+        _kick_drift(a, pending + 0.5 * h, m, p, spec, w)
         pending = 0.5 * h
         return a
 
@@ -342,14 +339,14 @@ def residual(trajectory, equation) -> float:
         u = snaps[k].field
         du_dt = (snaps[k + 1].field.values - snaps[k - 1].field.values) / (2.0 * dt)
         plan = spectral_plan(u.grid)
-        lap = np.fft.ifftn(np.fft.fftn(u.shaped) * -plan.xi2).reshape(-1)
+        lap = np.fft.ifftn(np.fft.fftn(u.values) * -plan.xi2)
         if isinstance(equation, NLSParams):
             rhs = equation.mu * np.abs(u.values) ** (2.0 * equation.sigma) * u.values
         elif isinstance(equation, DNLSParams):
-            dens_x = plan.derivative(np.abs(u.shaped) ** 2).reshape(-1)
+            dens_x = plan.derivative(np.abs(u.values) ** 2)
             rhs = 1j * equation.lam * dens_x * u.values
         else:
             raise TypeError(f"unknown equation parameters: {equation!r}")
         r = 1j * du_dt + 0.5 * lap - rhs
-        worst = max(worst, float(np.sqrt(u.grid.cell_volume * np.sum(np.abs(r) ** 2))))
+        worst = max(worst, l2_norm(u.with_values(r)))
     return worst

@@ -69,12 +69,12 @@ def pseudo_conformal(s: SnapshotAtTime) -> SnapshotAtTime:
 
 def reflect(f: ComplexField) -> ComplexField:
     """Spatial reflection about the origin via the periodic index map."""
-    return f.with_values(_reflect_values(f.shaped))
+    return f.with_values(_reflect_values(f.values))
 
 
 def conjugate(f: ComplexField) -> ComplexField:
     """Pointwise complex conjugation."""
-    return f.with_values(np.conj(f.shaped))
+    return f.with_values(np.conj(f.values))
 
 
 def _cumulative_trapezoid(w, h):
@@ -93,7 +93,7 @@ def gauge(f: ComplexField, g: GaugeParams) -> ComplexField:
     if f.grid.dim != 1:
         raise NlslabError("gauge transform is defined in one dimension only")
     # the boundary fraction of ``diagnostics``, without its spectral tail
-    boundary = _shell_fraction(f.shaped, spectral_plan(f.grid).shell)
+    boundary = _shell_fraction(f.values, spectral_plan(f.grid).shell)
     if boundary > 1e-6:
         raise NlslabError(
             f"boundary mass fraction {boundary:.2e} too large "

@@ -110,9 +110,9 @@ def flow_node(phi, t, sigma):
     plan = spectral_plan(phi.grid)
     if abs(t) <= born_module.T_SWITCH:
         m = plan.free_multiplier(t)
-        u = np.fft.ifftn(np.fft.fftn(phi.shaped) * m)
+        u = np.fft.ifftn(np.fft.fftn(phi.values) * m)
         return np.fft.ifftn(np.fft.fftn(_power(u, sigma)) * np.conj(m))
-    inner = plan.forward(phi.shaped * np.exp(0.5j * plan.r2 / t))
+    inner = plan.forward(phi.values * np.exp(0.5j * plan.r2 / t))
     back = _reflect_values(spectral_plan(plan.dual).forward(_power(inner, sigma)))
     return abs(t) ** (-phi.grid.dim * sigma) * back * np.exp(-0.5j * plan.r2 / t)
 
@@ -122,9 +122,9 @@ def lhs_node(phi, t, sigma):
     plan = spectral_plan(phi.grid)
     dual = spectral_plan(plan.dual)
     if abs(t) <= born_module.T_SWITCH:
-        ghat = plan.forward(_power(plan.propagate(phi.shaped, t), sigma))
+        ghat = plan.forward(_power(plan.propagate(phi.values, t), sigma))
         return ghat * np.exp(0.5j * t * dual.r2)
-    inner = plan.forward(phi.shaped * np.exp(0.5j * plan.r2 / t))
+    inner = plan.forward(phi.values * np.exp(0.5j * plan.r2 / t))
     return abs(t) ** (-phi.grid.dim * sigma) * dual.propagate(_power(inner, sigma), 1.0 / t)
 
 

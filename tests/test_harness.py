@@ -302,6 +302,12 @@ class TestCli:
         ("wave_op", {"scattering": {"dt": True}}),
         ("dnls_gauge", {"grid": {"dim": 2, "counts": [64, 64], "spacings": [0.5, 0.5]},
                         "datum": {"kind": "gaussian"}}),
+        ("solve", {"datum": {"normalize": 0.0}}),
+        ("solve", {"datum": {"normalize": -0.3}}),
+        ("solve", {"datum": {"amplitude": 0.0}}),
+        ("wave_op", {"datum": {"amplitude": 0.0}}),
+        ("solve", {"datum": {"amplitude": 1e200}}),
+        ("lemmas", {"verify": {"ladder_times": [10.0, 10.0, 20.0]}}),
     ])
     def test_rejected_value_exit_two(self, experiment, overrides, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -64,6 +64,14 @@ class TestNlsEvolve:
         back = nls_evolve(fwd, 1.0, 0.0, p, dt)
         assert l2_difference(back, f) < 1e-11
 
+    def test_reversibility_span_not_a_multiple_of_dt(self):
+        # 0.37 at dt = 0.05 is 8 equal steps each way, so the backward run
+        # retraces the forward one
+        f = gaussian_field(grid1d(512, 0.05), amplitude=0.5)
+        p = NLSParams(dim=1, sigma=2.0, mu=1.0)
+        back = nls_evolve(nls_evolve(f, 0.0, 0.37, p, 0.05), 0.37, 0.0, p, 0.05)
+        assert l2_difference(back, f) < 1e-13
+
     def test_order_two_self_convergence(self):
         g = grid1d(512, 0.05)
         f = gaussian_field(g, amplitude=0.5)
@@ -172,19 +180,18 @@ class TestRawLoop:
         return field_from_function(g, lambda x, y: 0.6 * np.exp(-0.5 * (x**2 + y**2)))
 
     @staticmethod
-    def repeated_steps(f, t1, p, dt=0.05):
-        """The fields after each of 7 steps of dt and the partial step to t1."""
-        u, sgn, out = f, np.sign(t1), []
-        for _ in range(7):
-            u = nls_step(u, sgn * dt, p)
+    def repeated_steps(f, t1, p):
+        """The fields after each of 8 steps of t1 / 8: at dt = 0.05 a span
+        of 0.37 is cut into ceil(7.4) = 8 equal steps."""
+        u, out = f, []
+        for _ in range(8):
+            u = nls_step(u, t1 / 8, p)
             out.append(u)
-        out.append(nls_step(u, t1 - sgn * 7 * dt, p))
         return out
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("t1", [0.37, -0.37])
     def test_evolve_equals_repeated_steps(self, dim, t1):
-        # 0.37 = 7 steps of 0.05 plus a partial step of 0.02
         f = self.datum(dim)
         p = NLSParams(dim=dim, mu=1.0)
         out = nls_evolve(f, 0.0, t1, p, 0.05)
@@ -203,9 +210,16 @@ class TestRawLoop:
         steps = self.repeated_steps(f, t1, p)
         assert seen[0][0] == 0.0 and seen[0][1] is f
         assert [t for t, _ in seen[1:]] == pytest.approx(
-            [np.sign(t1) * 0.05 * k for k in range(1, 8)] + [t1], abs=1e-15)
+            [t1 * k / 8 for k in range(1, 9)], abs=1e-15)
         for (_, u), ref in zip(seen[1:], steps, strict=True):
             assert l2_difference(u, ref) <= 1e-13 * l2_norm(f)
+
+    def test_span_near_a_whole_number_of_steps(self):
+        # 1.1 / 0.1 is 11.000000000000002 in floating point: 11 steps, not 12
+        seen = []
+        nls_evolve(self.datum(1), 0.0, 1.1, NLSParams(dim=1, mu=1.0), 0.1,
+                   observer=lambda t, u: seen.append(t))
+        assert seen == pytest.approx([0.1 * k for k in range(12)], abs=1e-15)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_fields_do_not_alias_the_state(self, dim):

@@ -1,5 +1,7 @@
 """Spectral core: transforms, propagator, M/D factors, resampling, norms."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -307,7 +309,7 @@ def dense_resample(f, target, chunk=512):
     zero and are not summed.
     """
     spec = forward_fourier(f)
-    vals = spec.shaped
+    vals = spec.values
     for axis in range(f.grid.dim):
         n, m = f.grid.counts[axis], target.counts[axis]
         x = (np.arange(m) - m // 2) * np.longdouble(target.spacings[axis])
@@ -385,7 +387,7 @@ class TestResample:
         )
 
     def check_against_dense(self, f, target):
-        out = resample(f, target).shaped
+        out = resample(f, target).values
         ref = dense_resample(f, target)
         assert np.all(out[outside_box(f.grid, target)] == 0)
         assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -482,6 +484,21 @@ class TestSnapshotIO:
         back = read_snapshot(p)
         assert back.grid == f.grid
         assert np.array_equal(back.values, f.values)
+
+    def test_flat_samples_take_the_grid_shape(self, tmp_path):
+        g = GridDescriptor.centered((16, 32), (0.3, 0.2))
+        rng = np.random.default_rng(1)
+        flat = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
+        f = ComplexField(g, flat)
+        assert f.values.shape == g.counts
+        assert np.array_equal(f.values, flat.reshape(g.counts))
+        p = tmp_path / "flat.nlsf"
+        write_snapshot(p, f)
+        # the payload holds the samples in row-major order
+        head = struct.pack("<4sII", b"NLSF", 1, 2) + b"".join(
+            struct.pack("<Qdd", n, h, x0)
+            for n, h, x0 in zip(g.counts, g.spacings, g.offsets))
+        assert p.read_bytes() == head + b"\x00" + flat.astype("<c16").tobytes()
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.nlsf"
