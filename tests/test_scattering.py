@@ -4,15 +4,18 @@ identities."""
 import numpy as np
 import pytest
 
+from nlslab import scattering
 from nlslab.born import QuadratureSpec, born_integral
 from nlslab.core import (
     GridDescriptor,
     field_from_function,
+    free_propagate,
     l2_difference,
     l2_norm,
 )
 from nlslab.errors import NlslabError
 from nlslab.scattering import (
+    T_GRADE,
     asymptotic_state_residuals,
     conjugation_residuals,
     free_return_ladder,
@@ -22,7 +25,8 @@ from nlslab.scattering import (
     theorem1_residuals,
     wave_operator,
 )
-from nlslab.solvers import NLSParams
+from nlslab.solvers import NLSParams, nls_evolve
+from nlslab.transforms import conjugate
 from nlslab.util import fit_loglog_slope
 
 from test_spectral import gaussian_field, grid1d
@@ -132,6 +136,56 @@ class TestInverseWaveOperator:
         assert with_minus < 0.1 * scale
 
 
+class TestGradedSteps:
+    """The truncated evolutions take dt up to |t| = T_GRADE and double the
+    step on each octave beyond it."""
+
+    @staticmethod
+    def uniform(op, u, sign, p, horizon, dt):
+        # the truncated operators as single evolutions with equal steps of dt
+        if op is wave_operator:
+            u_init = free_propagate(u, sign * horizon)
+            return nls_evolve(u_init, sign * horizon, 0.0, p, dt)
+        return free_propagate(nls_evolve(u, 0.0, sign * horizon, p, dt), -sign * horizon)
+
+    @pytest.mark.parametrize("op", [wave_operator, inverse_wave_operator])
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_matches_uniform_steps(self, op, sign):
+        # the thm1 grid and datum at T = 200, six octaves: the grading moves
+        # the operators by ~2e-9 relative, below the uniform run's own time
+        # error (dt against dt/2: ~1.3e-7)
+        u0 = normalized_gaussian(grid1d(4096, 0.55), 0.3)
+        p = NLSParams(dim=1, sigma=2.0, mu=1.0)
+        horizon, dt = 200.0, 0.025
+        graded = op(u0, sign, p, horizon, dt)
+        reference = self.uniform(op, u0, sign, p, horizon, dt)
+        assert l2_difference(graded, reference) / l2_norm(reference) < 1e-8
+
+    @pytest.mark.parametrize("op", [wave_operator, inverse_wave_operator])
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("horizon", [6.0, T_GRADE])
+    def test_one_octave_is_one_uniform_evolution(self, wide_grid, params, op,
+                                                 sign, horizon):
+        u0 = normalized_gaussian(wide_grid, 0.2)
+        graded = op(u0, sign, params, horizon, LIGHT_DT)
+        reference = self.uniform(op, u0, sign, params, horizon, LIGHT_DT)
+        assert np.array_equal(graded.values, reference.values)
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_exact_symmetries_across_octaves(self, wide_grid, params, sign):
+        # T = 20 crosses the octave edges 8 and 16.  The run toward 0
+        # retraces the nodes of the run away from 0, so Strang's round trip
+        # holds to roundoff; the octaves of -T mirror those of T, so does the
+        # conjugation sandwich W_s = C W_{-s} C
+        horizon = 20.0
+        u0 = gaussian_field(wide_grid, amplitude=0.15, width=1.3, wavenumber=0.8)
+        w = wave_operator(u0, sign, params, horizon, LIGHT_DT)
+        back = inverse_wave_operator(w, sign, params, horizon, LIGHT_DT)
+        assert l2_difference(back, u0) / l2_norm(u0) < 1e-12
+        routed = conjugate(wave_operator(conjugate(u0), -sign, params, horizon, LIGHT_DT))
+        assert l2_difference(w, routed) / l2_norm(u0) < 1e-12
+
+
 class TestLensWaveOperators:
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_free_equation_identity(self, wide_grid, sign):
@@ -219,6 +273,16 @@ class TestVerifyLemma23:
         assert all(v <= 1e-2 for v in match.values())
         slope, _ = fit_loglog_slope([t for t, _ in ladder], errs)
         assert slope < -0.4
+
+    def test_repeated_ladder_time_rejected(self, monkeypatch):
+        def no_evolution(*args, **kwargs):
+            raise AssertionError("an evolution ran before the times were checked")
+
+        monkeypatch.setattr(scattering, "nls_evolve", no_evolution)
+        u0 = normalized_gaussian(GridDescriptor.centered((1024,), (0.02,)), 0.3)
+        p = NLSParams(dim=1, sigma=2.0, mu=1.0)
+        with pytest.raises(ValueError, match=r"10\.0 is repeated"):
+            free_return_ladder(u0, p, 0.02, [10.0, 10.0, 20.0])
 
     def test_free_flow_cancels_exactly(self):
         # mu=0: the conformal return is exactly the transform of the datum:
