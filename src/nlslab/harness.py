@@ -582,7 +582,7 @@ def _run_conjugation(config, grid, datum, report):
     _add_residuals(report, conjugation_residuals(datum, p, horizon, dt), tol)
     report.notes.append(
         "conjugation_sandwich residuals check a symmetry of the discrete scheme "
-        "that any real-coefficient integrator satisfies (Strang at 2.9e-13): "
+        "that any real-coefficient integrator satisfies (Strang at 1.5e-13): "
         "the sign and conjugation plumbing, not the continuum identity")
 
 

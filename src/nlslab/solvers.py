@@ -3,27 +3,30 @@ integrating-factor RK4 for the derivative equation as an independent oracle.
 
 Both substeps of the splitting are unitary (the nonlinear flow is an exact
 phase rotation), so the splitting error is purely commutator-driven and mass
-is conserved to roundoff.  The derivative equation is integrated in the
-interaction picture w(t) = U0(-t) psi(t), which removes the stiff linear
-phase from the RK4 stability constraint.  The RK4 state is the spectrum of
-w in FFT order, so a stage is four FFTs: one to psi, a pair for the
-derivative of |psi|^2, and one back.  Its blow-up guard reads psi, the
-field the nonlinearity uses.
+is conserved to roundoff.  The derivative equation is integrated by RK4 in
+the frame of each step's start (Lawson RK4): the free flow over a step is
+applied exactly by the multipliers m(h/2) and m(h), which removes the stiff
+linear phase from the RK4 stability constraint.  The RK4 state is the
+spectrum of psi in FFT order, so a stage is four FFTs: one to psi, a pair
+for the derivative of |psi|^2, and one back.  Its blow-up guard reads psi,
+the field the nonlinearity uses.
 
 A kick (the nonlinear phase) leaves |u| unchanged, so the trailing half-kick
 of one Strang step and the leading half-kick of the next are one kick of
 their summed time.  ``nls_evolve`` keeps its state drifted with a half-kick
 pending: each step is one kick and one FFT pair, and the pending half-kick
-is applied only to the fields it hands out.  The state and its work arrays
-are allocated once per evolution, and every step runs in place on them.
-``nls_step`` runs the same kernel followed by its trailing half-kick.
+is applied only to the fields it hands out.  ``nls_step`` runs the same
+kernel followed by its trailing half-kick.  In both solvers the state and
+its work arrays are allocated once per evolution, and every step runs in
+place on them.
 
 Both solvers march through one loop, ``_march``: it owns the step count,
 the health monitors and the observer calls, and each solver supplies only
 its step and the map from its raw state to the solution.  Every span is
 cut into n = ceil(|t1 - t0| / dt) equal steps, so an evolution has one
-step size and ``nls_evolve`` one free-flow multiplier.  A health
-violation fails the run at once; nothing is retried with a smaller step.
+step size, ``nls_evolve`` one free-flow multiplier and ``dnls_evolve`` two.
+A health violation fails the run at once; nothing is retried with a smaller
+step.
 
 The largest time step ``dt`` is the one numerical choice a caller makes.  The
 limits are constants: a run needs at most ``MAX_STEPS`` steps, and the
@@ -247,6 +250,66 @@ def nls_evolve(
     return _march(u0, t0, t1, dt, observer, "nls_evolve", a0, step, values)
 
 
+def _dnls_slope(v, out, t, psi, spec, density, dxi):
+    """fft((|psi|^2)_x psi) for psi = ifft(v), into ``out``: four FFTs, with
+    (|psi|^2)_x = ifft(dxi fft(|psi|^2)) and ``dxi`` = i xi.  ``psi`` and
+    ``spec`` (complex) and ``density`` (real) are work arrays of v's shape;
+    no array is allocated.  ``t``, the stage time, goes into the blow-up
+    report."""
+    np.fft.ifft(v, out=psi)
+    np.square(psi.real, out=density)
+    np.square(psi.imag, out=spec.real)
+    density += spec.real
+    # sup |psi| <= 1e8, read off the density the nonlinearity needs; an
+    # overflowing or NaN density fails it too
+    if not density.max() <= 1e16:
+        raise SolverHealthError(
+            f"dnls_evolve: blow-up in a Runge-Kutta stage at t={t:.6g}",
+            {"t": t},
+        )
+    np.fft.fft(density, out=spec)
+    spec *= dxi
+    np.fft.ifft(spec, out=out)
+    np.multiply(out, psi, out=psi)
+    return np.fft.fft(psi, out=out)
+
+
+def _lawson_step(y, out, t, h, c, half, full, work):
+    """One RK4 step of the derivative equation in the frame of its start,
+    from the spectrum ``y`` at t by the signed step h, into ``out`` (see
+    ``dnls_evolve``); ``y`` is left unchanged.  ``c`` is lambda h, ``half``
+    and ``full`` are m(h/2) and m(h), and ``work`` holds four complex work
+    arrays of y's shape and the work arrays of ``_dnls_slope``."""
+    k, ks, v, ey, slope = work
+    # the slopes are N / lambda, so their coefficients carry lambda h
+    # k1; the stage input E y + (h/2) E k1
+    _dnls_slope(y, k, t, *slope)
+    np.multiply(y, half, out=ey)
+    np.multiply(k, 0.5 * c, out=v)
+    v *= half
+    v += ey
+    np.multiply(k, full, out=out)
+    # k2; the stage input E y + (h/2) k2
+    _dnls_slope(v, ks, t + 0.5 * h, *slope)
+    np.multiply(ks, 0.5 * c, out=v)
+    v += ey
+    # k3; the stage input E2 y + h E k3
+    _dnls_slope(v, k, t + 0.5 * h, *slope)
+    ks += k
+    np.multiply(y, full, out=ey)
+    np.multiply(k, c, out=v)
+    v *= half
+    v += ey
+    # k4; E2 y + (h/6) (E2 k1 + 2 E (k2 + k3) + k4)
+    ks *= half
+    ks *= 2.0
+    out += ks
+    out += _dnls_slope(v, k, t + h, *slope)
+    out *= c / 6.0
+    out += ey
+    return out
+
+
 def dnls_evolve(
     psi0: ComplexField,
     t0: float,
@@ -255,70 +318,55 @@ def dnls_evolve(
     dt: float,
     observer=None,
 ) -> ComplexField:
-    """Integrating-factor RK4 for the derivative equation (1d only), on the
-    spectrum of the interaction-picture state, w_hat(t) = fft(U0(-t) psi(t))
-    in FFT order.
+    """Integrating-factor RK4 for the derivative equation (1d only), in the
+    frame of each step's start (Lawson RK4), on the spectrum
+    psi_hat = fft(psi) in FFT order.
 
-    With m(t) = exp(-i t |xi|^2 / 2), a stage at time t reads the solution
-    psi = ifft(w_hat m(t)), forms (|psi|^2)_x = ifft(i xi fft(|psi|^2)), and
-    returns lambda conj(m(t)) fft((|psi|^2)_x psi): four FFTs.  The RK4
-    combinations are linear, so they act on the spectra as they are.  The
-    multiplier is built once per distinct stage time: k2 and k3 share
-    m(t + h/2), and m(t + h) serves the next step and the output when their
-    time is the same float.
+    With m(t) = exp(-i t |xi|^2 / 2), E = m(h/2) and E2 = m(h) for the
+    signed step h, and N(v) = lambda fft((|psi|^2)_x psi) with psi = ifft(v)
+    and (|psi|^2)_x = ifft(i xi fft(|psi|^2)) (four FFTs), one step is
+
+        k1 = N(psi_hat)                  k2 = N(E psi_hat + (h/2) E k1)
+        k3 = N(E psi_hat + (h/2) k2)     k4 = N(E2 psi_hat + h E k3)
+        psi_hat <- E2 psi_hat + (h/6) (E2 k1 + 2 E (k2 + k3) + k4).
+
+    RK4 commutes with the constant map U0(t_n), so this is the RK4 of the
+    interaction picture w(t) = U0(-t) psi(t), up to rounding.  E and E2 are
+    built once per evolution, at its first step, and every stage and
+    combination runs in place on work arrays allocated once per evolution.
 
     Mass is conserved by the continuum equation; the measured drift is a
     pure accuracy monitor.  ``observer``, ``dt`` and the health monitors work
     as in ``nls_evolve``; a violation fails at once, and so does a stage
-    whose psi exceeds 1e8 in modulus (a blow-up).
+    whose psi exceeds 1e8 in modulus (a blow-up), at that stage's time.
     """
     if psi0.grid.dim != 1:
         raise SolverHealthError("dnls_evolve is one-dimensional")
     plan = spectral_plan(psi0.grid)
-    dxi = plan.derivative_symbol
-    # the last multiplier built, (time, m(time), conj(m(time)))
-    last = [None, None, None]
+    shape = psi0.values.shape
+    # the next state, and the work arrays of _lawson_step
+    nxt, k, ks, v, ey, psi, spec = (np.empty(shape, np.complex128)
+                                    for _ in range(7))
+    work = (k, ks, v, ey, (psi, spec, np.empty(shape), plan.derivative_symbol))
+    # the multipliers E = m(h/2) and E2 = m(h) of the one step size, built
+    # at the first step
+    half = full = None
 
-    def phase(t):
-        if last[0] != t:
-            m = plan.free_multiplier(t)
-            last[:] = t, m, np.conj(m)
-        return last[1], last[2]
-
-    def stage(w_hat, t):
-        m, m_conj = phase(t)
-        psi = np.fft.ifft(w_hat * m)
-        density = psi.real**2
-        density += psi.imag**2
-        # sup |psi| <= 1e8, read off the density the nonlinearity needs; an
-        # overflowing or NaN density fails it too
-        if not density.max() <= 1e16:
-            raise SolverHealthError(
-                f"dnls_evolve: blow-up in a Runge-Kutta stage at t={t:.6g}",
-                {"t": t},
-            )
-        spec = np.fft.fft(density)
-        spec *= dxi
-        forcing = np.fft.ifft(spec)
-        forcing *= psi
-        out = np.fft.fft(forcing)
-        out *= m_conj
-        out *= p.lam
+    def step(y, t, h):
+        nonlocal half, full, nxt
+        if half is None:
+            half, full = plan.free_multiplier(0.5 * h), plan.free_multiplier(h)
+        out = _lawson_step(y, nxt, t, h, p.lam * h, half, full, work)
+        # the old state's array takes the next step's combination
+        nxt = y
         return out
 
-    def step(w_hat, t, h):
-        k1 = stage(w_hat, t)
-        k2 = stage(w_hat + 0.5 * h * k1, t + 0.5 * h)
-        k3 = stage(w_hat + 0.5 * h * k2, t + 0.5 * h)
-        k4 = stage(w_hat + h * k3, t + h)
-        return w_hat + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def values(y, t):
+        # a fresh array, so that no field aliases the evolving state
+        return np.fft.ifft(y)
 
-    def values(w_hat, t):
-        return np.fft.ifft(w_hat * phase(t)[0])
-
-    w_hat0 = np.fft.fft(psi0.values) * phase(t0)[1]
     return _march(psi0, t0, t1, dt, observer, "dnls_evolve",
-                  w_hat0, step, values)
+                  np.fft.fft(psi0.values), step, values)
 
 
 def residual(trajectory, equation) -> float:

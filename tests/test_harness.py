@@ -480,7 +480,7 @@ _SHAPE_CASES = {
         [],
         ["config", "dim", "dt", "experiment", "horizon", "mu", "parallel", "sigma"],
         ["conjugation_sandwich residuals check a symmetry of the discrete scheme "
-         "that any real-coefficient integrator satisfies (Strang at 2.9e-13): "
+         "that any real-coefficient integrator satisfies (Strang at 1.5e-13): "
          "the sign and conjugation plumbing, not the continuum identity"],
     ),
     "proposition": (

@@ -1,11 +1,14 @@
-"""Split-step NLS solver, interaction-picture RK4 for the derivative
+"""Split-step NLS solver, integrating-factor RK4 for the derivative
 equation, and the strong-form residual check."""
+
+import itertools
 
 import numpy as np
 import pytest
 
 from nlslab.core import (
     GridDescriptor,
+    SpectralPlan,
     field_from_function,
     free_propagate,
     l2_difference,
@@ -296,8 +299,9 @@ def position_space_rk4(psi0, t0, t1, lam, steps):
 class TestDnlsEvolve:
     @pytest.mark.parametrize("t0, t1", [(0.0, 0.25), (0.3, 0.55), (0.2, -0.05)])
     def test_matches_position_space_reference(self, t0, t1):
-        # pins the start state fft(psi0) conj(m(t0)) and the output
-        # ifft(w_hat m(t)) against the position-space form of the scheme
+        # the RK4 in the frame of each step's start against the RK4 of the
+        # interaction picture of t = 0, which it equals up to rounding, on
+        # spans that start away from 0 and that run backward
         f = sech_field(grid1d(256, 0.1), 0.5)
         out = dnls_evolve(f, t0, t1, DNLSParams(1.0), 0.01)
         ref = position_space_rk4(f, t0, t1, 1.0, 25)
@@ -330,6 +334,41 @@ class TestDnlsEvolve:
         # of four FFTs, and one inverse FFT for the field the observer gets
         assert seen[0] == 1
         assert np.diff(seen).tolist() == [16 + 1] * 5
+
+    @pytest.mark.parametrize("steps", [5, 50])
+    def test_two_multipliers_an_evolution(self, monkeypatch, steps):
+        # E = m(h/2) and E2 = m(h), built at the first step, whatever the
+        # step count
+        built = []
+        build = SpectralPlan.free_multiplier
+
+        def counted(plan, t):
+            built.append(t)
+            return build(plan, t)
+
+        monkeypatch.setattr(SpectralPlan, "free_multiplier", counted)
+        seen = []
+        dnls_evolve(sech_field(grid1d(256, 0.1), 0.5), 0.0, 0.01 * steps,
+                    DNLSParams(1.0), 0.01, observer=lambda t, fld: seen.append(t))
+        assert len(seen) == steps + 1
+        assert built == pytest.approx([0.005, 0.01], rel=1e-12)
+
+    def test_reused_buffers_leak_into_no_field(self):
+        # every step runs in place on arrays allocated once per evolution;
+        # no field handed out may change afterwards or share memory with
+        # another
+        f = sech_field(grid1d(256, 0.1), 0.5)
+        before = f.values.copy()
+        seen = []
+        out = dnls_evolve(f, 0.0, 0.05, DNLSParams(1.0), 0.01,
+                          observer=lambda t, u: seen.append((u, u.values.copy())))
+        assert len(seen) == 6
+        assert np.array_equal(f.values, before)
+        for u, copy in seen:
+            assert np.array_equal(u.values, copy)
+        assert out is seen[-1][0]
+        for (u, _), (v, _) in itertools.combinations(seen, 2):
+            assert not np.shares_memory(u.values, v.values)
 
     def test_lambda_zero_is_free(self):
         g = grid1d(256, 0.1)
