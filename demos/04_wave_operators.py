@@ -26,7 +26,8 @@ grid = GridDescriptor.centered((2048,), (0.25,))
 phi = field_from_function(
     grid, lambda x: 0.2 * np.pi**-0.25 * np.exp(-0.5 * x**2)
 )
-p = NLSParams(dim=1, sigma=2.0, mu=1.0)
+# sigma = 2/n with n = 1 from the grid: the lens route below needs it
+p = NLSParams(sigma=2.0, mu=1.0)
 dt = 0.02
 
 w = wave_operator(phi, -1, p, 20.0, dt)

@@ -23,7 +23,8 @@ from nlslab import (
 
 grid = GridDescriptor.centered((2048,), (0.25,))
 phi = field_from_function(grid, lambda x: np.pi**-0.25 * np.exp(-0.5 * x**2))
-p = NLSParams(dim=1, sigma=2.0, mu=1.0)
+# the critical power 2/n for the grid's n = 1, as the lens route requires
+p = NLSParams(sigma=2.0, mu=1.0)
 
 spec = QuadratureSpec(t_max=20000.0, panels=64)
 k_plus = born_integral(phi, +1, 2.0, spec)

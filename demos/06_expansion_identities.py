@@ -33,7 +33,8 @@ for sign in (+1, -1):
 
 print("\nsub-critical weighted identities (sigma = 1.5, weight |t|^(-1/2)):")
 qs = QuadratureSpec(t_max=1e9, panels=144)
-(i1l, i1r), (i2l, i2r) = subcritical_sides(phi, +1, 1, 1.5, qs)
+# n = 1 is phi's grid dimension: sigma = 1.5 lies in the window (1/n, 2/n)
+(i1l, i1r), (i2l, i2r) = subcritical_sides(phi, +1, 1.5, qs)
 print(f"  identity 1: {l2_difference(i1l.field, i1r.field) / l2_norm(i1l.field):.2e}")
 print(f"  identity 2: {l2_difference(i2l.field, i2r.field) / l2_norm(i2l.field):.2e}")
 

@@ -25,7 +25,7 @@ from nlslab import (
 lam = 1.0
 grid = GridDescriptor.centered((2048,), (0.0195,))
 u0 = field_from_function(grid, lambda x: 0.3 / np.cosh(x))
-p_quintic = NLSParams(dim=1, sigma=2.0, mu=0.5 * lam**2)
+p_quintic = NLSParams(sigma=2.0, mu=0.5 * lam**2)  # critical on the 1D grid
 p_derivative = DNLSParams(lam)
 dt = 2e-4
 

@@ -312,9 +312,8 @@ def born_integral(
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    n = phi.grid.dim
     rows = lambda ts: _flow_rows(phi, ts, sigma)
-    return _refined_quadrature(rows, phi, sign, q, n * sigma)
+    return _refined_quadrature(rows, phi, sign, q, phi.grid.dim * sigma)
 
 
 def corollary2_sides(phi: ComplexField, sign: int, q: QuadratureSpec) -> tuple:
@@ -324,20 +323,17 @@ def corollary2_sides(phi: ComplexField, sign: int, q: QuadratureSpec) -> tuple:
     Right route: transform first -> backward free flow -> nonlinearity ->
     forward free flow.  Both land on phi's dual grid; the caller compares.
     """
-    n = phi.grid.dim
-    sigma = 2.0 / n
+    sigma = 2.0 / phi.grid.dim  # critical, so the integrands decay like |t|^-2
     phihat = forward_fourier(phi)
     lhs_rows = lambda ts: _lhs_rows(phi, ts, sigma)
     rhs_rows = lambda ts: _flow_rows(phihat, -ts, sigma)
-    lhs = _refined_quadrature(lhs_rows, phihat, sign, q, n * sigma)
-    rhs = _refined_quadrature(rhs_rows, phihat, sign, q, n * sigma)
+    lhs = _refined_quadrature(lhs_rows, phihat, sign, q, 2.0)
+    rhs = _refined_quadrature(rhs_rows, phihat, sign, q, 2.0)
     return lhs, rhs
 
 
 def _check_subcritical_window(n: int, sigma: float):
     """Raise ValueError unless the weighted identities hold for (n, sigma)."""
-    if n > 2:
-        raise ValueError("sub-critical identities are run for n <= 2 only")
     if not (1.0 / n < sigma < 2.0 / n):
         raise ValueError(f"sigma={sigma} outside validity window (1/n, 2/n)")
     if n == 2 and not (sigma > 2.0 / (n + 2)):
@@ -345,16 +341,16 @@ def _check_subcritical_window(n: int, sigma: float):
 
 
 def subcritical_sides(
-    phi: ComplexField, sign: int, n: int, sigma: float, q: QuadratureSpec
+    phi: ComplexField, sign: int, sigma: float, q: QuadratureSpec
 ) -> tuple:
     """The two weighted sub-critical identities, four integrals in all.
 
     Identity 1 pairs the unweighted left route with the |t|^(n sigma - 2)-
-    weighted right route; identity 2 swaps the weight.  Valid for
-    1/n < sigma < 2/n (n <= 2), plus sigma > 2/(n+2) when n = 2.
+    weighted right route; identity 2 swaps the weight.  n is the dimension
+    of phi's grid.  Valid for 1/n < sigma < 2/n, plus sigma > 2/(n+2) when
+    n = 2; any other sigma is a ValueError.
     """
-    if phi.grid.dim != n:
-        raise ValueError("phi dimension does not match n")
+    n = phi.grid.dim
     _check_subcritical_window(n, sigma)
     a = n * sigma - 2.0
     phihat = forward_fourier(phi)

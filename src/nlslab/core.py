@@ -14,6 +14,7 @@ snapshot file (see ``io``) therefore always writes space byte 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
@@ -34,39 +35,31 @@ class GridDescriptor:
 
     counts    per-axis sample count N (power of two, >= 8)
     spacings  per-axis spacing h > 0
-    offsets   per-axis left endpoint, always -N*h/2
+    offsets   derived, not stored: per-axis left endpoint, always -N*h/2
     """
 
     counts: tuple
     spacings: tuple
-    offsets: tuple
 
     def __post_init__(self):
-        counts = tuple(int(n) for n in self.counts)
-        spacings = tuple(float(h) for h in self.spacings)
-        offsets = tuple(float(x) for x in self.offsets)
+        counts = tuple(int(n) for n in np.atleast_1d(self.counts))
+        spacings = tuple(float(h) for h in np.atleast_1d(self.spacings))
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "spacings", spacings)
-        object.__setattr__(self, "offsets", offsets)
         if not (1 <= len(counts) <= 2):
             raise ValueError(f"dimension must be 1 or 2, got {len(counts)}")
-        if not (len(counts) == len(spacings) == len(offsets)):
-            raise ValueError("counts, spacings, offsets must have equal length")
-        for n, h, x0 in zip(counts, spacings, offsets):
+        if len(counts) != len(spacings):
+            raise ValueError("counts and spacings must have equal length")
+        for n, h in zip(counts, spacings):
             if n < 8 or (n & (n - 1)) != 0:
                 raise ValueError(f"axis count {n} is not a power of two >= 8")
             if not (h > 0) or not np.isfinite(h):
                 raise ValueError(f"axis spacing {h} must be positive and finite")
-            centered = -0.5 * n * h
-            if abs(x0 - centered) > 1e-12 * max(1.0, abs(centered)):
-                raise ValueError(f"grid is not centered: x0={x0}, expected {centered}")
 
     @classmethod
     def centered(cls, counts, spacings):
-        counts = tuple(int(n) for n in np.atleast_1d(counts))
-        spacings = tuple(float(h) for h in np.atleast_1d(spacings))
-        offsets = tuple(-0.5 * n * h for n, h in zip(counts, spacings))
-        return cls(counts, spacings, offsets)
+        """The constructor, under the name that says where the grid sits."""
+        return cls(counts, spacings)
 
     @property
     def dim(self):
@@ -74,7 +67,7 @@ class GridDescriptor:
 
     @property
     def size(self):
-        return int(np.prod(self.counts))
+        return math.prod(self.counts)
 
     @property
     def cell_volume(self):
@@ -85,9 +78,14 @@ class GridDescriptor:
         """Per-axis half-width N*h/2 of the domain."""
         return tuple(0.5 * n * h for n, h in zip(self.counts, self.spacings))
 
+    @property
+    def offsets(self):
+        """Per-axis left endpoint -N*h/2."""
+        return tuple(-e for e in self.extents)
+
     def axis_coords(self, axis):
-        n, h, x0 = self.counts[axis], self.spacings[axis], self.offsets[axis]
-        return x0 + h * np.arange(n)
+        n, h = self.counts[axis], self.spacings[axis]
+        return self.offsets[axis] + h * np.arange(n)
 
     def coordinate_arrays(self):
         """Sparse meshgrid of the sample coordinates."""
@@ -111,11 +109,6 @@ def grids_close(a: GridDescriptor, b: GridDescriptor, rtol=1e-12):
         if abs(ha - hb) > rtol * max(abs(ha), abs(hb)):
             return False
     return True
-
-
-def require_same_grid(a, b, what="fields"):
-    if not grids_close(a.grid, b.grid):
-        raise GridCompatibilityError(f"{what} live on incompatible grids: {a.grid} vs {b.grid}")
 
 
 @dataclass(frozen=True)
@@ -352,10 +345,8 @@ def resample(f: ComplexField, target: GridDescriptor) -> ComplexField:
     # out-of-domain target points are zeroed.
     for axis in range(src.dim):
         xt = target.axis_coords(axis)
-        lo = src.offsets[axis]
-        hi = lo + src.counts[axis] * src.spacings[axis]
-        pad = 1e-9 * src.spacings[axis]
-        inside = (xt >= lo - pad) & (xt < hi - pad)
+        e, pad = src.extents[axis], 1e-9 * src.spacings[axis]
+        inside = (xt >= -e - pad) & (xt < e - pad)
         a = np.longdouble(target.spacings[axis]) * dual.spacings[axis]
         out = _chirp_z(np.moveaxis(vals, axis, -1), a, len(xt))
         out[..., ~inside] = 0.0
@@ -396,11 +387,8 @@ def _chirp_z(vals, a, count):
 
 
 def _check_mass_on_target(f, target):
-    outside = reduce(
-        np.logical_or,
-        ((x < lo) | (x >= lo + n * h)
-         for x, n, h, lo in zip(f.grid.coordinate_arrays(), target.counts,
-                                target.spacings, target.offsets)))
+    outside = reduce(np.logical_or, ((x < -e) | (x >= e) for x, e in
+                                     zip(f.grid.coordinate_arrays(), target.extents)))
     lost = _shell_fraction(f.values, outside)
     if lost > 1e-6:
         raise MassLossError(
@@ -426,7 +414,8 @@ def l2_norm(f: ComplexField) -> float:
 
 
 def l2_difference(a: ComplexField, b: ComplexField) -> float:
-    require_same_grid(a, b)
+    if not grids_close(a.grid, b.grid):
+        raise GridCompatibilityError(f"fields live on incompatible grids: {a.grid} vs {b.grid}")
     return float(np.sqrt(a.grid.cell_volume * np.sum(np.abs(a.values - b.values) ** 2)))
 
 

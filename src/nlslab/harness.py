@@ -47,6 +47,7 @@ from .scattering import (
     conjugation_residuals,
     free_return_ladder,
     inverse_wave_operator,
+    is_critical,
     small_data_sweep,
     theorem1_residuals,
     wave_operator,
@@ -80,6 +81,10 @@ EXPERIMENTS = (
     "subcritical",
     "lemmas",
 )
+
+# Most samples a grid may hold (4x the largest in use, 512^2); a larger grid
+# is a config error before any array is allocated.
+MAX_GRID_SAMPLES = 2**20
 
 # Physics defaults, one entry per experiment.  Grids are (dim, counts, h);
 # horizons, steps and tolerances follow the sizing worked out in the tests.
@@ -228,15 +233,11 @@ def make_datum(spec: InitialDatumSpec, grid: GridDescriptor) -> ComplexField:
                           f"(L2 norm {nrm:.3g})")
     d = diagnostics(field)
     if d.spectral_tail_fraction > 1e-8 or d.boundary_mass_fraction > 1e-8:
-        _fail_datum(
-            f"datum unresolved on the grid: tail {d.spectral_tail_fraction:.2e}, "
-            f"boundary {d.boundary_mass_fraction:.2e}"
+        raise NlslabError(
+            f"make_datum: datum unresolved on the grid: tail "
+            f"{d.spectral_tail_fraction:.2e}, boundary {d.boundary_mass_fraction:.2e}"
         )
     return field
-
-
-def _fail_datum(msg):
-    raise NlslabError(f"make_datum: {msg}")
 
 
 # Keys whose number, or each number of whose list, must be positive.
@@ -341,15 +342,27 @@ def _config_values(section):
 def _grid_from(section, name="grid"):
     with _config_values(name):
         grid = GridDescriptor.centered(section["counts"], section["spacings"])
+    if grid.size > MAX_GRID_SAMPLES:
+        raise ConfigError(f"{name}: counts {list(grid.counts)} hold {grid.size} "
+                          f"samples, more than MAX_GRID_SAMPLES = {MAX_GRID_SAMPLES}")
     if section["dim"] != grid.dim:
         raise ConfigError(f"{name}.dim {section['dim']} does not match counts "
                           f"{list(grid.counts)}")
     return grid
 
 
-def _nls_params_from(section, dim):
+def _nls_params_from(section):
     with _config_values("equation"):
-        return NLSParams(dim=dim, sigma=section["sigma"], mu=section["mu"])
+        return NLSParams(sigma=section["sigma"], mu=section["mu"])
+
+
+def _critical_params_from(section, datum, experiment):
+    """``_nls_params_from`` for a statement of Theorem 1: sigma must be 2/n."""
+    p = _nls_params_from(section)
+    if not is_critical(datum, p):
+        raise ConfigError(f"{experiment} needs the critical power: equation.sigma "
+                          f"must be 2/n = {2.0 / datum.grid.dim:g}, not {p.sigma:g}")
+    return p
 
 
 def _quadrature_from(section):
@@ -437,8 +450,8 @@ def _add_decay_ladder(report, name, header, rows, monotone, rate):
     return slope
 
 
-def _scattering_params(report, p, horizon, dt):
-    report.params.update(sigma=p.sigma, mu=p.mu, dim=p.dim, horizon=horizon, dt=dt)
+def _scattering_params(report, p, grid, horizon, dt):
+    report.params.update(sigma=p.sigma, mu=p.mu, dim=grid.dim, horizon=horizon, dt=dt)
 
 
 def _spectral_soundness_residuals(report):
@@ -482,7 +495,7 @@ def _spectral_soundness_residuals(report):
 
 
 def _run_solve(config, grid, datum, report):
-    p = _nls_params_from(config["equation"], grid.dim)
+    p = _nls_params_from(config["equation"])
     t1, dt = config["evolve"]["t1"], config["evolve"]["dt"]
     stride = config["output"]["snapshot_stride"]
     strided = {}
@@ -517,7 +530,7 @@ def _run_solve(config, grid, datum, report):
     # configured equation cannot always measure its own order
     probe_grid = GridDescriptor.centered((512,), (0.05,))
     probe = field_from_function(probe_grid, lambda x: 0.5 * np.exp(-0.5 * x**2))
-    probe_p = NLSParams(dim=1, sigma=2.0, mu=1.0)
+    probe_p = NLSParams(sigma=2.0, mu=1.0)
     ref = nls_evolve(probe, 0.0, 1.0, probe_p, 0.005)
     errs = [
         l2_difference(nls_evolve(probe, 0.0, 1.0, probe_p, h), ref)
@@ -533,7 +546,7 @@ def _run_solve(config, grid, datum, report):
 
 
 def _run_wave_op(config, grid, datum, report):
-    p = _nls_params_from(config["equation"], grid.dim)
+    p = _nls_params_from(config["equation"])
     horizon, dt = config["scattering"]["horizon"], config["scattering"]["dt"]
     tol = config["verify"]["tolerance"]
     horizons = [horizon, 2.0 * horizon]
@@ -551,16 +564,16 @@ def _run_wave_op(config, grid, datum, report):
 
 
 def _run_thm1(config, grid, datum, report):
-    p = _nls_params_from(config["equation"], grid.dim)
+    p = _critical_params_from(config["equation"], datum, "thm1")
     horizon, dt = config["scattering"]["horizon"], config["scattering"]["dt"]
     verify = config["verify"]
     tol = verify["tolerance"]
     datum2 = None
     if verify["double_horizon"]:
-        with _config_values("verify"):
-            big = GridDescriptor.centered(verify["doubled_counts"], grid.spacings)
+        big = _grid_from({"dim": grid.dim, "counts": verify["doubled_counts"],
+                          "spacings": grid.spacings}, "verify")
         datum2 = make_datum(InitialDatumSpec(**config["datum"]), big)
-    _scattering_params(report, p, horizon, dt)
+    _scattering_params(report, p, grid, horizon, dt)
     residuals = theorem1_residuals(datum, p, horizon, dt)
     _add_residuals(report, residuals, tol)
     if datum2 is not None:
@@ -575,10 +588,10 @@ def _run_thm1(config, grid, datum, report):
 
 
 def _run_conjugation(config, grid, datum, report):
-    p = _nls_params_from(config["equation"], grid.dim)
+    p = _critical_params_from(config["equation"], datum, "conjugation")
     horizon, dt = config["scattering"]["horizon"], config["scattering"]["dt"]
     tol = config["verify"]["tolerance"]
-    _scattering_params(report, p, horizon, dt)
+    _scattering_params(report, p, grid, horizon, dt)
     _add_residuals(report, conjugation_residuals(datum, p, horizon, dt), tol)
     report.notes.append(
         "conjugation_sandwich residuals check a symmetry of the discrete scheme "
@@ -627,12 +640,12 @@ def _run_proposition(config, grid, datum, report):
     q = _quadrature_from(config["quadrature"])
     dt = config["scattering"]["dt"]
     deltas = sorted(config["verify"]["deltas"], reverse=True)
-    if len(deltas) < 3:
-        raise ConfigError("verify.deltas must hold at least 3 deltas for the "
-                          "remainder slope fit")
-    p = NLSParams(dim=grid.dim)
-    power = 1.0 + 4.0 / p.dim
-    report.params.update(dim=p.dim, mu=p.mu, deltas=deltas, dt=dt,
+    if len(set(deltas)) < len(deltas) or len(deltas) < 3:
+        raise ConfigError("verify.deltas must hold at least 3 distinct deltas "
+                          "for the remainder slope fit")
+    p = NLSParams(sigma=2.0 / grid.dim)
+    power = 1.0 + 4.0 / grid.dim
+    report.params.update(dim=grid.dim, mu=p.mu, deltas=deltas, dt=dt,
                          first_order_sign={"forward": "+i", "inverse": "-i"})
     for sign, label in ((+1, "plus"), (-1, "minus")):
         corrector, rows = small_data_sweep(datum, sign, p, deltas, dt, q)
@@ -655,8 +668,8 @@ def _run_proposition(config, grid, datum, report):
             )
     report.notes.append(
         "candidate remainder rates in delta: "
-        f"{4.0 / p.dim * (2.0 + 4.0 / p.dim):.6g} (claimed) vs "
-        f"{4.0 / p.dim * (2.0 + p.dim / 4.0):.6g} (proof bound); "
+        f"{4.0 / grid.dim * (2.0 + 4.0 / grid.dim):.6g} (claimed) vs "
+        f"{4.0 / grid.dim * (2.0 + grid.dim / 4.0):.6g} (proof bound); "
         "only slope > first-order + margin is asserted"
     )
 
@@ -665,7 +678,7 @@ def _run_dnls_gauge(config, grid, datum, report):
     if grid.dim != 1:
         raise ConfigError(f"dnls_gauge is one-dimensional; grid.dim is {grid.dim}")
     lam = config["equation"]["lambda"]
-    p_nls = NLSParams(dim=1, sigma=2.0, mu=0.5 * lam * lam)
+    p_nls = NLSParams(sigma=2.0, mu=0.5 * lam * lam)
     p_dnls = DNLSParams(lam)
     t1, dt, checkpoints = (config["evolve"][k] for k in ("t1", "dt", "checkpoints"))
     if checkpoints[-1] != t1:
@@ -720,7 +733,7 @@ def _run_subcritical(config, grid, datum, report):
     report.params.update(sigma=sigma, t_max=q.t_max, panels=q.panels,
                          weight_exponent=grid.dim * sigma - 2.0, evaluations={})
     for sign, label in ((+1, "plus"), (-1, "minus")):
-        identities = subcritical_sides(datum, sign, grid.dim, sigma, q)
+        identities = subcritical_sides(datum, sign, sigma, q)
         for idx, (lhs, rhs) in zip("12", identities):
             prefix = f"identity{idx}_"
             names = (f"{prefix}difference_{label}", f"{prefix}refinement_{label}")
@@ -728,7 +741,7 @@ def _run_subcritical(config, grid, datum, report):
 
 
 def _run_lemmas(config, grid, datum, report):
-    p = _nls_params_from(config["equation"], grid.dim)
+    p = _nls_params_from(config["equation"])
     horizon, dt = config["scattering"]["horizon"], config["scattering"]["dt"]
     scat_grid = _grid_from(config["scattering_grid"], "scattering_grid")
     lemma1_grid = _grid_from(config["lemma1_grid"], "lemma1_grid")
@@ -736,7 +749,7 @@ def _run_lemmas(config, grid, datum, report):
     if len(set(times)) < len(times) or len(times) < 2:
         raise ConfigError("verify.ladder_times must hold at least 2 distinct "
                           "times for the decay slope fits")
-    _scattering_params(report, p, horizon, dt)
+    _scattering_params(report, p, grid, horizon, dt)
     report.params["ladder_times"] = times
     # the two boundary-matching lemmas: the conformal image's free return
     # decays along the t-ladder, and the asymptotic states match

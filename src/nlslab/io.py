@@ -4,7 +4,7 @@ Layout (little endian):
   magic   4 bytes  b"NLSF"
   version u32
   dim     u32
-  per axis: N u64, h f64, x0 f64
+  per axis: N u64, h f64, x0 f64 (always -N*h/2; the reader rejects others)
   space   u8   always 0: a field is its samples on the grid above, and
                the reader rejects any other byte
   payload interleaved f64 (re, im) pairs, row-major
@@ -39,7 +39,7 @@ def write_snapshot(path, field: ComplexField):
 def read_snapshot(path) -> ComplexField:
     """Read a snapshot, checking every header field and the payload length.
 
-    Raises SnapshotFormatError on a truncated or malformed file.
+    Raises SnapshotFormatError on a truncated or malformed file, or an x0 off -N*h/2.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -63,7 +63,10 @@ def read_snapshot(path) -> ComplexField:
     code = data[head - 1]
     if code != 0:
         raise bad(f"space byte is {code}, not 0")
-    counts, spacings, offsets = zip(*axes)
+    for n, h, x0 in axes:
+        if abs(x0 + 0.5 * n * h) > 1e-12 * max(1.0, abs(0.5 * n * h)):
+            raise bad(f"grid is not centered: x0={x0}, expected {-0.5 * n * h}")
+    counts, spacings, _ = zip(*axes)
     expected = math.prod(counts) * _SAMPLE_BYTES
     if len(data) - head != expected:
         raise bad(
@@ -71,7 +74,7 @@ def read_snapshot(path) -> ComplexField:
             f"need {expected}"
         )
     try:
-        grid = GridDescriptor(counts, spacings, offsets)
+        grid = GridDescriptor(counts, spacings)
         values = np.frombuffer(data, dtype="<c16", offset=head)
         return ComplexField(grid, values.astype(np.complex128))
     except ValueError as exc:

@@ -45,6 +45,11 @@ LENS_TIME = 1.0
 T_GRADE = 8.0
 
 
+def is_critical(f: ComplexField, p: NLSParams) -> bool:
+    """Whether sigma is the L2-critical power 2/n of the grid of ``f``."""
+    return abs(p.sigma - 2.0 / f.grid.dim) < 1e-14
+
+
 def _check_datum(f, sign):
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -116,7 +121,7 @@ def inverse_wave_operator(
 
 
 def _check_lens(u, sign, p):
-    if not p.critical:
+    if not is_critical(u, p):
         raise ValueError("the lens route needs the critical power sigma = 2/n")
     _check_datum(u, sign)
 
@@ -223,7 +228,7 @@ def small_data_sweep(
     branches, with K oriented toward sign*infinity.
     """
     mu = p.mu
-    power = 1.0 + 4.0 / p.dim
+    power = 1.0 + 4.0 / phi.grid.dim
     corrector = born_integral(phi, sign, p.sigma, q)
     k = corrector.field
     k_norm = l2_norm(k)
@@ -284,7 +289,8 @@ def asymptotic_state_residuals(
     """Finite-horizon form of the second boundary-matching lemma: on the wide
     ``scattering_grid``, the asymptotic states of u at ``horizon`` match
     F^{-1} R of the one-sided limits of v at 0.  Residuals relative to
-    ||u0||, keyed ``asymptotic_state_match_<sign>``."""
+    ||u0||, keyed ``asymptotic_state_match_<sign>``; checks as ``wave_operator``."""
+    _check_truncated(u0, +1, horizon)
     u0s = resample(u0, scattering_grid)
     scale = l2_norm(u0s)
     residuals = {}

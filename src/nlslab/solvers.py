@@ -58,23 +58,15 @@ BOUNDARY_TOL = 1e-5
 
 @dataclass(frozen=True)
 class NLSParams:
-    """Power nonlinearity mu |u|^(2 sigma) u with signed coupling mu."""
+    """Power nonlinearity mu |u|^(2 sigma) u with signed coupling mu.  The
+    dimension n is the grid's; ``scattering.is_critical`` tests sigma = 2/n."""
 
-    dim: int = 1
-    sigma: float | None = None
+    sigma: float
     mu: float = 1.0
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ValueError("dim must be 1 or 2")
-        if self.sigma is None:
-            object.__setattr__(self, "sigma", 2.0 / self.dim)
         if not (self.sigma > 0):
             raise ValueError("sigma must be positive")
-
-    @property
-    def critical(self):
-        return abs(self.sigma - 2.0 / self.dim) < 1e-14
 
 
 @dataclass(frozen=True)

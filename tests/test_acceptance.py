@@ -128,7 +128,7 @@ class TestCriterion03SolverOrders:
     def test_split_step_mass_drift(self):
         g = grid1d(1024, 0.12)
         f = gaussian_field(g, amplitude=0.5)
-        p = NLSParams(dim=1, sigma=2.0, mu=1.0)
+        p = NLSParams(sigma=2.0, mu=1.0)
         out = nls_evolve(f, 0.0, 10.0, p, 1e-3)
         drift = abs(l2_norm(out) ** 2 - l2_norm(f) ** 2) / l2_norm(f) ** 2
         report(
@@ -140,7 +140,7 @@ class TestCriterion03SolverOrders:
     def test_split_step_order_two(self):
         g = grid1d(512, 0.05)
         f = gaussian_field(g, amplitude=0.5)
-        p = NLSParams(dim=1, sigma=2.0, mu=1.0)
+        p = NLSParams(sigma=2.0, mu=1.0)
         ref = nls_evolve(f, 0.0, 1.0, p, 0.04 / 8)
         errs = [
             l2_difference(nls_evolve(f, 0.0, 1.0, p, dt), ref)
@@ -232,7 +232,7 @@ class TestCriterion06Theorem1:
         datum = make_datum(
             InitialDatumSpec("gaussian", amplitude=1.0, width=1.0, normalize=0.3), g2
         )
-        p = NLSParams(dim=2, mu=1.0)
+        p = NLSParams(sigma=1.0, mu=1.0)
         worst = max(theorem1_residuals(datum, p, 12.0, 0.02).values())
         report(
             "criterion 6b: n=2 cubic smoke at N=256^2 (resolvable horizon T=12) < 1e-2",
@@ -255,7 +255,7 @@ class TestCriterion06Theorem1:
             InitialDatumSpec("gaussian", amplitude=1.0, width=3.0, normalize=0.3), g2
         )
         hosted = resample(forward_fourier(datum), g2)
-        p = NLSParams(dim=2, mu=1.0)
+        p = NLSParams(sigma=1.0, mu=1.0)
         with pytest.raises(SolverHealthError, match=r"\(initial state\)") as exc:
             wave_operator(hosted, sign, p, 50.0, 0.02)
         bad = exc.value.diagnostics
@@ -318,7 +318,7 @@ class TestCriterion09SmallDataExpansion:
         g = GridDescriptor.centered((4096,), (0.34,))
         phi = make_datum(InitialDatumSpec("gaussian", normalize=1.0), g)
         _, rows = small_data_sweep(
-            phi, sign, NLSParams(dim=1), [0.4, 0.2, 0.1], 0.01,
+            phi, sign, NLSParams(sigma=2.0), [0.4, 0.2, 0.1], 0.01,
             QuadratureSpec(t_max=20000.0, panels=64),
         )
         ok, slopes = True, {}

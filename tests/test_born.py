@@ -243,7 +243,7 @@ class TestEvaluationCount:
         assert out.evaluations == 10 * (8 + 16) + 2
 
     def test_weighted_rule_counts_the_cascade(self, phi):
-        (_, weighted), _ = subcritical_sides(phi, +1, 1, 1.5,
+        (_, weighted), _ = subcritical_sides(phi, +1, 1.5,
                                              QuadratureSpec(t_max=1e5, panels=8))
         # the first panel is cascaded into 12 more on both rules
         assert weighted.evaluations == 10 * (8 + 12 + 16 + 12) + 2
@@ -350,14 +350,14 @@ class TestCorollary2:
 class TestSubcritical:
     def test_validity_window_enforced(self, phi):
         with pytest.raises(ValueError):
-            subcritical_sides(phi, +1, 1, 0.9, QuadratureSpec())
+            subcritical_sides(phi, +1, 0.9, QuadratureSpec())
         with pytest.raises(ValueError):
-            subcritical_sides(phi, +1, 1, 2.1, QuadratureSpec())
+            subcritical_sides(phi, +1, 2.1, QuadratureSpec())
 
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_identities_light(self, phi, sign):
         spec = QuadratureSpec(t_max=1e7, panels=96)
-        (i1l, i1r), (i2l, i2r) = subcritical_sides(phi, sign, 1, 1.5, spec)
+        (i1l, i1r), (i2l, i2r) = subcritical_sides(phi, sign, 1.5, spec)
         r1 = l2_difference(i1l.field, i1r.field) / l2_norm(i1l.field)
         r2 = l2_difference(i2l.field, i2r.field) / l2_norm(i2l.field)
         assert r1 < 1e-3 and r2 < 1e-3
@@ -366,5 +366,5 @@ class TestSubcritical:
         # the identities hold for the integrals, not the integrands: check
         # the weighted right route is genuinely different from the left one
         spec = QuadratureSpec(t_max=1e5, panels=64)
-        (i1l, i1r), _ = subcritical_sides(phi, +1, 1, 1.5, spec)
+        (i1l, i1r), _ = subcritical_sides(phi, +1, 1.5, spec)
         assert l2_difference(i1l.field, i1r.field) > 0

@@ -83,12 +83,14 @@ class TestSnapshotFormat:
     error (exit 2), never a traceback."""
 
     @staticmethod
-    def _header(count=64, space=b"\x00"):
+    def _header(count=64, space=b"\x00", x0=None):
+        x0 = -0.25 * count if x0 is None else x0
         return (struct.pack("<4sII", b"NLSF", 1, 1)
-                + struct.pack("<Qdd", count, 0.5, -0.25 * count) + space)
+                + struct.pack("<Qdd", count, 0.5, x0) + space)
 
     @pytest.mark.parametrize(
-        "kind", ["random", "header_only", "short_payload", "space_byte_one"])
+        "kind", ["random", "header_only", "short_payload", "space_byte_one",
+                 "off_centre_x0"])
     def test_malformed_file(self, kind, tmp_path, capsys):
         if kind == "random":
             data = np.random.default_rng(3).bytes(40)
@@ -96,6 +98,9 @@ class TestSnapshotFormat:
             data = struct.pack("<4sII", b"NLSF", 1, 1)
         elif kind == "short_payload":
             data = self._header() + b"\x00" * (16 * 63)
+        elif kind == "off_centre_x0":
+            # a grid starting at 0 instead of -N*h/2 = -16
+            data = self._header(x0=0.0) + b"\x00" * (16 * 64)
         else:
             # the byte that once marked a frequency-space field
             data = self._header(space=b"\x01") + b"\x00" * (16 * 64)
@@ -308,6 +313,18 @@ class TestCli:
         ("wave_op", {"datum": {"amplitude": 0.0}}),
         ("solve", {"datum": {"amplitude": 1e200}}),
         ("lemmas", {"verify": {"ladder_times": [10.0, 10.0, 20.0]}}),
+        # grids over harness.MAX_GRID_SAMPLES, refused before any allocation
+        ("solve", {"grid": {"counts": [2**62]}}),
+        ("solve", {"grid": {"counts": [2**40]}}),
+        ("solve", {"grid": {"dim": 2, "counts": [2048, 1024], "spacings": [0.04, 0.04]}}),
+        ("thm1", {"verify": {"doubled_counts": [2**62]}}),
+        ("lemmas", {"scattering_grid": {"counts": [2**40]}}),
+        # the Theorem 1 statements hold at sigma = 2/n only
+        ("thm1", {"equation": {"sigma": 1.5}, "datum": {"normalize": 0.03},
+                  "scattering": {"horizon": 25}, "verify": {"double_horizon": False}}),
+        ("conjugation", {"equation": {"sigma": 1.5}, "datum": {"normalize": 0.03},
+                         "scattering": {"horizon": 25}}),
+        ("proposition", {"verify": {"deltas": [0.4, 0.4, 0.1]}}),
     ])
     def test_rejected_value_exit_two(self, experiment, overrides, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

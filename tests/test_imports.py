@@ -6,9 +6,11 @@ dead-name checks: a name bound by a top-level ``import`` or
 ``from ... import`` must be read somewhere else in its module
 (``__init__.py`` re-exports and is skipped); a private ``_name`` defined at
 the top level of a package module must be read somewhere in the package;
-and a public name defined at the top level of a package module must be
-read by a package module, a test or a demo, where a re-export from
-``__init__.py`` does not count as a read.
+a public name defined at the top level of a package module must be read by
+a package module, a test or a demo, where a re-export from ``__init__.py``
+does not count as a read; and each member of a package class (method,
+property, dataclass field) must be read by a package module, a test or a
+demo as an attribute, a keyword argument or a string constant.
 """
 
 import ast
@@ -113,4 +115,53 @@ def test_check_sees_an_unreferenced_public_name():
     readers = ["from nlslab.b import Used\n\nprint(Used)\n"]
     assert unreferenced_names(sources, readers) == [
         ("a.py", 1, "LIMIT"), ("a.py", 2, "OLD"), ("b.py", 3, "Dead"),
+    ]
+
+
+def unreferenced_members(sources, readers=()):
+    """(module, line, "Class.member") of each method, property, dataclass
+    field or class attribute of a class that some module of ``sources``
+    defines at its top level, when no source of ``sources`` or ``readers``
+    reads the member's name: as an attribute, a keyword argument or a string
+    constant (``getattr(obj, "name")``).  Dunder members are skipped."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            defined += [(module, member.lineno, f"{node.name}.{name}")
+                        for member in node.body for name in _defined_names(member)
+                        if not (name.startswith("__") and name.endswith("__"))]
+    for source in [*sources.values(), *readers]:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Attribute):
+                read.add(n.attr)
+            elif isinstance(n, ast.keyword) and n.arg:
+                read.add(n.arg)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                read.add(n.value)
+    return sorted(entry for entry in defined
+                  if entry[2].partition(".")[2] not in read)
+
+
+def test_every_class_member_is_referenced():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    readers = [p.read_text() for folder in ("tests", "demos")
+               for p in (ROOT / folder).glob("*.py")]
+    assert unreferenced_members(sources, readers) == []
+
+
+def test_check_sees_an_unreferenced_member():
+    sources = {
+        "a.py": "from dataclasses import dataclass\n\n@dataclass\nclass P:\n"
+                "    sigma: float\n    dim: int = 1\n    mu: float = 1.0\n\n"
+                "    def __post_init__(self):\n        pass\n\n"
+                "    @property\n    def critical(self):\n        return self.dim\n\n"
+                "    def scaled(self):\n        return 2 * self.mu\n",
+        "b.py": "from .a import P\n\nclass Q:\n    LIMIT = 3\n\n"
+                "    def unused(self):\n        pass\n\n"
+                "p = P(sigma=2.0)\nprint(getattr(p, 'scaled')(), Q)\n",
+    }
+    assert unreferenced_members(sources) == [
+        ("a.py", 13, "P.critical"), ("b.py", 4, "Q.LIMIT"), ("b.py", 6, "Q.unused"),
     ]

@@ -46,7 +46,7 @@ def wide_grid():
 
 @pytest.fixture
 def params():
-    return NLSParams(dim=1, sigma=2.0, mu=1.0)
+    return NLSParams(sigma=2.0, mu=1.0)
 
 
 LIGHT_HORIZON = 12.0
@@ -61,7 +61,7 @@ class TestWaveOperator:
 
     def test_free_equation_identity(self, wide_grid):
         f = normalized_gaussian(wide_grid, 0.2)
-        p0 = NLSParams(dim=1, sigma=2.0, mu=0.0)
+        p0 = NLSParams(sigma=2.0, mu=0.0)
         r = wave_operator(f, +1, p0, LIGHT_HORIZON, LIGHT_DT)
         assert l2_difference(r, f) < 1e-12
 
@@ -99,7 +99,7 @@ class TestWaveOperator:
 class TestInverseWaveOperator:
     def test_free_equation_identity(self, wide_grid):
         f = normalized_gaussian(wide_grid, 0.2)
-        p0 = NLSParams(dim=1, sigma=2.0, mu=0.0)
+        p0 = NLSParams(sigma=2.0, mu=0.0)
         r = inverse_wave_operator(f, -1, p0, LIGHT_HORIZON, LIGHT_DT)
         assert l2_difference(r, f) < 1e-12
 
@@ -155,7 +155,7 @@ class TestGradedSteps:
         # the operators by ~2e-9 relative, below the uniform run's own time
         # error (dt against dt/2: ~1.3e-7)
         u0 = normalized_gaussian(grid1d(4096, 0.55), 0.3)
-        p = NLSParams(dim=1, sigma=2.0, mu=1.0)
+        p = NLSParams(sigma=2.0, mu=1.0)
         horizon, dt = 200.0, 0.025
         graded = op(u0, sign, p, horizon, dt)
         reference = self.uniform(op, u0, sign, p, horizon, dt)
@@ -190,7 +190,7 @@ class TestLensWaveOperators:
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_free_equation_identity(self, wide_grid, sign):
         f = normalized_gaussian(wide_grid, 0.2)
-        p0 = NLSParams(dim=1, sigma=2.0, mu=0.0)
+        p0 = NLSParams(sigma=2.0, mu=0.0)
         dt = 0.01
         assert l2_difference(lens_wave_operator(f, sign, p0, dt), f) < 1e-12
         assert l2_difference(lens_inverse_wave_operator(f, sign, p0, dt), f) < 1e-12
@@ -219,6 +219,14 @@ class TestLensWaveOperators:
             ]
             assert 0.4 <= bias[1] / bias[0] <= 0.6
 
+    @pytest.mark.parametrize("op", [lens_wave_operator, lens_inverse_wave_operator])
+    def test_dimension_comes_from_the_grid(self, params, op):
+        # sigma = 2 is critical in 1D; on a 2D grid it is the quintic, for
+        # which the lens transform is no exact map
+        g = GridDescriptor.centered((64, 64), (0.3, 0.3))
+        with pytest.raises(ValueError, match="critical power"):
+            op(normalized_gaussian(g, 0.3), +1, params, 0.01)
+
     def test_guards(self, wide_grid, params):
         dt = 0.01
         with pytest.raises(NlslabError):
@@ -226,14 +234,14 @@ class TestLensWaveOperators:
         with pytest.raises(ValueError):
             lens_inverse_wave_operator(
                 normalized_gaussian(wide_grid, 0.2), +1,
-                NLSParams(dim=1, sigma=1.5, mu=1.0), dt,
+                NLSParams(sigma=1.5, mu=1.0), dt,
             )
 
 
 class TestVerifyTheorem1:
     def test_free_equation_exact(self, wide_grid):
         u0 = normalized_gaussian(wide_grid, 0.2)
-        p0 = NLSParams(dim=1, sigma=2.0, mu=0.0)
+        p0 = NLSParams(sigma=2.0, mu=0.0)
         res = theorem1_residuals(u0, p0, LIGHT_HORIZON, LIGHT_DT)
         assert list(res) == ["sign_plus", "sign_minus"]
         assert all(v <= 1e-9 for v in res.values())
@@ -242,7 +250,7 @@ class TestVerifyTheorem1:
     def test_small_data_both_couplings(self, mu):
         g = grid1d(2048, 0.35)
         u0 = normalized_gaussian(g, 0.3)
-        p = NLSParams(dim=1, sigma=2.0, mu=mu)
+        p = NLSParams(sigma=2.0, mu=mu)
         res = theorem1_residuals(u0, p, 60.0, 0.02)
         for value in res.values():
             assert value <= 1e-3
@@ -253,7 +261,7 @@ class TestVerifyConjugation:
     def test_light_run(self):
         g = grid1d(2048, 0.35)
         u0 = normalized_gaussian(g, 0.3)
-        p = NLSParams(dim=1, sigma=2.0, mu=1.0)
+        p = NLSParams(sigma=2.0, mu=1.0)
         res = conjugation_residuals(u0, p, 60.0, 0.02)
         assert len(res) == 4
         assert all(v <= 1e-3 for v in res.values())
@@ -263,7 +271,7 @@ class TestVerifyLemma23:
     def test_ladder_and_asymptotic_match(self):
         fine = GridDescriptor.centered((2048,), (0.008,))
         u0 = normalized_gaussian(fine, 0.3)
-        p = NLSParams(dim=1, sigma=2.0, mu=1.0)
+        p = NLSParams(sigma=2.0, mu=1.0)
         scat = grid1d(2048, 0.35)
         ladder = free_return_ladder(u0, p, 0.02, (10.0, 20.0, 40.0))
         errs = [e for _, e in ladder]
@@ -280,9 +288,23 @@ class TestVerifyLemma23:
 
         monkeypatch.setattr(scattering, "nls_evolve", no_evolution)
         u0 = normalized_gaussian(GridDescriptor.centered((1024,), (0.02,)), 0.3)
-        p = NLSParams(dim=1, sigma=2.0, mu=1.0)
+        p = NLSParams(sigma=2.0, mu=1.0)
         with pytest.raises(ValueError, match=r"10\.0 is repeated"):
             free_return_ladder(u0, p, 0.02, [10.0, 10.0, 20.0])
+
+    @pytest.mark.parametrize("delta, horizon, error", [
+        (0.8, 80.0, NlslabError),  # above the small-data threshold 0.5
+        (0.3, -80.0, ValueError),  # would file the +T residual under _minus
+    ])
+    def test_asymptotic_state_guards(self, monkeypatch, delta, horizon, error):
+        def no_evolution(*args, **kwargs):
+            raise AssertionError("an evolution ran before the datum was checked")
+
+        monkeypatch.setattr(scattering, "nls_evolve", no_evolution)
+        u0 = normalized_gaussian(GridDescriptor.centered((1024,), (0.02,)), delta)
+        p = NLSParams(sigma=2.0, mu=1.0)
+        with pytest.raises(error):
+            asymptotic_state_residuals(u0, p, horizon, 0.02, grid1d(2048, 0.35))
 
     def test_free_flow_cancels_exactly(self):
         # mu=0: the conformal return is exactly the transform of the datum:
@@ -291,7 +313,7 @@ class TestVerifyLemma23:
         # far below the small-angle scale sqrt(3)/2/(2t)
         fine = GridDescriptor.centered((2048,), (0.008,))
         u0 = normalized_gaussian(fine, 0.3)
-        p0 = NLSParams(dim=1, sigma=2.0, mu=0.0)
+        p0 = NLSParams(sigma=2.0, mu=0.0)
         ladder = free_return_ladder(u0, p0, 0.02, (10.0, 20.0, 40.0))
         for t, e in ladder:
             small_angle = np.sqrt(3.0) / 2.0 / (2.0 * t)
@@ -302,10 +324,10 @@ class TestN2Smoke:
     def test_free_identity_and_small_roundtrip(self):
         g = GridDescriptor.centered((64, 64), (0.65, 0.65))
         u0 = normalized_gaussian(g, 0.1)
-        p = NLSParams(dim=2, mu=1.0)
+        p = NLSParams(sigma=1.0, mu=1.0)
         # the 2T = 3 operators that a T = 1.5 wave_op run keeps
         horizon, dt, tol = 3.0, 0.02, 2e-4
-        p0 = NLSParams(dim=2, mu=0.0)
+        p0 = NLSParams(sigma=1.0, mu=0.0)
         r0 = wave_operator(u0, +1, p0, horizon, dt)
         assert l2_difference(r0, u0) < 1e-12
         w = wave_operator(u0, -1, p, horizon, dt)

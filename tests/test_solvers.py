@@ -35,7 +35,7 @@ def sech_field(grid, amplitude=0.3, width=1.0):
 class TestNlsStep:
     def test_linear_limit_matches_free(self):
         f = random_band_limited(grid1d(256, 0.1), seed=41)
-        p = NLSParams(dim=1, sigma=2.0, mu=0.0)
+        p = NLSParams(sigma=2.0, mu=0.0)
         out = nls_step(f, 0.05, p)
         ref = free_propagate(f, 0.05)
         assert l2_difference(out, ref) < 1e-14
@@ -44,7 +44,7 @@ class TestNlsStep:
         g = grid1d(256, 0.1)
         c = 0.7 + 0.2j
         f = field_from_function(g, lambda x: c + 0.0 * x)
-        p = NLSParams(dim=1, sigma=2.0, mu=1.0)
+        p = NLSParams(sigma=2.0, mu=1.0)
         dt = 0.31
         out = nls_step(f, dt, p)
         expected = c * np.exp(-1j * p.mu * abs(c) ** 4 * dt)
@@ -52,7 +52,7 @@ class TestNlsStep:
 
     def test_mass_preserved(self):
         f = random_band_limited(grid1d(256, 0.1), seed=43)
-        p = NLSParams(dim=1, sigma=2.0, mu=-1.0)
+        p = NLSParams(sigma=2.0, mu=-1.0)
         out = nls_step(f, 0.02, p)
         assert abs(l2_norm(out) - l2_norm(f)) < 1e-13
 
@@ -61,7 +61,7 @@ class TestNlsEvolve:
     def test_reversibility(self):
         g = grid1d(512, 0.05)
         f = gaussian_field(g, amplitude=0.5)
-        p = NLSParams(dim=1, sigma=2.0, mu=1.0)
+        p = NLSParams(sigma=2.0, mu=1.0)
         dt = 0.01
         fwd = nls_evolve(f, 0.0, 1.0, p, dt)
         back = nls_evolve(fwd, 1.0, 0.0, p, dt)
@@ -71,14 +71,14 @@ class TestNlsEvolve:
         # 0.37 at dt = 0.05 is 8 equal steps each way, so the backward run
         # retraces the forward one
         f = gaussian_field(grid1d(512, 0.05), amplitude=0.5)
-        p = NLSParams(dim=1, sigma=2.0, mu=1.0)
+        p = NLSParams(sigma=2.0, mu=1.0)
         back = nls_evolve(nls_evolve(f, 0.0, 0.37, p, 0.05), 0.37, 0.0, p, 0.05)
         assert l2_difference(back, f) < 1e-13
 
     def test_order_two_self_convergence(self):
         g = grid1d(512, 0.05)
         f = gaussian_field(g, amplitude=0.5)
-        p = NLSParams(dim=1, sigma=2.0, mu=1.0)
+        p = NLSParams(sigma=2.0, mu=1.0)
         ref = nls_evolve(f, 0.0, 1.0, p, 0.04 / 8)
         errs = []
         for dt in (0.04, 0.02):
@@ -89,7 +89,7 @@ class TestNlsEvolve:
     def test_linear_arbitrary_horizon(self):
         g = grid1d(512, 0.08)
         f = gaussian_field(g, amplitude=0.4)
-        p = NLSParams(dim=1, sigma=2.0, mu=0.0)
+        p = NLSParams(sigma=2.0, mu=0.0)
         out = nls_evolve(f, 0.0, 3.7, p, 0.05)
         ref = free_propagate(f, 3.7)
         assert l2_difference(out, ref) < 1e-12
@@ -97,7 +97,7 @@ class TestNlsEvolve:
     def test_mass_drift_ten_thousand_steps(self):
         g = grid1d(1024, 0.12)
         f = gaussian_field(g, amplitude=0.5)
-        p = NLSParams(dim=1, sigma=2.0, mu=1.0)
+        p = NLSParams(sigma=2.0, mu=1.0)
         out = nls_evolve(f, 0.0, 10.0, p, 1e-3)
         drift = abs(l2_norm(out) ** 2 - l2_norm(f) ** 2) / l2_norm(f) ** 2
         assert drift < 1e-11
@@ -105,7 +105,7 @@ class TestNlsEvolve:
     def test_partial_final_step(self):
         g = grid1d(256, 0.1)
         f = gaussian_field(g, amplitude=0.3)
-        p = NLSParams(dim=1, sigma=2.0, mu=0.0)
+        p = NLSParams(sigma=2.0, mu=0.0)
         out = nls_evolve(f, 0.0, 0.25, p, 0.1)
         ref = free_propagate(f, 0.25)
         assert l2_difference(out, ref) < 1e-12
@@ -114,14 +114,14 @@ class TestNlsEvolve:
         g = grid1d(128, 0.1)
         k_nyq = np.pi / 0.1
         f = gaussian_field(g, amplitude=1.0, wavenumber=0.9 * k_nyq)
-        p = NLSParams(dim=1, sigma=2.0, mu=1.0)
+        p = NLSParams(sigma=2.0, mu=1.0)
         # the datum's spectral-tail fraction is ~0.93 at t = 0, against TAIL_TOL
         with pytest.raises(SolverHealthError):
             nls_evolve(f, 0.0, 0.5, p, 0.01)
 
     def test_max_steps_guard(self):
         f = gaussian_field(grid1d(128, 0.1), amplitude=0.1)
-        p = NLSParams(dim=1, sigma=2.0, mu=1.0)
+        p = NLSParams(sigma=2.0, mu=1.0)
         # 1e8 steps exceed MAX_STEPS, which is checked before any step runs
         with pytest.raises(SolverHealthError, match="MAX_STEPS"):
             nls_evolve(f, 0.0, 1.0, p, 1e-8)
@@ -131,7 +131,7 @@ class TestNlsEvolve:
         # the step count overflows to inf, which the guard refuses before int()
         f = gaussian_field(grid1d(128, 0.1), amplitude=0.1)
         with pytest.raises(SolverHealthError, match="MAX_STEPS"):
-            nls_evolve(f, t0, t1, NLSParams(dim=1, sigma=2.0, mu=1.0), dt)
+            nls_evolve(f, t0, t1, NLSParams(sigma=2.0, mu=1.0), dt)
         with pytest.raises(SolverHealthError, match="MAX_STEPS"):
             dnls_evolve(f, t0, t1, DNLSParams(1.0), dt)
 
@@ -139,14 +139,14 @@ class TestNlsEvolve:
     def test_non_positive_dt_rejected(self, dt):
         f = gaussian_field(grid1d(128, 0.1), amplitude=0.1)
         with pytest.raises(ValueError, match="dt must be positive"):
-            nls_evolve(f, 0.0, 1.0, NLSParams(dim=1, sigma=2.0, mu=1.0), dt)
+            nls_evolve(f, 0.0, 1.0, NLSParams(sigma=2.0, mu=1.0), dt)
         with pytest.raises(ValueError, match="dt must be positive"):
             dnls_evolve(f, 0.0, 1.0, DNLSParams(1.0), dt)
 
     def test_critical_scaling_invariance(self):
         # if u solves at sigma=2/n then L^{n/2} u(L^2 t, L x) solves
         lam = 2.0
-        p = NLSParams(dim=1, sigma=2.0, mu=1.0)
+        p = NLSParams(sigma=2.0, mu=1.0)
         g = grid1d(1024, 0.04)
         u0 = gaussian_field(g, amplitude=0.5)
         u_t = nls_evolve(u0, 0.0, 0.8, p, 0.002)
@@ -164,7 +164,7 @@ class TestNlsEvolve:
     def test_2d_smoke_linear_exact(self):
         g = GridDescriptor.centered((64, 64), (0.15, 0.15))
         f = field_from_function(g, lambda x, y: 0.3 * np.exp(-0.5 * (x**2 + y**2)))
-        p = NLSParams(dim=2, mu=0.0)
+        p = NLSParams(sigma=1.0, mu=0.0)
         assert p.sigma == 1.0
         out = nls_evolve(f, 0.0, 0.5, p, 0.05)
         ref = free_propagate(f, 0.5)
@@ -196,7 +196,7 @@ class TestRawLoop:
     @pytest.mark.parametrize("t1", [0.37, -0.37])
     def test_evolve_equals_repeated_steps(self, dim, t1):
         f = self.datum(dim)
-        p = NLSParams(dim=dim, mu=1.0)
+        p = NLSParams(sigma=2.0 / dim, mu=1.0)
         out = nls_evolve(f, 0.0, t1, p, 0.05)
         u = self.repeated_steps(f, t1, p)[-1]
         assert l2_difference(out, u) <= 1e-13 * l2_norm(f)
@@ -207,7 +207,7 @@ class TestRawLoop:
         # the evolution keeps a half-kick pending between steps; every
         # observed field has it applied
         f = self.datum(dim)
-        p = NLSParams(dim=dim, mu=1.0)
+        p = NLSParams(sigma=2.0 / dim, mu=1.0)
         seen = []
         nls_evolve(f, 0.0, t1, p, 0.05, observer=lambda t, u: seen.append((t, u)))
         steps = self.repeated_steps(f, t1, p)
@@ -220,7 +220,7 @@ class TestRawLoop:
     def test_span_near_a_whole_number_of_steps(self):
         # 1.1 / 0.1 is 11.000000000000002 in floating point: 11 steps, not 12
         seen = []
-        nls_evolve(self.datum(1), 0.0, 1.1, NLSParams(dim=1, mu=1.0), 0.1,
+        nls_evolve(self.datum(1), 0.0, 1.1, NLSParams(sigma=2.0, mu=1.0), 0.1,
                    observer=lambda t, u: seen.append(t))
         assert seen == pytest.approx([0.1 * k for k in range(12)], abs=1e-15)
 
@@ -230,7 +230,7 @@ class TestRawLoop:
         f = self.datum(dim)
         before = f.values.copy()
         seen = []
-        out = nls_evolve(f, 0.0, 0.37, NLSParams(dim=dim, mu=1.0), 0.05,
+        out = nls_evolve(f, 0.0, 0.37, NLSParams(sigma=2.0 / dim, mu=1.0), 0.05,
                          observer=lambda t, u: seen.append((u, u.values.copy())))
         assert np.array_equal(f.values, before)
         assert out is seen[-1][0]
@@ -242,7 +242,7 @@ class TestRawLoop:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_datum_is_health_violation(self):
         f = gaussian_field(grid1d(256, 0.1), amplitude=1e200)
-        p = NLSParams(dim=1, sigma=2.0, mu=1.0)
+        p = NLSParams(sigma=2.0, mu=1.0)
         with pytest.raises(SolverHealthError) as info:
             nls_evolve(f, 0.0, 0.1, p, 0.01)
         assert info.value.diagnostics["t"] == 0.0
@@ -251,7 +251,7 @@ class TestRawLoop:
     def test_state_turning_non_finite_is_health_violation(self):
         # finite mass, but |u|^4 overflows in the first nonlinear phase
         f = gaussian_field(grid1d(256, 0.1), amplitude=1e100)
-        p = NLSParams(dim=1, sigma=2.0, mu=1.0)
+        p = NLSParams(sigma=2.0, mu=1.0)
         with pytest.raises(SolverHealthError) as info:
             nls_evolve(f, 0.0, 0.1, p, 0.01)
         assert info.value.diagnostics["t"] > 0.0
@@ -265,7 +265,7 @@ class TestRawLoop:
         narrow = field_from_function(g, lambda x: 1e78 * np.exp(-0.5 * (x / 0.1) ** 2))
         f = free_propagate(narrow, -1.0)
         with pytest.raises(SolverHealthError) as info:
-            nls_evolve(f, 0.0, 1.0, NLSParams(dim=1, sigma=2.0, mu=0.0), 1.0)
+            nls_evolve(f, 0.0, 1.0, NLSParams(sigma=2.0, mu=0.0), 1.0)
         assert info.value.diagnostics["t"] == 1.0
 
 
@@ -427,7 +427,7 @@ class TestResidual:
 
     def test_plane_constant_differencing_error(self):
         g = grid1d(128, 0.1)
-        p = NLSParams(dim=1, sigma=2.0, mu=1.0)
+        p = NLSParams(sigma=2.0, mu=1.0)
         dt = 1e-3
         snaps = self._constant_trajectory(0.8, p, [0.0, dt, 2 * dt], g)
         r = residual(snaps, p)
@@ -439,15 +439,15 @@ class TestResidual:
     def test_free_solution(self):
         g = grid1d(512, 0.08)
         f = gaussian_field(g, amplitude=0.4)
-        p = NLSParams(dim=1, sigma=2.0, mu=0.0)
+        p = NLSParams(sigma=2.0, mu=0.0)
         dt = 1e-3
         snaps = [SnapshotAtTime(free_propagate(f, t), t) for t in (0.0, dt, 2 * dt)]
         assert residual(snaps, p) < 1e-6
 
     def test_wrong_coupling_detected(self):
         g = grid1d(256, 0.1)
-        p_true = NLSParams(dim=1, sigma=2.0, mu=1.0)
-        p_wrong = NLSParams(dim=1, sigma=2.0, mu=-1.0)
+        p_true = NLSParams(sigma=2.0, mu=1.0)
+        p_wrong = NLSParams(sigma=2.0, mu=-1.0)
         dt = 1e-3
         snaps = self._constant_trajectory(0.8, p_true, [0.0, dt, 2 * dt], g)
         assert residual(snaps, p_wrong) > 0.1
@@ -456,7 +456,7 @@ class TestResidual:
         g = grid1d(128, 0.1)
         f = gaussian_field(g)
         with pytest.raises(ValueError):
-            residual([SnapshotAtTime(f, 0.0), SnapshotAtTime(f, 0.1)], NLSParams())
+            residual([SnapshotAtTime(f, 0.0), SnapshotAtTime(f, 0.1)], NLSParams(sigma=2.0))
 
     def test_dnls_solution_residual_small(self):
         g = grid1d(512, 0.08)
@@ -477,7 +477,7 @@ class TestGaugeEquivalence:
         lam = 1.0
         g = grid1d(2048, 0.02)
         u0 = sech_field(g, 0.3)
-        p_nls = NLSParams(dim=1, sigma=2.0, mu=0.5 * lam**2)
+        p_nls = NLSParams(sigma=2.0, mu=0.5 * lam**2)
         p_dnls = DNLSParams(lam)
         dt = 5e-4
         t_end = 0.25

@@ -74,10 +74,6 @@ class TestGridDescriptor:
         with pytest.raises(ValueError):
             GridDescriptor.centered((100,), (0.1,))
 
-    def test_rejects_uncentered(self):
-        with pytest.raises(ValueError):
-            GridDescriptor((64,), (0.1,), (0.0,))
-
     def test_dual_round_trip(self):
         g = GridDescriptor.centered((256, 64), (0.05, 0.2))
         gd = g.dual().dual()
