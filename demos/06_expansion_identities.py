@@ -1,7 +1,9 @@
-"""The two-route expansion identities, critical and sub-critical.
+"""The expansion identities F K_s(phi) = -K_{-s}(F phi), critical and
+sub-critical.
 
-Each side is built from a structurally different operator pipeline; their
-agreement under independent quadratures is the check.  The weighted
+The left side applies the nonlinearity along the free flow of phi, the
+right side along the backward flow of F phi; their agreement under
+independent quadratures is the check.  The weighted
 sub-critical variant carries a |t|^(n sigma - 2) endpoint singularity,
 removed exactly by the t = s^(1/(1+a)) substitution.
 """

@@ -1,28 +1,29 @@
 """Field-valued time quadrature of the explicit scattering integrals.
 
-The first-order correctors, both small-data expansion identities, and the
-weighted sub-critical identities all integrate fields of the form
-U0(-t) G(U0(t) phi) over a half line.  Direct evaluation needs a domain that
-contains the dispersively spread flow, which caps the reachable horizon.
-Beyond ``T_SWITCH`` the integrands are therefore evaluated through the
-chirp/dilation factorization of the free group, which keeps every
-intermediate on the original grid pair and is exact in the continuum: the
-dilation factors cancel against the homogeneity |G(c f)| = |c|^(2 sigma) G-
-scaling, leaving chirp multiplies, reflections and transforms only.  The two
-regimes agree to spectral accuracy in an overlap window, which the tests
-pin.
+Every half-line integral here, the first-order correctors and both sides of
+the critical and the weighted sub-critical expansion identities, is one
+quadrature of U0(-t) G(U0(t) psi), with psi the datum phi or its transform
+F phi.  An identity F K_s(phi) = -K_{-s}(F phi) compares the transform of
+one such integral with another along the backward flow of F phi.
+Direct evaluation needs a domain that contains the dispersively spread
+flow, which caps the reachable horizon.  Beyond ``T_SWITCH`` the integrand
+is therefore evaluated through the chirp/dilation factorization of the free
+group, which keeps every intermediate on the original grid pair and is
+exact in the continuum: the dilation factors cancel against the
+homogeneity |G(c f)| = |c|^(2 sigma) G-scaling, leaving chirp multiplies,
+reflections and transforms only.  The two regimes agree to spectral
+accuracy in an overlap window, which the tests pin.
 
 Quadrature is composite Gauss-Legendre on panels graded linearly near zero
 and geometrically in the tail.  Each panel's GL_NODES nodes are evaluated
-as one (GL_NODES, *counts) block by a row evaluator (``_flow_rows``,
-``_lhs_rows``), with batched transforms along the grid axes; one panel is
-held at a time, so a temporary costs GL_NODES complex samples per grid
-point (~10 MB on a 2D 256^2 grid).  A singular endpoint weight |t|^a with
-a in (-1, 0) is removed exactly by the substitution t = s^(1/(1+a)), under
-which t^a dt = ds/(1+a).  The part of the half line beyond t_max is
-estimated, not bounded: ``_tail_bound`` samples the integrand at 0.5 and
-0.995 t_max and extrapolates the algebraic decay with the smaller of the
-measured and the assumed exponent.
+as one (GL_NODES, *counts) block by ``_flow_rows``, with batched transforms
+along the grid axes; one panel is held at a time, so a temporary costs
+GL_NODES complex samples per grid point (~10 MB on a 2D 256^2 grid).  A
+singular endpoint weight |t|^a with a in (-1, 0) is removed exactly by the
+substitution t = s^(1/(1+a)), under which t^a dt = ds/(1+a).  The part of
+the half line beyond t_max is estimated, not bounded: ``_tail_bound``
+samples the integrand at 0.5 and 0.995 t_max and extrapolates the algebraic
+decay with the smaller of the measured and the assumed exponent.
 """
 
 from __future__ import annotations
@@ -90,52 +91,17 @@ def nonlinear_flow(phi: ComplexField, t: float, sigma: float) -> ComplexField:
     return u.with_values(_density_power(u.values, sigma) * u.values)
 
 
-def _split_rows(ts, near_rows, far_rows, *args):
-    """Rows for the times ``ts``: ``near_rows(ts, *args)`` on |t| <= T_SWITCH
-    and ``far_rows`` beyond, in the order of ``ts``."""
-    ts = np.asarray(ts, dtype=np.float64)
-    near = np.abs(ts) <= T_SWITCH
-    if near.all():
-        return near_rows(ts, *args)
-    if not near.any():
-        return far_rows(ts, *args)
-    first = near_rows(ts[near], *args)
-    out = np.empty(ts.shape + first.shape[1:], dtype=first.dtype)
-    out[near] = first
-    out[~near] = far_rows(ts[~near], *args)
-    return out
-
-
 def _column(ts, dim):
     """``ts`` as a column that broadcasts against rows of a dim-D grid."""
     return ts.reshape((-1,) + (1,) * dim)
 
 
-def _decay(ts, n_sigma, dim):
-    return _column(np.abs(ts) ** -n_sigma, dim)
-
-
-def _free_rows(plan, phi, ts, sigma):
-    """The multipliers U0(t) in FFT order, and the rows G(U0(t) phi), with
-    the flow acting on phi as a function of its own variable."""
-    m = _unit_phase(_column(-0.5 * ts, plan.grid.dim) * plan.xi2)
-    u = np.fft.fftn(phi.values) * m
-    np.fft.ifftn(u, axes=plan.axes, out=u)
-    u *= _density_power(u, sigma)
-    return m, u
-
-
-def _chirped_rows(plan, phi, ts, sigma):
-    """The chirps M_t on the grid, and the rows G(F M_t phi) on its dual."""
-    chirp = _unit_phase(0.5 * plan.r2 / _column(ts, plan.grid.dim))
-    g = plan.forward(phi.values * chirp)
-    g *= _density_power(g, sigma)
-    return chirp, g
-
-
 def _flow_near(ts, phi, sigma):
     plan = spectral_plan(phi.grid)
-    m, g = _free_rows(plan, phi, ts, sigma)
+    m = _unit_phase(_column(-0.5 * ts, plan.grid.dim) * plan.xi2)
+    g = np.fft.fftn(phi.values) * m
+    np.fft.ifftn(g, axes=plan.axes, out=g)
+    g *= _density_power(g, sigma)
     np.fft.fftn(g, axes=plan.axes, out=g)
     g *= np.conj(m, out=m)
     return np.fft.ifftn(g, axes=plan.axes, out=g)
@@ -144,10 +110,12 @@ def _flow_near(ts, phi, sigma):
 def _flow_far(ts, phi, sigma):
     n = phi.grid.dim
     plan = spectral_plan(phi.grid)
-    chirp, g = _chirped_rows(plan, phi, ts, sigma)
+    chirp = _unit_phase(0.5 * plan.r2 / _column(ts, n))
+    g = plan.forward(phi.values * chirp)
+    g *= _density_power(g, sigma)
     back = spectral_plan(plan.dual).inverse(g)
     back *= np.conj(chirp, out=chirp)
-    back *= _decay(ts, n * sigma, n)
+    back *= _column(np.abs(ts) ** -(n * sigma), n)
     return back
 
 
@@ -158,56 +126,24 @@ def _flow_rows(phi: ComplexField, ts, sigma):
     U0(-t) M_t D_t = M_{-t} R F = M_{-t} F^{-1} and the G/D homogeneity
     give |t|^(-n sigma) M_{-t} F^{-1} [ G(F M_t phi) ] with no dilation
     left.  Each row takes one cos/sin array: U0(-t) and M_{-t} are the
-    conjugates of U0(t) and M_t.
+    conjugates of U0(t) and M_t.  T_SWITCH is read at call time.
     """
-    return _split_rows(ts, _flow_near, _flow_far, phi, sigma)
-
-
-def _lhs_near(ts, phi, sigma):
-    plan = spectral_plan(phi.grid)
-    m, g = _free_rows(plan, phi, ts, sigma)
-    ghat = plan.forward(g)
-    # M_{1/t} on the dual grid's own coordinates (the identity at t = 0)
-    ghat *= np.fft.fftshift(np.conj(m, out=m), axes=plan.axes)
-    return ghat
-
-
-def _lhs_far(ts, phi, sigma):
-    n = phi.grid.dim
-    plan = spectral_plan(phi.grid)
-    chirp, g = _chirped_rows(plan, phi, ts, sigma)
-    # U0(1/t) acts on G as a function of its own variable: conjugate
-    # through the next transform rather than multiplying on the current
-    # coordinates
-    np.fft.fftn(g, axes=plan.axes, out=g)
-    g *= np.fft.ifftshift(np.conj(chirp, out=chirp), axes=plan.axes)
-    np.fft.ifftn(g, axes=plan.axes, out=g)
-    g *= _decay(ts, n * sigma, n)
-    return g
-
-
-def _lhs_rows(phi: ComplexField, ts, sigma):
-    """Rows exp(i t |xi|^2/2) F[ G(U0(t) phi) ] on phi's dual grid, one per
-    t in ``ts``.
-
-    The factorized branch uses M_{1/t} F M_t D_t = U0(1/t) (free-group
-    factorization read backwards), giving |t|^(-n sigma) U0(1/t) G(F M_t phi).
-    The dual of the dual grid is phi's grid, so the dual grid's |x|^2 and
-    |xi|^2 are phi's |xi|^2 and |x|^2 reordered, and each row again takes
-    one cos/sin array.
-    """
-    return _split_rows(ts, _lhs_near, _lhs_far, phi, sigma)
+    ts = np.asarray(ts, dtype=np.float64)
+    near = np.abs(ts) <= T_SWITCH
+    if near.all():
+        return _flow_near(ts, phi, sigma)
+    if not near.any():
+        return _flow_far(ts, phi, sigma)
+    first = _flow_near(ts[near], phi, sigma)
+    out = np.empty(ts.shape + first.shape[1:], dtype=first.dtype)
+    out[near] = first
+    out[~near] = _flow_far(ts[~near], phi, sigma)
+    return out
 
 
 def flow_integrand(phi: ComplexField, t: float, sigma: float) -> ComplexField:
     """U0(-t) G(U0(t) phi) on phi's grid, stable for arbitrarily large |t|."""
     return phi.with_values(_flow_rows(phi, [t], sigma)[0])
-
-
-def expansion_lhs_integrand(phi: ComplexField, t: float, sigma: float) -> ComplexField:
-    """exp(i t |xi|^2/2) F[ G(U0(t) phi) ], a field on phi's dual grid."""
-    dual = spectral_plan(phi.grid).dual
-    return ComplexField(dual, _lhs_rows(phi, [t], sigma)[0])
 
 
 def _panel_edges(t_max, panels):
@@ -316,20 +252,28 @@ def born_integral(
     return _refined_quadrature(rows, phi, sign, q, phi.grid.dim * sigma)
 
 
-def corollary2_sides(phi: ComplexField, sign: int, q: QuadratureSpec) -> tuple:
-    """Both sides of the critical expansion identity, independently pipelined.
+def _sides(phi, sign, sigma, q_left, q_right):
+    """F K_sign(phi) under ``q_left`` and -K_{-sign}(F phi) under
+    ``q_right``, where K_s is the oriented integral of ``born_integral``.
 
-    Left route: nonlinear flow -> transform -> quadratic-phase multiply.
-    Right route: transform first -> backward free flow -> nonlinearity ->
-    forward free flow.  Both land on phi's dual grid; the caller compares.
+    Both are one quadrature of U0(-t) G(U0(t) psi), with psi = phi and
+    psi = F phi: the first applies G along the free flow of phi, the second
+    along the backward flow of F phi.  F is unitary, so the refinement
+    deltas and tail estimates of K_sign(phi) are those of its transform.
     """
-    sigma = 2.0 / phi.grid.dim  # critical, so the integrands decay like |t|^-2
-    phihat = forward_fourier(phi)
-    lhs_rows = lambda ts: _lhs_rows(phi, ts, sigma)
-    rhs_rows = lambda ts: _flow_rows(phihat, -ts, sigma)
-    lhs = _refined_quadrature(lhs_rows, phihat, sign, q, 2.0)
-    rhs = _refined_quadrature(rhs_rows, phihat, sign, q, 2.0)
-    return lhs, rhs
+    left = born_integral(phi, sign, sigma, q_left)
+    right = born_integral(forward_fourier(phi), -sign, sigma, q_right)
+    return (replace(left, field=forward_fourier(left.field)),
+            replace(right, field=right.field.with_values(-right.field.values)))
+
+
+def corollary2_sides(phi: ComplexField, sign: int, q: QuadratureSpec) -> tuple:
+    """Both sides of the critical expansion identity F K_s(phi) =
+    -K_{-s}(F phi) at sigma = 2/n, the first-order term of Theorem 1's
+    F W_s^{-1} = W_{-s} F: F K_sign(phi) and -K_{-sign}(F phi), both on
+    phi's dual grid; the caller compares.
+    """
+    return _sides(phi, sign, 2.0 / phi.grid.dim, q, q)
 
 
 def _check_subcritical_window(n: int, sigma: float):
@@ -345,28 +289,18 @@ def subcritical_sides(
 ) -> tuple:
     """The two weighted sub-critical identities, four integrals in all.
 
-    Identity 1 pairs the unweighted left route with the |t|^(n sigma - 2)-
-    weighted right route; identity 2 swaps the weight.  n is the dimension
-    of phi's grid.  Valid for 1/n < sigma < 2/n, plus sigma > 2/(n+2) when
-    n = 2; any other sigma is a ValueError.
+    Each identity pairs F K_sign(phi) with -K_{-sign}(F phi), as
+    ``corollary2_sides`` does, with the weight |t|^(n sigma - 2) on one
+    side: identity 1 weights the right side, identity 2 the left.  n is the
+    dimension of phi's grid.  Valid for 1/n < sigma < 2/n, plus
+    sigma > 2/(n+2) when n = 2; any other sigma is a ValueError.
     """
     n = phi.grid.dim
     _check_subcritical_window(n, sigma)
-    a = n * sigma - 2.0
-    phihat = forward_fourier(phi)
-    lhs_rows = lambda ts: _lhs_rows(phi, ts, sigma)
-    rhs_rows = lambda ts: _flow_rows(phihat, -ts, sigma)
     plain = replace(q, singular_exponent=0.0)
-    weighted = replace(q, singular_exponent=a)
-    identity1 = (
-        _refined_quadrature(lhs_rows, phihat, sign, plain, n * sigma),
-        _refined_quadrature(rhs_rows, phihat, sign, weighted, n * sigma),
-    )
-    identity2 = (
-        _refined_quadrature(lhs_rows, phihat, sign, weighted, n * sigma),
-        _refined_quadrature(rhs_rows, phihat, sign, plain, n * sigma),
-    )
-    return identity1, identity2
+    weighted = replace(q, singular_exponent=n * sigma - 2.0)
+    return (_sides(phi, sign, sigma, plain, weighted),
+            _sides(phi, sign, sigma, weighted, plain))
 
 
 def scalar_weighted_integral(fn, a, t_max, panels):

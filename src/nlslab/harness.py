@@ -542,7 +542,6 @@ def _run_solve(config, grid, datum, report):
     report.snapshots.update(strided)
     if config["output"]["snapshots"]:
         report.snapshots.update(initial=datum, final=u1)
-    report.provenance["datum"] = config["datum"]
 
 
 def _run_wave_op(config, grid, datum, report):
@@ -744,6 +743,10 @@ def _run_lemmas(config, grid, datum, report):
     p = _nls_params_from(config["equation"])
     horizon, dt = config["scattering"]["horizon"], config["scattering"]["dt"]
     scat_grid = _grid_from(config["scattering_grid"], "scattering_grid")
+    if scat_grid.dim != grid.dim:
+        raise ConfigError(f"scattering_grid is {scat_grid.dim}-dimensional and "
+                          f"grid {grid.dim}-dimensional; the asymptotic states "
+                          "are resampled from one onto the other")
     lemma1_grid = _grid_from(config["lemma1_grid"], "lemma1_grid")
     times = config["verify"]["ladder_times"]
     if len(set(times)) < len(times) or len(times) < 2:

@@ -40,7 +40,6 @@ class VerificationReport:
     identity: str
     params: dict = field(default_factory=dict)
     grid: dict = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)
     residuals: list = field(default_factory=list)
     fitted_rates: list = field(default_factory=list)
     ladders: dict = field(default_factory=dict)
@@ -69,7 +68,6 @@ class VerificationReport:
             "identity": self.identity,
             "params": self.params,
             "grid": self.grid,
-            "provenance": self.provenance,
             "residuals": [r.as_dict() for r in self.residuals],
             "fitted_rates": list(self.fitted_rates),
             "ladders": self.ladders,

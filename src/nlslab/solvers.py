@@ -331,9 +331,8 @@ def dnls_evolve(
     pure accuracy monitor.  ``observer``, ``dt`` and the health monitors work
     as in ``nls_evolve``; a violation fails at once, and so does a stage
     whose psi exceeds 1e8 in modulus (a blow-up), at that stage's time.
+    A grid of another dimension is a ValueError, raised before any step.
     """
-    if psi0.grid.dim != 1:
-        raise SolverHealthError("dnls_evolve is one-dimensional")
     plan = spectral_plan(psi0.grid)
     shape = psi0.values.shape
     # the next state, and the work arrays of _lawson_step

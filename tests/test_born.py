@@ -10,7 +10,6 @@ from nlslab.born import (
     QuadratureSpec,
     born_integral,
     corollary2_sides,
-    expansion_lhs_integrand,
     flow_integrand,
     nonlinear_flow,
     scalar_weighted_integral,
@@ -76,18 +75,6 @@ class TestIntegrandFactorization:
             born_module.T_SWITCH = saved
         assert l2_difference(direct, factored) / l2_norm(direct) < 1e-9
 
-    @pytest.mark.parametrize("t", [0.6, 1.5, -0.9, -1.5, 3.0])
-    def test_lhs_integrand_overlap(self, phi, t):
-        saved = born_module.T_SWITCH
-        try:
-            born_module.T_SWITCH = 1e9
-            direct = expansion_lhs_integrand(phi, t, 2.0)
-            born_module.T_SWITCH = 1e-9
-            factored = expansion_lhs_integrand(phi, t, 2.0)
-        finally:
-            born_module.T_SWITCH = saved
-        assert l2_difference(direct, factored) / l2_norm(direct) < 1e-9
-
     def test_frequency_hosted_flow_overlap(self, phi):
         phihat = forward_fourier(phi)
         saved = born_module.T_SWITCH
@@ -115,17 +102,6 @@ def flow_node(phi, t, sigma):
     inner = plan.forward(phi.values * np.exp(0.5j * plan.r2 / t))
     back = _reflect_values(spectral_plan(plan.dual).forward(_power(inner, sigma)))
     return abs(t) ** (-phi.grid.dim * sigma) * back * np.exp(-0.5j * plan.r2 / t)
-
-
-def lhs_node(phi, t, sigma):
-    """One node of exp(i t |xi|^2/2) F[G(U0(t) phi)], likewise."""
-    plan = spectral_plan(phi.grid)
-    dual = spectral_plan(plan.dual)
-    if abs(t) <= born_module.T_SWITCH:
-        ghat = plan.forward(_power(plan.propagate(phi.values, t), sigma))
-        return ghat * np.exp(0.5j * t * dual.r2)
-    inner = plan.forward(phi.values * np.exp(0.5j * plan.r2 / t))
-    return abs(t) ** (-phi.grid.dim * sigma) * dual.propagate(_power(inner, sigma), 1.0 / t)
 
 
 def _row_error(rows, refs):
@@ -158,30 +134,18 @@ class TestRowEvaluators:
             assert rows.shape == (len(NODE_TIMES),) + f.grid.counts
             assert _row_error(rows, [flow_node(f, t, sigma) for t in NODE_TIMES]) < 1e-14
 
-    @pytest.mark.parametrize("case", sorted(ROW_CASES))
-    def test_lhs_rows_match_per_node(self, case):
-        make, sigma = ROW_CASES[case]
-        phi = make()
-        rows = born_module._lhs_rows(phi, NODE_TIMES, sigma)
-        assert _row_error(rows, [lhs_node(phi, t, sigma) for t in NODE_TIMES]) < 1e-14
-
-    def test_lhs_at_zero_is_transform_of_nonlinearity(self, phi):
-        row = expansion_lhs_integrand(phi, 0.0, 2.0)
-        expected = forward_fourier(phi.with_values(_power(phi.values, 2.0)))
-        assert l2_difference(row, expected) < 1e-14 * l2_norm(expected)
-
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_panels_straddling_switch_match_per_node_sum(self, phi, sign):
         # t_max <= 8 gives linear panels; [0.625, 1.25] straddles T_SWITCH
         spec = QuadratureSpec(t_max=5.0, panels=8)
-        rows = lambda ts: born_module._lhs_rows(phi, ts, 2.0)
-        out = born_module._quad_panels(rows, forward_fourier(phi), sign, spec, 8)
+        rows = lambda ts: born_module._flow_rows(phi, ts, 2.0)
+        out = born_module._quad_panels(rows, phi, sign, spec, 8)
         nodes, weights = np.polynomial.legendre.leggauss(born_module.GL_NODES)
         edges = np.linspace(0.0, 5.0, 9)
         total = 0.0
         for sa, sb in zip(edges[:-1], edges[1:]):
             mid, half = 0.5 * (sa + sb), 0.5 * (sb - sa)
-            total = total + sum(w * half * lhs_node(phi, sign * (mid + half * x), 2.0)
+            total = total + sum(w * half * flow_node(phi, sign * (mid + half * x), 2.0)
                                 for x, w in zip(nodes, weights))
         expected = sign * total.reshape(-1)
         assert np.linalg.norm(out.values - expected) < 1e-14 * np.linalg.norm(expected)
@@ -345,6 +309,18 @@ class TestCorollary2:
         _, rhs = corollary2_sides(phi, +1, spec)
         rel = l2_difference(lhs, rhs.field) / l2_norm(lhs)
         assert rel < 1e-3
+
+    @pytest.mark.parametrize("datum", [{}, {"width": 0.9, "center": 0.4, "wavenumber": 0.6}])
+    def test_wrong_orientation_is_rejected(self, compact_grid, datum):
+        # negative control: -K_{+s}(F phi) in place of -K_{-s}(F phi) must
+        # miss F K_s(phi) by far more than the identity's 2e-4
+        f = gaussian_field(compact_grid, **datum)
+        spec = QuadratureSpec(t_max=3200.0, panels=64)
+        lhs, rhs = corollary2_sides(f, +1, spec)
+        wrong = born_integral(forward_fourier(f), +1, 2.0, spec).field
+        scale = l2_norm(lhs.field)
+        assert l2_difference(lhs.field, rhs.field) / scale < 1e-3
+        assert l2_difference(lhs.field, wrong.with_values(-wrong.values)) / scale > 0.5
 
 
 class TestSubcritical:

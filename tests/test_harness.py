@@ -325,6 +325,9 @@ class TestCli:
         ("conjugation", {"equation": {"sigma": 1.5}, "datum": {"normalize": 0.03},
                          "scattering": {"horizon": 25}}),
         ("proposition", {"verify": {"deltas": [0.4, 0.4, 0.1]}}),
+        # a scattering grid of another dimension, refused before any evolution
+        ("lemmas", {"scattering_grid": {"dim": 2, "counts": [64, 64],
+                                        "spacings": [0.5, 0.5]}}),
     ])
     def test_rejected_value_exit_two(self, experiment, overrides, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

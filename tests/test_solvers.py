@@ -398,7 +398,7 @@ class TestDnlsEvolve:
     def test_dimension_guard(self):
         g = GridDescriptor.centered((32, 32), (0.3, 0.3))
         f = field_from_function(g, lambda x, y: 0.1 * np.exp(-(x**2 + y**2)))
-        with pytest.raises(SolverHealthError):
+        with pytest.raises(ValueError, match="one-dimensional"):
             dnls_evolve(f, 0.0, 0.1, DNLSParams(1.0), 0.01)
 
     def test_blow_up_fails_at_once(self):
