@@ -6,7 +6,6 @@ from .born import (
     QuadratureSpec,
     born_integral,
     corollary2_sides,
-    nonlinear_flow,
     subcritical_sides,
 )
 from .core import (
@@ -53,7 +52,6 @@ from .solvers import (
     NLSParams,
     dnls_evolve,
     nls_evolve,
-    nls_step,
     residual,
 )
 from .transforms import (

@@ -38,7 +38,6 @@ from .core import (
     _density_power,
     _unit_phase,
     forward_fourier,
-    free_propagate,
     l2_difference,
     spectral_plan,
 )
@@ -83,12 +82,6 @@ class QuadratureResult:
     tail_bound: float
     decay_exponent: float
     evaluations: int
-
-
-def nonlinear_flow(phi: ComplexField, t: float, sigma: float) -> ComplexField:
-    """|U0(t) phi|^(2 sigma) * U0(t) phi, evaluated directly."""
-    u = free_propagate(phi, t)
-    return u.with_values(_density_power(u.values, sigma) * u.values)
 
 
 def _column(ts, dim):
@@ -139,11 +132,6 @@ def _flow_rows(phi: ComplexField, ts, sigma):
     out[near] = first
     out[~near] = _flow_far(ts[~near], phi, sigma)
     return out
-
-
-def flow_integrand(phi: ComplexField, t: float, sigma: float) -> ComplexField:
-    """U0(-t) G(U0(t) phi) on phi's grid, stable for arbitrarily large |t|."""
-    return phi.with_values(_flow_rows(phi, [t], sigma)[0])
 
 
 def _panel_edges(t_max, panels):

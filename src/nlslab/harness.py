@@ -13,7 +13,7 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -70,109 +70,9 @@ from .transforms import (
 )
 from .util import fit_loglog_slope
 
-EXPERIMENTS = (
-    "solve",
-    "wave_op",
-    "thm1",
-    "conjugation",
-    "corollary2",
-    "proposition",
-    "dnls_gauge",
-    "subcritical",
-    "lemmas",
-)
-
 # Most samples a grid may hold (4x the largest in use, 512^2); a larger grid
 # is a config error before any array is allocated.
 MAX_GRID_SAMPLES = 2**20
-
-# Physics defaults, one entry per experiment.  Grids are (dim, counts, h);
-# horizons, steps and tolerances follow the sizing worked out in the tests.
-DEFAULTS = {
-    "solve": {
-        "grid": {"dim": 1, "counts": [1024], "spacings": [0.04]},
-        "equation": {"sigma": 2.0, "mu": 1.0},
-        "datum": {"kind": "gaussian", "amplitude": 0.5, "width": 1.0,
-                  "center": 0.0, "wavenumber": 0.0, "normalize": None,
-                  "path": None},
-        "evolve": {"t1": 1.0, "dt": 1e-3},
-        "output": {"snapshots": False, "snapshot_stride": 0},
-    },
-    "wave_op": {
-        "grid": {"dim": 1, "counts": [1024], "spacings": [0.25]},
-        "equation": {"sigma": 2.0, "mu": 1.0},
-        "datum": {"kind": "gaussian", "amplitude": 0.15, "width": 1.0,
-                  "center": 0.0, "wavenumber": 0.0, "normalize": None,
-                  "path": None},
-        "scattering": {"horizon": 6.0, "dt": 0.04},
-        "verify": {"tolerance": 2e-4},
-    },
-    "thm1": {
-        "grid": {"dim": 1, "counts": [4096], "spacings": [0.55]},
-        "equation": {"sigma": 2.0, "mu": 1.0},
-        "datum": {"kind": "gaussian", "amplitude": 1.0, "width": 1.0,
-                  "center": 0.0, "wavenumber": 0.0, "normalize": 0.3,
-                  "path": None},
-        "scattering": {"horizon": 200.0, "dt": 0.025},
-        "verify": {"tolerance": 1e-3, "double_horizon": True,
-                   "doubled_counts": [8192]},
-    },
-    "conjugation": {
-        "grid": {"dim": 1, "counts": [4096], "spacings": [0.55]},
-        "equation": {"sigma": 2.0, "mu": 1.0},
-        "datum": {"kind": "gaussian", "amplitude": 1.0, "width": 1.0,
-                  "center": 0.0, "wavenumber": 0.0, "normalize": 0.3,
-                  "path": None},
-        "scattering": {"horizon": 200.0, "dt": 0.025},
-        "verify": {"tolerance": 1e-3},
-    },
-    "corollary2": {
-        "grid": {"dim": 1, "counts": [1024], "spacings": [0.039]},
-        "datum": {"kind": "gaussian", "amplitude": 1.0, "width": 1.0,
-                  "center": 0.0, "wavenumber": 0.0, "normalize": None,
-                  "path": None},
-        "quadrature": {"t_max": 25600.0, "panels": 80},
-        "verify": {"tolerance": 1e-4},
-    },
-    "proposition": {
-        "grid": {"dim": 1, "counts": [4096], "spacings": [0.34]},
-        "datum": {"kind": "gaussian", "amplitude": 1.0, "width": 1.0,
-                  "center": 0.0, "wavenumber": 0.0, "normalize": 1.0,
-                  "path": None},
-        "scattering": {"dt": 0.01},
-        "quadrature": {"t_max": 20000.0, "panels": 64},
-        "verify": {"deltas": [0.4, 0.2, 0.1]},
-    },
-    "dnls_gauge": {
-        "grid": {"dim": 1, "counts": [2048], "spacings": [0.0195]},
-        "equation": {"lambda": 1.0},
-        "datum": {"kind": "sech", "amplitude": 0.3, "width": 1.0,
-                  "center": 0.0, "wavenumber": 0.0, "normalize": None,
-                  "path": None},
-        "evolve": {"t1": 1.0, "dt": 2e-4, "checkpoints": [0.25, 0.5, 0.75, 1.0]},
-        "verify": {"tolerance": 1e-5, "order_check": True},
-    },
-    "subcritical": {
-        "grid": {"dim": 1, "counts": [1024], "spacings": [0.039]},
-        "equation": {"sigma": 1.5},
-        "datum": {"kind": "gaussian", "amplitude": 1.0, "width": 1.0,
-                  "center": 0.0, "wavenumber": 0.0, "normalize": None,
-                  "path": None},
-        "quadrature": {"t_max": 1e9, "panels": 144},
-        "verify": {"tolerance": 1e-4},
-    },
-    "lemmas": {
-        "grid": {"dim": 1, "counts": [4096], "spacings": [0.004]},
-        "equation": {"sigma": 2.0, "mu": 1.0},
-        "datum": {"kind": "gaussian", "amplitude": 1.0, "width": 1.0,
-                  "center": 0.0, "wavenumber": 0.0, "normalize": 0.3,
-                  "path": None},
-        "scattering": {"horizon": 80.0, "dt": 0.02},
-        "lemma1_grid": {"dim": 1, "counts": [4096], "spacings": [0.2]},
-        "scattering_grid": {"dim": 1, "counts": [4096], "spacings": [0.55]},
-        "verify": {"ladder_times": [10.0, 20.0, 40.0, 80.0]},
-    },
-}
 
 
 @dataclass(frozen=True)
@@ -190,6 +90,88 @@ class InitialDatumSpec:
             raise ConfigError(f"unknown datum kind {self.kind!r}")
         if self.kind == "file" and not self.path:
             raise ConfigError("file datum needs a path")
+
+
+def _grid_section(counts, spacings):
+    """A grid section: its ``dim`` is the number of its counts."""
+    return {"dim": len(counts), "counts": list(counts), "spacings": list(spacings)}
+
+
+def _datum_section(kind="gaussian", **changes):
+    """A datum section: the fields of ``InitialDatumSpec`` with ``changes``."""
+    return asdict(InitialDatumSpec(kind, **changes))
+
+
+# Physics defaults, one entry per experiment.  Horizons, steps and
+# tolerances follow the sizing worked out in the tests.
+DEFAULTS = {
+    "solve": {
+        "grid": _grid_section([1024], [0.04]),
+        "equation": {"sigma": 2.0, "mu": 1.0},
+        "datum": _datum_section(amplitude=0.5),
+        "evolve": {"t1": 1.0, "dt": 1e-3},
+        "output": {"snapshots": False, "snapshot_stride": 0},
+    },
+    "wave_op": {
+        "grid": _grid_section([1024], [0.25]),
+        "equation": {"sigma": 2.0, "mu": 1.0},
+        "datum": _datum_section(amplitude=0.15),
+        "scattering": {"horizon": 6.0, "dt": 0.04},
+        "verify": {"tolerance": 2e-4},
+    },
+    "thm1": {
+        "grid": _grid_section([4096], [0.55]),
+        "equation": {"sigma": 2.0, "mu": 1.0},
+        "datum": _datum_section(normalize=0.3),
+        "scattering": {"horizon": 200.0, "dt": 0.025},
+        "verify": {"tolerance": 1e-3, "double_horizon": True,
+                   "doubled_counts": [8192]},
+    },
+    "conjugation": {
+        "grid": _grid_section([4096], [0.55]),
+        "equation": {"sigma": 2.0, "mu": 1.0},
+        "datum": _datum_section(normalize=0.3),
+        "scattering": {"horizon": 200.0, "dt": 0.025},
+        "verify": {"tolerance": 1e-3},
+    },
+    "corollary2": {
+        "grid": _grid_section([1024], [0.039]),
+        "datum": _datum_section(),
+        "quadrature": {"t_max": 25600.0, "panels": 80},
+        "verify": {"tolerance": 1e-4},
+    },
+    "proposition": {
+        "grid": _grid_section([4096], [0.34]),
+        "datum": _datum_section(normalize=1.0),
+        "scattering": {"dt": 0.01},
+        "quadrature": {"t_max": 20000.0, "panels": 64},
+        "verify": {"deltas": [0.4, 0.2, 0.1]},
+    },
+    "dnls_gauge": {
+        "grid": _grid_section([2048], [0.0195]),
+        "equation": {"lambda": 1.0},
+        "datum": _datum_section("sech", amplitude=0.3),
+        "evolve": {"t1": 1.0, "dt": 2e-4, "checkpoints": [0.25, 0.5, 0.75, 1.0]},
+        "verify": {"tolerance": 1e-5, "order_check": True},
+    },
+    "subcritical": {
+        "grid": _grid_section([1024], [0.039]),
+        "equation": {"sigma": 1.5},
+        "datum": _datum_section(),
+        "quadrature": {"t_max": 1e9, "panels": 144},
+        "verify": {"tolerance": 1e-4},
+    },
+    "lemmas": {
+        "grid": _grid_section([4096], [0.004]),
+        "equation": {"sigma": 2.0, "mu": 1.0},
+        "datum": _datum_section(normalize=0.3),
+        "scattering": {"horizon": 80.0, "dt": 0.02},
+        "lemma1_grid": _grid_section([4096], [0.2]),
+        "scattering_grid": _grid_section([4096], [0.55]),
+        "verify": {"ladder_times": [10.0, 20.0, 40.0, 80.0]},
+    },
+}
+EXPERIMENTS = tuple(DEFAULTS)
 
 
 def make_datum(spec: InitialDatumSpec, grid: GridDescriptor) -> ComplexField:
@@ -242,7 +224,7 @@ def make_datum(spec: InitialDatumSpec, grid: GridDescriptor) -> ComplexField:
 
 # Keys whose number, or each number of whose list, must be positive.
 _POSITIVE = {"dt", "horizon", "width", "spacings", "t_max", "deltas",
-             "ladder_times", "normalize"}
+             "ladder_times", "normalize", "tolerance"}
 # Keys that take null, and otherwise a value of the type of this one.
 _NULLABLE = {"normalize": 0.0, "path": ""}
 _KINDS = {bool: "true or false", str: "a string", int: "an integer",
@@ -569,8 +551,8 @@ def _run_thm1(config, grid, datum, report):
     tol = verify["tolerance"]
     datum2 = None
     if verify["double_horizon"]:
-        big = _grid_from({"dim": grid.dim, "counts": verify["doubled_counts"],
-                          "spacings": grid.spacings}, "verify")
+        big = _grid_from(_grid_section(verify["doubled_counts"], grid.spacings),
+                         "verify")
         datum2 = make_datum(InitialDatumSpec(**config["datum"]), big)
     _scattering_params(report, p, grid, horizon, dt)
     residuals = theorem1_residuals(datum, p, horizon, dt)

@@ -15,8 +15,7 @@ A kick (the nonlinear phase) leaves |u| unchanged, so the trailing half-kick
 of one Strang step and the leading half-kick of the next are one kick of
 their summed time.  ``nls_evolve`` keeps its state drifted with a half-kick
 pending: each step is one kick and one FFT pair, and the pending half-kick
-is applied only to the fields it hands out.  ``nls_step`` runs the same
-kernel followed by its trailing half-kick.  In both solvers the state and
+is applied only to the fields it hands out.  In both solvers the state and
 its work arrays are allocated once per evolution, and every step runs in
 place on them.
 
@@ -104,21 +103,6 @@ def _kick_drift(a, tau, m, p: NLSParams, spec, w):
     np.fft.fftn(a, out=spec)
     spec *= m
     return np.fft.ifftn(spec, out=a)
-
-
-def _buffers(a0):
-    """A copy of ``a0`` to evolve in place, with its complex and real work
-    arrays."""
-    a = np.array(a0, dtype=np.complex128)
-    return a, np.empty_like(a), np.empty(a.shape)
-
-
-def nls_step(u: ComplexField, dt: float, p: NLSParams) -> ComplexField:
-    """One Strang step: half nonlinear phase, free flow, half nonlinear phase."""
-    m = spectral_plan(u.grid).free_multiplier(dt)
-    a, spec, w = _buffers(u.values)
-    _kick_drift(a, 0.5 * dt, m, p, spec, w)
-    return u.with_values(_kick(a, 0.5 * dt, p, spec, w))
 
 
 def _check_health(f, mass0, t, context):
@@ -214,7 +198,10 @@ def nls_evolve(
     positive and finite is a ValueError.
     """
     plan = spectral_plan(u0.grid)
-    a0, spec, w = _buffers(u0.values)
+    # a copy of the datum to evolve in place, and its complex and real work
+    # arrays
+    a0 = np.array(u0.values, dtype=np.complex128)
+    spec, w = np.empty_like(a0), np.empty(a0.shape)
     # the free-flow multiplier of the one step size, built at the first step
     m = None
     # the raw state is drifted with this half-kick still to apply: each step

@@ -10,8 +10,6 @@ from nlslab.born import (
     QuadratureSpec,
     born_integral,
     corollary2_sides,
-    flow_integrand,
-    nonlinear_flow,
     scalar_weighted_integral,
     subcritical_sides,
 )
@@ -39,24 +37,32 @@ def compact_grid():
     return grid1d(1024, 0.039)
 
 
+def flow_row(phi, t, sigma):
+    """The row U0(-t) G(U0(t) phi) of one time, as the quadrature evaluates it."""
+    return phi.with_values(born_module._flow_rows(phi, [t], sigma)[0])
+
+
 class TestNonlinearFlow:
+    """The nonlinear flow G(U0(t) phi) on the rows of the quadrature, which
+    carry it back by the unitary U0(-t)."""
+
     def test_t_zero_pointwise(self, phi):
-        out = nonlinear_flow(phi, 0.0, 2.0)
+        out = flow_row(phi, 0.0, 2.0)
         expected = np.abs(phi.values) ** 4 * phi.values
         assert np.max(np.abs(out.values - expected)) < 1e-13
 
     def test_norm_bound(self, phi):
-        out = nonlinear_flow(phi, 2.0, 2.0)
-        u = np.abs(phi.values)
+        out = flow_row(phi, 2.0, 2.0)
         bound = 1.0 * l2_norm(phi)  # sup |U0(t)phi| <= 1 for this datum
         assert l2_norm(out) <= bound
 
-    @pytest.mark.parametrize("t", [0.0, 1.0, 5.0])
+    @pytest.mark.parametrize("t", [0.0, 1.0, 5.0, -5.0, 37.0])
     def test_gaussian_dispersive_decay(self, phi, t):
-        # closed form: ||G(U0(t) phi)|| = (pi/5)^(1/4) / (1 + t^2)
-        out = nonlinear_flow(phi, t, 2.0)
+        # closed form: ||G(U0(t) phi)|| = (pi/5)^(1/4) / (1 + t^2), which
+        # U0(-t) keeps; |t| > T_SWITCH takes the factorized branch
+        out = flow_row(phi, t, 2.0)
         predicted = (np.pi / 5.0) ** 0.25 / (1.0 + t * t)
-        assert abs(l2_norm(out) - predicted) / predicted < 1e-6
+        assert abs(l2_norm(out) - predicted) / predicted < 1e-12
 
 
 class TestIntegrandFactorization:
@@ -68,9 +74,9 @@ class TestIntegrandFactorization:
         saved = born_module.T_SWITCH
         try:
             born_module.T_SWITCH = 1e9
-            direct = flow_integrand(phi, t, 2.0)
+            direct = flow_row(phi, t, 2.0)
             born_module.T_SWITCH = 1e-9
-            factored = flow_integrand(phi, t, 2.0)
+            factored = flow_row(phi, t, 2.0)
         finally:
             born_module.T_SWITCH = saved
         assert l2_difference(direct, factored) / l2_norm(direct) < 1e-9
@@ -80,9 +86,9 @@ class TestIntegrandFactorization:
         saved = born_module.T_SWITCH
         try:
             born_module.T_SWITCH = 1e9
-            direct = flow_integrand(phihat, -1.4, 2.0)
+            direct = flow_row(phihat, -1.4, 2.0)
             born_module.T_SWITCH = 1e-9
-            factored = flow_integrand(phihat, -1.4, 2.0)
+            factored = flow_row(phihat, -1.4, 2.0)
         finally:
             born_module.T_SWITCH = saved
         assert l2_difference(direct, factored) / l2_norm(direct) < 1e-9
@@ -289,6 +295,9 @@ class TestCorollary2:
         lhs, rhs = corollary2_sides(phi, sign, spec)
         rel = l2_difference(lhs.field, rhs.field) / l2_norm(lhs.field)
         assert rel < 1e-3
+        # the left side is the transform of the corrector K_sign(phi)
+        k = born_integral(phi, sign, 2.0, spec).field
+        assert np.array_equal(lhs.field.values, forward_fourier(k).values)
 
     def test_modulated_datum(self, compact_grid):
         # non-even data exercises the reflection bookkeeping in both routes
@@ -299,16 +308,6 @@ class TestCorollary2:
         lhs, rhs = corollary2_sides(f, +1, QuadratureSpec(t_max=3200.0, panels=64))
         rel = l2_difference(lhs.field, rhs.field) / l2_norm(lhs.field)
         assert rel < 2e-3
-
-    def test_first_order_consistency_with_corrector(self, phi):
-        # F(K_+(phi)) = P_-(phi_hat): the transform of the future-ray
-        # corrector equals the past-ray corollary-2 route on the transform
-        spec = QuadratureSpec(t_max=3200.0, panels=64)
-        k_plus = born_integral(phi, +1, 2.0, spec).field
-        lhs = forward_fourier(k_plus)
-        _, rhs = corollary2_sides(phi, +1, spec)
-        rel = l2_difference(lhs, rhs.field) / l2_norm(lhs)
-        assert rel < 1e-3
 
     @pytest.mark.parametrize("datum", [{}, {"width": 0.9, "center": 0.4, "wavenumber": 0.6}])
     def test_wrong_orientation_is_rejected(self, compact_grid, datum):

@@ -328,6 +328,9 @@ class TestCli:
         # a scattering grid of another dimension, refused before any evolution
         ("lemmas", {"scattering_grid": {"dim": 2, "counts": [64, 64],
                                         "spacings": [0.5, 0.5]}}),
+        # a tolerance that no residual can pass, refused before the run
+        ("corollary2", {"verify": {"tolerance": -1}}),
+        ("wave_op", {"verify": {"tolerance": 0}}),
     ])
     def test_rejected_value_exit_two(self, experiment, overrides, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,5 +1,5 @@
-"""Every module-level import of the package modules, tests and demos is
-used, and every module-level name is referenced.
+"""Every module-level import of the package modules, tests, demos and tools
+is used, and every module-level name is referenced.
 
 No linter is a test dependency, so these are the unused-import and
 dead-name checks: a name bound by a top-level ``import`` or
@@ -7,10 +7,11 @@ dead-name checks: a name bound by a top-level ``import`` or
 (``__init__.py`` re-exports and is skipped); a private ``_name`` defined at
 the top level of a package module must be read somewhere in the package;
 a public name defined at the top level of a package module must be read by
-a package module, a test or a demo, where a re-export from ``__init__.py``
-does not count as a read; and each member of a package class (method,
-property, dataclass field) must be read by a package module, a test or a
-demo as an attribute, a keyword argument or a string constant.
+a package module, a demo or a tool, where neither a re-export from
+``__init__.py`` nor a test counts as a read (a name that only its tests
+read is dead code); and each member of a package class (method, property,
+dataclass field) must be read by a package module, a test, a demo or a tool
+as an attribute, a keyword argument or a string constant.
 """
 
 import ast
@@ -37,10 +38,10 @@ def unused_imports(source):
     return sorted((line, name) for name, line in bound.items() if name not in read)
 
 
-# package modules by file name, tests and demos by folder and file name
+# package modules by file name, tests, demos and tools by folder and file name
 _IMPORTING = {
     **{p.name: p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"},
-    **{f"{folder}/{p.name}": p for folder in ("tests", "demos")
+    **{f"{folder}/{p.name}": p for folder in ("tests", "demos", "tools")
        for p in (ROOT / folder).glob("*.py")},
 }
 
@@ -98,23 +99,38 @@ def test_check_sees_an_unreferenced_private_name():
     ]
 
 
+def public_readers(root):
+    """The sources outside the package that count as readers of its public
+    names: the demos and the tools, not the tests."""
+    return [p.read_text() for folder in ("demos", "tools")
+            for p in (root / folder).glob("*.py")]
+
+
 def test_every_public_name_is_referenced():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")
                if p.name != "__init__.py"}
-    readers = [p.read_text() for folder in ("tests", "demos")
-               for p in (ROOT / folder).glob("*.py")]
-    assert unreferenced_names(sources, readers) == []
+    assert unreferenced_names(sources, public_readers(ROOT)) == []
 
 
-def test_check_sees_an_unreferenced_public_name():
+def test_check_sees_an_unreferenced_public_name(tmp_path):
     sources = {
         "a.py": "LIMIT = 3\nOLD, NEW = 1, 2\n\ndef helper():\n    return NEW\n",
         "b.py": "from .a import helper\n\nclass Dead:\n    pass\n\nclass Used:\n"
-                "    pass\n\nprint(helper())\n",
+                "    pass\n\nclass Tool:\n    pass\n\nclass Tested:\n    pass\n\n"
+                "print(helper())\n",
     }
-    readers = ["from nlslab.b import Used\n\nprint(Used)\n"]
-    assert unreferenced_names(sources, readers) == [
+    readers = {
+        "demos/d.py": "from nlslab.b import Used\n\nprint(Used)\n",
+        "tools/t.py": "from nlslab.b import Tool\n\nprint(Tool)\n",
+        # a name that only a test reads is not referenced
+        "tests/test_b.py": "from nlslab.b import Tested\n\nprint(Tested)\n",
+    }
+    for name, source in readers.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(source)
+    assert unreferenced_names(sources, public_readers(tmp_path)) == [
         ("a.py", 1, "LIMIT"), ("a.py", 2, "OLD"), ("b.py", 3, "Dead"),
+        ("b.py", 12, "Tested"),
     ]
 
 
@@ -146,7 +162,7 @@ def unreferenced_members(sources, readers=()):
 
 def test_every_class_member_is_referenced():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
-    readers = [p.read_text() for folder in ("tests", "demos")
+    readers = [p.read_text() for folder in ("tests", "demos", "tools")
                for p in (ROOT / folder).glob("*.py")]
     assert unreferenced_members(sources, readers) == []
 
