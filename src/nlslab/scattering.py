@@ -5,9 +5,12 @@ The truncated operators replace t -> +-infinity by an evolution to a
 horizon T; their bias falls like 1/T, and callers measure it against a
 doubled horizon or the lens route.  Along a scattering solution the
 critical nonlinearity |u|^(4/n) decays like |t|^-2, so the truncated
-evolutions take octave-graded steps (``_graded_evolve``): dt up to
-|t| = T_GRADE, and twice the step on each octave beyond it.  The lens route
-is exact for sigma = 2/n: the pseudo-conformal (lens) transform swaps
+evolutions take octave-graded steps (``_graded_schedule``): dt up to
+|t| = T_GRADE, and twice the step on each octave beyond it.  An outward
+schedule and its reverse take the same step count, so on a 1D grid all the
+truncated evolutions of one identity march as one stack (``_stacks``,
+``_graded_evolve``), each row bitwise its own evolution.  The lens route is
+exact for sigma = 2/n: the pseudo-conformal (lens) transform swaps
 t = +-infinity with tau = 0, so W+- become finite-time evolutions joined by
 the Fourier transform.  The small-data expansion runs on the lens route;
 the theorem-1, conjugation and lemma checks keep the truncated operators as
@@ -30,7 +33,7 @@ from .core import (
     resample,
 )
 from .errors import NlslabError
-from .solvers import NLSParams, nls_evolve
+from .solvers import NLSParams, nls_evolve, nls_evolve_rows
 from .transforms import SnapshotAtTime, conjugate, pseudo_conformal, reflect
 
 
@@ -43,6 +46,9 @@ LENS_TIME = 1.0
 # End of the first octave of the truncated evolutions' steps: dt on
 # [0, T_GRADE), dt 2^k on [T_GRADE 2^(k-1), T_GRADE 2^k) for k >= 1.
 T_GRADE = 8.0
+
+# The two signs of the identities and their labels, in report order.
+_SIGNS = ((+1, "plus"), (-1, "minus"))
 
 
 def is_critical(f: ComplexField, p: NLSParams) -> bool:
@@ -79,21 +85,61 @@ def _octave_edges(t_far):
     return edges
 
 
-def _graded_evolve(u, t0, t1, p, dt):
-    """``nls_evolve`` from t0 to t1, one of which is 0, with octave-graded
-    steps: one evolution per octave of ``_octave_edges``, the k-th with steps
-    of at most dt 2^k.  A run toward 0 takes the octaves of the run away
-    from 0 in reverse, over the same nodes, so the Strang round trip stays
-    an exact symmetry.  A span of at most T_GRADE is one uniform
-    evolution."""
+def _graded_schedule(t0, t1, dt):
+    """The octave-graded spans (a, b, dt 2^k) from t0 to t1, one of which
+    is 0: the k-th octave of ``_octave_edges`` takes steps of at most
+    dt 2^k.  A run toward 0 takes the octaves of the run away from 0 in
+    reverse, over the same nodes, so the Strang round trip stays an exact
+    symmetry.  A span of at most T_GRADE is one uniform span."""
     far = t0 if t1 == 0.0 else t1
     edges = _octave_edges(far)
     octaves = [(a, b, dt * 2.0**k) for k, (a, b) in enumerate(zip(edges, edges[1:]))]
     if far == t0:
         octaves = [(b, a, h) for a, b, h in reversed(octaves)]
-    for a, b, h in octaves:
-        u = nls_evolve(u, a, b, p, h)
-    return u
+    return octaves
+
+
+def _graded_evolve(runs, p, dt):
+    """The field at t1 of each run (u, t0, t1), with one of t0 and t1 equal
+    to 0: one ``nls_evolve`` per octave of its ``_graded_schedule``, and all
+    runs marched as one stack (``nls_evolve_rows``).  The schedules of
+    horizons +-T, outward and inward, take the same step count."""
+    return nls_evolve_rows([u for u, _, _ in runs],
+                           [_graded_schedule(t0, t1, dt) for _, t0, t1 in runs], p)
+
+
+def _stacks(items, grid):
+    """``items`` cut into the stacks that march together on ``grid``: one
+    stack on a 1D grid, whose FFTs numpy batches across the rows, and one
+    stack per item on a grid of more dimensions.  Its transforms already
+    batch over the grid's own rows, and each extra row would hold a field's
+    work arrays."""
+    return [list(items)] if grid.dim == 1 else [[item] for item in items]
+
+
+def _truncated_operators(calls, p, horizon, dt):
+    """Yields the truncated operators of ``calls``, each (f, sign, inverse),
+    in order: W_sign f, or W_sign^{-1} f when ``inverse``, at the horizon T.
+    W_sign evolves the free state U0(sign*T) f from sign*T back to 0;
+    W_sign^{-1} evolves f to sign*T and returns U0(-sign*T) of it.  Every
+    datum is checked before any evolution.  The calls march in the stacks
+    of ``_stacks``, each when its first operator is asked for, so on a 2D
+    grid a caller that takes the operators one at a time holds no more
+    fields than one evolution needs."""
+    for f, sign, _ in calls:
+        _check_truncated(f, sign, horizon)
+    for stack in _stacks(calls, calls[0][0].grid):
+        ends = _graded_evolve(
+            [(f, 0.0, sign * horizon) if inverse
+             else (free_propagate(f, sign * horizon), sign * horizon, 0.0)
+             for f, sign, inverse in stack], p, dt)
+        for _, sign, inverse in stack:
+            # dropped from ``ends`` so that only the operator handed out
+            # stays alive
+            u = ends.pop(0)
+            if inverse:
+                u = free_propagate(u, -sign * horizon)
+            yield u
 
 
 def wave_operator(
@@ -103,9 +149,7 @@ def wave_operator(
     u(sign*T) = U0(sign*T) u_pm evolves back to t = 0, with steps of dt
     up to |t| = T_GRADE that double on each octave beyond it.  The
     truncation bias falls like 1/T."""
-    _check_truncated(u_pm, sign, horizon)
-    u_init = free_propagate(u_pm, sign * horizon)
-    return _graded_evolve(u_init, sign * horizon, 0.0, p, dt)
+    return next(_truncated_operators([(u_pm, sign, False)], p, horizon, dt))
 
 
 def inverse_wave_operator(
@@ -115,9 +159,7 @@ def inverse_wave_operator(
     and the asymptotic state is U0(-sign*T) u(sign*T).  The steps are
     those of ``wave_operator``, in reverse order.  The truncation bias
     falls like 1/T."""
-    _check_truncated(u0, sign, horizon)
-    u = _graded_evolve(u0, 0.0, sign * horizon, p, dt)
-    return free_propagate(u, -sign * horizon)
+    return next(_truncated_operators([(u0, sign, True)], p, horizon, dt))
 
 
 def _check_lens(u, sign, p):
@@ -168,11 +210,14 @@ def theorem1_residuals(
     uhat = forward_fourier(u0)
     hosted = resample(uhat, u0.grid)
     scale = l2_norm(u0)
+    # W_s^{-1} u0, then W_{-s} F u0, for each sign
+    ops = _truncated_operators(
+        [call for sign, _ in _SIGNS for call in ((u0, sign, True), (hosted, -sign, False))],
+        p, horizon, dt)
     residuals = {}
-    for sign, label in ((+1, "plus"), (-1, "minus")):
-        a_side = forward_fourier(inverse_wave_operator(u0, sign, p, horizon, dt))
-        fwd = wave_operator(hosted, -sign, p, horizon, dt)
-        b_side = resample(fwd, a_side.grid)
+    for _, label in _SIGNS:
+        a_side = forward_fourier(next(ops))
+        b_side = resample(next(ops), a_side.grid)
         residuals[f"sign_{label}"] = l2_difference(a_side, b_side) / scale
     return residuals
 
@@ -186,21 +231,21 @@ def conjugation_residuals(
     W_s^{-1} = (C F)^{-1} W_s (C F), keyed
     ``transform_conjugated_inverse_<sign>``."""
     scale = l2_norm(u0)
+    # W_s = C W_{-s} C on the datum itself, then W_s^{-1} = (C F)^{-1} W_s (C F)
+    # with its right side via hosting C F u0, for each sign
+    hosted = resample(conjugate(forward_fourier(u0)), u0.grid)
+    ops = _truncated_operators(
+        [call for sign, _ in _SIGNS for call in ((u0, sign, False), (conjugate(u0), -sign, False))]
+        + [call for sign, _ in _SIGNS for call in ((u0, sign, True), (hosted, sign, False))],
+        p, horizon, dt)
     residuals = {}
-    # W_s = C W_{-s} C on the datum itself
-    for sign, label in ((+1, "plus"), (-1, "minus")):
-        direct = wave_operator(u0, sign, p, horizon, dt)
-        routed = conjugate(wave_operator(conjugate(u0), -sign, p, horizon, dt))
+    for _, label in _SIGNS:
+        direct, routed = next(ops), conjugate(next(ops))
         residuals[f"conjugation_sandwich_{label}"] = (
             l2_difference(direct, routed) / scale
         )
-    # W_s^{-1} = (C F)^{-1} W_s (C F): right side via hosting C F u0
-    cfu = conjugate(forward_fourier(u0))
-    hosted = resample(cfu, u0.grid)
-    for sign, label in ((+1, "plus"), (-1, "minus")):
-        lhs = inverse_wave_operator(u0, sign, p, horizon, dt)
-        mid = wave_operator(hosted, sign, p, horizon, dt)
-        rhs = inverse_fourier(conjugate(mid))
+    for _, label in _SIGNS:
+        lhs, rhs = next(ops), inverse_fourier(conjugate(next(ops)))
         lhs_on_dual = resample(lhs, rhs.grid)
         residuals[f"transform_conjugated_inverse_{label}"] = (
             l2_difference(lhs_on_dual, rhs) / scale
@@ -294,13 +339,14 @@ def asymptotic_state_residuals(
     u0s = resample(u0, scattering_grid)
     scale = l2_norm(u0s)
     residuals = {}
-    for sign, label in ((+1, "plus"), (-1, "minus")):
-        u_t = _graded_evolve(u0s, 0.0, sign * horizon, p, dt)
-        u_asym = free_propagate(u_t, -sign * horizon)
-        v_limit = pseudo_conformal(SnapshotAtTime(u_t, sign * horizon)).field
-        predicted = inverse_fourier(reflect(v_limit))
-        moved = resample(u_asym, predicted.grid)
-        residuals[f"asymptotic_state_match_{label}"] = (
-            l2_difference(moved, predicted) / scale
-        )
+    for stack in _stacks(_SIGNS, scattering_grid):
+        ends = _graded_evolve([(u0s, 0.0, sign * horizon) for sign, _ in stack], p, dt)
+        for (sign, label), u_t in zip(stack, ends):
+            u_asym = free_propagate(u_t, -sign * horizon)
+            v_limit = pseudo_conformal(SnapshotAtTime(u_t, sign * horizon)).field
+            predicted = inverse_fourier(reflect(v_limit))
+            moved = resample(u_asym, predicted.grid)
+            residuals[f"asymptotic_state_match_{label}"] = (
+                l2_difference(moved, predicted) / scale
+            )
     return residuals

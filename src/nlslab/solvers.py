@@ -21,11 +21,17 @@ place on them.
 
 Both solvers march through one loop, ``_march``: it owns the step count,
 the health monitors and the observer calls, and each solver supplies only
-its step and the map from its raw state to the solution.  Every span is
-cut into n = ceil(|t1 - t0| / dt) equal steps, so an evolution has one
-step size, ``nls_evolve`` one free-flow multiplier and ``dnls_evolve`` two.
-A health violation fails the run at once; nothing is retried with a smaller
-step.
+the loading of a row, its step and the map from its raw state to the
+solution.  Every span is cut into n = ceil(|t1 - t0| / dt) equal steps, so
+a segment has one step size; ``dnls_evolve`` is one segment with two
+free-flow multipliers.  The Strang march runs a stack of rows on one grid
+(``nls_evolve_rows``): every row takes the same number of steps, but each
+goes through its own schedule of segments, with its own free-flow
+multiplier and kick time, and applies its pending half-kick at its own
+segment ends, so that each row is bitwise the chain of one ``nls_evolve``
+per segment.  ``nls_evolve`` is one row of one segment.  The rows share
+every FFT call, which numpy batches across them.  A health violation fails
+the run at once; nothing is retried with a smaller step.
 
 The largest time step ``dt`` is the one numerical choice a caller makes.  The
 limits are constants: a run needs at most ``MAX_STEPS`` steps, and the
@@ -82,7 +88,8 @@ class DNLSParams:
 def _kick(a, tau, p: NLSParams, scratch, w):
     """The nonlinear flow for the signed time ``tau``, in place on ``a``:
     a *= exp(-i mu tau |a|^(2 sigma)).  ``scratch`` (complex) and ``w``
-    (real) are work arrays of a's shape; no array is allocated."""
+    (real) are work arrays of a's shape; ``tau`` is a number or an array
+    that broadcasts against them, such as one time per row of a stack."""
     np.square(a.real, out=w)
     np.square(a.imag, out=scratch.real)
     w += scratch.real
@@ -95,14 +102,16 @@ def _kick(a, tau, p: NLSParams, scratch, w):
     return np.multiply(scratch, a, out=a)
 
 
-def _kick_drift(a, tau, m, p: NLSParams, spec, w):
+def _kick_drift(a, tau, m, p: NLSParams, spec, w, axes):
     """The split-step kernel, in place on ``a``: a kick of ``tau``, then the
-    free flow by the FFT-order multiplier ``m``, with ``spec`` holding first
-    the phase and then the spectrum."""
+    free flow by the FFT-order multiplier ``m`` along ``axes`` (all axes
+    when None), with ``spec`` holding first the phase and then the
+    spectrum.  On a stack of fields ``tau`` and ``m`` may hold one row per
+    field."""
     _kick(a, tau, p, spec, w)
-    np.fft.fftn(a, out=spec)
+    np.fft.fftn(a, axes=axes, out=spec)
     spec *= m
-    return np.fft.ifftn(spec, out=a)
+    return np.fft.ifftn(spec, axes=axes, out=a)
 
 
 def _check_health(f, mass0, t, context):
@@ -136,50 +145,180 @@ def _step_count(span, dt, what):
     return max(1, math.ceil(steps))
 
 
-def _march(u0, t0, t1, dt, observer, context, a, step, values):
-    """The one marching loop of both solvers.
+@dataclass(frozen=True)
+class _Segment:
+    """A span from t0 to t1, cut into ``steps`` equal steps."""
 
-    ``a`` is the raw state at t0, ``step(a, t, h)`` advances it from t by the
-    signed step h, and ``values(a, t)`` maps it to the position samples of
-    the solution at t.  ``step`` may update ``a`` in place, so ``values``
-    returns an array that later steps do not touch.  The span is cut into
-    n = ceil(|t1 - t0| / dt) equal steps (see ``_step_count``), so every
-    call of ``step`` gets the same h = (t1 - t0) / n.  The state must stay
-    finite after every step, and the health monitors run at t0,
-    HEALTH_CHECKS_PER_RUN times along the way and at t1; the first violation
-    raises SolverHealthError.  Fields are built only for the observer, the
-    monitors and the result.
+    t0: float
+    t1: float
+    steps: int
+
+    @property
+    def h(self):
+        """The signed step."""
+        return (self.t1 - self.t0) / self.steps
+
+    def time(self, j):
+        """The time after the first j steps."""
+        if j == 0:
+            return self.t0
+        span = self.t1 - self.t0
+        sgn = 1.0 if span > 0 else -1.0
+        return self.t0 + sgn * min(j * abs(self.h), abs(span))
+
+
+def _plan(schedules, context):
+    """The segments of each row's schedule, a list of spans (t0, t1, dt):
+    each span is cut into n = ceil(|t1 - t0| / dt) equal steps (see
+    ``_step_count``), and a span of length zero takes none.  A dt that is
+    not positive and finite, and rows whose total step counts differ, are
+    a ValueError, raised before any step."""
+    plans = []
+    for schedule in schedules:
+        plan = []
+        for t0, t1, dt in schedule:
+            if not (0 < dt < np.inf):
+                raise ValueError(f"{context}: dt must be positive and finite, got {dt!r}")
+            if t1 - t0 != 0.0:
+                plan.append(_Segment(t0, t1, _step_count(t1 - t0, dt, context)))
+        plans.append(plan)
+    totals = sorted({sum(seg.steps for seg in plan) for plan in plans})
+    if len(totals) > 1:
+        raise ValueError(f"{context}: the rows take {totals} steps; a stack "
+                         "needs one step count")
+    return plans
+
+
+def _march(fields, plans, context, start, step, values, observer=None):
+    """The one marching loop of both solvers, over a stack of rows.
+
+    Row r evolves ``fields[r]`` through the segments ``plans[r]`` (see
+    ``_plan``): every row takes the same number of steps, each with the step
+    size of its own segment.  Before the first step of a segment,
+    ``start(r, seg, v)`` loads row r of the raw state from the samples v of
+    the field at seg.t0.  ``step()`` advances every row by one step and
+    returns the raw state, its rows in order along the leading axis, and
+    ``values(r, t)`` maps row r to the position samples of its solution at
+    t, in an array that later steps do not touch.
+
+    Each segment of a row is monitored as one evolution: the state must
+    stay finite after every step, and the health monitors run at its start
+    against the mass there, HEALTH_CHECKS_PER_RUN times along the way and at
+    its end.  The first violation raises SolverHealthError at its row's
+    time.  ``observer(t, field)``, when given, sees every row at the start
+    of each segment and after every step.  Fields are built only for the
+    observer, the monitors and the result, which is each row's field at the
+    end of its schedule.
     """
-    if not (0 < dt < np.inf):
-        raise ValueError(f"{context}: dt must be positive and finite, got {dt!r}")
-    span = t1 - t0
-    if span == 0.0:
-        return u0
-    total_steps = _step_count(span, dt, context)
-    h = span / total_steps
-    sgn = 1.0 if span > 0 else -1.0
-    mass0 = l2_norm(u0) ** 2
-    check_every = max(1, total_steps // HEALTH_CHECKS_PER_RUN)
-    t = t0
-    _check_health(u0, mass0, t, f"{context} (initial state)")
-    if observer is not None:
-        observer(t, u0)
-    u = u0
-    for k in range(total_steps):
-        a = step(a, t, h)
-        t = t0 + sgn * min((k + 1) * abs(h), abs(span))
+    out = list(fields)
+    total = sum(seg.steps for seg in plans[0])
+    # by step index: the segments that start before it, and the rows
+    # checked after it
+    starts, checks = {}, {}
+    for r, plan in enumerate(plans):
+        first = 0
+        for seg in plan:
+            starts.setdefault(first, []).append((r, seg))
+            every = max(1, seg.steps // HEALTH_CHECKS_PER_RUN)
+            for j in (*range(every, seg.steps, every), seg.steps):
+                checks.setdefault(first + j - 1, []).append(r)
+            first += seg.steps
+    # each row's segment and the step index at its start, and its mass there
+    current = [None] * len(out)
+    mass0 = [0.0] * len(out)
+    for g in range(total):
+        for r, seg in starts.get(g, ()):
+            current[r] = seg, g
+            u = out[r]
+            start(r, seg, u.values)
+            mass0[r] = l2_norm(u) ** 2
+            _check_health(u, mass0[r], seg.t0, f"{context} (initial state)")
+            if observer is not None:
+                observer(seg.t0, u)
+        a = step()
         if not np.isfinite(a).all():
+            finite = np.isfinite(a.reshape(len(out), -1)).all(axis=1)
+            seg, first = current[int(np.argmin(finite))]
+            t = seg.time(g + 1 - first)
             raise SolverHealthError(
                 f"{context}: non-finite state at t={t:.6g}", {"t": t}
             )
-        check = (k + 1) % check_every == 0 or k + 1 == total_steps
-        if observer is not None or check:
-            u = u0.with_values(values(a, t))
-        if observer is not None:
-            observer(t, u)
-        if check:
-            _check_health(u, mass0, t, context)
-    return u
+        due = checks.get(g, ())
+        for r in (range(len(out)) if observer is not None else due):
+            seg, first = current[r]
+            t = seg.time(g + 1 - first)
+            u = out[r] = out[r].with_values(values(r, t))
+            if observer is not None:
+                observer(t, u)
+            if r in due:
+                _check_health(u, mass0[r], t, context)
+    return out
+
+
+def _strang_march(fields, plans, p: NLSParams, observer=None):
+    """The Strang march (see ``_march``) of ``fields``, all on one grid, as
+    one stacked array."""
+    plan = spectral_plan(fields[0].grid)
+    k = len(fields)
+    # the stacked state, evolved in place, and its complex and real work
+    # arrays
+    a = np.empty((k, *plan.grid.counts), dtype=np.complex128)
+    spec, w = np.empty_like(a), np.empty(a.shape)
+    # per row: the free-flow multiplier of its segment's step, half that
+    # step, and the half-kick still to apply to its drifted state; each step
+    # applies the pending half-kick together with its own leading one, as
+    # one kick of the time ``tau``
+    m = np.empty_like(a)
+    half, pending, tau = np.zeros(k), np.zeros(k), np.empty(k)
+    # the kernel's arguments: a stack of one runs on its row alone, as a
+    # field of the grid, where numpy's calls cost least per call
+    if k == 1:
+        kernel = a[0], tau.reshape(()), m[0], p, spec[0], w[0], None
+    else:
+        kernel = (a, tau.reshape(k, *(1,) * plan.grid.dim), m, p, spec, w,
+                  tuple(range(1, a.ndim)))
+
+    def start(r, seg, v):
+        a[r] = v
+        m[r] = plan.free_multiplier(seg.h)
+        half[r] = 0.5 * seg.h
+        pending[r] = 0.0
+
+    def step():
+        np.add(pending, half, out=tau)
+        _kick_drift(*kernel)
+        pending[:] = half
+        return a
+
+    def values(r, t):
+        # a fresh array, so that no field aliases the evolving state; the
+        # pending kick can overflow where the drifted state did not
+        out = _kick(a[r].copy(), pending[r], p, spec[r], w[r])
+        if not np.isfinite(out).all():
+            raise SolverHealthError(
+                f"nls_evolve: non-finite state at t={t:.6g}", {"t": t}
+            )
+        return out
+
+    return _march(fields, plans, "nls_evolve", start, step, values, observer)
+
+
+def nls_evolve_rows(fields, schedules, p: NLSParams) -> list:
+    """Evolve each of ``fields``, all on one grid, through its schedule: a
+    list of spans (t0, t1, dt), each run as one ``nls_evolve`` from the end
+    of the span before.  Returns the fields at the end of each schedule,
+    bitwise those of the chained ``nls_evolve`` calls.
+
+    The rows march as one stacked array, so every FFT call transforms all
+    of them, and must take equal total step counts; their step sizes may
+    differ.  Unequal counts are a ValueError, raised before any step.
+    """
+    plans = _plan(schedules, "nls_evolve")
+    if len(plans) != len(fields):
+        raise ValueError(f"{len(fields)} fields need as many schedules, got {len(plans)}")
+    if len({f.grid for f in fields}) > 1:
+        raise ValueError("the rows of a stack must share one grid")
+    return _strang_march(fields, plans, p)
 
 
 def nls_evolve(
@@ -190,43 +329,16 @@ def nls_evolve(
     dt: float,
     observer=None,
 ) -> ComplexField:
-    """Evolve with equal Strang steps of at most ``dt`` (see ``_march``).
+    """Evolve with equal Strang steps of at most ``dt``: one row of one
+    segment (see ``_march``).
 
     ``observer(t, field)``, when given, is called after every step (and once
     at t0).  Aborts with SolverHealthError when the resolution or mass
     monitors trip or the state stops being finite; a dt that is not
     positive and finite is a ValueError.
     """
-    plan = spectral_plan(u0.grid)
-    # a copy of the datum to evolve in place, and its complex and real work
-    # arrays
-    a0 = np.array(u0.values, dtype=np.complex128)
-    spec, w = np.empty_like(a0), np.empty(a0.shape)
-    # the free-flow multiplier of the one step size, built at the first step
-    m = None
-    # the raw state is drifted with this half-kick still to apply: each step
-    # applies it together with its own leading half-kick, as one kick
-    pending = 0.0
-
-    def step(a, t, h):
-        nonlocal m, pending
-        if m is None:
-            m = plan.free_multiplier(h)
-        _kick_drift(a, pending + 0.5 * h, m, p, spec, w)
-        pending = 0.5 * h
-        return a
-
-    def values(a, t):
-        # a fresh array, so that no field aliases the evolving state; the
-        # pending kick can overflow where the drifted state did not
-        out = _kick(a.copy(), pending, p, spec, w)
-        if not np.isfinite(out).all():
-            raise SolverHealthError(
-                f"nls_evolve: non-finite state at t={t:.6g}", {"t": t}
-            )
-        return out
-
-    return _march(u0, t0, t1, dt, observer, "nls_evolve", a0, step, values)
+    plans = _plan([[(t0, t1, dt)]], "nls_evolve")
+    return _strang_march([u0], plans, p, observer)[0]
 
 
 def _dnls_slope(v, out, t, psi, spec, density, dxi):
@@ -311,7 +423,7 @@ def dnls_evolve(
 
     RK4 commutes with the constant map U0(t_n), so this is the RK4 of the
     interaction picture w(t) = U0(-t) psi(t), up to rounding.  E and E2 are
-    built once per evolution, at its first step, and every stage and
+    built once per evolution, before its first step, and every stage and
     combination runs in place on work arrays allocated once per evolution.
 
     Mass is conserved by the continuum equation; the measured drift is a
@@ -326,25 +438,30 @@ def dnls_evolve(
     nxt, k, ks, v, ey, psi, spec = (np.empty(shape, np.complex128)
                                     for _ in range(7))
     work = (k, ks, v, ey, (psi, spec, np.empty(shape), plan.derivative_symbol))
-    # the multipliers E = m(h/2) and E2 = m(h) of the one step size, built
-    # at the first step
-    half = full = None
+    plans = _plan([[(t0, t1, dt)]], "dnls_evolve")
+    # the state; the one segment, its step h and the multipliers E = m(h/2)
+    # and E2 = m(h), all set at its start; and the steps taken
+    y = seg = h = half = full = None
+    taken = 0
 
-    def step(y, t, h):
-        nonlocal half, full, nxt
-        if half is None:
-            half, full = plan.free_multiplier(0.5 * h), plan.free_multiplier(h)
-        out = _lawson_step(y, nxt, t, h, p.lam * h, half, full, work)
+    def start(r, segment, v):
+        nonlocal y, seg, h, half, full
+        y, seg, h = np.fft.fft(v), segment, segment.h
+        half, full = plan.free_multiplier(0.5 * h), plan.free_multiplier(h)
+
+    def step():
+        nonlocal y, nxt, taken
+        out = _lawson_step(y, nxt, seg.time(taken), h, p.lam * h, half, full, work)
         # the old state's array takes the next step's combination
-        nxt = y
-        return out
+        nxt, y = y, out
+        taken += 1
+        return y
 
-    def values(y, t):
+    def values(r, t):
         # a fresh array, so that no field aliases the evolving state
         return np.fft.ifft(y)
 
-    return _march(psi0, t0, t1, dt, observer, "dnls_evolve",
-                  np.fft.fft(psi0.values), step, values)
+    return _march([psi0], plans, "dnls_evolve", start, step, values, observer)[0]
 
 
 def residual(trajectory, equation) -> float:

@@ -393,6 +393,15 @@ class TestCli:
         assert failed == {f"{name}_horizon_change_{label}"
                           for name in ("forward", "inverse") for label in ("plus", "minus")}
 
+    def test_thm1_health_violation_exit_one(self):
+        # on 2048 points the doubled horizon's evolutions leave the box; the
+        # rows march as one stack, so the first violation may come from any
+        # of them, and each is a numerical failure, not a traceback
+        code, err = _cli_exit("thm1", {"verify": {"doubled_counts": [2048]}})
+        assert code == 1
+        assert err.startswith("numerical failure:") and "health violation" in err
+        assert "Traceback" not in err
+
     def test_missing_experiment_exit_two(self):
         proc = self._run()
         assert proc.returncode == 2

@@ -25,7 +25,7 @@ from nlslab.scattering import (
     theorem1_residuals,
     wave_operator,
 )
-from nlslab.solvers import NLSParams, nls_evolve
+from nlslab.solvers import NLSParams, nls_evolve, nls_evolve_rows
 from nlslab.transforms import conjugate
 from nlslab.util import fit_loglog_slope
 
@@ -185,6 +185,42 @@ class TestGradedSteps:
         routed = conjugate(wave_operator(conjugate(u0), -sign, params, horizon, LIGHT_DT))
         assert l2_difference(w, routed) / l2_norm(u0) < 1e-12
 
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_stack_equals_chained_octaves(self, wide_grid, params, sign):
+        # outward and inward rows of T = 20 cross the octave edges 8 and 16
+        # at different steps of the one stack; each row is bitwise the chain
+        # of one nls_evolve per octave
+        horizon = 20.0
+        u0 = gaussian_field(wide_grid, amplitude=0.15, width=1.3, wavenumber=0.8)
+        runs = [(u0, 0.0, sign * horizon),
+                (free_propagate(u0, sign * horizon), sign * horizon, 0.0),
+                (conjugate(u0), 0.0, -sign * horizon),
+                (free_propagate(u0, -sign * horizon), -sign * horizon, 0.0)]
+        stacked = scattering._graded_evolve(runs, params, LIGHT_DT)
+        for (u, t0, t1), row in zip(runs, stacked, strict=True):
+            octaves = scattering._graded_schedule(t0, t1, LIGHT_DT)
+            assert [abs(b) for _, b, _ in octaves if b not in (0.0, t1)] == (
+                [8.0, 16.0] if t0 == 0.0 else [16.0, 8.0])
+            for a, b, h in octaves:
+                u = nls_evolve(u, a, b, params, h)
+            assert np.array_equal(row.values, u.values)
+
+    @pytest.mark.parametrize("counts, stacks", [((512,), [4]), ((64, 64), [1, 1, 1, 1])])
+    def test_stacks_follow_the_dimension(self, monkeypatch, counts, stacks):
+        # a 1D identity marches its four evolutions as one stack; a 2D one,
+        # whose transforms already batch over the grid's rows, one at a time
+        seen = []
+
+        def recording(fields, schedules, p):
+            seen.append(len(fields))
+            return nls_evolve_rows(fields, schedules, p)
+
+        monkeypatch.setattr(scattering, "nls_evolve_rows", recording)
+        g = GridDescriptor.centered(counts, (0.35,) * len(counts))
+        u0 = normalized_gaussian(g, 0.2)
+        theorem1_residuals(u0, NLSParams(sigma=2.0 / len(counts)), 2.0, 0.1)
+        assert seen == stacks
+
 
 class TestLensWaveOperators:
     @pytest.mark.parametrize("sign", [+1, -1])
@@ -300,7 +336,7 @@ class TestVerifyLemma23:
         def no_evolution(*args, **kwargs):
             raise AssertionError("an evolution ran before the datum was checked")
 
-        monkeypatch.setattr(scattering, "nls_evolve", no_evolution)
+        monkeypatch.setattr(scattering, "nls_evolve_rows", no_evolution)
         u0 = normalized_gaussian(GridDescriptor.centered((1024,), (0.02,)), delta)
         p = NLSParams(sigma=2.0, mu=1.0)
         with pytest.raises(error):

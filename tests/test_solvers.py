@@ -15,6 +15,7 @@ from nlslab.core import (
     l2_norm,
     spectral_plan,
 )
+from nlslab import solvers
 from nlslab.errors import SolverHealthError
 from nlslab.solvers import (
     DNLSParams,
@@ -23,9 +24,10 @@ from nlslab.solvers import (
     _kick_drift,
     dnls_evolve,
     nls_evolve,
+    nls_evolve_rows,
     residual,
 )
-from nlslab.transforms import GaugeParams, SnapshotAtTime, gauge
+from nlslab.transforms import GaugeParams, SnapshotAtTime, conjugate, gauge
 
 from test_spectral import gaussian_field, grid1d, random_band_limited
 
@@ -39,7 +41,7 @@ def strang_step(u, dt, p):
     half-kick and the free flow, then the trailing half-kick."""
     a = np.array(u.values)
     spec, w = np.empty_like(a), np.empty(a.shape)
-    _kick_drift(a, 0.5 * dt, spectral_plan(u.grid).free_multiplier(dt), p, spec, w)
+    _kick_drift(a, 0.5 * dt, spectral_plan(u.grid).free_multiplier(dt), p, spec, w, None)
     return u.with_values(_kick(a, 0.5 * dt, p, spec, w))
 
 
@@ -283,6 +285,66 @@ class TestRawLoop:
         with pytest.raises(SolverHealthError) as info:
             nls_evolve(f, 0.0, 1.0, NLSParams(sigma=2.0, mu=0.0), 1.0)
         assert info.value.diagnostics["t"] == 1.0
+
+
+class TestStackedRows:
+    """nls_evolve_rows marches rows of one grid together, one step count
+    for all and a step size per segment; each row is bitwise the chain of
+    one nls_evolve per span of its schedule."""
+
+    @staticmethod
+    def chained(u, schedule, p):
+        for t0, t1, dt in schedule:
+            u = nls_evolve(u, t0, t1, p, dt)
+        return u
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_rows_equal_chained_evolutions(self, dim):
+        f = TestRawLoop.datum(dim)
+        p = NLSParams(sigma=2.0 / dim, mu=1.0)
+        # 20 steps each, the segments starting at different steps; three
+        # rows, so that a 1D stack is no multiple of a SIMD width
+        schedules = [[(0.0, 0.2, 0.02), (0.2, 0.6, 0.04)],
+                     [(0.0, -0.3, 0.015)],
+                     [(0.5, 0.0, 0.05), (0.0, -0.25, 0.025)]]
+        fields = [f, conjugate(f), free_propagate(f, 0.5)]
+        out = nls_evolve_rows(fields, schedules, p)
+        assert len(out) == 3
+        for u, schedule, row in zip(fields, schedules, out):
+            assert np.array_equal(row.values, self.chained(u, schedule, p).values)
+
+    def test_unequal_step_counts_rejected_before_any_step(self, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran before the step counts were checked")
+
+        monkeypatch.setattr(solvers, "_kick_drift", no_step)
+        f = gaussian_field(grid1d(128, 0.1), amplitude=0.1)
+        for datum in (f, TestRawLoop.datum(2)):
+            with pytest.raises(ValueError, match="one step count"):
+                nls_evolve_rows([datum, datum], [[(0.0, 0.1, 0.01)], [(0.0, 0.1, 0.02)]],
+                                NLSParams(sigma=1.0))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_row_fails_at_its_time(self):
+        g = grid1d(256, 0.1)
+        good = gaussian_field(g, amplitude=0.1)
+        # finite mass, but |u|^4 overflows in the first nonlinear phase
+        bad = gaussian_field(g, amplitude=1e100)
+        with pytest.raises(SolverHealthError, match="non-finite") as info:
+            nls_evolve_rows([good, bad], [[(0.0, 0.1, 0.01)], [(2.0, 2.1, 0.01)]],
+                            NLSParams(sigma=2.0, mu=1.0))
+        assert info.value.diagnostics["t"] == pytest.approx(2.01, abs=1e-12)
+
+    def test_health_violation_fails_at_its_rows_time(self):
+        g = grid1d(256, 0.1)
+        good = gaussian_field(g, amplitude=0.1)
+        # a packet running toward the boundary shell |x| >= 11.2 at speed 10
+        runner = gaussian_field(g, amplitude=0.1, width=0.5, center=8.0, wavenumber=10.0)
+        with pytest.raises(SolverHealthError, match="health violation") as info:
+            nls_evolve_rows([good, runner], [[(0.0, 0.4, 0.01)], [(5.0, 5.4, 0.01)]],
+                            NLSParams(sigma=2.0, mu=1.0))
+        assert "boundary_mass_fraction" in info.value.diagnostics
+        assert 5.0 < info.value.diagnostics["t"] <= 5.4
 
 
 def position_space_rk4(psi0, t0, t1, lam, steps):

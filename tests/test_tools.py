@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 _spec = importlib.util.spec_from_file_location(
@@ -19,6 +21,29 @@ def test_tree_compared_with_itself_is_byte_identical(tmp_path):
     assert run == ("1_solve", ["solve", "--config", str(config)])
     src = ROOT / "src"
     assert compare_runs.compare_trees(src, src, [run]) == []
+
+
+def test_workload_runs_follow_the_benchmark(tmp_path):
+    workloads = compare_runs.benchmark_workloads()
+    quad = workloads["expansion_quad"]
+    runs = compare_runs.extra_runs(3, "workload:expansion_quad:7", tmp_path)
+    config = tmp_path / "3_expansion_quad_seed7.json"
+    # one run for each pass of a round: the sequential and --parallel calls
+    assert runs == [(f"3_expansion_quad_{name}",
+                     [quad.experiment, "--config", str(config), *flags])
+                    for name, flags in quad.passes]
+    assert json.loads(config.read_text()) == quad.config(7)
+    # the seed defaults to 1, as in the byte-identity checks
+    (label, argv), = compare_runs.extra_runs(4, "workload:exchange_1d", tmp_path)
+    assert label == "4_exchange_1d_main" and argv[0] == "thm1"
+    assert json.loads(Path(argv[2]).read_text()) == workloads["exchange_1d"].config(1)
+
+
+@pytest.mark.parametrize("spec", ["workload:no_such", "workload:gauge_1d:x",
+                                  "workload:gauge_1d:1:2", "workload:"])
+def test_malformed_workload_run_rejected(spec, tmp_path):
+    with pytest.raises(SystemExit, match="workload:NAME"):
+        compare_runs.extra_runs(1, spec, tmp_path)
 
 
 def _report(value, wall_clock_s):

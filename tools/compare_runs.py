@@ -1,14 +1,17 @@
 """Run two source trees of nlslab on the same experiments and compare every
 file they write.
 
-    python tools/compare_runs.py PARENT_SRC [CHANGE_SRC] [EXPERIMENT:CONFIG[:FLAG] ...]
+    python tools/compare_runs.py PARENT_SRC [CHANGE_SRC] [RUN ...]
 
 PARENT_SRC and CHANGE_SRC are ``src`` directories that hold an ``nlslab``
 package; CHANGE_SRC defaults to the ``src`` of this checkout.  Both trees run
 the nine experiments at their defaults (``solve`` with snapshots), then each
-extra run: an experiment, a JSON config of overrides and, optionally, one
-more command-line flag such as ``--parallel``.  Each tree runs in one fresh
-Python process that imports that tree alone and writes no bytecode.
+extra RUN.  A RUN is either ``EXPERIMENT:CONFIG[:FLAG]``, an experiment, a
+JSON config of overrides and, optionally, one more command-line flag such
+as ``--parallel``; or ``workload:NAME[:SEED]``, every call of one round of
+the benchmark workload NAME of ``perfbench/workloads.py`` on its config for
+SEED (default 1).  Each tree runs in one fresh Python process that imports
+that tree alone and writes no bytecode.
 
 Reports are compared with their timing fields stripped
 (``reports.strip_timing``), CSV tables and snapshots as bytes, and the exit
@@ -23,6 +26,7 @@ or a snapshot's samples.
 
 import argparse
 import csv
+import importlib.util
 import json
 import re
 import subprocess
@@ -79,6 +83,46 @@ def extra_run(index, spec):
     if not config.is_file():
         raise SystemExit(f"no config file {config}")
     return f"{index}_{parts[0]}", [parts[0], "--config", str(config), *parts[2:]]
+
+
+def benchmark_workloads():
+    """The ``WORKLOADS`` table of ``perfbench/workloads.py``, imported
+    without writing bytecode beside it."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module.WORKLOADS
+
+
+def workload_runs(index, spec, folder):
+    """(label, CLI argv) of each call of one round of a ``workload:NAME[:SEED]``
+    argument: the workload's config for SEED (default 1), written into
+    ``folder``, under each of its passes' flags."""
+    workloads = benchmark_workloads()
+    parts = spec.split(":")
+    if not (2 <= len(parts) <= 3 and parts[1] in workloads
+            and (len(parts) == 2 or re.fullmatch(r"-?\d+", parts[2]))):
+        raise SystemExit(f"{spec!r} is not workload:NAME[:SEED] with a NAME of "
+                         f"{', '.join(workloads)} and an integer SEED")
+    name, seed = parts[1], int(parts[2]) if len(parts) == 3 else 1
+    workload = workloads[name]
+    config = Path(folder) / f"{index}_{name}_seed{seed}.json"
+    config.write_text(json.dumps(workload.config(seed)))
+    return [(f"{index}_{name}_{pass_name}",
+             [workload.experiment, "--config", str(config), *flags])
+            for pass_name, flags in workload.passes]
+
+
+def extra_runs(index, spec, folder):
+    """(label, CLI argv) of each call one extra RUN argument makes."""
+    if spec.startswith("workload:"):
+        return workload_runs(index, spec, folder)
+    return [extra_run(index, spec)]
 
 
 def run_tree(src, runs, out):
@@ -207,14 +251,17 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         description="compare the files two nlslab source trees write")
     parser.add_argument("parent", type=Path, help="src directory of the parent tree")
-    parser.add_argument("rest", nargs="*", metavar="[CHANGE_SRC] EXPERIMENT:CONFIG[:FLAG]",
+    parser.add_argument("rest", nargs="*", metavar="[CHANGE_SRC] RUN",
                         help="src directory of the changed tree (default: this "
-                             "checkout's), then the extra runs")
+                             "checkout's), then the extra runs, each "
+                             "EXPERIMENT:CONFIG[:FLAG] or workload:NAME[:SEED]")
     args = parser.parse_args(argv)
     rest = list(args.rest)
     change = Path(rest.pop(0)) if rest and Path(rest[0]).is_dir() else ROOT / "src"
     with tempfile.TemporaryDirectory() as tmp:
-        runs = default_runs(tmp) + [extra_run(i, s) for i, s in enumerate(rest, 1)]
+        runs = default_runs(tmp)
+        for i, spec in enumerate(rest, 1):
+            runs += extra_runs(i, spec, tmp)
         lines = compare_trees(args.parent.resolve(), change.resolve(), runs)
     print("\n".join(lines) if lines else "byte-identical")
     return 1 if lines else 0
