@@ -43,6 +43,7 @@ from .core import (
 from .errors import ConfigError, NlslabError, SnapshotFormatError
 from .reports import VerificationReport, write_csv_table
 from .scattering import (
+    SIGNS,
     asymptotic_state_residuals,
     conjugation_residuals,
     free_return_ladder,
@@ -531,7 +532,7 @@ def _run_wave_op(config, grid, datum, report):
     horizon, dt = config["scattering"]["horizon"], config["scattering"]["dt"]
     tol = config["verify"]["tolerance"]
     horizons = [horizon, 2.0 * horizon]
-    for sign, label in ((+1, "plus"), (-1, "minus")):
+    for sign, label in SIGNS:
         # each operator runs at T and 2T; the 2T results go on, gated by how
         # far doubling the horizon moved them
         forward = [wave_operator(datum, sign, p, h, dt) for h in horizons]
@@ -606,7 +607,7 @@ def _run_corollary2(config, grid, datum, report):
     q = _quadrature_from(config["quadrature"])
     tol = config["verify"]["tolerance"]
     report.params.update(t_max=q.t_max, panels=q.panels, evaluations={})
-    for sign, label in ((+1, "plus"), (-1, "minus")):
+    for sign, label in SIGNS:
         lhs, rhs = corollary2_sides(datum, sign, q)
         names = (f"sides_difference_{label}", f"refinement_delta_{label}")
         _compare_sides(report, lhs, rhs, tol, names, "", label)
@@ -628,7 +629,7 @@ def _run_proposition(config, grid, datum, report):
     power = 1.0 + 4.0 / grid.dim
     report.params.update(dim=grid.dim, mu=p.mu, deltas=deltas, dt=dt,
                          first_order_sign={"forward": "+i", "inverse": "-i"})
-    for sign, label in ((+1, "plus"), (-1, "minus")):
+    for sign, label in SIGNS:
         corrector, rows = small_data_sweep(datum, sign, p, deltas, dt, q)
         # each sign has its own corrector integral
         report.params.update(
@@ -713,7 +714,7 @@ def _run_subcritical(config, grid, datum, report):
     tol = config["verify"]["tolerance"]
     report.params.update(sigma=sigma, t_max=q.t_max, panels=q.panels,
                          weight_exponent=grid.dim * sigma - 2.0, evaluations={})
-    for sign, label in ((+1, "plus"), (-1, "minus")):
+    for sign, label in SIGNS:
         identities = subcritical_sides(datum, sign, sigma, q)
         for idx, (lhs, rhs) in zip("12", identities):
             prefix = f"identity{idx}_"

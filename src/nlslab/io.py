@@ -54,8 +54,8 @@ def read_snapshot(path) -> ComplexField:
         raise bad(f"not a field snapshot: bad magic {magic!r}")
     if version != VERSION:
         raise bad(f"unsupported snapshot version {version}")
-    if dim not in (1, 2):
-        raise bad(f"dimension must be 1 or 2, got {dim}")
+    if dim < 1:
+        raise bad("a snapshot needs at least one axis, got dimension 0")
     head = _HEADER.size + dim * _AXIS.size + 1
     if len(data) < head:
         raise bad(f"header truncated: {len(data)} bytes, need {head}")

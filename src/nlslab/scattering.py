@@ -8,13 +8,13 @@ critical nonlinearity |u|^(4/n) decays like |t|^-2, so the truncated
 evolutions take octave-graded steps (``_graded_schedule``): dt up to
 |t| = T_GRADE, and twice the step on each octave beyond it.  An outward
 schedule and its reverse take the same step count, so on a 1D grid all the
-truncated evolutions of one identity march as one stack (``_stacks``,
-``_graded_evolve``), each row bitwise its own evolution.  The lens route is
-exact for sigma = 2/n: the pseudo-conformal (lens) transform swaps
-t = +-infinity with tau = 0, so W+- become finite-time evolutions joined by
-the Fourier transform.  The small-data expansion runs on the lens route;
-the theorem-1, conjugation and lemma checks keep the truncated operators as
-their independent side.
+truncated evolutions of one identity march as one stack (``_stacks``): their
+schedules go straight to ``nls_evolve_rows``, and each row is bitwise its
+own evolution.  The lens route is exact for sigma = 2/n: the
+pseudo-conformal (lens) transform swaps t = +-infinity with tau = 0, so W+-
+become finite-time evolutions joined by the Fourier transform.  The
+small-data expansion runs on the lens route; the theorem-1, conjugation and
+lemma checks keep the truncated operators as their independent side.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ LENS_TIME = 1.0
 T_GRADE = 8.0
 
 # The two signs of the identities and their labels, in report order.
-_SIGNS = ((+1, "plus"), (-1, "minus"))
+SIGNS = ((+1, "plus"), (-1, "minus"))
 
 
 def is_critical(f: ComplexField, p: NLSParams) -> bool:
@@ -73,39 +73,25 @@ def _check_truncated(f, sign, horizon):
         raise ValueError("horizon must be positive")
 
 
-def _octave_edges(t_far):
-    """0, then +-T_GRADE 2^k for k = 0, 1, ... while inside t_far, then
-    t_far: the octaves between t = 0 and t_far, in that order."""
-    edges = [0.0]
-    edge = T_GRADE
-    while edge < abs(t_far):
-        edges.append(math.copysign(edge, t_far))
-        edge *= 2.0
-    edges.append(t_far)
-    return edges
-
-
 def _graded_schedule(t0, t1, dt):
     """The octave-graded spans (a, b, dt 2^k) from t0 to t1, one of which
-    is 0: the k-th octave of ``_octave_edges`` takes steps of at most
-    dt 2^k.  A run toward 0 takes the octaves of the run away from 0 in
-    reverse, over the same nodes, so the Strang round trip stays an exact
-    symmetry.  A span of at most T_GRADE is one uniform span."""
+    is 0.  The edges are 0, then +-T_GRADE 2^k for k = 0, 1, ... while
+    inside the far end, then the far end, and the k-th octave between them
+    takes steps of at most dt 2^k.  A run toward 0 takes the octaves of
+    the run away from 0 in reverse, over the same nodes, so the Strang
+    round trip stays an exact symmetry.  A span of at most T_GRADE is one
+    uniform span."""
     far = t0 if t1 == 0.0 else t1
-    edges = _octave_edges(far)
+    edges = [0.0]
+    edge = T_GRADE
+    while edge < abs(far):
+        edges.append(math.copysign(edge, far))
+        edge *= 2.0
+    edges.append(far)
     octaves = [(a, b, dt * 2.0**k) for k, (a, b) in enumerate(zip(edges, edges[1:]))]
     if far == t0:
         octaves = [(b, a, h) for a, b, h in reversed(octaves)]
     return octaves
-
-
-def _graded_evolve(runs, p, dt):
-    """The field at t1 of each run (u, t0, t1), with one of t0 and t1 equal
-    to 0: one ``nls_evolve`` per octave of its ``_graded_schedule``, and all
-    runs marched as one stack (``nls_evolve_rows``).  The schedules of
-    horizons +-T, outward and inward, take the same step count."""
-    return nls_evolve_rows([u for u, _, _ in runs],
-                           [_graded_schedule(t0, t1, dt) for _, t0, t1 in runs], p)
 
 
 def _stacks(items, grid):
@@ -129,10 +115,10 @@ def _truncated_operators(calls, p, horizon, dt):
     for f, sign, _ in calls:
         _check_truncated(f, sign, horizon)
     for stack in _stacks(calls, calls[0][0].grid):
-        ends = _graded_evolve(
-            [(f, 0.0, sign * horizon) if inverse
-             else (free_propagate(f, sign * horizon), sign * horizon, 0.0)
-             for f, sign, inverse in stack], p, dt)
+        ends = nls_evolve_rows(
+            [f if inverse else free_propagate(f, sign * horizon) for f, sign, inverse in stack],
+            [_graded_schedule(0.0, sign * horizon, dt) if inverse
+             else _graded_schedule(sign * horizon, 0.0, dt) for _, sign, inverse in stack], p)
         for _, sign, inverse in stack:
             # dropped from ``ends`` so that only the operator handed out
             # stays alive
@@ -212,10 +198,10 @@ def theorem1_residuals(
     scale = l2_norm(u0)
     # W_s^{-1} u0, then W_{-s} F u0, for each sign
     ops = _truncated_operators(
-        [call for sign, _ in _SIGNS for call in ((u0, sign, True), (hosted, -sign, False))],
+        [call for sign, _ in SIGNS for call in ((u0, sign, True), (hosted, -sign, False))],
         p, horizon, dt)
     residuals = {}
-    for _, label in _SIGNS:
+    for _, label in SIGNS:
         a_side = forward_fourier(next(ops))
         b_side = resample(next(ops), a_side.grid)
         residuals[f"sign_{label}"] = l2_difference(a_side, b_side) / scale
@@ -235,16 +221,16 @@ def conjugation_residuals(
     # with its right side via hosting C F u0, for each sign
     hosted = resample(conjugate(forward_fourier(u0)), u0.grid)
     ops = _truncated_operators(
-        [call for sign, _ in _SIGNS for call in ((u0, sign, False), (conjugate(u0), -sign, False))]
-        + [call for sign, _ in _SIGNS for call in ((u0, sign, True), (hosted, sign, False))],
+        [call for sign, _ in SIGNS for call in ((u0, sign, False), (conjugate(u0), -sign, False))]
+        + [call for sign, _ in SIGNS for call in ((u0, sign, True), (hosted, sign, False))],
         p, horizon, dt)
     residuals = {}
-    for _, label in _SIGNS:
+    for _, label in SIGNS:
         direct, routed = next(ops), conjugate(next(ops))
         residuals[f"conjugation_sandwich_{label}"] = (
             l2_difference(direct, routed) / scale
         )
-    for _, label in _SIGNS:
+    for _, label in SIGNS:
         lhs, rhs = next(ops), inverse_fourier(conjugate(next(ops)))
         lhs_on_dual = resample(lhs, rhs.grid)
         residuals[f"transform_conjugated_inverse_{label}"] = (
@@ -339,8 +325,9 @@ def asymptotic_state_residuals(
     u0s = resample(u0, scattering_grid)
     scale = l2_norm(u0s)
     residuals = {}
-    for stack in _stacks(_SIGNS, scattering_grid):
-        ends = _graded_evolve([(u0s, 0.0, sign * horizon) for sign, _ in stack], p, dt)
+    for stack in _stacks(SIGNS, scattering_grid):
+        ends = nls_evolve_rows([u0s] * len(stack),
+                               [_graded_schedule(0.0, sign * horizon, dt) for sign, _ in stack], p)
         for (sign, label), u_t in zip(stack, ends):
             u_asym = free_propagate(u_t, -sign * horizon)
             v_limit = pseudo_conformal(SnapshotAtTime(u_t, sign * horizon)).field

@@ -29,9 +29,12 @@ free-flow multipliers.  The Strang march runs a stack of rows on one grid
 goes through its own schedule of segments, with its own free-flow
 multiplier and kick time, and applies its pending half-kick at its own
 segment ends, so that each row is bitwise the chain of one ``nls_evolve``
-per segment.  ``nls_evolve`` is one row of one segment.  The rows share
-every FFT call, which numpy batches across them.  A health violation fails
-the run at once; nothing is retried with a smaller step.
+per segment.  ``nls_evolve`` is a stack of one row and one segment.  There
+is one split-step kernel, ``_kick_drift``, for every stack: it transforms
+the grid axes one at a time, in the order of ``np.fft.fftn``, and each call
+transforms all rows, which numpy batches.  A health violation fails the
+run at once, naming the failing row's run; nothing is retried with a
+smaller step.
 
 The largest time step ``dt`` is the one numerical choice a caller makes.  The
 limits are constants: a run needs at most ``MAX_STEPS`` steps, and the
@@ -102,16 +105,25 @@ def _kick(a, tau, p: NLSParams, scratch, w):
     return np.multiply(scratch, a, out=a)
 
 
-def _kick_drift(a, tau, m, p: NLSParams, spec, w, axes):
-    """The split-step kernel, in place on ``a``: a kick of ``tau``, then the
-    free flow by the FFT-order multiplier ``m`` along ``axes`` (all axes
-    when None), with ``spec`` holding first the phase and then the
-    spectrum.  On a stack of fields ``tau`` and ``m`` may hold one row per
-    field."""
+def _along_grid(transform, src, out):
+    """``transform`` (np.fft.fft or ifft) of the stack ``src`` over its grid
+    axes, into ``out``: one axis at a time, the last first, the order in
+    which np.fft.fftn takes them, so that each row is bitwise its field's
+    fftn or ifftn."""
+    for axis in range(src.ndim - 1, 0, -1):
+        src = transform(src, axis=axis, out=out)
+    return out
+
+
+def _kick_drift(a, tau, m, p: NLSParams, spec, w):
+    """The split-step kernel, in place on the stack ``a`` of fields, of shape
+    (k, *counts): a kick of ``tau``, then the free flow by the FFT-order
+    multiplier ``m``, with ``spec`` holding first the phase and then the
+    spectrum.  ``tau`` and ``m`` may hold one row per field."""
     _kick(a, tau, p, spec, w)
-    np.fft.fftn(a, axes=axes, out=spec)
+    _along_grid(np.fft.fft, a, spec)
     spec *= m
-    return np.fft.ifftn(spec, axes=axes, out=a)
+    return _along_grid(np.fft.ifft, spec, a)
 
 
 def _check_health(f, mass0, t, context):
@@ -201,14 +213,15 @@ def _march(fields, plans, context, start, step, values, observer=None):
     ``values(r, t)`` maps row r to the position samples of its solution at
     t, in an array that later steps do not touch.
 
-    Each segment of a row is monitored as one evolution: the state must
-    stay finite after every step, and the health monitors run at its start
-    against the mass there, HEALTH_CHECKS_PER_RUN times along the way and at
-    its end.  The first violation raises SolverHealthError at its row's
-    time.  ``observer(t, field)``, when given, sees every row at the start
-    of each segment and after every step.  Fields are built only for the
-    observer, the monitors and the result, which is each row's field at the
-    end of its schedule.
+    Each segment of a row is monitored as one evolution: the state and the
+    solution must stay finite after every step, and the health monitors run
+    at its start against the mass there, HEALTH_CHECKS_PER_RUN times along
+    the way and at its end.  The first violation raises SolverHealthError
+    at its row's time, naming the row's whole run from the start of its
+    first segment to the end of its last.  ``observer(t, field)``, when
+    given, sees every row at the start of each segment and after every step.
+    Fields are built only for the observer, the monitors and the result,
+    which is each row's field at the end of its schedule.
     """
     out = list(fields)
     total = sum(seg.steps for seg in plans[0])
@@ -223,6 +236,15 @@ def _march(fields, plans, context, start, step, values, observer=None):
             for j in (*range(every, seg.steps, every), seg.steps):
                 checks.setdefault(first + j - 1, []).append(r)
             first += seg.steps
+
+    def run(r):
+        # the row's run, which tells the rows of one stack apart
+        return (f"{context}, the run from {plans[r][0].t0:.6g} "
+                f"to {plans[r][-1].t1:.6g}")
+
+    def non_finite(r, t):
+        return SolverHealthError(f"{run(r)}: non-finite state at t={t:.6g}", {"t": t})
+
     # each row's segment and the step index at its start, and its mass there
     current = [None] * len(out)
     mass0 = [0.0] * len(out)
@@ -232,32 +254,46 @@ def _march(fields, plans, context, start, step, values, observer=None):
             u = out[r]
             start(r, seg, u.values)
             mass0[r] = l2_norm(u) ** 2
-            _check_health(u, mass0[r], seg.t0, f"{context} (initial state)")
+            _check_health(u, mass0[r], seg.t0, f"{run(r)} (initial state)")
             if observer is not None:
                 observer(seg.t0, u)
         a = step()
         if not np.isfinite(a).all():
-            finite = np.isfinite(a.reshape(len(out), -1)).all(axis=1)
-            seg, first = current[int(np.argmin(finite))]
-            t = seg.time(g + 1 - first)
-            raise SolverHealthError(
-                f"{context}: non-finite state at t={t:.6g}", {"t": t}
-            )
+            r = int(np.argmin(np.isfinite(a.reshape(len(out), -1)).all(axis=1)))
+            seg, first = current[r]
+            raise non_finite(r, seg.time(g + 1 - first))
         due = checks.get(g, ())
         for r in (range(len(out)) if observer is not None else due):
             seg, first = current[r]
             t = seg.time(g + 1 - first)
-            u = out[r] = out[r].with_values(values(r, t))
+            v = values(r, t)
+            if not np.isfinite(v).all():
+                raise non_finite(r, t)
+            u = out[r] = out[r].with_values(v)
             if observer is not None:
                 observer(t, u)
             if r in due:
-                _check_health(u, mass0[r], t, context)
+                _check_health(u, mass0[r], t, run(r))
     return out
 
 
-def _strang_march(fields, plans, p: NLSParams, observer=None):
-    """The Strang march (see ``_march``) of ``fields``, all on one grid, as
-    one stacked array."""
+def nls_evolve_rows(fields, schedules, p: NLSParams, observer=None) -> list:
+    """Evolve each of ``fields``, all on one grid, through its schedule: a
+    list of spans (t0, t1, dt), each cut into equal Strang steps of at most
+    its dt (see ``_plan``) and started from the end of the span before.
+    Returns the fields at the end of each schedule.
+
+    The rows march as one stacked array (see ``_march``), so every FFT call
+    transforms all of them, and must take equal total step counts; their
+    step sizes may differ.  Unequal counts are a ValueError, raised before
+    any step.  ``observer`` and the monitors work as in ``nls_evolve``, for
+    every row.
+    """
+    plans = _plan(schedules, "nls_evolve")
+    if len(plans) != len(fields):
+        raise ValueError(f"{len(fields)} fields need as many schedules, got {len(plans)}")
+    if len({f.grid for f in fields}) > 1:
+        raise ValueError("the rows of a stack must share one grid")
     plan = spectral_plan(fields[0].grid)
     k = len(fields)
     # the stacked state, evolved in place, and its complex and real work
@@ -267,16 +303,10 @@ def _strang_march(fields, plans, p: NLSParams, observer=None):
     # per row: the free-flow multiplier of its segment's step, half that
     # step, and the half-kick still to apply to its drifted state; each step
     # applies the pending half-kick together with its own leading one, as
-    # one kick of the time ``tau``
+    # one kick of the time ``tau``, a column that broadcasts over the grid
     m = np.empty_like(a)
     half, pending, tau = np.zeros(k), np.zeros(k), np.empty(k)
-    # the kernel's arguments: a stack of one runs on its row alone, as a
-    # field of the grid, where numpy's calls cost least per call
-    if k == 1:
-        kernel = a[0], tau.reshape(()), m[0], p, spec[0], w[0], None
-    else:
-        kernel = (a, tau.reshape(k, *(1,) * plan.grid.dim), m, p, spec, w,
-                  tuple(range(1, a.ndim)))
+    kick_time = tau.reshape(k, *(1,) * plan.grid.dim)
 
     def start(r, seg, v):
         a[r] = v
@@ -286,39 +316,16 @@ def _strang_march(fields, plans, p: NLSParams, observer=None):
 
     def step():
         np.add(pending, half, out=tau)
-        _kick_drift(*kernel)
+        _kick_drift(a, kick_time, m, p, spec, w)
         pending[:] = half
         return a
 
     def values(r, t):
         # a fresh array, so that no field aliases the evolving state; the
         # pending kick can overflow where the drifted state did not
-        out = _kick(a[r].copy(), pending[r], p, spec[r], w[r])
-        if not np.isfinite(out).all():
-            raise SolverHealthError(
-                f"nls_evolve: non-finite state at t={t:.6g}", {"t": t}
-            )
-        return out
+        return _kick(a[r].copy(), pending[r], p, spec[r], w[r])
 
     return _march(fields, plans, "nls_evolve", start, step, values, observer)
-
-
-def nls_evolve_rows(fields, schedules, p: NLSParams) -> list:
-    """Evolve each of ``fields``, all on one grid, through its schedule: a
-    list of spans (t0, t1, dt), each run as one ``nls_evolve`` from the end
-    of the span before.  Returns the fields at the end of each schedule,
-    bitwise those of the chained ``nls_evolve`` calls.
-
-    The rows march as one stacked array, so every FFT call transforms all
-    of them, and must take equal total step counts; their step sizes may
-    differ.  Unequal counts are a ValueError, raised before any step.
-    """
-    plans = _plan(schedules, "nls_evolve")
-    if len(plans) != len(fields):
-        raise ValueError(f"{len(fields)} fields need as many schedules, got {len(plans)}")
-    if len({f.grid for f in fields}) > 1:
-        raise ValueError("the rows of a stack must share one grid")
-    return _strang_march(fields, plans, p)
 
 
 def nls_evolve(
@@ -329,16 +336,15 @@ def nls_evolve(
     dt: float,
     observer=None,
 ) -> ComplexField:
-    """Evolve with equal Strang steps of at most ``dt``: one row of one
-    segment (see ``_march``).
+    """Evolve with equal Strang steps of at most ``dt``: a stack of one row
+    and one span (see ``nls_evolve_rows``).
 
     ``observer(t, field)``, when given, is called after every step (and once
     at t0).  Aborts with SolverHealthError when the resolution or mass
     monitors trip or the state stops being finite; a dt that is not
     positive and finite is a ValueError.
     """
-    plans = _plan([[(t0, t1, dt)]], "nls_evolve")
-    return _strang_march([u0], plans, p, observer)[0]
+    return nls_evolve_rows([u0], [[(t0, t1, dt)]], p, observer)[0]
 
 
 def _dnls_slope(v, out, t, psi, spec, density, dxi):

@@ -90,12 +90,19 @@ class TestSnapshotFormat:
 
     @pytest.mark.parametrize(
         "kind", ["random", "header_only", "short_payload", "space_byte_one",
-                 "off_centre_x0"])
+                 "off_centre_x0", "dimension_0", "dimension_3"])
     def test_malformed_file(self, kind, tmp_path, capsys):
         if kind == "random":
             data = np.random.default_rng(3).bytes(40)
         elif kind == "header_only":
             data = struct.pack("<4sII", b"NLSF", 1, 1)
+        elif kind == "dimension_0":
+            # no axes: the header, the space byte and an empty payload
+            data = struct.pack("<4sII", b"NLSF", 1, 0) + b"\x00"
+        elif kind == "dimension_3":
+            # a well-formed centred 4 x 4 x 4 grid, which no field may have
+            data = (struct.pack("<4sII", b"NLSF", 1, 3)
+                    + struct.pack("<Qdd", 4, 0.5, -1.0) * 3 + b"\x00" + b"\x00" * (16 * 64))
         elif kind == "short_payload":
             data = self._header() + b"\x00" * (16 * 63)
         elif kind == "off_centre_x0":
@@ -395,11 +402,14 @@ class TestCli:
 
     def test_thm1_health_violation_exit_one(self):
         # on 2048 points the doubled horizon's evolutions leave the box; the
-        # rows march as one stack, so the first violation may come from any
-        # of them, and each is a numerical failure, not a traceback
+        # rows march as one stack, so the message names the failing row's
+        # run: W_-(F u0), whose initial state at -400 already fails, and not
+        # W_-^{-1} u0, which reaches -400 from 0.  A violation is a numerical
+        # failure, not a traceback
         code, err = _cli_exit("thm1", {"verify": {"doubled_counts": [2048]}})
         assert code == 1
         assert err.startswith("numerical failure:") and "health violation" in err
+        assert "the run from -400 to 0 (initial state)" in err
         assert "Traceback" not in err
 
     def test_missing_experiment_exit_two(self):

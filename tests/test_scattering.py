@@ -190,15 +190,13 @@ class TestGradedSteps:
         # outward and inward rows of T = 20 cross the octave edges 8 and 16
         # at different steps of the one stack; each row is bitwise the chain
         # of one nls_evolve per octave
-        horizon = 20.0
+        far = sign * 20.0
         u0 = gaussian_field(wide_grid, amplitude=0.15, width=1.3, wavenumber=0.8)
-        runs = [(u0, 0.0, sign * horizon),
-                (free_propagate(u0, sign * horizon), sign * horizon, 0.0),
-                (conjugate(u0), 0.0, -sign * horizon),
-                (free_propagate(u0, -sign * horizon), -sign * horizon, 0.0)]
-        stacked = scattering._graded_evolve(runs, params, LIGHT_DT)
-        for (u, t0, t1), row in zip(runs, stacked, strict=True):
-            octaves = scattering._graded_schedule(t0, t1, LIGHT_DT)
+        fields = [u0, free_propagate(u0, far), conjugate(u0), free_propagate(u0, -far)]
+        ends = [(0.0, far), (far, 0.0), (0.0, -far), (-far, 0.0)]
+        schedules = [scattering._graded_schedule(t0, t1, LIGHT_DT) for t0, t1 in ends]
+        stacked = nls_evolve_rows(fields, schedules, params)
+        for u, (t0, t1), octaves, row in zip(fields, ends, schedules, stacked, strict=True):
             assert [abs(b) for _, b, _ in octaves if b not in (0.0, t1)] == (
                 [8.0, 16.0] if t0 == 0.0 else [16.0, 8.0])
             for a, b, h in octaves:

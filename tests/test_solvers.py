@@ -39,9 +39,9 @@ def sech_field(grid, amplitude=0.3, width=1.0):
 def strang_step(u, dt, p):
     """One Strang step on the split-step kernel, with no health monitor: a
     half-kick and the free flow, then the trailing half-kick."""
-    a = np.array(u.values)
+    a = np.array(u.values)[np.newaxis]
     spec, w = np.empty_like(a), np.empty(a.shape)
-    _kick_drift(a, 0.5 * dt, spectral_plan(u.grid).free_multiplier(dt), p, spec, w, None)
+    _kick_drift(a, 0.5 * dt, spectral_plan(u.grid).free_multiplier(dt), p, spec, w)
     return u.with_values(_kick(a, 0.5 * dt, p, spec, w))
 
 
@@ -313,6 +313,29 @@ class TestStackedRows:
         for u, schedule, row in zip(fields, schedules, out):
             assert np.array_equal(row.values, self.chained(u, schedule, p).values)
 
+    @pytest.mark.parametrize("dim, k", [(1, 1), (1, 4), (2, 1), (2, 2)])
+    def test_kernel_equals_fftn_per_row(self, dim, k):
+        # one kernel step on a stack with a kick time and a multiplier per
+        # row, against the one-row form: each row kicked alone, then fftn,
+        # its multiplier and ifftn over the field
+        grid = TestRawLoop.datum(dim).grid
+        plan = spectral_plan(grid)
+        p = NLSParams(sigma=2.0 / dim, mu=1.0)
+        rows = np.stack([random_band_limited(grid, seed=r).values for r in range(k)])
+        steps = [0.02 * (r + 1) * (-1) ** r for r in range(k)]
+        taus = [0.5 * h + 0.01 * r for r, h in enumerate(steps)]
+        a = rows.copy()
+        spec, w = np.empty_like(a), np.empty(a.shape)
+        _kick_drift(a, np.reshape(taus, (k, *(1,) * dim)),
+                    np.stack([plan.free_multiplier(h) for h in steps]), p, spec, w)
+        for row, v, tau, h in zip(a, rows, taus, steps, strict=True):
+            ref = v.copy()
+            ref_spec, ref_w = np.empty_like(ref), np.empty(ref.shape)
+            _kick(ref, tau, p, ref_spec, ref_w)
+            np.fft.fftn(ref, out=ref_spec)
+            ref_spec *= plan.free_multiplier(h)
+            assert np.array_equal(row, np.fft.ifftn(ref_spec, out=ref))
+
     def test_unequal_step_counts_rejected_before_any_step(self, monkeypatch):
         def no_step(*args, **kwargs):
             raise AssertionError("a step ran before the step counts were checked")
@@ -330,7 +353,9 @@ class TestStackedRows:
         good = gaussian_field(g, amplitude=0.1)
         # finite mass, but |u|^4 overflows in the first nonlinear phase
         bad = gaussian_field(g, amplitude=1e100)
-        with pytest.raises(SolverHealthError, match="non-finite") as info:
+        # the message names the failing row's run
+        with pytest.raises(SolverHealthError,
+                           match="the run from 2 to 2.1: non-finite") as info:
             nls_evolve_rows([good, bad], [[(0.0, 0.1, 0.01)], [(2.0, 2.1, 0.01)]],
                             NLSParams(sigma=2.0, mu=1.0))
         assert info.value.diagnostics["t"] == pytest.approx(2.01, abs=1e-12)
@@ -340,7 +365,8 @@ class TestStackedRows:
         good = gaussian_field(g, amplitude=0.1)
         # a packet running toward the boundary shell |x| >= 11.2 at speed 10
         runner = gaussian_field(g, amplitude=0.1, width=0.5, center=8.0, wavenumber=10.0)
-        with pytest.raises(SolverHealthError, match="health violation") as info:
+        with pytest.raises(SolverHealthError,
+                           match="the run from 5 to 5.4: health violation") as info:
             nls_evolve_rows([good, runner], [[(0.0, 0.4, 0.01)], [(5.0, 5.4, 0.01)]],
                             NLSParams(sigma=2.0, mu=1.0))
         assert "boundary_mass_fraction" in info.value.diagnostics
