@@ -27,7 +27,8 @@ phi = field_from_function(grid, lambda x: np.pi**-0.25 * np.exp(-0.5 * x**2))
 p = NLSParams(sigma=2.0, mu=1.0)
 
 spec = QuadratureSpec(t_max=20000.0, panels=64)
-k_plus = born_integral(phi, +1, 2.0, spec)
+# the integrals to +infinity and to -infinity come as one pair
+k_plus, _ = born_integral(phi, 2.0, spec)
 print(f"corrector norm {l2_norm(k_plus.field):.6f}, "
       f"panel-doubling delta {k_plus.refinement_delta:.1e}, "
       f"tail bound {k_plus.tail_bound:.1e}")

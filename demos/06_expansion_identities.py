@@ -26,8 +26,7 @@ phi = field_from_function(grid, lambda x: np.exp(-0.5 * x**2))
 
 print("critical identity, both half lines:")
 q = QuadratureSpec(t_max=25600.0, panels=80)
-for sign in (+1, -1):
-    lhs, rhs = corollary2_sides(phi, sign, q)
+for sign, (lhs, rhs) in zip((+1, -1), corollary2_sides(phi, q)):
     rel = l2_difference(lhs.field, rhs.field) / l2_norm(lhs.field)
     print(f"  sign {sign:+d}: relative side difference {rel:.2e} "
           f"(refinement {max(lhs.refinement_delta, rhs.refinement_delta):.0e}, "
@@ -36,7 +35,8 @@ for sign in (+1, -1):
 print("\nsub-critical weighted identities (sigma = 1.5, weight |t|^(-1/2)):")
 qs = QuadratureSpec(t_max=1e9, panels=144)
 # n = 1 is phi's grid dimension: sigma = 1.5 lies in the window (1/n, 2/n)
-(i1l, i1r), (i2l, i2r) = subcritical_sides(phi, +1, 1.5, qs)
+# both signs come back; the + identities are the first pair
+((i1l, i1r), (i2l, i2r)), _ = subcritical_sides(phi, 1.5, qs)
 print(f"  identity 1: {l2_difference(i1l.field, i1r.field) / l2_norm(i1l.field):.2e}")
 print(f"  identity 2: {l2_difference(i2l.field, i2r.field) / l2_norm(i2l.field):.2e}")
 

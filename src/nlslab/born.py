@@ -14,16 +14,30 @@ homogeneity |G(c f)| = |c|^(2 sigma) G-scaling, leaving chirp multiplies,
 reflections and transforms only.  The two regimes agree to spectral
 accuracy in an overlap window, which the tests pin.
 
+Every quadrature integrates both orientations at once, the integral to
++infinity and the one to -infinity, as a +/- pair: the phase of a node at
+-t (the free multiplier near zero, the chirp M_t beyond T_SWITCH) is the
+conjugate of the phase at +t to the bit, so one cos/sin array serves both
+rows.  The pair joins K_+(psi) with K_-(psi), which belong to different
+identities; the two sides of one identity, psi = phi and psi = F phi,
+share nothing.  Rows are evaluated on raw FFT-order arrays, transformed
+one grid axis at a time in np.fft.fftn's order (``core._along_grid``): the
+far rows take the transforms' prefactors and no shift or sign multiply,
+since the alternating signs of a grid and of its dual are the same array
+and cancel, and a shift is a permutation undone before any step that is
+not elementwise.
+
 Quadrature is composite Gauss-Legendre on panels graded linearly near zero
 and geometrically in the tail.  Each panel's GL_NODES nodes are evaluated
-as one (GL_NODES, *counts) block by ``_flow_rows``, with batched transforms
-along the grid axes; one panel is held at a time, so a temporary costs
-GL_NODES complex samples per grid point (~10 MB on a 2D 256^2 grid).  A
-singular endpoint weight |t|^a with a in (-1, 0) is removed exactly by the
-substitution t = s^(1/(1+a)), under which t^a dt = ds/(1+a).  The part of
-the half line beyond t_max is estimated, not bounded: ``_tail_bound``
-samples the integrand at 0.5 and 0.995 t_max and extrapolates the algebraic
-decay with the smaller of the measured and the assumed exponent.
+in both orientations as one (2, GL_NODES, *counts) block, with batched
+transforms along the grid axes; one panel is held at a time, so a
+temporary costs 2 GL_NODES complex samples per grid point (~21 MB on a 2D
+256^2 grid).  A singular endpoint weight |t|^a with a in (-1, 0) is removed
+exactly by the substitution t = s^(1/(1+a)), under which
+t^a dt = ds/(1+a).  The part of the half line beyond t_max is estimated,
+not bounded: ``_tail_bound`` samples the integrand at 0.5 and 0.995 t_max
+and extrapolates the algebraic decay with the smaller of the measured and
+the assumed exponent.
 """
 
 from __future__ import annotations
@@ -35,6 +49,7 @@ import numpy as np
 from .core import (
     ComplexField,
     GridDescriptor,
+    _along_grid,
     _density_power,
     _unit_phase,
     forward_fourier,
@@ -45,6 +60,12 @@ from .errors import ConvergenceError
 
 GL_NODES = 10
 T_SWITCH = 1.0
+# Most panels a quadrature may have (28x the largest default, 144); the
+# fine pass runs twice as many.  A larger count is a ValueError before any
+# panel edge is built.
+MAX_PANELS = 4096
+# The orientations of every integral pair, in the order results come back.
+ORIENTATIONS = (+1, -1)
 
 
 @dataclass(frozen=True)
@@ -60,8 +81,9 @@ class QuadratureSpec:
     singular_exponent: float = 0.0
 
     def __post_init__(self):
-        if self.panels < 4:
-            raise ValueError("panels must be >= 4")
+        if not 4 <= self.panels <= MAX_PANELS:
+            raise ValueError(f"panels must lie in [4, MAX_PANELS = {MAX_PANELS}], "
+                             f"got {self.panels}")
         if not (self.t_max > 0):
             raise ValueError("t_max must be positive")
         if not (self.singular_exponent > -1.0):
@@ -74,7 +96,8 @@ class QuadratureResult:
 
     decay_exponent is the decay of the integrand norm measured between the
     two tail samples (nan when both vanish); evaluations counts the
-    integrand rows evaluated, tail samples included.
+    integrand rows evaluated in this integral's orientation, tail samples
+    included.
     """
 
     field: ComplexField
@@ -89,49 +112,83 @@ def _column(ts, dim):
     return ts.reshape((-1,) + (1,) * dim)
 
 
-def _flow_near(ts, phi, sigma):
-    plan = spectral_plan(phi.grid)
-    m = _unit_phase(_column(-0.5 * ts, plan.grid.dim) * plan.xi2)
-    g = np.fft.fftn(phi.values) * m
-    np.fft.ifftn(g, axes=plan.axes, out=g)
-    g *= _density_power(g, sigma)
-    np.fft.fftn(g, axes=plan.axes, out=g)
-    g *= np.conj(m, out=m)
-    return np.fft.ifftn(g, axes=plan.axes, out=g)
+def _phase_pair(w):
+    """exp(i w) and exp(-i w) as one (2, *w.shape) array; the second is the
+    conjugate of the first, which is exp(-i w) to the bit (cos is even and
+    sin odd in numpy)."""
+    pair = np.empty((2,) + w.shape, dtype=np.complex128)
+    _unit_phase(w, out=pair[0])
+    np.conj(pair[0], out=pair[1])
+    return pair
 
 
-def _flow_far(ts, phi, sigma):
-    n = phi.grid.dim
-    plan = spectral_plan(phi.grid)
-    chirp = _unit_phase(0.5 * plan.r2 / _column(ts, n))
-    g = plan.forward(phi.values * chirp)
-    g *= _density_power(g, sigma)
-    back = spectral_plan(plan.dual).inverse(g)
-    back *= np.conj(chirp, out=chirp)
-    back *= _column(np.abs(ts) ** -(n * sigma), n)
-    return back
+def _apply_density_power(pair, sigma):
+    """pair *= |pair|^(2 sigma), one orientation at a time, which halves
+    the real temporaries of the density."""
+    for part in pair:
+        part *= _density_power(part, sigma)
 
 
-def _flow_rows(phi: ComplexField, ts, sigma):
-    """Rows U0(-t) G(U0(t) phi) on phi's grid, one per t in ``ts``.
+def _flow_near(us, spectrum, plan, sigma):
+    # U0(t) = ifftn m_t fftn with m_t = exp(-i t |xi|^2 / 2), and
+    # U0(-t) multiplies by the conjugate: phase[::-1] conjugates the pair
+    phase = _phase_pair(_column(-0.5 * us, plan.grid.dim) * plan.xi2)
+    g = spectrum * phase
+    rows = g.reshape((-1,) + plan.grid.counts)  # the pair as one stack, a view
+    _along_grid(np.fft.ifft, rows, rows)
+    _apply_density_power(g, sigma)
+    _along_grid(np.fft.fft, rows, rows)
+    g *= phase[::-1]
+    _along_grid(np.fft.ifft, rows, rows)
+    return g
 
-    For |t| <= T_SWITCH the operators are applied literally.  Beyond that,
-    U0(-t) M_t D_t = M_{-t} R F = M_{-t} F^{-1} and the G/D homogeneity
-    give |t|^(-n sigma) M_{-t} F^{-1} [ G(F M_t phi) ] with no dilation
-    left.  Each row takes one cos/sin array: U0(-t) and M_{-t} are the
-    conjugates of U0(t) and M_t.  T_SWITCH is read at call time.
+
+def _flow_far(us, values, plan, sigma):
+    # plan.forward and the dual plan's inverse, less their shifts and sign
+    # multiplies, which cancel exactly
+    n = plan.grid.dim
+    dual = spectral_plan(plan.dual)
+    chirp = _phase_pair(0.5 * plan.r2 / _column(us, n))
+    g = values * chirp
+    rows = g.reshape((-1,) + plan.grid.counts)
+    _along_grid(np.fft.fft, rows, rows)
+    g *= plan.prefactor
+    _apply_density_power(g, sigma)
+    _along_grid(np.fft.ifft, rows, rows)
+    g *= dual.prefactor * dual.grid.size
+    g *= chirp[::-1]
+    g *= _column(us ** -(n * sigma), n)
+    return g
+
+
+def _flow_rows(phi: ComplexField, sigma):
+    """The row evaluator of U0(-t) G(U0(t) phi) on phi's grid.
+
+    ``rows(us)`` takes times us >= 0 and returns a (2, len(us), *counts)
+    block: the rows at t = +u, then at t = -u.  For |t| <= T_SWITCH the
+    operators are applied literally.  Beyond that, U0(-t) M_t D_t =
+    M_{-t} R F = M_{-t} F^{-1} and the G/D homogeneity give
+    |t|^(-n sigma) M_{-t} F^{-1} [ G(F M_t phi) ] with no dilation left.
+    One cos/sin array serves the four phases of a node: U0(-t) and M_{-t}
+    are the conjugates of U0(t) and M_t.  The datum's transform is taken
+    once per evaluator.  T_SWITCH is read at call time.
     """
-    ts = np.asarray(ts, dtype=np.float64)
-    near = np.abs(ts) <= T_SWITCH
-    if near.all():
-        return _flow_near(ts, phi, sigma)
-    if not near.any():
-        return _flow_far(ts, phi, sigma)
-    first = _flow_near(ts[near], phi, sigma)
-    out = np.empty(ts.shape + first.shape[1:], dtype=first.dtype)
-    out[near] = first
-    out[~near] = _flow_far(ts[~near], phi, sigma)
-    return out
+    plan = spectral_plan(phi.grid)
+    spectrum = np.fft.fftn(phi.values)
+
+    def rows(us):
+        us = np.asarray(us, dtype=np.float64)
+        near = us <= T_SWITCH
+        if near.all():
+            return _flow_near(us, spectrum, plan, sigma)
+        if not near.any():
+            return _flow_far(us, phi.values, plan, sigma)
+        out = np.empty((2,) + us.shape + phi.grid.counts, dtype=np.complex128)
+        out[:, near] = _flow_near(us[near], spectrum, plan, sigma)
+        out[:, ~near] = _flow_far(us[~near], phi.values, plan, sigma)
+        return out
+
+    return rows
 
 
 def _panel_edges(t_max, panels):
@@ -146,12 +203,23 @@ def _panel_edges(t_max, panels):
     return np.concatenate([lin, log])
 
 
-def _quad_panels(rows, template, sign, spec: QuadratureSpec, panels):
-    """sign-oriented integral of |t|^a * rows(sign*t) over [0, t_max], on
-    the grid of ``template``.
+def _panel_sum(block, weights, half, p):
+    """Sum over the nodes of a (2, GL_NODES, *counts) ``block`` with the
+    weights w * half / p, in node order, in place on the block."""
+    block *= _column(weights * half / p, block.ndim - 2)
+    for j in range(1, len(weights)):
+        block[:, 0] += block[:, j]
+    return block[:, 0]
 
-    ``rows(ts)`` returns one integrand row per time; each panel's
-    GL_NODES times go in one call.
+
+def _quad_panels(rows, template, spec: QuadratureSpec, panels):
+    """Both oriented integrals of |t|^a * rows over [0, t_max], on the grid
+    of ``template``: for each sign of ORIENTATIONS, sign times the integral
+    of that orientation's rows.
+
+    ``rows(us)`` returns a (2, len(us), *counts) block, the rows at +u and
+    at -u; each panel's GL_NODES times go in one call, and the block is
+    consumed in place.
     """
     a = spec.singular_exponent
     p = 1.0 + a
@@ -169,17 +237,16 @@ def _quad_panels(rows, template, sign, spec: QuadratureSpec, panels):
     total = 0.0
     for sa, sb in zip(edges_s[:-1], edges_s[1:]):
         mid, half = 0.5 * (sa + sb), 0.5 * (sb - sa)
-        block = rows(sign * (mid + half * nodes) ** (1.0 / p))
-        acc = None
-        for w, row in zip(weights, block):
-            contrib = (w * half / p) * row
-            acc = contrib if acc is None else acc + contrib
-        total = total + acc
-    return template.with_values(sign * total)
+        # the block is dropped before the next panel's rows are built
+        total = total + _panel_sum(rows((mid + half * nodes) ** (1.0 / p)),
+                                   weights, half, p)
+    return tuple(template.with_values(sign * part)
+                 for sign, part in zip(ORIENTATIONS, total))
 
 
-def _tail_bound(rows, template, sign, spec: QuadratureSpec, n_sigma):
-    """Estimate of the integral's norm beyond t_max, and the measured decay.
+def _tail_bound(rows, template, spec: QuadratureSpec, n_sigma):
+    """Estimate of each orientation's norm beyond t_max, with its measured
+    decay, as (tail, decay) per sign of ORIENTATIONS.
 
     The integrand norm is sampled at 0.5 and 0.995 t_max; the algebraic
     decay is extrapolated from the later sample with the smaller of the
@@ -187,27 +254,32 @@ def _tail_bound(rows, template, sign, spec: QuadratureSpec, n_sigma):
     """
     a = spec.singular_exponent
     t_mid, t_cal = 0.5 * spec.t_max, 0.995 * spec.t_max
-    block = rows(sign * np.array([t_mid, t_cal]))
-    norm_mid, norm_cal = np.sqrt(
-        template.grid.cell_volume * np.sum(np.abs(block.reshape(2, -1)) ** 2, axis=1)
-    )
-    if norm_cal == 0.0:
-        return 0.0, float("nan")
-    measured = float(np.log(norm_mid / norm_cal) / np.log(t_cal / t_mid))
-    q = min(measured, n_sigma) - a
-    if not q > 1.0:
-        raise ConvergenceError(
-            f"measured integrand tail |t|^{a - measured:.3g} is not "
-            "integrable: need decay - singular_exponent > 1"
+    block = rows(np.array([t_mid, t_cal]))
+    out = []
+    for part in block:
+        norm_mid, norm_cal = np.sqrt(
+            template.grid.cell_volume * np.sum(np.abs(part.reshape(2, -1)) ** 2, axis=1)
         )
-    c = t_cal**a * norm_cal * t_cal**q
-    return float(c * spec.t_max ** (1.0 - q) / (q - 1.0)), measured
+        if norm_cal == 0.0:
+            out.append((0.0, float("nan")))
+            continue
+        measured = float(np.log(norm_mid / norm_cal) / np.log(t_cal / t_mid))
+        q = min(measured, n_sigma) - a
+        if not q > 1.0:
+            raise ConvergenceError(
+                f"measured integrand tail |t|^{a - measured:.3g} is not "
+                "integrable: need decay - singular_exponent > 1"
+            )
+        c = t_cal**a * norm_cal * t_cal**q
+        out.append((float(c * spec.t_max ** (1.0 - q) / (q - 1.0)), measured))
+    return out
 
 
-def _refined_quadrature(rows, template, sign, spec, n_sigma):
-    """The integral on ``spec.panels`` and twice as many panels, with its
-    tail estimate; an integrand whose assumed decay |t|^-n_sigma leaves the
-    weighted tail non-integrable is rejected before any panel runs."""
+def _refined_quadrature(rows, template, spec, n_sigma):
+    """Both oriented integrals on ``spec.panels`` and twice as many panels,
+    with their tail estimates; an integrand whose assumed decay
+    |t|^-n_sigma leaves the weighted tail non-integrable is rejected before
+    any panel runs."""
     a = spec.singular_exponent
     if n_sigma - a <= 1.0:
         raise ConvergenceError(
@@ -216,52 +288,52 @@ def _refined_quadrature(rows, template, sign, spec, n_sigma):
         )
     evaluations = 0
 
-    def counted(ts):
+    def counted(us):
+        # one time is one row in each orientation
         nonlocal evaluations
-        evaluations += len(ts)
-        return rows(ts)
+        evaluations += len(us)
+        return rows(us)
 
-    coarse = _quad_panels(counted, template, sign, spec, spec.panels)
-    fine = _quad_panels(counted, template, sign, spec, 2 * spec.panels)
-    delta = l2_difference(fine, coarse)
-    tail, decay = _tail_bound(counted, template, sign, spec, n_sigma)
-    return QuadratureResult(fine, delta, tail, decay, evaluations)
+    coarse = _quad_panels(counted, template, spec, spec.panels)
+    fine = _quad_panels(counted, template, spec, 2 * spec.panels)
+    tails = _tail_bound(counted, template, spec, n_sigma)
+    return tuple(QuadratureResult(f, l2_difference(f, c), tail, decay, evaluations)
+                 for f, c, (tail, decay) in zip(fine, coarse, tails))
 
 
-def born_integral(
-    phi: ComplexField, sign: int, sigma: float, q: QuadratureSpec
-) -> QuadratureResult:
-    """Oriented integral of U0(-t) G(U0(t) phi) dt from 0 to sign*infinity,
+def born_integral(phi: ComplexField, sigma: float, q: QuadratureSpec) -> tuple:
+    """The oriented integrals of U0(-t) G(U0(t) phi) dt from 0 to
+    sign*infinity, for each sign of ORIENTATIONS (K_+, then K_-), each
     truncated at t_max with an extrapolated algebraic tail estimate.
     """
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    rows = lambda ts: _flow_rows(phi, ts, sigma)
-    return _refined_quadrature(rows, phi, sign, q, phi.grid.dim * sigma)
+    return _refined_quadrature(_flow_rows(phi, sigma), phi, q, phi.grid.dim * sigma)
 
 
-def _sides(phi, sign, sigma, q_left, q_right):
-    """F K_sign(phi) under ``q_left`` and -K_{-sign}(F phi) under
-    ``q_right``, where K_s is the oriented integral of ``born_integral``.
+def _sides(phi, sigma, q_left, q_right):
+    """For each sign s of ORIENTATIONS, F K_s(phi) under ``q_left`` and
+    -K_{-s}(F phi) under ``q_right``, where K_s is the oriented integral of
+    ``born_integral``.
 
     Both are one quadrature of U0(-t) G(U0(t) psi), with psi = phi and
     psi = F phi: the first applies G along the free flow of phi, the second
     along the backward flow of F phi.  F is unitary, so the refinement
-    deltas and tail estimates of K_sign(phi) are those of its transform.
+    deltas and tail estimates of K_s(phi) are those of its transform.
     """
-    left = born_integral(phi, sign, sigma, q_left)
-    right = born_integral(forward_fourier(phi), -sign, sigma, q_right)
-    return (replace(left, field=forward_fourier(left.field)),
-            replace(right, field=right.field.with_values(-right.field.values)))
+    left = born_integral(phi, sigma, q_left)
+    right = born_integral(forward_fourier(phi), sigma, q_right)
+    return tuple((replace(lhs, field=forward_fourier(lhs.field)),
+                  replace(rhs, field=rhs.field.with_values(-rhs.field.values)))
+                 for lhs, rhs in zip(left, right[::-1]))
 
 
-def corollary2_sides(phi: ComplexField, sign: int, q: QuadratureSpec) -> tuple:
+def corollary2_sides(phi: ComplexField, q: QuadratureSpec) -> tuple:
     """Both sides of the critical expansion identity F K_s(phi) =
     -K_{-s}(F phi) at sigma = 2/n, the first-order term of Theorem 1's
-    F W_s^{-1} = W_{-s} F: F K_sign(phi) and -K_{-sign}(F phi), both on
-    phi's dual grid; the caller compares.
+    F W_s^{-1} = W_{-s} F: for each sign s of ORIENTATIONS, the pair
+    (F K_s(phi), -K_{-s}(F phi)), both on phi's dual grid; the caller
+    compares.
     """
-    return _sides(phi, sign, 2.0 / phi.grid.dim, q, q)
+    return _sides(phi, 2.0 / phi.grid.dim, q, q)
 
 
 def _check_subcritical_window(n: int, sigma: float):
@@ -272,12 +344,11 @@ def _check_subcritical_window(n: int, sigma: float):
         raise ValueError(f"sigma={sigma} must exceed 2/(n+2) for n=2")
 
 
-def subcritical_sides(
-    phi: ComplexField, sign: int, sigma: float, q: QuadratureSpec
-) -> tuple:
-    """The two weighted sub-critical identities, four integrals in all.
+def subcritical_sides(phi: ComplexField, sigma: float, q: QuadratureSpec) -> tuple:
+    """The two weighted sub-critical identities, for each sign of
+    ORIENTATIONS: ((identity 1 sides), (identity 2 sides)) per sign.
 
-    Each identity pairs F K_sign(phi) with -K_{-sign}(F phi), as
+    Each identity pairs F K_s(phi) with -K_{-s}(F phi), as
     ``corollary2_sides`` does, with the weight |t|^(n sigma - 2) on one
     side: identity 1 weights the right side, identity 2 the left.  n is the
     dimension of phi's grid.  Valid for 1/n < sigma < 2/n, plus
@@ -287,8 +358,8 @@ def subcritical_sides(
     _check_subcritical_window(n, sigma)
     plain = replace(q, singular_exponent=0.0)
     weighted = replace(q, singular_exponent=n * sigma - 2.0)
-    return (_sides(phi, sign, sigma, plain, weighted),
-            _sides(phi, sign, sigma, weighted, plain))
+    return tuple(zip(_sides(phi, sigma, plain, weighted),
+                     _sides(phi, sigma, weighted, plain)))
 
 
 def scalar_weighted_integral(fn, a, t_max, panels):
@@ -297,7 +368,11 @@ def scalar_weighted_integral(fn, a, t_max, panels):
     oracles with known closed forms pin the substitution down."""
     grid = GridDescriptor.centered((8,), (1.0,))
     ones = ComplexField(grid, np.ones(8))
-    rows = lambda ts: np.array([fn(abs(t)) for t in ts])[:, None] * ones.values
+
+    def rows(us):
+        column = np.array([fn(t) for t in us])[:, None] * ones.values
+        return np.stack([column, column])
+
     spec = QuadratureSpec(t_max=t_max, panels=panels, singular_exponent=a)
-    out = _quad_panels(rows, ones, +1, spec, panels)
-    return complex(out.values[0])
+    plus, _ = _quad_panels(rows, ones, spec, panels)
+    return complex(plus.values[0])

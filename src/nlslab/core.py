@@ -148,11 +148,23 @@ def _frozen(arr):
     return arr
 
 
-def _unit_phase(w):
-    """exp(i w) for a real array w, written as cos + i sin."""
-    out = np.empty(np.shape(w), dtype=np.complex128)
+def _unit_phase(w, out=None):
+    """exp(i w) for a real array w, written as cos + i sin, into ``out``
+    (a new complex array by default)."""
+    if out is None:
+        out = np.empty(np.shape(w), dtype=np.complex128)
     np.cos(w, out=out.real)
     np.sin(w, out=out.imag)
+    return out
+
+
+def _along_grid(transform, src, out):
+    """``transform`` (np.fft.fft or ifft) of the stack ``src`` over its grid
+    axes, into ``out``: one axis at a time, the last first, the order in
+    which np.fft.fftn takes them, so that each row is bitwise its field's
+    fftn or ifftn."""
+    for axis in range(src.ndim - 1, 0, -1):
+        src = transform(src, axis=axis, out=out)
     return out
 
 

@@ -22,6 +22,7 @@ from . import io as snapshot_io
 from .born import (
     QuadratureSpec,
     _check_subcritical_window,
+    born_integral,
     corollary2_sides,
     subcritical_sides,
 )
@@ -607,8 +608,7 @@ def _run_corollary2(config, grid, datum, report):
     q = _quadrature_from(config["quadrature"])
     tol = config["verify"]["tolerance"]
     report.params.update(t_max=q.t_max, panels=q.panels, evaluations={})
-    for sign, label in SIGNS:
-        lhs, rhs = corollary2_sides(datum, sign, q)
+    for (_, label), (lhs, rhs) in zip(SIGNS, corollary2_sides(datum, q)):
         names = (f"sides_difference_{label}", f"refinement_delta_{label}")
         _compare_sides(report, lhs, rhs, tol, names, "", label)
 
@@ -629,9 +629,9 @@ def _run_proposition(config, grid, datum, report):
     power = 1.0 + 4.0 / grid.dim
     report.params.update(dim=grid.dim, mu=p.mu, deltas=deltas, dt=dt,
                          first_order_sign={"forward": "+i", "inverse": "-i"})
-    for sign, label in SIGNS:
-        corrector, rows = small_data_sweep(datum, sign, p, deltas, dt, q)
-        # each sign has its own corrector integral
+    # each sign has its own corrector integral; both come from one pair
+    for (sign, label), corrector in zip(SIGNS, born_integral(datum, p.sigma, q)):
+        rows = small_data_sweep(datum, sign, p, deltas, dt, corrector.field)
         report.params.update(
             {f"corrector_{key}_{label}": getattr(corrector, key)
              for key in ("tail_bound", "refinement_delta", "decay_exponent",
@@ -714,8 +714,7 @@ def _run_subcritical(config, grid, datum, report):
     tol = config["verify"]["tolerance"]
     report.params.update(sigma=sigma, t_max=q.t_max, panels=q.panels,
                          weight_exponent=grid.dim * sigma - 2.0, evaluations={})
-    for sign, label in SIGNS:
-        identities = subcritical_sides(datum, sign, sigma, q)
+    for (_, label), identities in zip(SIGNS, subcritical_sides(datum, sigma, q)):
         for idx, (lhs, rhs) in zip("12", identities):
             prefix = f"identity{idx}_"
             names = (f"{prefix}difference_{label}", f"{prefix}refinement_{label}")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-from .born import QuadratureSpec, born_integral
+from .born import ORIENTATIONS
 from .core import (
     ComplexField,
     GridDescriptor,
@@ -47,8 +47,9 @@ LENS_TIME = 1.0
 # [0, T_GRADE), dt 2^k on [T_GRADE 2^(k-1), T_GRADE 2^k) for k >= 1.
 T_GRADE = 8.0
 
-# The two signs of the identities and their labels, in report order.
-SIGNS = ((+1, "plus"), (-1, "minus"))
+# The two signs of the identities and their labels, in report order: the
+# order in which born returns the orientations of its integral pairs.
+SIGNS = tuple(zip(ORIENTATIONS, ("plus", "minus")))
 
 
 def is_critical(f: ComplexField, p: NLSParams) -> bool:
@@ -241,18 +242,18 @@ def conjugation_residuals(
 
 def small_data_sweep(
     phi: ComplexField, sign: int, p: NLSParams, deltas, dt: float,
-    q: QuadratureSpec,
-) -> tuple:
+    k: ComplexField,
+) -> dict:
     """Small-data expansion of the wave operators against the quadrature
-    corrector, for amplitudes ``deltas`` (each delta = epsilon^(n/4)).
+    corrector ``k``, for amplitudes ``deltas`` (each delta = epsilon^(n/4)).
 
-    For each delta the forward and inverse operators are computed on the
-    lens route (no horizon bias) with time step ``dt``, and the first-order
-    term i * mu * delta^(1+4/n) * K is removed, K the oriented half-line
-    corrector integral.  Returns the corrector's ``QuadratureResult`` and,
-    under ``forward`` and ``inverse``, one row (delta, coefficient error,
-    remainder) per delta in the given order: the coefficient error is
-    relative to ||K|| and the remainder is absolute.
+    ``k`` is K_sign(phi), the oriented half-line corrector integral of
+    ``born.born_integral``.  For each delta the forward and inverse
+    operators are computed on the lens route (no horizon bias) with time
+    step ``dt``, and the first-order term i * mu * delta^(1+4/n) * K is
+    removed.  Returns, under ``forward`` and ``inverse``, one row (delta,
+    coefficient error, remainder) per delta in the given order: the
+    coefficient error is relative to ||K|| and the remainder is absolute.
 
     Sign convention (validated numerically by the test suite): the forward
     operator carries +i * K and the inverse carries -i * K, for both sign
@@ -260,8 +261,6 @@ def small_data_sweep(
     """
     mu = p.mu
     power = 1.0 + 4.0 / phi.grid.dim
-    corrector = born_integral(phi, sign, p.sigma, q)
-    k = corrector.field
     k_norm = l2_norm(k)
     rows = {"forward": [], "inverse": []}
     for delta in deltas:
@@ -276,7 +275,7 @@ def small_data_sweep(
             # / ||K|| is the remainder over |mu| delta^power ||K||
             coeff_err = remainder / (abs(mu) * delta**power * k_norm)
             rows[name].append((delta, coeff_err, remainder))
-    return corrector, rows
+    return rows
 
 
 def free_return_ladder(

@@ -51,6 +51,7 @@ import numpy as np
 
 from .core import (
     ComplexField,
+    _along_grid,
     diagnostics,
     l2_norm,
     spectral_plan,
@@ -103,16 +104,6 @@ def _kick(a, tau, p: NLSParams, scratch, w):
     np.sin(w, out=scratch.imag)
     # phase times state: complex products round differently in the other order
     return np.multiply(scratch, a, out=a)
-
-
-def _along_grid(transform, src, out):
-    """``transform`` (np.fft.fft or ifft) of the stack ``src`` over its grid
-    axes, into ``out``: one axis at a time, the last first, the order in
-    which np.fft.fftn takes them, so that each row is bitwise its field's
-    fftn or ifftn."""
-    for axis in range(src.ndim - 1, 0, -1):
-        src = transform(src, axis=axis, out=out)
-    return out
 
 
 def _kick_drift(a, tau, m, p: NLSParams, spec, w):

@@ -289,8 +289,7 @@ class TestCriterion08Corollary2:
         phi = gaussian_field(g)
         q = QuadratureSpec(t_max=25600.0, panels=80)
         worst_diff, worst_delta = 0.0, 0.0
-        for sign in (+1, -1):
-            lhs, rhs = corollary2_sides(phi, sign, q)
+        for lhs, rhs in corollary2_sides(phi, q):
             scale = l2_norm(lhs.field)
             worst_diff = max(worst_diff, l2_difference(lhs.field, rhs.field) / scale)
             worst_delta = max(
@@ -298,9 +297,9 @@ class TestCriterion08Corollary2:
                 max(lhs.refinement_delta, rhs.refinement_delta) / scale,
             )
         # certified tail: doubling t_max moves the result by less than the bound
-        base = born_integral(phi, +1, 2.0, q)
-        doubled = born_integral(
-            phi, +1, 2.0, QuadratureSpec(t_max=2 * q.t_max, panels=96)
+        base, _ = born_integral(phi, 2.0, q)
+        doubled, _ = born_integral(
+            phi, 2.0, QuadratureSpec(t_max=2 * q.t_max, panels=96)
         )
         moved = l2_difference(base.field, doubled.field)
         report(
@@ -317,9 +316,10 @@ class TestCriterion09SmallDataExpansion:
     def test_coefficient_convergence_and_remainder_slope(self, sign):
         g = GridDescriptor.centered((4096,), (0.34,))
         phi = make_datum(InitialDatumSpec("gaussian", normalize=1.0), g)
-        _, rows = small_data_sweep(
-            phi, sign, NLSParams(sigma=2.0), [0.4, 0.2, 0.1], 0.01,
-            QuadratureSpec(t_max=20000.0, panels=64),
+        plus, minus = born_integral(phi, 2.0, QuadratureSpec(t_max=20000.0, panels=64))
+        corrector = plus if sign > 0 else minus
+        rows = small_data_sweep(
+            phi, sign, NLSParams(sigma=2.0), [0.4, 0.2, 0.1], 0.01, corrector.field,
         )
         ok, slopes = True, {}
         for name, table in rows.items():

@@ -15,7 +15,9 @@ from nlslab.born import (
 )
 from nlslab.core import (
     GridDescriptor,
+    _density_power,
     _reflect_values,
+    _unit_phase,
     field_from_function,
     forward_fourier,
     l2_difference,
@@ -38,8 +40,15 @@ def compact_grid():
 
 
 def flow_row(phi, t, sigma):
-    """The row U0(-t) G(U0(t) phi) of one time, as the quadrature evaluates it."""
-    return phi.with_values(born_module._flow_rows(phi, [t], sigma)[0])
+    """The row U0(-t) G(U0(t) phi) of one time, as the quadrature evaluates it:
+    the +|t| row of the pair for t >= 0, the -|t| row otherwise."""
+    pair = born_module._flow_rows(phi, sigma)([abs(t)])
+    return phi.with_values(pair[0 if t >= 0 else 1, 0])
+
+
+def orient(pair, sign):
+    """The member of a (+, -) pair that belongs to ``sign``."""
+    return pair[0 if sign > 0 else 1]
 
 
 class TestNonlinearFlow:
@@ -114,8 +123,8 @@ def _row_error(rows, refs):
     return max(np.linalg.norm(r - e) / np.linalg.norm(e) for r, e in zip(rows, refs))
 
 
-# both branches, both orientations, and t = 0
-NODE_TIMES = [0.0, 0.3, -0.7, 1.0, 1.5, -4.0, 37.0, -2500.0]
+# both branches and t = 0; every time is evaluated in both orientations
+NODE_TIMES = [0.0, 0.3, 0.7, 1.0, 1.5, 4.0, 37.0, 2500.0]
 
 ROW_CASES = {
     "1d_quintic": (lambda: gaussian_field(grid1d(1024, 0.039)), 2.0),
@@ -136,16 +145,18 @@ class TestRowEvaluators:
         make, sigma = ROW_CASES[case]
         phi = make()
         for f in (phi, forward_fourier(phi)):
-            rows = born_module._flow_rows(f, NODE_TIMES, sigma)
-            assert rows.shape == (len(NODE_TIMES),) + f.grid.counts
-            assert _row_error(rows, [flow_node(f, t, sigma) for t in NODE_TIMES]) < 1e-14
+            pair = born_module._flow_rows(f, sigma)(NODE_TIMES)
+            assert pair.shape == (2, len(NODE_TIMES)) + f.grid.counts
+            for sign in (+1, -1):
+                refs = [flow_node(f, sign * t, sigma) for t in NODE_TIMES]
+                assert _row_error(orient(pair, sign), refs) < 1e-14
 
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_panels_straddling_switch_match_per_node_sum(self, phi, sign):
         # t_max <= 8 gives linear panels; [0.625, 1.25] straddles T_SWITCH
         spec = QuadratureSpec(t_max=5.0, panels=8)
-        rows = lambda ts: born_module._flow_rows(phi, ts, 2.0)
-        out = born_module._quad_panels(rows, phi, sign, spec, 8)
+        rows = born_module._flow_rows(phi, 2.0)
+        out = orient(born_module._quad_panels(rows, phi, spec, 8), sign)
         nodes, weights = np.polynomial.legendre.leggauss(born_module.GL_NODES)
         edges = np.linspace(0.0, 5.0, 9)
         total = 0.0
@@ -158,10 +169,104 @@ class TestRowEvaluators:
 
     def test_quad_panels_bitwise_reproducible(self, phi):
         spec = QuadratureSpec(t_max=400.0, panels=12)
-        rows = lambda ts: born_module._flow_rows(phi, ts, 2.0)
-        a = born_module._quad_panels(rows, phi, -1, spec, 12)
-        b = born_module._quad_panels(rows, phi, -1, spec, 12)
-        assert np.array_equal(a.values, b.values)
+        rows = born_module._flow_rows(phi, 2.0)
+        a = born_module._quad_panels(rows, phi, spec, 12)
+        b = born_module._quad_panels(rows, phi, spec, 12)
+        for x, y in zip(a, b):
+            assert np.array_equal(x.values, y.values)
+
+
+def _phase(w):
+    """exp(i w), written out with np.cos and np.sin."""
+    out = np.empty(np.shape(w), dtype=np.complex128)
+    out.real = np.cos(w)
+    out.imag = np.sin(w)
+    return out
+
+
+def signed_rows(phi, ts, sigma):
+    """Rows at the signed times ``ts``, one time at a time, each of its
+    phases from its own cos/sin: the free multipliers exp(-+i t |xi|^2/2)
+    for |t| <= T_SWITCH, the chirps M_t and M_-t beyond.  The operations are
+    those of the quadrature's rows, so the pair must match them bitwise."""
+    plan = spectral_plan(phi.grid)
+    dual = spectral_plan(plan.dual)
+    n = phi.grid.dim
+    rows = []
+    for t in ts:
+        if abs(t) <= born_module.T_SWITCH:
+            g = np.fft.fftn(phi.values) * _phase((-0.5 * t) * plan.xi2)
+            g = np.fft.ifftn(g)
+            g *= _density_power(g, sigma)
+            g = np.fft.fftn(g)
+            g *= _phase((0.5 * t) * plan.xi2)
+            rows.append(np.fft.ifftn(g))
+        else:
+            g = np.fft.fftn(phi.values * _phase(0.5 * plan.r2 / t))
+            g *= plan.prefactor
+            g *= _density_power(g, sigma)
+            g = np.fft.ifftn(g)
+            g *= dual.prefactor * dual.grid.size
+            g *= _phase(0.5 * plan.r2 / -t)
+            g *= np.abs(np.array([t])) ** -(n * sigma)
+            rows.append(g)
+    return np.array(rows)
+
+
+def shifted_far_rows(phi, ts, sigma):
+    """Far rows at the signed times ``ts`` through the plan's centred
+    transforms, shifts and alternating signs included."""
+    plan = spectral_plan(phi.grid)
+    n = phi.grid.dim
+    rows = []
+    for t in ts:
+        chirp = _unit_phase(0.5 * plan.r2 / t)
+        g = plan.forward(phi.values * chirp)
+        g *= _density_power(g, sigma)
+        back = spectral_plan(plan.dual).inverse(g)
+        back *= np.conj(chirp)
+        back *= np.abs(np.array([t])) ** -(n * sigma)
+        rows.append(back)
+    return np.array(rows)
+
+
+# node times of one panel each: near zero, far out, and one straddling
+# T_SWITCH (the fifth of eight linear panels on [0, 5])
+_NODES = np.polynomial.legendre.leggauss(born_module.GL_NODES)[0]
+PANEL_TIMES = {
+    "near": 0.05 + 0.05 * _NODES,
+    "far": 40.0 + 12.0 * _NODES,
+    "straddling": 0.9375 + 0.3125 * _NODES,
+}
+
+
+class TestRowPairing:
+    """Both orientations of a node come from one phase array: the -t rows
+    are the conjugate-phase rows, and they must equal, to the bit, rows
+    computed from the -t phase itself."""
+
+    @pytest.mark.parametrize("panel", sorted(PANEL_TIMES))
+    @pytest.mark.parametrize("case", sorted(ROW_CASES))
+    def test_minus_rows_equal_own_phase_rows(self, case, panel):
+        make, sigma = ROW_CASES[case]
+        phi = make()
+        us = PANEL_TIMES[panel]
+        for f in (phi, forward_fourier(phi)):
+            pair = born_module._flow_rows(f, sigma)(us)
+            assert np.array_equal(pair[0], signed_rows(f, us, sigma))
+            assert np.array_equal(pair[1], signed_rows(f, -us, sigma))
+
+    @pytest.mark.parametrize("case", sorted(ROW_CASES))
+    def test_raw_far_rows_equal_shifted_transforms(self, case):
+        # the signs of a grid and of its dual are one array, so the
+        # multiplies by +-1 cancel exactly and the shifts only permute
+        make, sigma = ROW_CASES[case]
+        phi = make()
+        us = PANEL_TIMES["far"]
+        for f in (phi, forward_fourier(phi)):
+            pair = born_module._flow_rows(f, sigma)(us)
+            assert np.array_equal(pair[0], shifted_far_rows(f, us, sigma))
+            assert np.array_equal(pair[1], shifted_far_rows(f, -us, sigma))
 
 
 class TestTailBound:
@@ -171,69 +276,70 @@ class TestTailBound:
     @staticmethod
     def power_rows(exponent):
         ones = np.ones(8)
-        return lambda ts: np.abs(np.asarray(ts))[:, None] ** -exponent * ones
+        return lambda us: np.stack(2 * [np.asarray(us)[:, None] ** -exponent * ones])
 
     TEMPLATE = field_from_function(GridDescriptor.centered((8,), (1.0,)), lambda x: 1.0 + 0 * x)
 
     def test_slower_measured_decay_is_used(self):
         spec = QuadratureSpec(t_max=100.0, panels=8)
-        tail, measured = born_module._tail_bound(self.power_rows(1.5), self.TEMPLATE,
-                                                 +1, spec, 2.0)
         # norm sqrt(8) t^-1.5 integrates to sqrt(8) * 2 t_max^-0.5 beyond t_max
         exact = np.sqrt(8.0) * 2.0 / np.sqrt(100.0)
-        assert abs(measured - 1.5) < 1e-12
-        assert abs(tail - exact) < 1e-12 * exact
+        for tail, measured in born_module._tail_bound(self.power_rows(1.5),
+                                                      self.TEMPLATE, spec, 2.0):
+            assert abs(measured - 1.5) < 1e-12
+            assert abs(tail - exact) < 1e-12 * exact
 
     def test_faster_measured_decay_keeps_assumed_exponent(self):
         spec = QuadratureSpec(t_max=100.0, panels=8)
-        tail, measured = born_module._tail_bound(self.power_rows(3.0), self.TEMPLATE,
-                                                 -1, spec, 2.0)
         t_cal = 99.5
         assumed = np.sqrt(8.0) * t_cal**-3.0 * t_cal**2.0 * 100.0**-1.0
-        assert abs(measured - 3.0) < 1e-12
-        assert abs(tail - assumed) < 1e-12 * assumed
+        for tail, measured in born_module._tail_bound(self.power_rows(3.0),
+                                                      self.TEMPLATE, spec, 2.0):
+            assert abs(measured - 3.0) < 1e-12
+            assert abs(tail - assumed) < 1e-12 * assumed
 
     def test_measured_non_integrable_decay_rejected(self):
         spec = QuadratureSpec(t_max=100.0, panels=8)
         with pytest.raises(ConvergenceError):
-            born_module._tail_bound(self.power_rows(0.8), self.TEMPLATE, +1, spec, 2.0)
+            born_module._tail_bound(self.power_rows(0.8), self.TEMPLATE, spec, 2.0)
 
     def test_measured_exponent_reported(self, phi):
-        out = born_integral(phi, +1, 2.0, QuadratureSpec(t_max=400.0, panels=8))
         # the integrand norm is (pi/5)^(1/4) / (1 + t^2) for this datum
         t1, t2 = 200.0, 398.0
         expected = np.log((1.0 + t2**2) / (1.0 + t1**2)) / np.log(t2 / t1)
-        assert abs(out.decay_exponent - expected) < 1e-9
+        for out in born_integral(phi, 2.0, QuadratureSpec(t_max=400.0, panels=8)):
+            assert abs(out.decay_exponent - expected) < 1e-9
 
 
 class TestEvaluationCount:
     def test_plain_rule(self, phi):
-        out = born_integral(phi, +1, 2.0, QuadratureSpec(t_max=400.0, panels=8))
-        # coarse 8 and fine 16 panels of 10 nodes, plus two tail samples
-        assert out.evaluations == 10 * (8 + 16) + 2
+        # per orientation: coarse 8 and fine 16 panels of 10 nodes, plus two
+        # tail samples
+        for out in born_integral(phi, 2.0, QuadratureSpec(t_max=400.0, panels=8)):
+            assert out.evaluations == 10 * (8 + 16) + 2
 
     def test_weighted_rule_counts_the_cascade(self, phi):
-        (_, weighted), _ = subcritical_sides(phi, +1, 1.5,
-                                             QuadratureSpec(t_max=1e5, panels=8))
         # the first panel is cascaded into 12 more on both rules
-        assert weighted.evaluations == 10 * (8 + 12 + 16 + 12) + 2
+        for (_, weighted), _ in subcritical_sides(phi, 1.5,
+                                                  QuadratureSpec(t_max=1e5, panels=8)):
+            assert weighted.evaluations == 10 * (8 + 12 + 16 + 12) + 2
 
 
 class TestBornIntegral:
     def test_zero_datum(self, compact_grid):
         z = field_from_function(compact_grid, lambda x: 0.0 * x)
-        out = born_integral(z, +1, 2.0, QuadratureSpec(t_max=50.0, panels=8))
-        assert l2_norm(out.field) == 0.0
+        for out in born_integral(z, 2.0, QuadratureSpec(t_max=50.0, panels=8)):
+            assert l2_norm(out.field) == 0.0
 
     def test_panel_doubling_stability(self, phi):
-        out = born_integral(phi, +1, 2.0, QuadratureSpec(t_max=400.0, panels=48))
+        out, _ = born_integral(phi, 2.0, QuadratureSpec(t_max=400.0, panels=48))
         assert out.refinement_delta < 1e-6 * l2_norm(out.field)
 
     def test_tail_bound_certified(self, phi):
         spec = QuadratureSpec(t_max=400.0, panels=48)
-        out = born_integral(phi, +1, 2.0, spec)
-        out2 = born_integral(
-            phi, +1, 2.0, QuadratureSpec(t_max=800.0, panels=64)
+        out, _ = born_integral(phi, 2.0, spec)
+        out2, _ = born_integral(
+            phi, 2.0, QuadratureSpec(t_max=800.0, panels=64)
         )
         change = l2_difference(out.field, out2.field)
         assert change < out.tail_bound
@@ -242,14 +348,13 @@ class TestBornIntegral:
         # oriented integrals for a real even datum: the past ray is the
         # conjugate of the future ray, so K_- = -conj(K_+)
         spec = QuadratureSpec(t_max=400.0, panels=48)
-        kp = born_integral(phi, +1, 2.0, spec).field
-        km = born_integral(phi, -1, 2.0, spec).field
+        kp, km = (k.field for k in born_integral(phi, 2.0, spec))
         diff = np.max(np.abs(km.values + np.conj(kp.values)))
         assert diff < 1e-10 * np.max(np.abs(kp.values))
 
     def test_divergent_tail_rejected(self, phi):
         with pytest.raises(ConvergenceError):
-            born_integral(phi, +1, 0.4, QuadratureSpec(t_max=100.0, panels=8))
+            born_integral(phi, 0.4, QuadratureSpec(t_max=100.0, panels=8))
 
     def test_divergent_spec_rejected_before_any_panel(self, phi, monkeypatch):
         # a weight |t|^1 against the critical decay |t|^-2 leaves |t|^-1
@@ -258,8 +363,17 @@ class TestBornIntegral:
 
         monkeypatch.setattr(born_module, "_quad_panels", no_panels)
         with pytest.raises(ConvergenceError):
-            corollary2_sides(phi, +1, QuadratureSpec(t_max=100.0, panels=8,
-                                                     singular_exponent=1.0))
+            corollary2_sides(phi, QuadratureSpec(t_max=100.0, panels=8,
+                                                 singular_exponent=1.0))
+
+
+class TestQuadratureSpec:
+    def test_panel_count_capped(self):
+        # refused at construction, before any panel edge is built
+        assert QuadratureSpec(panels=born_module.MAX_PANELS).panels == born_module.MAX_PANELS
+        for panels in (3, born_module.MAX_PANELS + 1, 100000000):
+            with pytest.raises(ValueError, match="panels"):
+                QuadratureSpec(panels=panels)
 
 
 class TestScalarSubstitutionOracles:
@@ -286,13 +400,13 @@ class TestScalarSubstitutionOracles:
 class TestCorollary2:
     def test_zero_datum(self, compact_grid):
         z = field_from_function(compact_grid, lambda x: 0.0 * x)
-        lhs, rhs = corollary2_sides(z, +1, QuadratureSpec(t_max=50.0, panels=8))
-        assert l2_norm(lhs.field) == 0.0 and l2_norm(rhs.field) == 0.0
+        for lhs, rhs in corollary2_sides(z, QuadratureSpec(t_max=50.0, panels=8)):
+            assert l2_norm(lhs.field) == 0.0 and l2_norm(rhs.field) == 0.0
 
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_sides_agree_light(self, phi, sign):
         spec = QuadratureSpec(t_max=3200.0, panels=64)
-        lhs, rhs = corollary2_sides(phi, sign, spec)
+        lhs, rhs = orient(corollary2_sides(phi, spec), sign)
         rel = l2_difference(lhs.field, rhs.field) / l2_norm(lhs.field)
         assert rel < 1e-3
 
@@ -302,7 +416,7 @@ class TestCorollary2:
             compact_grid,
             lambda x: np.exp(-0.5 * (x - 0.7) ** 2) * np.exp(0.9j * x),
         )
-        lhs, rhs = corollary2_sides(f, +1, QuadratureSpec(t_max=3200.0, panels=64))
+        (lhs, rhs), _ = corollary2_sides(f, QuadratureSpec(t_max=3200.0, panels=64))
         rel = l2_difference(lhs.field, rhs.field) / l2_norm(lhs.field)
         assert rel < 2e-3
 
@@ -310,9 +424,9 @@ class TestCorollary2:
         # F(K_s(phi)) = -K_{-s}(phi_hat): the left side is the transform of
         # the corrector itself, and it meets the right side on the dual grid
         spec = QuadratureSpec(t_max=3200.0, panels=64)
-        for sign in (+1, -1):
-            lhs = forward_fourier(born_integral(phi, sign, 2.0, spec).field)
-            left, right = corollary2_sides(phi, sign, spec)
+        for k, (left, right) in zip(born_integral(phi, 2.0, spec),
+                                    corollary2_sides(phi, spec)):
+            lhs = forward_fourier(k.field)
             assert np.array_equal(left.field.values, lhs.values)
             assert l2_difference(lhs, right.field) / l2_norm(lhs) < 1e-3
 
@@ -322,8 +436,8 @@ class TestCorollary2:
         # miss F K_s(phi) by far more than the identity's 2e-4
         f = gaussian_field(compact_grid, **datum)
         spec = QuadratureSpec(t_max=3200.0, panels=64)
-        lhs, rhs = corollary2_sides(f, +1, spec)
-        wrong = born_integral(forward_fourier(f), +1, 2.0, spec).field
+        (lhs, rhs), _ = corollary2_sides(f, spec)
+        wrong = born_integral(forward_fourier(f), 2.0, spec)[0].field
         scale = l2_norm(lhs.field)
         assert l2_difference(lhs.field, rhs.field) / scale < 1e-3
         assert l2_difference(lhs.field, wrong.with_values(-wrong.values)) / scale > 0.5
@@ -332,14 +446,14 @@ class TestCorollary2:
 class TestSubcritical:
     def test_validity_window_enforced(self, phi):
         with pytest.raises(ValueError):
-            subcritical_sides(phi, +1, 0.9, QuadratureSpec())
+            subcritical_sides(phi, 0.9, QuadratureSpec())
         with pytest.raises(ValueError):
-            subcritical_sides(phi, +1, 2.1, QuadratureSpec())
+            subcritical_sides(phi, 2.1, QuadratureSpec())
 
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_identities_light(self, phi, sign):
         spec = QuadratureSpec(t_max=1e7, panels=96)
-        (i1l, i1r), (i2l, i2r) = subcritical_sides(phi, sign, 1.5, spec)
+        (i1l, i1r), (i2l, i2r) = orient(subcritical_sides(phi, 1.5, spec), sign)
         r1 = l2_difference(i1l.field, i1r.field) / l2_norm(i1l.field)
         r2 = l2_difference(i2l.field, i2r.field) / l2_norm(i2l.field)
         assert r1 < 1e-3 and r2 < 1e-3
@@ -348,5 +462,5 @@ class TestSubcritical:
         # the identities hold for the integrals, not the integrands: check
         # the weighted right route is genuinely different from the left one
         spec = QuadratureSpec(t_max=1e5, panels=64)
-        (i1l, i1r), _ = subcritical_sides(phi, +1, 1.5, spec)
+        ((i1l, i1r), _), _ = subcritical_sides(phi, 1.5, spec)
         assert l2_difference(i1l.field, i1r.field) > 0

@@ -338,6 +338,10 @@ class TestCli:
         # a tolerance that no residual can pass, refused before the run
         ("corollary2", {"verify": {"tolerance": -1}}),
         ("wave_op", {"verify": {"tolerance": 0}}),
+        # panel counts over born.MAX_PANELS, refused before any panel edge
+        ("corollary2", {"quadrature": {"panels": 100000000}}),
+        ("subcritical", {"quadrature": {"panels": 100000000}}),
+        ("proposition", {"quadrature": {"panels": 4097}}),
     ])
     def test_rejected_value_exit_two(self, experiment, overrides, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -484,8 +488,7 @@ class TestPropositionExperiment:
         assert {key for key in rep.params if key.startswith("corrector_")} == {
             f"corrector_{name}_{label}" for name in names for label in ("plus", "minus")
         }
-        for sign, label in ((+1, "plus"), (-1, "minus")):
-            k = born_integral(datum, sign, 2.0, q)
+        for label, k in zip(("plus", "minus"), born_integral(datum, 2.0, q)):
             for name in names:
                 assert rep.params[f"corrector_{name}_{label}"] == getattr(k, name)
 

@@ -78,7 +78,8 @@ class TestWaveOperator:
         phi = normalized_gaussian(wide_grid, 1.0)
         a = phi.with_values(delta * phi.values)
         w = wave_operator(a, sign, params, 20.0, 0.02)
-        k = born_integral(phi, sign, 2.0, QuadratureSpec(t_max=4000.0, panels=48)).field
+        plus, minus = born_integral(phi, 2.0, QuadratureSpec(t_max=4000.0, panels=48))
+        k = (plus if sign > 0 else minus).field
         first = delta**5 * k.values
         linear = w.values - a.values
         vol = wide_grid.cell_volume
@@ -128,7 +129,7 @@ class TestInverseWaveOperator:
         phi = normalized_gaussian(wide_grid, 1.0)
         a = phi.with_values(delta * phi.values)
         w_inv = inverse_wave_operator(a, +1, params, 20.0, 0.02)
-        k = born_integral(phi, +1, 2.0, QuadratureSpec(t_max=4000.0, panels=48)).field
+        k = born_integral(phi, 2.0, QuadratureSpec(t_max=4000.0, panels=48))[0].field
         linear = w_inv.values - a.values
         vol = wide_grid.cell_volume
         with_minus = np.sqrt(vol * np.sum(np.abs(linear + 1j * delta**5 * k.values) ** 2))
