@@ -77,18 +77,30 @@ def conjugate(f: ComplexField) -> ComplexField:
     return f.with_values(np.conj(f.values))
 
 
-def _cumulative_trapezoid(w, h):
-    out = np.zeros_like(w)
-    out[1:] = np.cumsum(0.5 * (w[1:] + w[:-1])) * h
-    return out
+def _antiderivative(w, h):
+    """The integral of the real samples ``w`` (spacing h) from the first
+    sample to each sample, exact for a band-limited w: the mean m of w
+    integrates to m (x - x0), and the rest to p(x) - p(x0), where p is the
+    spectral antiderivative ifft(fft(w) / (i xi)) with its xi = 0 and
+    Nyquist modes set to zero."""
+    n = w.size
+    spec = np.fft.rfft(w)
+    ixi = 2j * np.pi * np.fft.rfftfreq(n, h)
+    spec[0] = 0.0
+    if n % 2 == 0:
+        spec[-1] = 0.0
+    spec[1:] /= ixi[1:]
+    p = np.fft.irfft(spec, n)
+    return w.mean() * h * np.arange(n) + (p - p[0])
 
 
 def gauge(f: ComplexField, g: GaugeParams) -> ComplexField:
     """Multiply by exp(sign * i * lambda * P(x)), P the cumulative |f|^2 mass.
 
-    One-dimensional only.  P accumulates by trapezoid from the left grid
-    edge, which stands in for the left-infinite integral; the field must
-    therefore carry negligible boundary mass.
+    One-dimensional only.  P is the integral from the left grid edge, which
+    stands in for the left-infinite integral, so the field must carry
+    negligible boundary mass; it is taken spectrally, exact for a
+    band-limited |f|^2 (see ``_antiderivative``).
     """
     if f.grid.dim != 1:
         raise NlslabError("gauge transform is defined in one dimension only")
@@ -105,7 +117,7 @@ def gauge(f: ComplexField, g: GaugeParams) -> ComplexField:
 def gauge_phase_profile(f: ComplexField, g: GaugeParams) -> np.ndarray:
     """The accumulated phase sign*lambda*P(x) used by :func:`gauge`."""
     w = np.abs(f.values) ** 2
-    return g.sign * g.lam * _cumulative_trapezoid(w, f.grid.spacings[0])
+    return g.sign * g.lam * _antiderivative(w, f.grid.spacings[0])
 
 
 def spectral_profile_decay_ladder(phi: ComplexField, times) -> list:
