@@ -7,9 +7,11 @@ is conserved to roundoff.  The derivative equation is integrated by RK4 in
 the frame of each step's start (Lawson RK4): the free flow over a step is
 applied exactly by the multipliers m(h/2) and m(h), which removes the stiff
 linear phase from the RK4 stability constraint.  The RK4 state is the
-spectrum of psi in FFT order, so a stage is four FFTs: one to psi, a pair
-for the derivative of |psi|^2, and one back.  Its blow-up guard reads psi,
-the field the nonlinearity uses.
+spectrum of psi in FFT order, so a stage is three transforms in two calls:
+one inverse call gives psi and psi_x, the product rule
+(|psi|^2)_x = 2 Re(conj(psi) psi_x) gives the derivative of the density,
+and one FFT goes back.  Its blow-up guard reads |psi|^2, the density the
+nonlinearity uses.
 
 A kick (the nonlinear phase) leaves |u| unchanged, so the trailing half-kick
 of one Strang step and the leading half-kick of the next are one kick of
@@ -338,27 +340,33 @@ def nls_evolve(
     return nls_evolve_rows([u0], [[(t0, t1, dt)]], p, observer)[0]
 
 
-def _dnls_slope(v, out, t, psi, spec, density, dxi):
-    """fft((|psi|^2)_x psi) for psi = ifft(v), into ``out``: four FFTs, with
-    (|psi|^2)_x = ifft(dxi fft(|psi|^2)) and ``dxi`` = i xi.  ``psi`` and
-    ``spec`` (complex) and ``density`` (real) are work arrays of v's shape;
+def _dnls_slope(pair, out, t, fields, density, w, dxi):
+    """fft((|psi|^2)_x psi) for psi = ifft(v), v = pair[0], into ``out``:
+    three transforms in two calls.  The product rule gives
+    (|psi|^2)_x = 2 Re(conj(psi) psi_x), and psi and psi_x = ifft(dxi v),
+    with ``dxi`` = i xi, come from one inverse call on the rows of ``pair``,
+    whose second row is overwritten.  ``fields`` (complex, of pair's shape)
+    takes them, and ``density`` and ``w`` are real work arrays of v's shape;
     no array is allocated.  ``t``, the stage time, goes into the blow-up
     report."""
-    np.fft.ifft(v, out=psi)
+    v, dv = pair
+    np.multiply(v, dxi, out=dv)
+    psi, psi_x = np.fft.ifft(pair, out=fields)
     np.square(psi.real, out=density)
-    np.square(psi.imag, out=spec.real)
-    density += spec.real
-    # sup |psi| <= 1e8, read off the density the nonlinearity needs; an
-    # overflowing or NaN density fails it too
+    np.square(psi.imag, out=w)
+    density += w
+    # sup |psi| <= 1e8, read off the density |psi|^2; an overflowing or NaN
+    # density fails it too
     if not density.max() <= 1e16:
         raise SolverHealthError(
             f"dnls_evolve: blow-up in a Runge-Kutta stage at t={t:.6g}",
             {"t": t},
         )
-    np.fft.fft(density, out=spec)
-    spec *= dxi
-    np.fft.ifft(spec, out=out)
-    np.multiply(out, psi, out=psi)
+    np.multiply(psi.real, psi_x.real, out=density)
+    np.multiply(psi.imag, psi_x.imag, out=w)
+    density += w
+    density *= 2.0
+    np.multiply(psi, density, out=psi)
     return np.fft.fft(psi, out=out)
 
 
@@ -366,23 +374,26 @@ def _lawson_step(y, out, t, h, c, half, full, work):
     """One RK4 step of the derivative equation in the frame of its start,
     from the spectrum ``y`` at t by the signed step h, into ``out`` (see
     ``dnls_evolve``); ``y`` is left unchanged.  ``c`` is lambda h, ``half``
-    and ``full`` are m(h/2) and m(h), and ``work`` holds four complex work
-    arrays of y's shape and the work arrays of ``_dnls_slope``."""
-    k, ks, v, ey, slope = work
+    and ``full`` are m(h/2) and m(h), and ``work`` holds three complex work
+    arrays of y's shape, the (2, *shape) input pair of ``_dnls_slope``, whose
+    first row takes each stage input, and the rest of its work arrays."""
+    k, ks, ey, pair, slope = work
+    v = pair[0]
     # the slopes are N / lambda, so their coefficients carry lambda h
     # k1; the stage input E y + (h/2) E k1
-    _dnls_slope(y, k, t, *slope)
+    v[...] = y
+    _dnls_slope(pair, k, t, *slope)
     np.multiply(y, half, out=ey)
     np.multiply(k, 0.5 * c, out=v)
     v *= half
     v += ey
     np.multiply(k, full, out=out)
     # k2; the stage input E y + (h/2) k2
-    _dnls_slope(v, ks, t + 0.5 * h, *slope)
+    _dnls_slope(pair, ks, t + 0.5 * h, *slope)
     np.multiply(ks, 0.5 * c, out=v)
     v += ey
     # k3; the stage input E2 y + h E k3
-    _dnls_slope(v, k, t + 0.5 * h, *slope)
+    _dnls_slope(pair, k, t + 0.5 * h, *slope)
     ks += k
     np.multiply(y, full, out=ey)
     np.multiply(k, c, out=v)
@@ -392,7 +403,7 @@ def _lawson_step(y, out, t, h, c, half, full, work):
     ks *= half
     ks *= 2.0
     out += ks
-    out += _dnls_slope(v, k, t + h, *slope)
+    out += _dnls_slope(pair, k, t + h, *slope)
     out *= c / 6.0
     out += ey
     return out
@@ -412,11 +423,16 @@ def dnls_evolve(
 
     With m(t) = exp(-i t |xi|^2 / 2), E = m(h/2) and E2 = m(h) for the
     signed step h, and N(v) = lambda fft((|psi|^2)_x psi) with psi = ifft(v)
-    and (|psi|^2)_x = ifft(i xi fft(|psi|^2)) (four FFTs), one step is
+    and (|psi|^2)_x = 2 Re(conj(psi) psi_x), psi_x = ifft(i xi v) (three
+    transforms: psi and psi_x in one inverse call, and one back), one step is
 
         k1 = N(psi_hat)                  k2 = N(E psi_hat + (h/2) E k1)
         k3 = N(E psi_hat + (h/2) k2)     k4 = N(E2 psi_hat + h E k3)
         psi_hat <- E2 psi_hat + (h/6) (E2 k1 + 2 E (k2 + k3) + k4).
+
+    The product rule equals the spectral derivative of the density where
+    |psi|^2 is band-limited on the grid; elsewhere the two differ by the
+    grid's aliasing, and ``residual`` keeps the density form.
 
     RK4 commutes with the constant map U0(t_n), so this is the RK4 of the
     interaction picture w(t) = U0(-t) psi(t), up to rounding.  E and E2 are
@@ -432,9 +448,10 @@ def dnls_evolve(
     plan = spectral_plan(psi0.grid)
     shape = psi0.values.shape
     # the next state, and the work arrays of _lawson_step
-    nxt, k, ks, v, ey, psi, spec = (np.empty(shape, np.complex128)
-                                    for _ in range(7))
-    work = (k, ks, v, ey, (psi, spec, np.empty(shape), plan.derivative_symbol))
+    nxt, k, ks, ey = (np.empty(shape, np.complex128) for _ in range(4))
+    pair, fields = (np.empty((2, *shape), np.complex128) for _ in range(2))
+    work = (k, ks, ey, pair,
+            (fields, np.empty(shape), np.empty(shape), plan.derivative_symbol))
     plans = _plan([[(t0, t1, dt)]], "dnls_evolve")
     # the state; the one segment, its step h and the multipliers E = m(h/2)
     # and E2 = m(h), all set at its start; and the steps taken

@@ -23,12 +23,14 @@ from nlslab.harness import (
     DEFAULTS,
     InitialDatumSpec,
     _merge_config,
+    _order_ratio,
     load_config,
     make_datum,
     run,
 )
 from nlslab.io import read_snapshot, write_snapshot
 from nlslab.reports import strip_timing
+from nlslab.solvers import DNLSParams, NLSParams, dnls_evolve, nls_evolve
 
 
 @pytest.fixture
@@ -454,6 +456,16 @@ class TestDnlsGaugeExperiment:
         assert rep.verdict == "pass"
         table = (tmp_path / "dnls_gauge_checkpoint_residuals.csv").read_text()
         assert table.splitlines()[0] == "t,quintic_to_derivative,derivative_to_quintic"
+
+    def test_order_probe_fails_a_second_order_solver(self):
+        # the three-level estimator of rk4_order_ratio_deviation reads about
+        # 2^4 for the RK4 and about 2^2 for Strang, which fails the gate
+        # |ratio - 16| <= 4, so the order check can fail
+        rk4 = _order_ratio(dnls_evolve, DNLSParams(1.0))
+        strang = _order_ratio(nls_evolve, NLSParams(sigma=2.0, mu=0.5))
+        assert abs(rk4 - 16.0) <= 1.0
+        assert abs(strang - 4.0) <= 0.5
+        assert abs(strang - 16.0) > 4.0
 
 
 class TestPropositionExperiment:
