@@ -78,18 +78,15 @@ def conjugate(f: ComplexField) -> ComplexField:
 
 
 def _antiderivative(w, h):
-    """The integral of the real samples ``w`` (spacing h) from the first
-    sample to each sample, exact for a band-limited w: the mean m of w
-    integrates to m (x - x0), and the rest to p(x) - p(x0), where p is the
-    spectral antiderivative ifft(fft(w) / (i xi)) with its xi = 0 and
-    Nyquist modes set to zero."""
+    """The integral of the real samples ``w`` (spacing h, an even count, as
+    every grid has) from the first sample to each sample, exact for a
+    band-limited w: the mean m of w integrates to m (x - x0), and the rest
+    to p(x) - p(x0), where p is the spectral antiderivative
+    ifft(fft(w) / (i xi)) with its xi = 0 and Nyquist modes set to zero."""
     n = w.size
     spec = np.fft.rfft(w)
-    ixi = 2j * np.pi * np.fft.rfftfreq(n, h)
-    spec[0] = 0.0
-    if n % 2 == 0:
-        spec[-1] = 0.0
-    spec[1:] /= ixi[1:]
+    spec[0] = spec[-1] = 0.0
+    spec[1:-1] /= 2j * np.pi * np.fft.rfftfreq(n, h)[1:-1]
     p = np.fft.irfft(spec, n)
     return w.mean() * h * np.arange(n) + (p - p[0])
 
