@@ -8,13 +8,14 @@ critical nonlinearity |u|^(4/n) decays like |t|^-2, so the truncated
 evolutions take octave-graded steps (``_graded_schedule``): dt up to
 |t| = T_GRADE, and twice the step on each octave beyond it.  An outward
 schedule and its reverse take the same step count, so on a 1D grid all the
-truncated evolutions of one identity march as one stack (``_stacks``): their
-schedules go straight to ``nls_evolve_rows``, and each row is bitwise its
-own evolution.  The lens route is exact for sigma = 2/n: the
-pseudo-conformal (lens) transform swaps t = +-infinity with tau = 0, so W+-
-become finite-time evolutions joined by the Fourier transform.  The
-small-data expansion runs on the lens route; the theorem-1, conjugation and
-lemma checks keep the truncated operators as their independent side.
+truncated evolutions of one identity march as one stack through
+``_truncated_operators``, the one owner of the grading, the stacking and the
+datum and horizon checks.  Each row is bitwise its own evolution.  The lens
+route is exact for sigma = 2/n: the pseudo-conformal (lens) transform swaps
+t = +-infinity with tau = 0, so W+- become finite-time evolutions joined by
+the Fourier transform.  The small-data expansion runs on the lens route;
+the theorem-1, conjugation and lemma checks keep the truncated operators as
+their independent side.
 """
 
 from __future__ import annotations
@@ -68,12 +69,6 @@ def _check_datum(f, sign):
         )
 
 
-def _check_truncated(f, sign, horizon):
-    _check_datum(f, sign)
-    if not (horizon > 0):
-        raise ValueError("horizon must be positive")
-
-
 def _graded_schedule(t0, t1, dt):
     """The octave-graded spans (a, b, dt 2^k) from t0 to t1, one of which
     is 0.  The edges are 0, then +-T_GRADE 2^k for k = 0, 1, ... while
@@ -95,27 +90,22 @@ def _graded_schedule(t0, t1, dt):
     return octaves
 
 
-def _stacks(items, grid):
-    """``items`` cut into the stacks that march together on ``grid``: one
-    stack on a 1D grid, whose FFTs numpy batches across the rows, and one
-    stack per item on a grid of more dimensions.  Its transforms already
-    batch over the grid's own rows, and each extra row would hold a field's
-    work arrays."""
-    return [list(items)] if grid.dim == 1 else [[item] for item in items]
-
-
 def _truncated_operators(calls, p, horizon, dt):
     """Yields the truncated operators of ``calls``, each (f, sign, inverse),
     in order: W_sign f, or W_sign^{-1} f when ``inverse``, at the horizon T.
     W_sign evolves the free state U0(sign*T) f from sign*T back to 0;
     W_sign^{-1} evolves f to sign*T and returns U0(-sign*T) of it.  Every
-    datum is checked before any evolution.  The calls march in the stacks
-    of ``_stacks``, each when its first operator is asked for, so on a 2D
-    grid a caller that takes the operators one at a time holds no more
-    fields than one evolution needs."""
+    datum and the horizon are checked before any evolution.  The calls march
+    as one stack on a 1D grid, whose FFTs numpy batches across the rows, and
+    one at a time on a grid of more dimensions, whose transforms already
+    batch over its own rows.  A stack marches when its first operator is
+    asked for, so on a 2D grid a caller that takes the operators one at a
+    time holds no more fields than one evolution needs."""
     for f, sign, _ in calls:
-        _check_truncated(f, sign, horizon)
-    for stack in _stacks(calls, calls[0][0].grid):
+        _check_datum(f, sign)
+    if not (horizon > 0):
+        raise ValueError("horizon must be positive")
+    for stack in [calls] if calls[0][0].grid.dim == 1 else [[call] for call in calls]:
         ends = nls_evolve_rows(
             [f if inverse else free_propagate(f, sign * horizon) for f, sign, inverse in stack],
             [_graded_schedule(0.0, sign * horizon, dt) if inverse
@@ -319,20 +309,17 @@ def asymptotic_state_residuals(
     """Finite-horizon form of the second boundary-matching lemma: on the wide
     ``scattering_grid``, the asymptotic states of u at ``horizon`` match
     F^{-1} R of the one-sided limits of v at 0.  Residuals relative to
-    ||u0||, keyed ``asymptotic_state_match_<sign>``; checks as ``wave_operator``."""
-    _check_truncated(u0, +1, horizon)
+    ||u0||, keyed ``asymptotic_state_match_<sign>``.  The asymptotic states
+    are the truncated W_sign^{-1} of u0 on ``scattering_grid``, and u(sign*T)
+    is the free flow of each by sign*T."""
     u0s = resample(u0, scattering_grid)
     scale = l2_norm(u0s)
+    ops = _truncated_operators([(u0s, sign, True) for sign, _ in SIGNS], p, horizon, dt)
     residuals = {}
-    for stack in _stacks(SIGNS, scattering_grid):
-        ends = nls_evolve_rows([u0s] * len(stack),
-                               [_graded_schedule(0.0, sign * horizon, dt) for sign, _ in stack], p)
-        for (sign, label), u_t in zip(stack, ends):
-            u_asym = free_propagate(u_t, -sign * horizon)
-            v_limit = pseudo_conformal(SnapshotAtTime(u_t, sign * horizon)).field
-            predicted = inverse_fourier(reflect(v_limit))
-            moved = resample(u_asym, predicted.grid)
-            residuals[f"asymptotic_state_match_{label}"] = (
-                l2_difference(moved, predicted) / scale
-            )
+    for (sign, label), u_asym in zip(SIGNS, ops):
+        u_t = free_propagate(u_asym, sign * horizon)
+        v_limit = pseudo_conformal(SnapshotAtTime(u_t, sign * horizon)).field
+        predicted = inverse_fourier(reflect(v_limit))
+        moved = resample(u_asym, predicted.grid)
+        residuals[f"asymptotic_state_match_{label}"] = l2_difference(moved, predicted) / scale
     return residuals

@@ -54,6 +54,7 @@ import numpy as np
 from .core import (
     ComplexField,
     _along_grid,
+    _unit_phase,
     diagnostics,
     l2_norm,
     spectral_plan,
@@ -102,8 +103,7 @@ def _kick(a, tau, p: NLSParams, scratch, w):
     if p.sigma != 1.0:
         w **= p.sigma
     w *= -p.mu * tau
-    np.cos(w, out=scratch.real)
-    np.sin(w, out=scratch.imag)
+    _unit_phase(w, out=scratch)
     # phase times state: complex products round differently in the other order
     return np.multiply(scratch, a, out=a)
 

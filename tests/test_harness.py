@@ -214,6 +214,12 @@ class TestSolveExperiment:
         names = [r.name for r in rep.residuals]
         assert "free_propagation_exact" in names
 
+    def test_default_order_probe_reads_strang(self):
+        # the three-level probe reads Strang's ratio 4 to about 1e-4
+        rep = run("solve")
+        values = {r.name: r.value for r in rep.residuals}
+        assert values["split_step_order_ratio_deviation"] < 1e-3
+
     def test_snapshots_written(self, tmp_path):
         run(
             "solve",
@@ -344,6 +350,8 @@ class TestCli:
         ("corollary2", {"quadrature": {"panels": 100000000}}),
         ("subcritical", {"quadrature": {"panels": 100000000}}),
         ("proposition", {"quadrature": {"panels": 4097}}),
+        # a negative snapshot stride; 0 means no snapshots
+        ("solve", {"evolve": {"t1": 0.01}, "output": {"snapshot_stride": -3}}),
     ])
     def test_rejected_value_exit_two(self, experiment, overrides, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -466,6 +474,9 @@ class TestDnlsGaugeExperiment:
         assert abs(rk4 - 16.0) <= 1.0
         assert abs(strang - 4.0) <= 0.5
         assert abs(strang - 16.0) > 4.0
+        # and the RK4 fails the gate |ratio - 4| <= 0.5 of
+        # split_step_order_ratio_deviation, so that check can fail too
+        assert abs(rk4 - 4.0) > 0.5
 
 
 class TestPropositionExperiment:

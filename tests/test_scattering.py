@@ -10,11 +10,14 @@ from nlslab.core import (
     GridDescriptor,
     field_from_function,
     free_propagate,
+    inverse_fourier,
     l2_difference,
     l2_norm,
+    resample,
 )
 from nlslab.errors import NlslabError
 from nlslab.scattering import (
+    SIGNS,
     T_GRADE,
     asymptotic_state_residuals,
     conjugation_residuals,
@@ -26,7 +29,7 @@ from nlslab.scattering import (
     wave_operator,
 )
 from nlslab.solvers import NLSParams, nls_evolve, nls_evolve_rows
-from nlslab.transforms import conjugate
+from nlslab.transforms import SnapshotAtTime, conjugate, pseudo_conformal, reflect
 from nlslab.util import fit_loglog_slope
 
 from test_spectral import gaussian_field, grid1d
@@ -316,6 +319,29 @@ class TestVerifyLemma23:
         assert all(v <= 1e-2 for v in match.values())
         slope, _ = fit_loglog_slope([t for t, _ in ladder], errs)
         assert slope < -0.4
+
+    def test_asymptotic_states_match_marching_by_hand(self):
+        # the residuals take their asymptotic states from the truncated
+        # inverse operators; marching each sign's octaves by hand, with
+        # u(+-T) kept rather than recovered by the free flow, agrees to
+        # roundoff.  T = 20 crosses the octave edges 8 and 16
+        u0 = normalized_gaussian(GridDescriptor.centered((2048,), (0.008,)), 0.3)
+        p, horizon, dt, scat = NLSParams(sigma=2.0, mu=1.0), 20.0, 0.04, grid1d(2048, 0.35)
+        u0s = resample(u0, scat)
+        reference = {}
+        for sign, label in SIGNS:
+            u = u0s
+            for a, b, h in scattering._graded_schedule(0.0, sign * horizon, dt):
+                u = nls_evolve(u, a, b, p, h)
+            u_asym = free_propagate(u, -sign * horizon)
+            v_limit = pseudo_conformal(SnapshotAtTime(u, sign * horizon)).field
+            predicted = inverse_fourier(reflect(v_limit))
+            reference[f"asymptotic_state_match_{label}"] = (
+                l2_difference(resample(u_asym, predicted.grid), predicted) / l2_norm(u0s))
+        match = asymptotic_state_residuals(u0, p, horizon, dt, scat)
+        assert list(match) == list(reference)
+        for name, value in match.items():
+            assert abs(value - reference[name]) <= 1e-13 * reference[name]
 
     def test_repeated_ladder_time_rejected(self, monkeypatch):
         def no_evolution(*args, **kwargs):
