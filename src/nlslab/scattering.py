@@ -105,7 +105,8 @@ def _truncated_operators(calls, p, horizon, dt):
         _check_datum(f, sign)
     if not (horizon > 0):
         raise ValueError("horizon must be positive")
-    for stack in [calls] if calls[0][0].grid.dim == 1 else [[call] for call in calls]:
+    stacks = [calls] if calls[0][0].grid.dim == 1 else [[call] for call in calls]
+    for stack in stacks:
         ends = nls_evolve_rows(
             [f if inverse else free_propagate(f, sign * horizon) for f, sign, inverse in stack],
             [_graded_schedule(0.0, sign * horizon, dt) if inverse
