@@ -193,12 +193,10 @@ class SpectralPlan:
     centered grid, and the shift between centered and FFT order.  Both
     transforms map samples on ``grid`` onto ``dual``.  Inner loops skip them
     and stay in FFT order, where the free flow is ``ifftn(fftn(a) * m)``
-    with ``m = free_multiplier(t)`` and the prefactors cancel.  Transforms
-    act on the trailing ``axes``, so a stack of fields with one leading
-    batch axis goes through in one call.
+    with ``m = free_multiplier(t)`` and the prefactors cancel.
 
     Arrays are built on first use and are read-only, so one plan per grid
-    (:func:`spectral_plan`) is shared by every caller and thread.
+    (:func:`spectral_plan`) is shared by every caller.
     Multipliers for a time t are built per call and never cached.
     """
 
@@ -206,7 +204,6 @@ class SpectralPlan:
         self.grid = grid
         self.dual = grid.dual()
         self.prefactor = (2.0 * np.pi) ** (-0.5 * grid.dim) * grid.cell_volume
-        self.axes = tuple(range(-grid.dim, 0))
 
     @cached_property
     def signs(self):
@@ -245,7 +242,7 @@ class SpectralPlan:
     def forward(self, a):
         """Continuum forward transform of samples on ``grid``: the centered
         spectrum on ``dual``."""
-        spec = np.fft.fftshift(np.fft.fftn(a, axes=self.axes), axes=self.axes)
+        spec = np.fft.fftshift(np.fft.fftn(a))
         spec *= self.signs
         spec *= self.prefactor
         return spec
@@ -253,8 +250,7 @@ class SpectralPlan:
     def inverse(self, a):
         """Continuum inverse transform of spectral samples on ``grid``,
         landing on ``dual`` (the inverse of the dual grid's forward)."""
-        vals = np.fft.ifftn(np.fft.ifftshift(a * self.signs, axes=self.axes),
-                            axes=self.axes)
+        vals = np.fft.ifftn(np.fft.ifftshift(a * self.signs))
         vals *= self.prefactor * self.grid.size
         return vals
 
@@ -264,9 +260,9 @@ class SpectralPlan:
 
     def propagate(self, a, t):
         """The free flow U0(t) of samples read as a function of position."""
-        spec = np.fft.fftn(a, axes=self.axes)
+        spec = np.fft.fftn(a)
         spec *= self.free_multiplier(t)
-        return np.fft.ifftn(spec, axes=self.axes)
+        return np.fft.ifftn(spec)
 
     def derivative(self, a):
         """d/dx of samples on a one-dimensional grid, spectrally."""

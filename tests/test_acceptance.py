@@ -29,7 +29,7 @@ from nlslab.core import (
     quadratic_phase,
     resample,
 )
-from nlslab.harness import InitialDatumSpec, make_datum, run
+from nlslab.harness import InitialDatumSpec, _order_ratio, make_datum, run
 from nlslab.reports import strip_timing
 from nlslab.errors import SolverHealthError
 from nlslab.scattering import (
@@ -138,15 +138,7 @@ class TestCriterion03SolverOrders:
         )
 
     def test_split_step_order_two(self):
-        g = grid1d(512, 0.05)
-        f = gaussian_field(g, amplitude=0.5)
-        p = NLSParams(sigma=2.0, mu=1.0)
-        ref = nls_evolve(f, 0.0, 1.0, p, 0.04 / 8)
-        errs = [
-            l2_difference(nls_evolve(f, 0.0, 1.0, p, dt), ref)
-            for dt in (0.04, 0.02)
-        ]
-        ratio = errs[0] / errs[1]
+        ratio = _order_ratio(nls_evolve, NLSParams(sigma=2.0, mu=1.0))
         report(
             "criterion 3b: dt-halving order-2 ratio in [3.5, 4.5]",
             3.5 < ratio < 4.5,
@@ -157,12 +149,7 @@ class TestCriterion03SolverOrders:
         g = grid1d(512, 0.08)
         f = field_from_function(g, lambda x: 0.3 / np.cosh(x))
         p = DNLSParams(1.0)
-        ref = dnls_evolve(f, 0.0, 0.5, p, 0.0025 / 8)
-        errs = [
-            l2_difference(dnls_evolve(f, 0.0, 0.5, p, dt), ref)
-            for dt in (0.005, 0.0025)
-        ]
-        ratio = errs[0] / errs[1]
+        ratio = _order_ratio(dnls_evolve, p)
         out = dnls_evolve(f, 0.0, 1.0, p, 1e-3)
         drift = abs(l2_norm(out) ** 2 - l2_norm(f) ** 2) / l2_norm(f) ** 2
         report(

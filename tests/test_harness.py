@@ -349,6 +349,11 @@ class TestCli:
         ("proposition", {"quadrature": {"panels": 4097}}),
         # a negative snapshot stride; 0 means no snapshots
         ("solve", {"evolve": {"t1": 0.01}, "output": {"snapshot_stride": -3}}),
+        # data whose samples overflow, on the datum grid and on thm1's doubled
+        # one, and a rescale that overflows
+        ("solve", {"datum": {"width": 1e-300}}),
+        ("thm1", {"datum": {"wavenumber": 1e308}}),
+        ("solve", {"datum": {"amplitude": 1e-150, "normalize": 1e300}}),
     ])
     def test_rejected_value_exit_two(self, experiment, overrides, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -461,6 +466,20 @@ class TestDnlsGaugeExperiment:
         assert rep.verdict == "pass"
         table = (tmp_path / "dnls_gauge_checkpoint_residuals.csv").read_text()
         assert table.splitlines()[0] == "t,quintic_to_derivative,derivative_to_quintic"
+
+    @pytest.mark.parametrize("lam", [0.0, 0.01])
+    def test_small_coupling_passes(self, lam, tmp_path):
+        # the order probe runs at lambda = 1 whatever the config holds; at the
+        # configured coupling it would read about 0.3 (lambda = 0) or 7.2
+        # (lambda = 0.01) against the gate |ratio - 16| <= 4
+        rep = run(
+            "dnls_gauge",
+            {"equation": {"lambda": lam},
+             "evolve": {"t1": 0.05, "checkpoints": [0.05]}},
+            out_dir=tmp_path,
+        )
+        assert rep.verdict == "pass"
+        assert rep.params["lambda"] == lam
 
     def test_order_probe_fails_a_second_order_solver(self):
         # the three-level estimator of rk4_order_ratio_deviation reads about

@@ -208,16 +208,6 @@ class TestSpectralPlan:
         assert np.array_equal(back.xi2, np.fft.ifftshift(plan.r2))
         assert np.array_equal(back.r2, np.fft.fftshift(plan.xi2))
 
-    def test_stacked_fields_transform_row_by_row(self):
-        g = GridDescriptor.centered((16, 8), (0.3, 0.2))
-        plan = spectral_plan(g)
-        rng = np.random.default_rng(3)
-        stack = rng.standard_normal((3, 16, 8)) + 1j * rng.standard_normal((3, 16, 8))
-        for op in (plan.forward, plan.inverse, lambda a: plan.propagate(a, 0.7)):
-            out = op(stack)
-            for row, a in zip(out, stack):
-                assert np.array_equal(row, op(a))
-
     def test_density_power(self):
         rng = np.random.default_rng(4)
         v = rng.standard_normal(256) + 1j * rng.standard_normal(256)
