@@ -37,14 +37,14 @@ from .harness import DEFAULTS, EXPERIMENTS, InitialDatumSpec, make_datum, run
 from .io import read_snapshot, write_snapshot
 from .reports import VerificationReport
 from .scattering import (
-    asymptotic_state_residuals,
-    conjugation_residuals,
+    asymptotic_state_sides,
+    conjugation_sides,
     free_return_ladder,
     inverse_wave_operator,
     lens_inverse_wave_operator,
     lens_wave_operator,
     small_data_sweep,
-    theorem1_residuals,
+    theorem1_sides,
     wave_operator,
 )
 from .solvers import (

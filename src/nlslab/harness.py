@@ -45,13 +45,13 @@ from .errors import ConfigError, NlslabError, SnapshotFormatError
 from .reports import VerificationReport, write_csv_table
 from .scattering import (
     SIGNS,
-    asymptotic_state_residuals,
-    conjugation_residuals,
+    asymptotic_state_sides,
+    conjugation_sides,
     free_return_ladder,
     inverse_wave_operator,
     is_critical,
     small_data_sweep,
-    theorem1_residuals,
+    theorem1_sides,
     wave_operator,
 )
 from .solvers import (
@@ -411,10 +411,16 @@ _PAIR = ("abscissa", "value")
 _NAMED = ("quantity", "value")
 
 
-def _add_residuals(report, values, tolerance):
-    """Add each named value of ``values``, in order, against ``tolerance``."""
-    for name, value in values.items():
-        report.add_residual(name, value, tolerance)
+def _add_sides(report, sides, scale, tolerance):
+    """Add ||lhs - rhs|| / ``scale`` of each (name, lhs, rhs) of ``sides``,
+    in order, against ``tolerance``; return the values by name.  The pairs
+    are taken one at a time, so the pairs of a generator are never all held
+    at once."""
+    values = {}
+    for name, lhs, rhs in sides:
+        values[name] = l2_difference(lhs, rhs) / scale
+        report.add_residual(name, values[name], tolerance)
+    return values
 
 
 def _add_ladder(report, name, header, rows):
@@ -555,17 +561,15 @@ def _run_thm1(config, grid, datum, report):
                          "verify")
         datum2 = make_datum(InitialDatumSpec(**config["datum"]), big)
     _scattering_params(report, p, grid, horizon, dt)
-    residuals = theorem1_residuals(datum, p, horizon, dt)
-    _add_residuals(report, residuals, tol)
+    residuals = _add_sides(report, theorem1_sides(datum, p, horizon, dt),
+                           l2_norm(datum), tol)
     if datum2 is not None:
-        doubled = theorem1_residuals(datum2, p, 2.0 * horizon, dt)
-        for name, value in residuals.items():
-            report.add_residual(f"{name}_doubled_horizon", doubled[name], tol)
-            report.add_residual(
-                f"{name}_decreases_with_horizon",
-                doubled[name] / value if value > 0 else 0.0,
-                1.0,
-            )
+        for name, lhs, rhs in theorem1_sides(datum2, p, 2.0 * horizon, dt):
+            (doubled,) = _add_sides(report, [(f"{name}_doubled_horizon", lhs, rhs)],
+                                    l2_norm(datum2), tol).values()
+            value = residuals[name]
+            report.add_residual(f"{name}_decreases_with_horizon",
+                                doubled / value if value > 0 else 0.0, 1.0)
 
 
 def _run_conjugation(config, grid, datum, report):
@@ -573,7 +577,7 @@ def _run_conjugation(config, grid, datum, report):
     horizon, dt = config["scattering"]["horizon"], config["scattering"]["dt"]
     tol = config["verify"]["tolerance"]
     _scattering_params(report, p, grid, horizon, dt)
-    _add_residuals(report, conjugation_residuals(datum, p, horizon, dt), tol)
+    _add_sides(report, conjugation_sides(datum, p, horizon, dt), l2_norm(datum), tol)
     report.notes.append(
         "conjugation_sandwich residuals check a symmetry of the discrete scheme "
         "that any real-coefficient integrator satisfies (Strang at 1.5e-13): "
@@ -589,8 +593,7 @@ def _compare_sides(report, lhs, rhs, tolerance, names, prefix, label):
     ``params["evaluations"]``."""
     scale = l2_norm(lhs.field)
     difference, refinement = names
-    report.add_residual(
-        difference, l2_difference(lhs.field, rhs.field) / scale, tolerance)
+    _add_sides(report, [(difference, lhs.field, rhs.field)], scale, tolerance)
     report.add_residual(
         refinement, max(lhs.refinement_delta, rhs.refinement_delta) / scale, 1e-6)
     _add_ladder(report, f"tail_bounds_{prefix}{label}", _NAMED, [
@@ -738,7 +741,7 @@ def _run_lemmas(config, grid, datum, report):
                           f"grid {grid.dim}-dimensional; the asymptotic states "
                           "are resampled from one onto the other")
     lemma1_grid = _grid_from(config["lemma1_grid"], "lemma1_grid")
-    times = config["verify"]["ladder_times"]
+    times = sorted(config["verify"]["ladder_times"])
     if len(set(times)) < len(times) or len(times) < 2:
         raise ConfigError("verify.ladder_times must hold at least 2 distinct "
                           "times for the decay slope fits")
@@ -749,9 +752,9 @@ def _run_lemmas(config, grid, datum, report):
     _add_decay_ladder(report, "free_return_to_transform", _PAIR,
                       free_return_ladder(datum, p, dt, times),
                       "ladder_monotone_decrease", "free_return_decay_slope")
-    _add_residuals(
-        report, asymptotic_state_residuals(datum, p, horizon, dt, scat_grid), 1e-2
-    )
+    datum_s = resample(datum, scat_grid)
+    _add_sides(report, asymptotic_state_sides(datum_s, p, horizon, dt),
+               l2_norm(datum_s), 1e-2)
     # decay ladder of the static-profile route (smooth-data rate ~ t^{-1})
     profile = make_datum(InitialDatumSpec(**config["datum"]), lemma1_grid.dual())
     ladder = spectral_profile_decay_ladder(profile, times)

@@ -1,4 +1,4 @@
-"""Numerical wave operators, their inverses, and the residuals of the
+"""Numerical wave operators, their inverses, and the two sides of the
 operator identities built on them.
 
 The truncated operators replace t -> +-infinity by an evolution to a
@@ -25,7 +25,6 @@ import math
 from .born import ORIENTATIONS
 from .core import (
     ComplexField,
-    GridDescriptor,
     forward_fourier,
     free_propagate,
     inverse_fourier,
@@ -179,36 +178,29 @@ def lens_inverse_wave_operator(
     return resample(forward_fourier(v), u0.grid)
 
 
-def theorem1_residuals(
-    u0: ComplexField, p: NLSParams, horizon: float, dt: float
-) -> dict:
-    """Residuals of the Fourier exchange F W_s^{-1} = W_{-s} F between the
-    inverse and forward wave operators truncated at ``horizon``, relative to
-    ||u0||, keyed ``sign_plus`` and ``sign_minus``."""
-    uhat = forward_fourier(u0)
-    hosted = resample(uhat, u0.grid)
-    scale = l2_norm(u0)
+def theorem1_sides(u0: ComplexField, p: NLSParams, horizon: float, dt: float):
+    """Yields the sides (name, lhs, rhs) of the Fourier exchange
+    F W_s^{-1} = W_{-s} F between the inverse and forward wave operators
+    truncated at ``horizon``, named ``sign_plus`` and ``sign_minus``: the
+    left side F W_s^{-1} u0 on the dual grid, and the right side resampled
+    onto it."""
+    hosted = resample(forward_fourier(u0), u0.grid)
     # W_s^{-1} u0, then W_{-s} F u0, for each sign
     ops = _truncated_operators(
         [call for sign, _ in SIGNS for call in ((u0, sign, True), (hosted, -sign, False))],
         p, horizon, dt)
-    residuals = {}
     for _, label in SIGNS:
-        a_side = forward_fourier(next(ops))
-        b_side = resample(next(ops), a_side.grid)
-        residuals[f"sign_{label}"] = l2_difference(a_side, b_side) / scale
-    return residuals
+        lhs = forward_fourier(next(ops))
+        yield f"sign_{label}", lhs, resample(next(ops), lhs.grid)
 
 
-def conjugation_residuals(
-    u0: ComplexField, p: NLSParams, horizon: float, dt: float
-) -> dict:
-    """Residuals of both conjugation identities relating W+ and W-, each
-    truncated at ``horizon``, relative to ||u0||: the sandwich
-    W_s = C W_{-s} C, keyed ``conjugation_sandwich_<sign>``, then
-    W_s^{-1} = (C F)^{-1} W_s (C F), keyed
-    ``transform_conjugated_inverse_<sign>``."""
-    scale = l2_norm(u0)
+def conjugation_sides(u0: ComplexField, p: NLSParams, horizon: float, dt: float):
+    """Yields the sides (name, lhs, rhs) of both conjugation identities
+    relating W+ and W-, each truncated at ``horizon``: the sandwich
+    W_s = C W_{-s} C, named ``conjugation_sandwich_<sign>``, then
+    W_s^{-1} = (C F)^{-1} W_s (C F), named
+    ``transform_conjugated_inverse_<sign>``, whose left side is resampled
+    onto its right side's grid."""
     # W_s = C W_{-s} C on the datum itself, then W_s^{-1} = (C F)^{-1} W_s (C F)
     # with its right side via hosting C F u0, for each sign
     hosted = resample(conjugate(forward_fourier(u0)), u0.grid)
@@ -216,19 +208,11 @@ def conjugation_residuals(
         [call for sign, _ in SIGNS for call in ((u0, sign, False), (conjugate(u0), -sign, False))]
         + [call for sign, _ in SIGNS for call in ((u0, sign, True), (hosted, sign, False))],
         p, horizon, dt)
-    residuals = {}
     for _, label in SIGNS:
-        direct, routed = next(ops), conjugate(next(ops))
-        residuals[f"conjugation_sandwich_{label}"] = (
-            l2_difference(direct, routed) / scale
-        )
+        yield f"conjugation_sandwich_{label}", next(ops), conjugate(next(ops))
     for _, label in SIGNS:
         lhs, rhs = next(ops), inverse_fourier(conjugate(next(ops)))
-        lhs_on_dual = resample(lhs, rhs.grid)
-        residuals[f"transform_conjugated_inverse_{label}"] = (
-            l2_difference(lhs_on_dual, rhs) / scale
-        )
-    return residuals
+        yield f"transform_conjugated_inverse_{label}", resample(lhs, rhs.grid), rhs
 
 
 def small_data_sweep(
@@ -303,24 +287,15 @@ def free_return_ladder(
     return ladder
 
 
-def asymptotic_state_residuals(
-    u0: ComplexField, p: NLSParams, horizon: float, dt: float,
-    scattering_grid: GridDescriptor,
-) -> dict:
-    """Finite-horizon form of the second boundary-matching lemma: on the wide
-    ``scattering_grid``, the asymptotic states of u at ``horizon`` match
-    F^{-1} R of the one-sided limits of v at 0.  Residuals relative to
-    ||u0||, keyed ``asymptotic_state_match_<sign>``.  The asymptotic states
-    are the truncated W_sign^{-1} of u0 on ``scattering_grid``, and u(sign*T)
-    is the free flow of each by sign*T."""
-    u0s = resample(u0, scattering_grid)
-    scale = l2_norm(u0s)
-    ops = _truncated_operators([(u0s, sign, True) for sign, _ in SIGNS], p, horizon, dt)
-    residuals = {}
+def asymptotic_state_sides(u0: ComplexField, p: NLSParams, horizon: float, dt: float):
+    """Yields the sides (name, lhs, rhs) of the finite-horizon form of the
+    second boundary-matching lemma, named ``asymptotic_state_match_<sign>``:
+    the asymptotic state of u at ``horizon``, the truncated W_sign^{-1} u0,
+    resampled onto the grid of F^{-1} R of the one-sided limit of v at 0,
+    where u(sign*T) is the free flow of the asymptotic state by sign*T."""
+    ops = _truncated_operators([(u0, sign, True) for sign, _ in SIGNS], p, horizon, dt)
     for (sign, label), u_asym in zip(SIGNS, ops):
         u_t = free_propagate(u_asym, sign * horizon)
         v_limit = pseudo_conformal(SnapshotAtTime(u_t, sign * horizon)).field
         predicted = inverse_fourier(reflect(v_limit))
-        moved = resample(u_asym, predicted.grid)
-        residuals[f"asymptotic_state_match_{label}"] = l2_difference(moved, predicted) / scale
-    return residuals
+        yield f"asymptotic_state_match_{label}", resample(u_asym, predicted.grid), predicted

@@ -1,6 +1,7 @@
 """Config handling, datum library, experiment driver, CLI, determinism."""
 
 import contextlib
+import copy
 import io
 import json
 import struct
@@ -636,6 +637,20 @@ class TestSubcriticalExperiment:
                 csv = tmp_path / f"subcritical_{name}.csv"
                 # the first column holds labels, not abscissae
                 assert csv.read_text().splitlines()[0] == "quantity,value"
+
+
+class TestLemmasExperiment:
+    def test_ladder_times_in_any_order(self):
+        # both ladders, the echoed ladder_times and the slope fits run over
+        # the sorted times, whatever order the config lists them in
+        def report(times):
+            config = copy.deepcopy(_SHAPE_CASES["lemmas"][0])
+            config["verify"]["ladder_times"] = times
+            data = json.loads(strip_timing(run("lemmas", config).to_json()))
+            assert data["params"].pop("config")["verify"]["ladder_times"] == times
+            return data
+
+        assert report([40.0, 10.0, 20.0]) == report([10.0, 20.0, 40.0])
 
 
 def _numeric_keys():
