@@ -154,7 +154,7 @@ DEFAULTS = {
         "grid": _grid_section([2048], [0.0195]),
         "equation": {"lambda": 1.0},
         "datum": _datum_section("sech", amplitude=0.3),
-        "evolve": {"t1": 1.0, "dt": 2e-4, "checkpoints": [0.25, 0.5, 0.75, 1.0]},
+        "evolve": {"t1": 1.0, "dt": 1e-3, "checkpoints": [0.25, 0.5, 0.75, 1.0]},
         "verify": {"tolerance": 1e-5, "order_check": True},
     },
     "subcritical": {
@@ -657,6 +657,15 @@ def _run_proposition(config, grid, datum, report):
     )
 
 
+def _gauge_residuals(lam, u, psi):
+    """||N_+ u - psi|| / ||psi|| and ||N_- psi - u|| / ||u||: how far the
+    quintic field ``u`` and the derivative field ``psi`` are from being each
+    other's gauge image, in each direction."""
+    fwd = l2_difference(gauge(u, GaugeParams(lam, +1)), psi) / l2_norm(psi)
+    bwd = l2_difference(gauge(psi, GaugeParams(lam, -1)), u) / l2_norm(u)
+    return fwd, bwd
+
+
 def _run_dnls_gauge(config, grid, datum, report):
     if grid.dim != 1:
         raise ConfigError(f"dnls_gauge is one-dimensional; grid.dim is {grid.dim}")
@@ -667,6 +676,9 @@ def _run_dnls_gauge(config, grid, datum, report):
     if checkpoints[-1] != t1:
         raise ConfigError(f"evolve.checkpoints must end at evolve.t1 = {t1}, "
                           f"not at {checkpoints[-1]}")
+    if checkpoints[0] <= 0 or any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
+        raise ConfigError(f"evolve.checkpoints must increase strictly within "
+                          f"(0, evolve.t1], got {checkpoints}")
     tol = config["verify"]["tolerance"]
     report.params.update({"lambda": lam, "mu": 0.5 * lam * lam, "dt": dt})
     # gauge pair inverse identity
@@ -677,20 +689,23 @@ def _run_dnls_gauge(config, grid, datum, report):
         1e-12,
     )
     t_now, u, psi = 0.0, datum, gauge(datum, GaugeParams(lam, +1))
-    worst_fwd, worst_bwd = 0.0, 0.0
+    worst_fwd, worst_bwd, control = 0.0, 0.0, 0.0
     rows = []
     for t in checkpoints:
         u = nls_evolve(u, t_now, t, p_nls, dt)
         psi = dnls_evolve(psi, t_now, t, p_dnls, dt)
         t_now = t
-        fwd = l2_difference(gauge(u, GaugeParams(lam, +1)), psi) / l2_norm(psi)
-        bwd = l2_difference(gauge(psi, GaugeParams(lam, -1)), u) / l2_norm(u)
+        fwd, bwd = _gauge_residuals(lam, u, psi)
         worst_fwd, worst_bwd = max(worst_fwd, fwd), max(worst_bwd, bwd)
         rows.append((t, fwd, bwd))
+        # the size of the effect: the same comparison with the free flow
+        # U0(t) u0 in place of the quintic solution
+        control = max(control, *_gauge_residuals(lam, free_propagate(datum, t), psi))
     _add_ladder(report, "checkpoint_residuals",
                 ("t", "quintic_to_derivative", "derivative_to_quintic"), rows)
     report.add_residual("quintic_to_derivative", worst_fwd, tol)
     report.add_residual("derivative_to_quintic", worst_bwd, tol)
+    report.params["free_flow_control"] = control
     drift = abs(l2_norm(psi) ** 2 - l2_norm(datum) ** 2) / l2_norm(datum) ** 2
     report.add_residual("derivative_solver_mass_drift", drift, 1e-8)
     if config["verify"]["order_check"]:

@@ -1,8 +1,10 @@
 """Independent oracles used by the test suite.
 
 Everything here deliberately avoids the package's FFT pipeline: transforms
-are dense sums, integrals are trapezoid sums, and free-flow references come
-from closed-form Gaussian solutions.
+are dense sums, integrals are trapezoid sums, free-flow references come
+from closed-form Gaussian solutions, and nonlinear references from the
+focusing quintic's ground state, its Galilean boosts and its
+pseudo-conformal blow-up, all in closed form.
 """
 
 import numpy as np
@@ -54,6 +56,30 @@ def gaussian_free_solution_nd(coords, t, width=1.0, amplitude=1.0):
     for c in coords:
         out = out * gaussian_free_solution(c, t, width=width)
     return out
+
+
+def ground_state(x):
+    """Q(x) = 3^{1/4} sech^{1/2}(2 sqrt(2) x), which solves Q'' = 2Q - 2Q^5:
+    e^{it} Q solves i u_t + u_xx / 2 = mu |u|^4 u at mu = -1 (1d)."""
+    return 3.0**0.25 / np.sqrt(np.cosh(2.0 * np.sqrt(2.0) * x))
+
+
+GROUND_STATE_MASS = float(np.pi * np.sqrt(3.0) / (2.0 * np.sqrt(2.0)))  # ||Q||^2
+
+
+def boosted_soliton(x, t, wavenumber=0.0, start=0.0):
+    """The Galilean boost of e^{it} Q: it starts at ``start`` and moves at
+    speed ``wavenumber``, with the carrier exp(i (k x - k^2 t / 2))."""
+    k = wavenumber
+    return np.exp(1j * (k * x - 0.5 * k * k * t + t)) * ground_state(x - start - k * t)
+
+
+def blowup_solution(x, t):
+    """The pseudo-conformal image of e^{i tau} Q, tau = -1/t:
+    (it)^{-1/2} exp(i x^2 / (2t) - i / t) Q(x / t), an exact solution of the
+    same equation for t != 0, which blows up as t -> 0."""
+    return ((1j * t) ** -0.5 * np.exp(1j * (0.5 * x * x / t - 1.0 / t))
+            * ground_state(x / t))
 
 
 def trapezoid_l2(x, fx):

@@ -305,6 +305,10 @@ class TestCli:
         ("solve", {"evolve": {"t1": float("inf")}}),
         ("solve", {"evolve": {"t1": float("nan")}}),
         ("dnls_gauge", {"evolve": {"t1": float("nan")}}),
+        # checkpoints that do not increase strictly within (0, t1]
+        ("dnls_gauge", {"evolve": {"t1": 0.2, "checkpoints": [0.1, 0.05, 0.2]}}),
+        ("dnls_gauge", {"evolve": {"t1": 0.2, "checkpoints": [0.1, 0.1, 0.2]}}),
+        ("dnls_gauge", {"evolve": {"t1": 0.2, "checkpoints": [-0.1, 0.2]}}),
         ("solve", {"datum": {"amplitude": float("nan")}}),
         ("solve", {"datum": {"width": 0}}),
         ("solve", {"datum": {"normalize": float("inf")}}),
@@ -467,6 +471,10 @@ class TestDnlsGaugeExperiment:
         assert rep.verdict == "pass"
         table = (tmp_path / "dnls_gauge_checkpoint_residuals.csv").read_text()
         assert table.splitlines()[0] == "t,quintic_to_derivative,derivative_to_quintic"
+        # the free flow in place of the quintic solution misses by about
+        # 1e-3 here, far above the identity's residuals
+        worst = max(r.value for r in rep.residuals if "_to_" in r.name)
+        assert rep.params["free_flow_control"] > 1e4 * worst
 
     @pytest.mark.parametrize("lam", [0.0, 0.01])
     def test_small_coupling_passes(self, lam, tmp_path):
@@ -481,6 +489,10 @@ class TestDnlsGaugeExperiment:
         )
         assert rep.verdict == "pass"
         assert rep.params["lambda"] == lam
+        if lam == 0.0:
+            # no coupling: both sides are the free flow, so the control sits
+            # at roundoff like the identity, and there is no effect to measure
+            assert rep.params["free_flow_control"] < 1e-12
 
     def test_order_probe_fails_a_second_order_solver(self):
         # the three-level estimator of rk4_order_ratio_deviation reads about

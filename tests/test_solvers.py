@@ -13,6 +13,7 @@ from nlslab.core import (
     free_propagate,
     l2_difference,
     l2_norm,
+    resample,
     spectral_plan,
 )
 from nlslab import solvers
@@ -27,8 +28,15 @@ from nlslab.solvers import (
     nls_evolve_rows,
     residual,
 )
-from nlslab.transforms import GaugeParams, SnapshotAtTime, conjugate, gauge
+from nlslab.transforms import (
+    GaugeParams,
+    SnapshotAtTime,
+    conjugate,
+    gauge,
+    pseudo_conformal,
+)
 
+from oracles import GROUND_STATE_MASS, blowup_solution, boosted_soliton, ground_state
 from test_spectral import gaussian_field, grid1d, random_band_limited
 
 
@@ -586,3 +594,80 @@ class TestGaugeEquivalence:
         back = gauge(psi_t, GaugeParams(lam, -1))
         rel2 = l2_difference(back, u_t) / l2_norm(u_t)
         assert rel2 < 1e-5
+
+
+class TestClosedFormSolutions:
+    """The focusing quintic (mu = -1, sigma = 2) against its exact solutions:
+    the ground state e^{it} Q, its Galilean boost and its pseudo-conformal
+    blow-up.  They pin the sign of mu, the 1/2 of the Laplacian, the phase of
+    the kick and the time relabelling of ``pseudo_conformal`` against the
+    equation itself.  Each error is relative to ||Q||, and each bound is
+    about 1.1x the value measured at the same dt."""
+
+    P = NLSParams(sigma=2.0, mu=-1.0)
+
+    @staticmethod
+    def errors(evolve, exact, dts):
+        return [l2_difference(evolve(dt), exact) / np.sqrt(GROUND_STATE_MASS)
+                for dt in dts]
+
+    @staticmethod
+    def assert_second_order(errs, bounds):
+        # halving dt divides a Strang error by 4
+        ratios = [a / b for a, b in zip(errs, errs[1:])]
+        assert all(3.5 <= r <= 4.5 for r in ratios), ratios
+        assert all(e <= b for e, b in zip(errs, bounds)), errs
+
+    def test_ground_state_mass(self):
+        q = field_from_function(grid1d(1024, 0.04), ground_state)
+        assert abs(l2_norm(q) ** 2 - GROUND_STATE_MASS) < 1e-14
+
+    def test_ground_state_rotates(self):
+        g = grid1d(1024, 0.04)
+        q = field_from_function(g, ground_state)
+        exact = field_from_function(g, lambda x: np.exp(1j) * ground_state(x))
+        errs = self.errors(lambda dt: nls_evolve(q, 0.0, 1.0, self.P, dt), exact,
+                           (0.02, 0.01, 0.005, 0.0025))
+        # measured 6.20e-3, 1.57e-3, 3.93e-4 and 9.84e-5
+        self.assert_second_order(errs, (6.8e-3, 1.73e-3, 4.3e-4, 1.08e-4))
+        # the wrong coupling misses by 1.56 (mu = +1) and 0.92 (mu = -0.5)
+        for mu in (1.0, -0.5):
+            miss = self.errors(
+                lambda dt: nls_evolve(q, 0.0, 1.0, NLSParams(sigma=2.0, mu=mu), dt),
+                exact, (0.005,))[0]
+            assert miss > 100.0 * errs[2]
+
+    def test_boosted_soliton_moves(self):
+        g = grid1d(1024, 0.04)
+        u0 = field_from_function(g, lambda x: boosted_soliton(x, 0.0, 1.0, -5.0))
+        exact = field_from_function(g, lambda x: boosted_soliton(x, 2.0, 1.0, -5.0))
+        errs = self.errors(lambda dt: nls_evolve(u0, 0.0, 2.0, self.P, dt), exact,
+                           (0.01, 0.005, 0.0025))
+        # measured 6.38e-3, 1.60e-3 and 4.02e-4
+        self.assert_second_order(errs, (7.0e-3, 1.76e-3, 4.4e-4))
+
+    def test_pseudo_conformal_image_is_a_solution(self):
+        # the images of the e^{i tau} Q snapshots at tau = -0.5 and -1 are
+        # the blow-up solution at t = 2 and t = 1, each on its own grid
+        g = grid1d(4096, 0.02)
+        first, second = (
+            pseudo_conformal(SnapshotAtTime(
+                field_from_function(g, lambda x, tau=tau: np.exp(1j * tau) * ground_state(x)),
+                tau))
+            for tau in (-0.5, -1.0))
+        assert (first.time, second.time) == (2.0, 1.0)
+        for snap in (first, second):
+            exact = field_from_function(snap.field.grid,
+                                        lambda x, t=snap.time: blowup_solution(x, t))
+            assert np.max(np.abs(snap.field.values - exact.values)) < 1e-14
+        # evolving the first back to t = 1 meets the second
+        errs = self.errors(
+            lambda dt: resample(nls_evolve(first.field, 2.0, 1.0, self.P, dt),
+                                second.field.grid),
+            second.field, (4e-3, 2e-3, 1e-3))
+        # measured 3.49e-5, 8.73e-6 and 2.18e-6
+        self.assert_second_order(errs, (3.9e-5, 9.6e-6, 2.4e-6))
+        # the free flow in its place misses by 0.75
+        miss = l2_difference(resample(free_propagate(first.field, -1.0), second.field.grid),
+                             second.field) / np.sqrt(GROUND_STATE_MASS)
+        assert miss > 100.0 * errs[0]
