@@ -305,10 +305,6 @@ class TestCli:
         ("solve", {"evolve": {"t1": float("inf")}}),
         ("solve", {"evolve": {"t1": float("nan")}}),
         ("dnls_gauge", {"evolve": {"t1": float("nan")}}),
-        # checkpoints that do not increase strictly within (0, t1]
-        ("dnls_gauge", {"evolve": {"t1": 0.2, "checkpoints": [0.1, 0.05, 0.2]}}),
-        ("dnls_gauge", {"evolve": {"t1": 0.2, "checkpoints": [0.1, 0.1, 0.2]}}),
-        ("dnls_gauge", {"evolve": {"t1": 0.2, "checkpoints": [-0.1, 0.2]}}),
         ("solve", {"datum": {"amplitude": float("nan")}}),
         ("solve", {"datum": {"width": 0}}),
         ("solve", {"datum": {"normalize": float("inf")}}),
@@ -359,6 +355,10 @@ class TestCli:
         ("solve", {"datum": {"width": 1e-300}}),
         ("thm1", {"datum": {"wavenumber": 1e308}}),
         ("solve", {"datum": {"amplitude": 1e-150, "normalize": 1e300}}),
+        # checkpoints that do not increase strictly within (0, t1]
+        ("dnls_gauge", {"evolve": {"t1": 0.2, "checkpoints": [0.1, 0.05, 0.2]}}),
+        ("dnls_gauge", {"evolve": {"t1": 0.2, "checkpoints": [0.1, 0.1, 0.2]}}),
+        ("dnls_gauge", {"evolve": {"t1": 0.2, "checkpoints": [-0.1, 0.2]}}),
     ])
     def test_rejected_value_exit_two(self, experiment, overrides, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
