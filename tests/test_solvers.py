@@ -16,11 +16,12 @@ from nlslab.core import (
     resample,
     spectral_plan,
 )
-from nlslab import solvers
+from nlslab import core, solvers
 from nlslab.errors import SolverHealthError
 from nlslab.solvers import (
     DNLSParams,
     NLSParams,
+    SMALL_PHASE,
     _kick,
     _kick_drift,
     dnls_evolve,
@@ -44,13 +45,29 @@ def sech_field(grid, amplitude=0.3, width=1.0):
     return field_from_function(grid, lambda x: amplitude / np.cosh(x / width))
 
 
+def unmasked_kick(a, tau, p):
+    """The kick with cos and sin taken on the whole grid, in place on ``a``:
+    the phase theta = -mu tau |a|^(2 sigma) by the arithmetic of ``_kick``,
+    then a = exp(i theta) a, phase times state as in ``_kick``."""
+    theta = np.square(a.real) + np.square(a.imag)
+    if p.sigma != 1.0:
+        theta **= p.sigma
+    theta *= -p.mu * tau
+    return np.multiply(core._unit_phase(theta), a, out=a)
+
+
+def kick_work(a):
+    """The work arrays of ``_kick`` for arrays of a's shape."""
+    return np.empty_like(a), np.empty(a.shape), np.empty((2, *a.shape), dtype=bool)
+
+
 def strang_step(u, dt, p):
     """One Strang step on the split-step kernel, with no health monitor: a
-    half-kick and the free flow, then the trailing half-kick."""
+    half-kick and the free flow, then the trailing half-kick, the latter by
+    the unmasked reference kick."""
     a = np.array(u.values)[np.newaxis]
-    spec, w = np.empty_like(a), np.empty(a.shape)
-    _kick_drift(a, 0.5 * dt, spectral_plan(u.grid).free_multiplier(dt), p, spec, w)
-    return u.with_values(_kick(a, 0.5 * dt, p, spec, w))
+    _kick_drift(a, 0.5 * dt, spectral_plan(u.grid).free_multiplier(dt), p, *kick_work(a))
+    return u.with_values(unmasked_kick(a, 0.5 * dt, p))
 
 
 class TestNlsStep:
@@ -80,6 +97,91 @@ class TestNlsStep:
         p = NLSParams(sigma=2.0, mu=-1.0)
         out = strang_step(f, 0.02, p)
         assert abs(l2_norm(out) - l2_norm(f)) < 1e-13
+
+
+def bits(x):
+    """The bits of the float64 parts of ``x``, so that equal bits mean equal
+    values with -0.0 and 0.0 told apart."""
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+class TestMaskedKick:
+    """``_kick`` takes cos and sin only where |theta| >= SMALL_PHASE and
+    writes 1 + i theta elsewhere; it equals the unmasked kick bit for bit."""
+
+    @staticmethod
+    def kicked(a, tau, p):
+        out = a.copy()
+        _kick(out, tau, p, *kick_work(out))
+        return out
+
+    @staticmethod
+    def phases(rng):
+        """Phases across SMALL_PHASE, in memory order: the threshold and its
+        two neighbours, signed zeros, subnormals and other small phases,
+        1e-3 to 1e3, runs of every length from 1 to 17 above the threshold
+        between single small phases, and one long run, all of both signs."""
+        edge = [SMALL_PHASE, np.nextafter(SMALL_PHASE, 0.0), np.nextafter(SMALL_PHASE, 1.0)]
+        small = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-200, 1e-12, 1e-9]
+        fixed = np.concatenate([edge, small, np.geomspace(1e-3, 1e3, 25)])
+        runs = []
+        for n in range(1, 18):
+            runs += [*np.geomspace(1e-3, 1e3, n) * rng.choice([-1.0, 1.0], n), 1e-12]
+        long_run = np.geomspace(SMALL_PHASE, 1e3, 300) * rng.choice([-1.0, 1.0], 300)
+        return np.concatenate([fixed, -fixed, runs, long_run])
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_phases_across_the_threshold(self, dim):
+        # a state of modulus 1 (1, i, -1, -i) and one kick time per sample
+        # make the phase exactly -tau
+        rng = np.random.default_rng(3)
+        shape = (3, 400) if dim == 1 else (2, 20, 30)
+        values = self.phases(rng)
+        rest = rng.uniform(-SMALL_PHASE, SMALL_PHASE, np.prod(shape) - len(values))
+        theta = np.concatenate([values, rest]).reshape(shape)
+        a = np.resize(np.array([1, 1j, -1, -1j]), shape)
+        p = NLSParams(sigma=2.0 / dim, mu=1.0)
+        out = self.kicked(a, -theta, p)
+        ref = unmasked_kick(a.copy(), -theta, p)
+        assert np.array_equal(bits(out), bits(ref))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_row_times(self, dim):
+        # smooth rows with one kick time per row, zero and a negative step
+        # among them; each row holds phases on both sides of the threshold
+        grid = TestRawLoop.datum(dim).grid
+        p = NLSParams(sigma=2.0 / dim, mu=1.0)
+        taus = np.array([0.0, -0.05, 0.02, 0.3])
+        rows = [random_band_limited(grid, seed=r).values for r in range(len(taus))]
+        a = np.stack([v * (2e-3 / np.abs(v).max()) ** (1.0 / p.sigma) for v in rows])
+        tau = taus.reshape(-1, *(1,) * dim)
+        theta = np.abs(tau * np.abs(a) ** (2 * p.sigma))
+        assert all((row < SMALL_PHASE).any() and (row > SMALL_PHASE).any()
+                   for row in theta[1:])
+        out = self.kicked(a, tau, p)
+        ref = unmasked_kick(a.copy(), tau, p)
+        assert np.array_equal(bits(out), bits(ref))
+
+    def test_small_phase_premise(self):
+        # the masked kick stands on float64 cos and sin rounding to 1 and to
+        # the phase itself below SMALL_PHASE, in contiguous outputs and in
+        # the parts of a complex array, as the unmasked kick writes them
+        rng = np.random.default_rng(5)
+        n = 1 << 19
+        below = np.nextafter(SMALL_PHASE, 0.0)
+        x = np.concatenate([
+            [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, below, -below],
+            rng.uniform(-SMALL_PHASE, SMALL_PHASE, n),
+            rng.choice([-1.0, 1.0], n) * np.exp2(rng.uniform(-1075.0, -27.0, n)),
+        ])
+        x = np.clip(x, -below, below)
+        assert (np.abs(x) < SMALL_PHASE).all()
+        z = np.empty(x.size, np.complex128)
+        np.cos(x, out=z.real)
+        np.sin(x, out=z.imag)
+        for c, s in ((np.cos(x), np.sin(x)), (z.real, z.imag)):
+            assert (c == 1.0).all()
+            assert np.array_equal(bits(s), bits(x))
 
 
 class TestNlsEvolve:
@@ -305,23 +407,25 @@ class TestStackedRows:
     @pytest.mark.parametrize("dim, k", [(1, 1), (1, 4), (2, 1), (2, 2)])
     def test_kernel_equals_fftn_per_row(self, dim, k):
         # one kernel step on a stack with a kick time and a multiplier per
-        # row, against the one-row form: each row kicked alone, then fftn,
-        # its multiplier and ifftn over the field
+        # row, against the one-row form: each row kicked alone by the
+        # unmasked kick, then fftn, its multiplier and ifftn over the field;
+        # k more rows of modulus up to 1e-3 put phases on both sides of
+        # SMALL_PHASE
         grid = TestRawLoop.datum(dim).grid
         plan = spectral_plan(grid)
         p = NLSParams(sigma=2.0 / dim, mu=1.0)
-        rows = np.stack([random_band_limited(grid, seed=r).values for r in range(k)])
-        steps = [0.02 * (r + 1) * (-1) ** r for r in range(k)]
+        rows = [random_band_limited(grid, seed=r).values for r in range(k)]
+        rows = np.stack(rows + [1e-3 * v / np.abs(v).max() for v in rows])
+        steps = [0.02 * (r + 1) * (-1) ** r for r in range(2 * k)]
         taus = [0.5 * h + 0.01 * r for r, h in enumerate(steps)]
+        theta = np.reshape(taus, (2 * k, *(1,) * dim)) * np.abs(rows) ** (2 * p.sigma)
+        assert (np.abs(theta) < SMALL_PHASE).any() and (np.abs(theta) > SMALL_PHASE).any()
         a = rows.copy()
-        spec, w = np.empty_like(a), np.empty(a.shape)
-        _kick_drift(a, np.reshape(taus, (k, *(1,) * dim)),
-                    np.stack([plan.free_multiplier(h) for h in steps]), p, spec, w)
+        _kick_drift(a, np.reshape(taus, (2 * k, *(1,) * dim)),
+                    np.stack([plan.free_multiplier(h) for h in steps]), p, *kick_work(a))
         for row, v, tau, h in zip(a, rows, taus, steps, strict=True):
-            ref = v.copy()
-            ref_spec, ref_w = np.empty_like(ref), np.empty(ref.shape)
-            _kick(ref, tau, p, ref_spec, ref_w)
-            np.fft.fftn(ref, out=ref_spec)
+            ref = unmasked_kick(v.copy(), tau, p)
+            ref_spec = np.fft.fftn(ref)
             ref_spec *= plan.free_multiplier(h)
             assert np.array_equal(row, np.fft.ifftn(ref_spec, out=ref))
 
