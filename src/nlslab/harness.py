@@ -580,7 +580,7 @@ def _run_conjugation(config, grid, datum, report):
     _add_sides(report, conjugation_sides(datum, p, horizon, dt), l2_norm(datum), tol)
     report.notes.append(
         "conjugation_sandwich residuals check a symmetry of the discrete scheme "
-        "that any real-coefficient integrator satisfies (Strang at 1.5e-13): "
+        "that any real-coefficient integrator satisfies (Yoshida steps at 1.1e-13): "
         "the sign and conjugation plumbing, not the continuum identity")
 
 

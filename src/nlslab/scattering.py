@@ -5,17 +5,22 @@ The truncated operators replace t -> +-infinity by an evolution to a
 horizon T; their bias falls like 1/T, and callers measure it against a
 doubled horizon or the lens route.  Along a scattering solution the
 critical nonlinearity |u|^(4/n) decays like |t|^-2, so the truncated
-evolutions take octave-graded steps (``_graded_schedule``): dt up to
-|t| = T_GRADE, and twice the step on each octave beyond it.  An outward
-schedule and its reverse take the same step count, so on a 1D grid all the
-truncated evolutions of one identity march as one stack through
-``_truncated_operators``, the one owner of the grading, the stacking and the
-datum and horizon checks.  Each row is bitwise its own evolution.  The lens
-route is exact for sigma = 2/n: the pseudo-conformal (lens) transform swaps
-t = +-infinity with tau = 0, so W+- become finite-time evolutions joined by
-the Fourier transform.  The small-data expansion runs on the lens route;
-the theorem-1, conjugation and lemma checks keep the truncated operators as
-their independent side.
+evolutions take octave-graded steps (``_graded_schedule``): a base step up
+to |t| = T_GRADE, and twice the step on each octave beyond it.  Each step
+is Yoshida's fourth-order composition of three Strang steps (``YOSHIDA``),
+and the base step is ``YOSHIDA_STEP_RATIO`` dt = 4 dt: three FFT pairs for
+the time error of four Strang steps, so a truncated operator's dt still
+means the accuracy of Strang steps of dt.  The lens route, ``solve`` and
+``free_return_ladder`` take Strang steps of dt.  An outward schedule and its
+reverse take the same step count, so on a 1D grid all the truncated
+evolutions of one identity march as one stack through
+``_truncated_operators``, the one owner of the grading, the composition, the
+stacking and the datum and horizon checks.  Each row is bitwise its own
+evolution.  The lens route is exact for sigma = 2/n: the pseudo-conformal
+(lens) transform swaps t = +-infinity with tau = 0, so W+- become
+finite-time evolutions joined by the Fourier transform.  The small-data
+expansion runs on the lens route; the theorem-1, conjugation and lemma
+checks keep the truncated operators as their independent side.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .core import (
     resample,
 )
 from .errors import NlslabError
-from .solvers import NLSParams, nls_evolve, nls_evolve_rows
+from .solvers import YOSHIDA, NLSParams, nls_evolve, nls_evolve_rows
 from .transforms import SnapshotAtTime, conjugate, pseudo_conformal, reflect
 
 
@@ -46,6 +51,14 @@ LENS_TIME = 1.0
 # End of the first octave of the truncated evolutions' steps: dt on
 # [0, T_GRADE), dt 2^k on [T_GRADE 2^(k-1), T_GRADE 2^k) for k >= 1.
 T_GRADE = 8.0
+
+# The truncated evolutions take Yoshida steps of YOSHIDA_STEP_RATIO * dt
+# where the grading gives dt, so that dt keeps its meaning, the accuracy of
+# Strang steps of dt: at 4 dt the measured time error of the graded
+# operators is at or below Strang's at dt on the thm1, lemmas and benchmark
+# data, and three FFT pairs replace four.  On the light wave_op default it
+# is 2.2e-7 against Strang's 8.4e-8, still 25x below that run's residuals.
+YOSHIDA_STEP_RATIO = 4.0
 
 # The two signs of the identities and their labels, in report order: the
 # order in which born returns the orientations of its integral pairs.
@@ -73,9 +86,9 @@ def _graded_schedule(t0, t1, dt):
     is 0.  The edges are 0, then +-T_GRADE 2^k for k = 0, 1, ... while
     inside the far end, then the far end, and the k-th octave between them
     takes steps of at most dt 2^k.  A run toward 0 takes the octaves of
-    the run away from 0 in reverse, over the same nodes, so the Strang
-    round trip stays an exact symmetry.  A span of at most T_GRADE is one
-    uniform span."""
+    the run away from 0 in reverse, over the same nodes, so the round trip
+    of a time-symmetric step stays an exact symmetry.  A span of at most
+    T_GRADE is one uniform span."""
     far = t0 if t1 == 0.0 else t1
     edges = [0.0]
     edge = T_GRADE
@@ -93,23 +106,28 @@ def _truncated_operators(calls, p, horizon, dt):
     """Yields the truncated operators of ``calls``, each (f, sign, inverse),
     in order: W_sign f, or W_sign^{-1} f when ``inverse``, at the horizon T.
     W_sign evolves the free state U0(sign*T) f from sign*T back to 0;
-    W_sign^{-1} evolves f to sign*T and returns U0(-sign*T) of it.  Every
-    datum and the horizon are checked before any evolution.  The calls march
-    as one stack on a 1D grid, whose FFTs numpy batches across the rows, and
-    one at a time on a grid of more dimensions, whose transforms already
-    batch over its own rows.  A stack marches when its first operator is
-    asked for, so on a 2D grid a caller that takes the operators one at a
-    time holds no more fields than one evolution needs."""
+    W_sign^{-1} evolves f to sign*T and returns U0(-sign*T) of it.  Each
+    evolution takes the graded Yoshida steps of YOSHIDA_STEP_RATIO * dt.
+    Every datum and the horizon are checked before any evolution.  The
+    calls march as one stack on a 1D grid, whose FFTs numpy batches across
+    the rows, and one at a time on a grid of more dimensions, whose
+    transforms already batch over its own rows.  A stack marches when its
+    first operator is asked for, so on a 2D grid a caller that takes the
+    operators one at a time holds no more fields than one evolution
+    needs."""
     for f, sign, _ in calls:
         _check_datum(f, sign)
     if not (horizon > 0):
         raise ValueError("horizon must be positive")
     stacks = [calls] if calls[0][0].grid.dim == 1 else [[call] for call in calls]
+    step = YOSHIDA_STEP_RATIO * dt
     for stack in stacks:
         ends = nls_evolve_rows(
             [f if inverse else free_propagate(f, sign * horizon) for f, sign, inverse in stack],
-            [_graded_schedule(0.0, sign * horizon, dt) if inverse
-             else _graded_schedule(sign * horizon, 0.0, dt) for _, sign, inverse in stack], p)
+            [_graded_schedule(0.0, sign * horizon, step) if inverse
+             else _graded_schedule(sign * horizon, 0.0, step)
+             for _, sign, inverse in stack],
+            p, composition=YOSHIDA)
         for _, sign, inverse in stack:
             # dropped from ``ends`` so that only the operator handed out
             # stays alive
@@ -123,9 +141,9 @@ def wave_operator(
     u_pm: ComplexField, sign: int, p: NLSParams, horizon: float, dt: float
 ) -> ComplexField:
     """W_sign u_pm truncated at the horizon T: the free state
-    u(sign*T) = U0(sign*T) u_pm evolves back to t = 0, with steps of dt
-    up to |t| = T_GRADE that double on each octave beyond it.  The
-    truncation bias falls like 1/T."""
+    u(sign*T) = U0(sign*T) u_pm evolves back to t = 0, in Yoshida steps of
+    4 dt (the accuracy of Strang steps of dt) up to |t| = T_GRADE that
+    double on each octave beyond it.  The truncation bias falls like 1/T."""
     return next(_truncated_operators([(u_pm, sign, False)], p, horizon, dt))
 
 

@@ -1,5 +1,6 @@
-"""Time integration: Strang split-step for the power nonlinearity, and an
-integrating-factor RK4 for the derivative equation as an independent oracle.
+"""Time integration: split steps for the power nonlinearity, each a
+palindromic composition of Strang steps, and an integrating-factor RK4 for
+the derivative equation as an independent oracle.
 
 Both substeps of the splitting are unitary (the nonlinear flow is an exact
 phase rotation), so the splitting error is purely commutator-driven and mass
@@ -13,13 +14,21 @@ one inverse call gives psi and psi_x, the product rule
 and one FFT goes back.  Its blow-up guard reads |psi|^2, the density the
 nonlinearity uses.
 
-A kick (the nonlinear phase) leaves |u| unchanged, so the trailing half-kick
-of one Strang step and the leading half-kick of the next are one kick of
-their summed time.  ``nls_evolve`` keeps its state drifted with a half-kick
-pending: each step is one kick and one FFT pair, and the pending half-kick
-is applied only to the fields it hands out.  In both solvers the state and
-its work arrays are allocated once per evolution, and every step runs in
-place on them.
+A step of size h takes a tuple of drift fractions, a palindrome that sums
+to 1: it is the Strang steps of sizes f h for each fraction f in turn.
+``STRANG`` = (1.0,) is one Strang step, second order, and the default of
+every caller but the truncated wave operators.  ``YOSHIDA`` =
+(w1, 1 - 2 w1, w1), w1 = 1 / (2 - 2^(1/3)), is fourth order; its middle
+drift runs backward.  A palindrome keeps the step time-symmetric, so the
+scheme stays exactly reversible.  A kick (the nonlinear phase) leaves |u|
+unchanged, so the trailing half-kick of one Strang step and the leading
+half-kick of the next are one kick of their summed time, across sub-steps
+and across steps alike.  ``nls_evolve`` keeps its state drifted with a
+half-kick pending: each sub-step is one kick and one FFT pair, drifting by
+the multiplier m(f h) of its fraction, and the pending half-kick is applied
+only to the fields it hands out.  In both solvers the state and its work
+arrays are allocated once per evolution, and every step runs in place on
+them.
 
 A kick multiplies by exp(i theta) with theta = -mu tau |u|^(2 sigma), and
 takes cos and sin only where |theta| is not below ``SMALL_PHASE`` = 2^-27
@@ -34,22 +43,24 @@ the health monitors and the observer calls, and each solver supplies only
 the loading of a row, its step and the map from its raw state to the
 solution.  Every span is cut into n = ceil(|t1 - t0| / dt) equal steps, so
 a segment has one step size; ``dnls_evolve`` is one segment with two
-free-flow multipliers.  The Strang march runs a stack of rows on one grid
-(``nls_evolve_rows``): every row takes the same number of steps, but each
-goes through its own schedule of segments, with its own free-flow
-multiplier and kick time, and applies its pending half-kick at its own
-segment ends, so that each row is bitwise the chain of one ``nls_evolve``
-per segment.  ``nls_evolve`` is a stack of one row and one segment.  There
-is one split-step kernel, ``_kick_drift``, for every stack: it transforms
-the grid axes one at a time, in the order of ``np.fft.fftn``, and each call
-transforms all rows, which numpy batches.  A health violation fails the
-run at once, naming the failing row's run; nothing is retried with a
-smaller step.
+free-flow multipliers.  The split-step march runs a stack of rows on one
+grid (``nls_evolve_rows``): every row takes the same number of steps, but
+each goes through its own schedule of segments, with its own free-flow
+multiplier per distinct fraction and its own kick times, and applies its
+pending half-kick at its own segment ends, so that each row is bitwise the
+chain of one ``nls_evolve`` per segment.  ``nls_evolve`` is a stack of one
+row and one segment.  There is one split-step kernel, ``_kick_drift``, for
+every stack and composition: it transforms the grid axes one at a time, in
+the order of ``np.fft.fftn``, and each call transforms all rows, which
+numpy batches.  A health violation fails the run at once, naming the
+failing row's run; nothing is retried with a smaller step.
 
-The largest time step ``dt`` is the one numerical choice a caller makes.  The
-limits are constants: a run needs at most ``MAX_STEPS`` steps, and the
-monitors allow a relative mass drift of ``MASS_DRIFT_TOL``, a spectral-tail
-fraction of ``TAIL_TOL`` and a boundary-mass fraction of ``BOUNDARY_TOL``.
+The largest time step ``dt`` and the composition are the numerical choices
+a caller makes; the finiteness check, the monitors and the observer see
+the state once per step, after all of its sub-steps.  The limits are
+constants: a run needs at most ``MAX_STEPS`` steps, and the monitors allow
+a relative mass drift of ``MASS_DRIFT_TOL``, a spectral-tail fraction of
+``TAIL_TOL`` and a boundary-mass fraction of ``BOUNDARY_TOL``.
 """
 
 from __future__ import annotations
@@ -79,6 +90,12 @@ BOUNDARY_TOL = 1e-5
 # half the spacing of the doubles below |theta|, which is at least
 # 2^-54 |theta|; tests/test_solvers.py checks that numpy's cos and sin round so
 SMALL_PHASE = 2.0**-27
+# the drift fractions of one step: a Strang step, and Yoshida's palindromic
+# triple (w1, 1 - 2 w1, w1), w1 = 1 / (2 - 2^(1/3)), whose composition of
+# Strang steps is fourth order (H. Yoshida, Phys. Lett. A 150, 262, 1990)
+STRANG = (1.0,)
+_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+YOSHIDA = (_W1, 1.0 - 2.0 * _W1, _W1)
 
 
 @dataclass(frozen=True)
@@ -301,18 +318,39 @@ def _march(fields, plans, context, start, step, values, observer=None):
     return out
 
 
-def nls_evolve_rows(fields, schedules, p: NLSParams, observer=None) -> list:
+def _check_composition(composition):
+    """The drift fractions of ``composition`` as a tuple: a non-empty
+    palindrome whose sum is 1 within a few ulp, else a ValueError."""
+    fractions = tuple(float(f) for f in composition)
+    if not fractions or fractions != fractions[::-1]:
+        raise ValueError(f"a composition is a non-empty palindrome of drift "
+                         f"fractions, got {composition!r}")
+    if not abs(math.fsum(fractions) - 1.0) <= 4.0 * np.finfo(float).eps:
+        raise ValueError(f"the drift fractions of a composition sum to 1, got "
+                         f"{composition!r}, which sums to {math.fsum(fractions)!r}")
+    return fractions
+
+
+def nls_evolve_rows(fields, schedules, p: NLSParams, observer=None,
+                    composition=STRANG) -> list:
     """Evolve each of ``fields``, all on one grid, through its schedule: a
-    list of spans (t0, t1, dt), each cut into equal Strang steps of at most
-    its dt (see ``_plan``) and started from the end of the span before.
-    Returns the fields at the end of each schedule.
+    list of spans (t0, t1, dt), each cut into equal steps of at most its dt
+    (see ``_plan``) and started from the end of the span before.  Returns
+    the fields at the end of each schedule.
+
+    A step of size h is the composition of Strang steps of the sizes f h,
+    for the drift fractions f of ``composition`` in order: ``STRANG``, one
+    Strang step, or ``YOSHIDA``, Yoshida's fourth-order triple.  A
+    composition that is empty, not a palindrome, or whose fractions do not
+    sum to 1 is a ValueError, raised before any step.
 
     The rows march as one stacked array (see ``_march``), so every FFT call
     transforms all of them, and must take equal total step counts; their
     step sizes may differ.  Unequal counts are a ValueError, raised before
     any step.  ``observer`` and the monitors work as in ``nls_evolve``, for
-    every row.
+    every row, once per step, after all of its sub-steps.
     """
+    fractions = _check_composition(composition)
     plans = _plan(schedules, "nls_evolve")
     if len(plans) != len(fields):
         raise ValueError(f"{len(fields)} fields need as many schedules, got {len(plans)}")
@@ -325,24 +363,30 @@ def nls_evolve_rows(fields, schedules, p: NLSParams, observer=None) -> list:
     a = np.empty((k, *plan.grid.counts), dtype=np.complex128)
     spec, w = np.empty_like(a), np.empty(a.shape)
     masks = np.empty((2, *a.shape), dtype=bool)
-    # per row: the free-flow multiplier of its segment's step, half that
-    # step, and the half-kick still to apply to its drifted state; each step
-    # applies the pending half-kick together with its own leading one, as
-    # one kick of the time ``tau``, a column that broadcasts over the grid
-    m = np.empty_like(a)
-    half, pending, tau = np.zeros(k), np.zeros(k), np.empty(k)
-    kick_time = tau.reshape(k, *(1,) * plan.grid.dim)
+    # per distinct fraction f and row: the free-flow multiplier m(f h) of
+    # the row's segment step h, and the half-kick f h / 2; and per row the
+    # half-kick still to apply to its drifted state.  Each sub-step adds
+    # its leading half-kick to the pending one, kicks by the sum, a column
+    # that broadcasts over the grid, and leaves its trailing half pending
+    distinct = sorted(set(fractions))
+    m = np.empty((len(distinct), *a.shape), dtype=np.complex128)
+    half, pending = np.empty((len(distinct), k)), np.zeros(k)
+    kick_time = pending.reshape(k, *(1,) * plan.grid.dim)
+    # the (half-kick, multiplier) views of each sub-step, in order
+    subs = [(half[j], m[j]) for j in map(distinct.index, fractions)]
 
     def start(r, seg, v):
         a[r] = v
-        m[r] = plan.free_multiplier(seg.h)
-        half[r] = 0.5 * seg.h
+        for j, f in enumerate(distinct):
+            m[j, r] = plan.free_multiplier(f * seg.h)
+            half[j, r] = 0.5 * f * seg.h
         pending[r] = 0.0
 
     def step():
-        np.add(pending, half, out=tau)
-        _kick_drift(a, kick_time, m, p, spec, w, masks)
-        pending[:] = half
+        for lead, mult in subs:
+            np.add(pending, lead, out=pending)
+            _kick_drift(a, kick_time, mult, p, spec, w, masks)
+            pending[:] = lead
         return a
 
     def values(r, t):
@@ -360,16 +404,19 @@ def nls_evolve(
     p: NLSParams,
     dt: float,
     observer=None,
+    composition=STRANG,
 ) -> ComplexField:
-    """Evolve with equal Strang steps of at most ``dt``: a stack of one row
-    and one span (see ``nls_evolve_rows``).
+    """Evolve with equal steps of at most ``dt``, each the ``composition``
+    of Strang steps: a stack of one row and one span (see
+    ``nls_evolve_rows``).
 
     ``observer(t, field)``, when given, is called after every step (and once
     at t0).  Aborts with SolverHealthError when the resolution or mass
     monitors trip or the state stops being finite; a dt that is not
-    positive and finite is a ValueError.
+    positive and finite, and a composition that ``nls_evolve_rows``
+    refuses, are a ValueError.
     """
-    return nls_evolve_rows([u0], [[(t0, t1, dt)]], p, observer)[0]
+    return nls_evolve_rows([u0], [[(t0, t1, dt)]], p, observer, composition)[0]
 
 
 def _dnls_slope(pair, out, t, fields, density, w, dxi):

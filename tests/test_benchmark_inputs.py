@@ -48,7 +48,7 @@ def run_checked_round(workload, config, tmp_path):
 
 
 def test_exchange_round_passes_its_checks(tmp_path):
-    # sign symmetry to 1e-4 and a doubled-horizon ratio near 1/2: a Strang
+    # sign symmetry to 1e-4 and a doubled-horizon ratio near 1/2: a split
     # step that moved the truncated wave operators would fail here rather
     # than as an incorrect benchmark verdict
     workload = WORKLOADS["exchange_1d"]

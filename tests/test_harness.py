@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import functools
 import io
 import json
 import struct
@@ -31,7 +32,7 @@ from nlslab.harness import (
 )
 from nlslab.io import read_snapshot, write_snapshot
 from nlslab.reports import strip_timing
-from nlslab.solvers import DNLSParams, NLSParams, dnls_evolve, nls_evolve
+from nlslab.solvers import YOSHIDA, DNLSParams, NLSParams, dnls_evolve, nls_evolve
 
 
 @pytest.fixture
@@ -507,6 +508,12 @@ class TestDnlsGaugeExperiment:
         # split_step_order_ratio_deviation, so that check can fail too
         assert abs(rk4 - 4.0) > 0.5
 
+    def test_order_probe_reads_fourth_order_for_yoshida(self):
+        # Yoshida's composition of Strang steps is fourth order: the probe
+        # reads 15.99 for it, against Strang's 4.0001
+        yoshida = functools.partial(nls_evolve, composition=YOSHIDA)
+        assert abs(_order_ratio(yoshida, NLSParams(sigma=2.0, mu=1.0)) - 16.0) <= 1.0
+
 
 class TestPropositionExperiment:
     def test_report_times_both_signs(self):
@@ -577,7 +584,7 @@ _SHAPE_CASES = {
         [],
         ["config", "dim", "dt", "experiment", "horizon", "mu", "parallel", "sigma"],
         ["conjugation_sandwich residuals check a symmetry of the discrete scheme "
-         "that any real-coefficient integrator satisfies (Strang at 1.5e-13): "
+         "that any real-coefficient integrator satisfies (Yoshida steps at 1.1e-13): "
          "the sign and conjugation plumbing, not the continuum identity"],
     ),
     "proposition": (

@@ -19,6 +19,7 @@ from nlslab.errors import NlslabError
 from nlslab.scattering import (
     SIGNS,
     T_GRADE,
+    YOSHIDA_STEP_RATIO,
     asymptotic_state_sides,
     conjugation_sides,
     free_return_ladder,
@@ -28,7 +29,7 @@ from nlslab.scattering import (
     theorem1_sides,
     wave_operator,
 )
-from nlslab.solvers import NLSParams, nls_evolve, nls_evolve_rows
+from nlslab.solvers import STRANG, YOSHIDA, NLSParams, nls_evolve, nls_evolve_rows
 from nlslab.transforms import SnapshotAtTime, conjugate, pseudo_conformal, reflect
 from nlslab.util import fit_loglog_slope
 
@@ -151,18 +152,21 @@ class TestGradedSteps:
 
     @staticmethod
     def uniform(op, u, sign, p, horizon, dt):
-        # the truncated operators as single evolutions with equal steps of dt
+        # the truncated operators as single evolutions with equal Yoshida
+        # steps of YOSHIDA_STEP_RATIO * dt
+        h = YOSHIDA_STEP_RATIO * dt
         if op is wave_operator:
             u_init = free_propagate(u, sign * horizon)
-            return nls_evolve(u_init, sign * horizon, 0.0, p, dt)
-        return free_propagate(nls_evolve(u, 0.0, sign * horizon, p, dt), -sign * horizon)
+            return nls_evolve(u_init, sign * horizon, 0.0, p, h, composition=YOSHIDA)
+        u_end = nls_evolve(u, 0.0, sign * horizon, p, h, composition=YOSHIDA)
+        return free_propagate(u_end, -sign * horizon)
 
     @pytest.mark.parametrize("op", [wave_operator, inverse_wave_operator])
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_matches_uniform_steps(self, op, sign):
         # the thm1 grid and datum at T = 200, six octaves: the grading moves
-        # the operators by ~2e-9 relative, below the uniform run's own time
-        # error (dt against dt/2: ~1.3e-7)
+        # the operators by 1.6-4.1e-11 relative, below the uniform run's own
+        # time error (steps of 4 dt against 2 dt: ~1.35e-7)
         u0 = normalized_gaussian(grid1d(4096, 0.55), 0.3)
         p = NLSParams(sigma=2.0, mu=1.0)
         horizon, dt = 200.0, 0.025
@@ -183,9 +187,10 @@ class TestGradedSteps:
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_exact_symmetries_across_octaves(self, wide_grid, params, sign):
         # T = 20 crosses the octave edges 8 and 16.  The run toward 0
-        # retraces the nodes of the run away from 0, so Strang's round trip
-        # holds to roundoff; the octaves of -T mirror those of T, so does the
-        # conjugation sandwich W_s = C W_{-s} C
+        # retraces the nodes of the run away from 0, so the round trip of
+        # the time-symmetric Yoshida step holds to roundoff; the octaves of
+        # -T mirror those of T, so does the conjugation sandwich
+        # W_s = C W_{-s} C
         horizon = 20.0
         u0 = gaussian_field(wide_grid, amplitude=0.15, width=1.3, wavenumber=0.8)
         w = wave_operator(u0, sign, params, horizon, LIGHT_DT)
@@ -194,22 +199,26 @@ class TestGradedSteps:
         routed = conjugate(wave_operator(conjugate(u0), -sign, params, horizon, LIGHT_DT))
         assert l2_difference(w, routed) / l2_norm(u0) < 1e-12
 
-    @pytest.mark.parametrize("sign", [+1, -1])
-    def test_stack_equals_chained_octaves(self, wide_grid, params, sign):
+    # the Strang cases keep the ids they had before the composition was a
+    # parameter
+    @pytest.mark.parametrize("sign, composition", [
+        (+1, STRANG), (-1, STRANG), (+1, YOSHIDA), (-1, YOSHIDA)],
+        ids=["1", "-1", "1-yoshida", "-1-yoshida"])
+    def test_stack_equals_chained_octaves(self, wide_grid, params, sign, composition):
         # outward and inward rows of T = 20 cross the octave edges 8 and 16
         # at different steps of the one stack; each row is bitwise the chain
-        # of one nls_evolve per octave
+        # of one nls_evolve per octave, under either composition
         far = sign * 20.0
         u0 = gaussian_field(wide_grid, amplitude=0.15, width=1.3, wavenumber=0.8)
         fields = [u0, free_propagate(u0, far), conjugate(u0), free_propagate(u0, -far)]
         ends = [(0.0, far), (far, 0.0), (0.0, -far), (-far, 0.0)]
         schedules = [scattering._graded_schedule(t0, t1, LIGHT_DT) for t0, t1 in ends]
-        stacked = nls_evolve_rows(fields, schedules, params)
+        stacked = nls_evolve_rows(fields, schedules, params, composition=composition)
         for u, (t0, t1), octaves, row in zip(fields, ends, schedules, stacked, strict=True):
             assert [abs(b) for _, b, _ in octaves if b not in (0.0, t1)] == (
                 [8.0, 16.0] if t0 == 0.0 else [16.0, 8.0])
             for a, b, h in octaves:
-                u = nls_evolve(u, a, b, params, h)
+                u = nls_evolve(u, a, b, params, h, composition=composition)
             assert np.array_equal(row.values, u.values)
 
     @pytest.mark.parametrize("counts, stacks", [((512,), [4]), ((64, 64), [1, 1, 1, 1])])
@@ -220,9 +229,9 @@ class TestGradedSteps:
         # the whole stack in 1D, two stacks of one in 2D
         seen = []
 
-        def recording(fields, schedules, p):
+        def recording(fields, schedules, p, **kwargs):
             seen.append(len(fields))
-            return nls_evolve_rows(fields, schedules, p)
+            return nls_evolve_rows(fields, schedules, p, **kwargs)
 
         monkeypatch.setattr(scattering, "nls_evolve_rows", recording)
         g = GridDescriptor.centered(counts, (0.35,) * len(counts))
@@ -332,17 +341,18 @@ class TestVerifyLemma23:
 
     def test_asymptotic_states_match_marching_by_hand(self):
         # the sides take their asymptotic states from the truncated
-        # inverse operators; marching each sign's octaves by hand, with
-        # u(+-T) kept rather than recovered by the free flow, agrees to
-        # roundoff.  T = 20 crosses the octave edges 8 and 16
+        # inverse operators; marching each sign's octaves by hand in Yoshida
+        # steps, with u(+-T) kept rather than recovered by the free flow,
+        # agrees to roundoff.  T = 20 crosses the octave edges 8 and 16
         u0 = normalized_gaussian(GridDescriptor.centered((2048,), (0.008,)), 0.3)
         p, horizon, dt, scat = NLSParams(sigma=2.0, mu=1.0), 20.0, 0.04, grid1d(2048, 0.35)
         u0s = resample(u0, scat)
         reference = {}
         for sign, label in SIGNS:
             u = u0s
-            for a, b, h in scattering._graded_schedule(0.0, sign * horizon, dt):
-                u = nls_evolve(u, a, b, p, h)
+            for a, b, h in scattering._graded_schedule(
+                    0.0, sign * horizon, YOSHIDA_STEP_RATIO * dt):
+                u = nls_evolve(u, a, b, p, h, composition=YOSHIDA)
             u_asym = free_propagate(u, -sign * horizon)
             v_limit = pseudo_conformal(SnapshotAtTime(u, sign * horizon)).field
             predicted = inverse_fourier(reflect(v_limit))

@@ -22,6 +22,8 @@ from nlslab.solvers import (
     DNLSParams,
     NLSParams,
     SMALL_PHASE,
+    STRANG,
+    YOSHIDA,
     _kick,
     _kick_drift,
     dnls_evolve,
@@ -201,6 +203,24 @@ class TestNlsEvolve:
         p = NLSParams(sigma=2.0, mu=1.0)
         back = nls_evolve(nls_evolve(f, 0.0, 0.37, p, 0.05), 0.37, 0.0, p, 0.05)
         assert l2_difference(back, f) < 1e-13
+
+    def test_yoshida_step_chains_three_strang_steps(self):
+        # a Yoshida step of h is the Strang steps of w1 h, (1 - 2 w1) h and
+        # w1 h, the middle one backward.  Chained as three evolutions, the
+        # kicks at the junctions are taken apart rather than merged, so the
+        # two agree to roundoff, not bitwise.  The step back undoes it
+        f = gaussian_field(grid1d(512, 0.05), amplitude=0.5)
+        p = NLSParams(sigma=2.0, mu=1.0)
+        h = 0.05
+        one = nls_evolve(f, 0.0, h, p, h, composition=YOSHIDA)
+        u, t = f, 0.0
+        for frac in YOSHIDA:
+            u = nls_evolve(u, t, t + frac * h, p, abs(frac * h), composition=STRANG)
+            t += frac * h
+        assert l2_difference(one, u) < 2e-15
+        assert l2_difference(one, f) > 1e-3
+        back = nls_evolve(one, h, 0.0, p, h, composition=YOSHIDA)
+        assert l2_difference(back, f) < 1e-14
 
     def test_linear_arbitrary_horizon(self):
         g = grid1d(512, 0.08)
@@ -428,6 +448,20 @@ class TestStackedRows:
             ref_spec = np.fft.fftn(ref)
             ref_spec *= plan.free_multiplier(h)
             assert np.array_equal(row, np.fft.ifftn(ref_spec, out=ref))
+
+    @pytest.mark.parametrize("composition", [(), (0.25, 0.75), (0.5, 1e-12, 0.5)],
+                             ids=["empty", "not_palindromic", "sum_not_one"])
+    def test_bad_composition_rejected_before_any_step(self, monkeypatch, composition):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran before the composition was checked")
+
+        monkeypatch.setattr(solvers, "_kick_drift", no_step)
+        f = gaussian_field(grid1d(128, 0.1), amplitude=0.1)
+        p = NLSParams(sigma=2.0)
+        with pytest.raises(ValueError, match="composition"):
+            nls_evolve_rows([f, f], [[(0.0, 0.1, 0.01)]] * 2, p, composition=composition)
+        with pytest.raises(ValueError, match="composition"):
+            nls_evolve(f, 0.0, 0.1, p, 0.01, composition=composition)
 
     def test_unequal_step_counts_rejected_before_any_step(self, monkeypatch):
         def no_step(*args, **kwargs):
@@ -716,10 +750,10 @@ class TestClosedFormSolutions:
                 for dt in dts]
 
     @staticmethod
-    def assert_second_order(errs, bounds):
-        # halving dt divides a Strang error by 4
+    def assert_order(errs, bounds, window=(3.5, 4.5)):
+        # halving dt divides a Strang error by 4, and a Yoshida error by 16
         ratios = [a / b for a, b in zip(errs, errs[1:])]
-        assert all(3.5 <= r <= 4.5 for r in ratios), ratios
+        assert all(window[0] <= r <= window[1] for r in ratios), ratios
         assert all(e <= b for e, b in zip(errs, bounds)), errs
 
     def test_ground_state_mass(self):
@@ -733,7 +767,7 @@ class TestClosedFormSolutions:
         errs = self.errors(lambda dt: nls_evolve(q, 0.0, 1.0, self.P, dt), exact,
                            (0.02, 0.01, 0.005, 0.0025))
         # measured 6.20e-3, 1.57e-3, 3.93e-4 and 9.84e-5
-        self.assert_second_order(errs, (6.8e-3, 1.73e-3, 4.3e-4, 1.08e-4))
+        self.assert_order(errs, (6.8e-3, 1.73e-3, 4.3e-4, 1.08e-4))
         # the wrong coupling misses by 1.56 (mu = +1) and 0.92 (mu = -0.5)
         for mu in (1.0, -0.5):
             miss = self.errors(
@@ -748,7 +782,17 @@ class TestClosedFormSolutions:
         errs = self.errors(lambda dt: nls_evolve(u0, 0.0, 2.0, self.P, dt), exact,
                            (0.01, 0.005, 0.0025))
         # measured 6.38e-3, 1.60e-3 and 4.02e-4
-        self.assert_second_order(errs, (7.0e-3, 1.76e-3, 4.4e-4))
+        self.assert_order(errs, (7.0e-3, 1.76e-3, 4.4e-4))
+
+    def test_ground_state_rotates_at_fourth_order(self):
+        g = grid1d(1024, 0.04)
+        q = field_from_function(g, ground_state)
+        exact = field_from_function(g, lambda x: np.exp(1j) * ground_state(x))
+        errs = self.errors(
+            lambda dt: nls_evolve(q, 0.0, 1.0, self.P, dt, composition=YOSHIDA), exact,
+            (0.01, 0.005, 0.0025))
+        # measured 5.80e-5, 3.79e-6 and 2.39e-7: ratios 15.3 and 15.8
+        self.assert_order(errs, (6.4e-5, 4.2e-6, 2.6e-7), window=(14.0, 18.0))
 
     def test_pseudo_conformal_image_is_a_solution(self):
         # the images of the e^{i tau} Q snapshots at tau = -0.5 and -1 are
@@ -770,7 +814,7 @@ class TestClosedFormSolutions:
                                 second.field.grid),
             second.field, (4e-3, 2e-3, 1e-3))
         # measured 3.49e-5, 8.73e-6 and 2.18e-6
-        self.assert_second_order(errs, (3.9e-5, 9.6e-6, 2.4e-6))
+        self.assert_order(errs, (3.9e-5, 9.6e-6, 2.4e-6))
         # the free flow in its place misses by 0.75
         miss = l2_difference(resample(free_propagate(first.field, -1.0), second.field.grid),
                              second.field) / np.sqrt(GROUND_STATE_MASS)
