@@ -10,7 +10,11 @@ to |t| = T_GRADE, and twice the step on each octave beyond it.  Each step
 is Yoshida's fourth-order composition of three Strang steps (``YOSHIDA``),
 and the base step is ``YOSHIDA_STEP_RATIO`` dt = 4 dt: three FFT pairs for
 the time error of four Strang steps, so a truncated operator's dt still
-means the accuracy of Strang steps of dt.  The lens route, ``solve`` and
+means the accuracy of Strang steps of dt, where dt is fine enough.  That
+was measured at dt <= 0.025 on the thm1, lemmas and benchmark data; a
+fourth-order error only falls below a second-order one below some dt, and
+at wave_op's dt = 0.04 the Yoshida steps of 4 dt err 2.6 times more than
+Strang steps of dt.  The lens route, ``solve`` and
 ``free_return_ladder`` take Strang steps of dt.  An outward schedule and its
 reverse take the same step count, so on a 1D grid all the truncated
 evolutions of one identity march as one stack through
@@ -54,10 +58,13 @@ T_GRADE = 8.0
 
 # The truncated evolutions take Yoshida steps of YOSHIDA_STEP_RATIO * dt
 # where the grading gives dt, so that dt keeps its meaning, the accuracy of
-# Strang steps of dt: at 4 dt the measured time error of the graded
-# operators is at or below Strang's at dt on the thm1, lemmas and benchmark
-# data, and three FFT pairs replace four.  On the light wave_op default it
-# is 2.2e-7 against Strang's 8.4e-8, still 25x below that run's residuals.
+# Strang steps of dt, for dt <= 0.025: there the measured time error of the
+# graded operators at 4 dt is at or below Strang's at dt on the thm1,
+# lemmas and benchmark data (tests/test_scattering.py holds it on thm1's),
+# and three FFT pairs replace four.  Yoshida's error falls like dt^4 and
+# Strang's like dt^2, so at a coarser dt the ratio loses: on the light
+# wave_op default (dt 0.04) it is 2.2e-7 against Strang's 8.4e-8, still 25x
+# below that run's residuals.
 YOSHIDA_STEP_RATIO = 4.0
 
 # The two signs of the identities and their labels, in report order: the
@@ -142,8 +149,10 @@ def wave_operator(
 ) -> ComplexField:
     """W_sign u_pm truncated at the horizon T: the free state
     u(sign*T) = U0(sign*T) u_pm evolves back to t = 0, in Yoshida steps of
-    4 dt (the accuracy of Strang steps of dt) up to |t| = T_GRADE that
-    double on each octave beyond it.  The truncation bias falls like 1/T."""
+    4 dt up to |t| = T_GRADE that double on each octave beyond it.  For
+    dt <= 0.025 these were measured as accurate as Strang steps of dt, or
+    more; at dt = 0.04 they were less (see ``YOSHIDA_STEP_RATIO``).  The
+    truncation bias falls like 1/T."""
     return next(_truncated_operators([(u_pm, sign, False)], p, horizon, dt))
 
 

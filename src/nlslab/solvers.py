@@ -55,9 +55,10 @@ the order of ``np.fft.fftn``, and each call transforms all rows, which
 numpy batches.  A health violation fails the run at once, naming the
 failing row's run; nothing is retried with a smaller step.
 
-The largest time step ``dt`` and the composition are the numerical choices
-a caller makes; the finiteness check, the monitors and the observer see
-the state once per step, after all of its sub-steps.  The limits are
+The largest time step ``dt`` is the numerical choice a caller makes, and
+a caller of ``nls_evolve_rows`` also picks the composition; the finiteness
+check, the monitors and the observer see the state once per step, after
+all of its sub-steps.  The limits are
 constants: a run needs at most ``MAX_STEPS`` steps, and the monitors allow
 a relative mass drift of ``MASS_DRIFT_TOL``, a spectral-tail fraction of
 ``TAIL_TOL`` and a boundary-mass fraction of ``BOUNDARY_TOL``.
@@ -318,19 +319,6 @@ def _march(fields, plans, context, start, step, values, observer=None):
     return out
 
 
-def _check_composition(composition):
-    """The drift fractions of ``composition`` as a tuple: a non-empty
-    palindrome whose sum is 1 within a few ulp, else a ValueError."""
-    fractions = tuple(float(f) for f in composition)
-    if not fractions or fractions != fractions[::-1]:
-        raise ValueError(f"a composition is a non-empty palindrome of drift "
-                         f"fractions, got {composition!r}")
-    if not abs(math.fsum(fractions) - 1.0) <= 4.0 * np.finfo(float).eps:
-        raise ValueError(f"the drift fractions of a composition sum to 1, got "
-                         f"{composition!r}, which sums to {math.fsum(fractions)!r}")
-    return fractions
-
-
 def nls_evolve_rows(fields, schedules, p: NLSParams, observer=None,
                     composition=STRANG) -> list:
     """Evolve each of ``fields``, all on one grid, through its schedule: a
@@ -340,9 +328,10 @@ def nls_evolve_rows(fields, schedules, p: NLSParams, observer=None,
 
     A step of size h is the composition of Strang steps of the sizes f h,
     for the drift fractions f of ``composition`` in order: ``STRANG``, one
-    Strang step, or ``YOSHIDA``, Yoshida's fourth-order triple.  A
-    composition that is empty, not a palindrome, or whose fractions do not
-    sum to 1 is a ValueError, raised before any step.
+    Strang step, or ``YOSHIDA``, Yoshida's fourth-order triple.  Any
+    palindrome of fractions that sums to 1 steps the same way; one that
+    is not gives a scheme that is not time-symmetric or not consistent,
+    and is not checked.
 
     The rows march as one stacked array (see ``_march``), so every FFT call
     transforms all of them, and must take equal total step counts; their
@@ -350,7 +339,6 @@ def nls_evolve_rows(fields, schedules, p: NLSParams, observer=None,
     any step.  ``observer`` and the monitors work as in ``nls_evolve``, for
     every row, once per step, after all of its sub-steps.
     """
-    fractions = _check_composition(composition)
     plans = _plan(schedules, "nls_evolve")
     if len(plans) != len(fields):
         raise ValueError(f"{len(fields)} fields need as many schedules, got {len(plans)}")
@@ -368,12 +356,12 @@ def nls_evolve_rows(fields, schedules, p: NLSParams, observer=None,
     # half-kick still to apply to its drifted state.  Each sub-step adds
     # its leading half-kick to the pending one, kicks by the sum, a column
     # that broadcasts over the grid, and leaves its trailing half pending
-    distinct = sorted(set(fractions))
+    distinct = sorted(set(composition))
     m = np.empty((len(distinct), *a.shape), dtype=np.complex128)
     half, pending = np.empty((len(distinct), k)), np.zeros(k)
     kick_time = pending.reshape(k, *(1,) * plan.grid.dim)
     # the (half-kick, multiplier) views of each sub-step, in order
-    subs = [(half[j], m[j]) for j in map(distinct.index, fractions)]
+    subs = [(half[j], m[j]) for j in map(distinct.index, composition)]
 
     def start(r, seg, v):
         a[r] = v
@@ -404,19 +392,16 @@ def nls_evolve(
     p: NLSParams,
     dt: float,
     observer=None,
-    composition=STRANG,
 ) -> ComplexField:
-    """Evolve with equal steps of at most ``dt``, each the ``composition``
-    of Strang steps: a stack of one row and one span (see
-    ``nls_evolve_rows``).
+    """Evolve with equal Strang steps of at most ``dt``: a stack of one row
+    and one span (see ``nls_evolve_rows``).
 
     ``observer(t, field)``, when given, is called after every step (and once
     at t0).  Aborts with SolverHealthError when the resolution or mass
     monitors trip or the state stops being finite; a dt that is not
-    positive and finite, and a composition that ``nls_evolve_rows``
-    refuses, are a ValueError.
+    positive and finite is a ValueError.
     """
-    return nls_evolve_rows([u0], [[(t0, t1, dt)]], p, observer, composition)[0]
+    return nls_evolve_rows([u0], [[(t0, t1, dt)]], p, observer)[0]
 
 
 def _dnls_slope(pair, out, t, fields, density, w, dxi):

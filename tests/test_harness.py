@@ -33,6 +33,7 @@ from nlslab.harness import (
 from nlslab.io import read_snapshot, write_snapshot
 from nlslab.reports import strip_timing
 from nlslab.solvers import YOSHIDA, DNLSParams, NLSParams, dnls_evolve, nls_evolve
+from test_solvers import evolve_composed
 
 
 @pytest.fixture
@@ -511,7 +512,7 @@ class TestDnlsGaugeExperiment:
     def test_order_probe_reads_fourth_order_for_yoshida(self):
         # Yoshida's composition of Strang steps is fourth order: the probe
         # reads 15.99 for it, against Strang's 4.0001
-        yoshida = functools.partial(nls_evolve, composition=YOSHIDA)
+        yoshida = functools.partial(evolve_composed, composition=YOSHIDA)
         assert abs(_order_ratio(yoshida, NLSParams(sigma=2.0, mu=1.0)) - 16.0) <= 1.0
 
 
