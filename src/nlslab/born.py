@@ -21,7 +21,7 @@ conjugate of the phase at +t to the bit, so one cos/sin array serves both
 rows.  The pair joins K_+(psi) with K_-(psi), which belong to different
 identities; the two sides of one identity, psi = phi and psi = F phi,
 share nothing.  Rows are evaluated on raw FFT-order arrays, transformed
-one grid axis at a time in np.fft.fftn's order (``core._along_grid``): the
+by the plan's ``fft``/``ifft`` over the grid axes of the whole block: the
 far rows take the transforms' prefactors and no shift or sign multiply,
 since the alternating signs of a grid and of its dual are the same array
 and cancel, and a shift is a permutation undone before any step that is
@@ -49,7 +49,6 @@ import numpy as np
 from .core import (
     ComplexField,
     GridDescriptor,
-    _along_grid,
     _density_power,
     _unit_phase,
     forward_fourier,
@@ -134,13 +133,9 @@ def _flow_near(us, spectrum, plan, sigma):
     # U0(-t) multiplies by the conjugate: phase[::-1] conjugates the pair
     phase = _phase_pair(_column(-0.5 * us, plan.grid.dim) * plan.xi2)
     g = spectrum * phase
-    rows = g.reshape((-1,) + plan.grid.counts)  # the pair as one stack, a view
-    _along_grid(np.fft.ifft, rows, rows)
+    plan.ifft(g, g)
     _apply_density_power(g, sigma)
-    _along_grid(np.fft.fft, rows, rows)
-    g *= phase[::-1]
-    _along_grid(np.fft.ifft, rows, rows)
-    return g
+    return plan.apply_multiplier(g, phase[::-1], g, g)
 
 
 def _flow_far(us, values, plan, sigma):
@@ -150,11 +145,10 @@ def _flow_far(us, values, plan, sigma):
     dual = spectral_plan(plan.dual)
     chirp = _phase_pair(0.5 * plan.r2 / _column(us, n))
     g = values * chirp
-    rows = g.reshape((-1,) + plan.grid.counts)
-    _along_grid(np.fft.fft, rows, rows)
+    plan.fft(g, g)
     g *= plan.prefactor
     _apply_density_power(g, sigma)
-    _along_grid(np.fft.ifft, rows, rows)
+    plan.ifft(g, g)
     g *= dual.prefactor * dual.grid.size
     g *= chirp[::-1]
     g *= _column(us ** -(n * sigma), n)
@@ -174,7 +168,7 @@ def _flow_rows(phi: ComplexField, sigma):
     once per evaluator.  T_SWITCH is read at call time.
     """
     plan = spectral_plan(phi.grid)
-    spectrum = np.fft.fftn(phi.values)
+    spectrum = plan.fft(phi.values)
 
     def rows(us):
         us = np.asarray(us, dtype=np.float64)

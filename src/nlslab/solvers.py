@@ -23,12 +23,12 @@ drift runs backward.  A palindrome keeps the step time-symmetric, so the
 scheme stays exactly reversible.  A kick (the nonlinear phase) leaves |u|
 unchanged, so the trailing half-kick of one Strang step and the leading
 half-kick of the next are one kick of their summed time, across sub-steps
-and across steps alike.  ``nls_evolve`` keeps its state drifted with a
-half-kick pending: each sub-step is one kick and one FFT pair, drifting by
-the multiplier m(f h) of its fraction, and the pending half-kick is applied
-only to the fields it hands out.  In both solvers the state and its work
-arrays are allocated once per evolution, and every step runs in place on
-them.
+and across steps alike.  The march of ``nls_evolve_rows`` keeps its state
+drifted with a half-kick pending: each sub-step is one kick and one FFT
+pair, drifting by the multiplier m(f h) of its fraction, and the pending
+half-kick is applied only to the fields it hands out.  In both solvers
+the state and its work arrays are allocated once per evolution, and every
+step runs in place on them.
 
 A kick multiplies by exp(i theta) with theta = -mu tau |u|^(2 sigma), and
 takes cos and sin only where |theta| is not below ``SMALL_PHASE`` = 2^-27
@@ -50,10 +50,9 @@ multiplier per distinct fraction and its own kick times, and applies its
 pending half-kick at its own segment ends, so that each row is bitwise the
 chain of one ``nls_evolve`` per segment.  ``nls_evolve`` is a stack of one
 row and one segment.  There is one split-step kernel, ``_kick_drift``, for
-every stack and composition: it transforms the grid axes one at a time, in
-the order of ``np.fft.fftn``, and each call transforms all rows, which
-numpy batches.  A health violation fails the run at once, naming the
-failing row's run; nothing is retried with a smaller step.
+every stack and composition; its drift is the plan's ``apply_multiplier``,
+which transforms all rows in each numpy call.  A health violation fails the
+run at once, naming the failing row's run; no smaller step is retried.
 
 The largest time step ``dt`` is the numerical choice a caller makes, and
 a caller of ``nls_evolve_rows`` also picks the composition; the finiteness
@@ -73,7 +72,6 @@ import numpy as np
 
 from .core import (
     ComplexField,
-    _along_grid,
     diagnostics,
     l2_norm,
     spectral_plan,
@@ -155,20 +153,21 @@ def _kick(a, tau, p: NLSParams, scratch, w, masks):
     return np.multiply(scratch, a, out=a)
 
 
-def _kick_drift(a, tau, m, p: NLSParams, spec, w, masks):
-    """The split-step kernel, in place on the stack ``a`` of fields, of shape
-    (k, *counts): a kick of ``tau``, then the free flow by the FFT-order
+def _kick_drift(plan, a, tau, m, p: NLSParams, spec, w, masks):
+    """The split-step kernel, in place on the stack ``a`` of fields on the
+    grid of ``plan``: a kick of ``tau``, then the free flow by the FFT-order
     multiplier ``m``, with ``spec`` holding first the phase and then the
     spectrum.  ``tau`` and ``m`` may hold one row per field; ``w`` and
     ``masks`` are the kick's other work arrays."""
     _kick(a, tau, p, spec, w, masks)
-    _along_grid(np.fft.fft, a, spec)
-    spec *= m
-    return _along_grid(np.fft.ifft, spec, a)
+    return plan.apply_multiplier(a, m, spec, a)
 
 
 def _check_health(f, mass0, t, context):
+    """Check f's monitors at t, its mass drift from mass0 (f's own if None); return f's mass."""
     mass = l2_norm(f) ** 2
+    if mass0 is None:
+        mass0 = mass
     drift = abs(mass - mass0) / mass0 if mass0 > 0 else 0.0
     d = diagnostics(f)
     bad = {}
@@ -182,6 +181,7 @@ def _check_health(f, mass0, t, context):
     if bad:
         bad["t"] = t
         raise SolverHealthError(f"{context}: health violation at t={t:.6g}: {bad}", bad)
+    return mass
 
 
 def _step_count(span, dt, what):
@@ -294,8 +294,7 @@ def _march(fields, plans, context, start, step, values, observer=None):
             current[r] = seg, g
             u = out[r]
             start(r, seg, u.values)
-            mass0[r] = l2_norm(u) ** 2
-            _check_health(u, mass0[r], seg.t0, f"{run(r)} (initial state)")
+            mass0[r] = _check_health(u, None, seg.t0, f"{run(r)} (initial state)")
             if observer is not None:
                 observer(seg.t0, u)
         a = step()
@@ -373,7 +372,7 @@ def nls_evolve_rows(fields, schedules, p: NLSParams, observer=None,
     def step():
         for lead, mult in subs:
             np.add(pending, lead, out=pending)
-            _kick_drift(a, kick_time, mult, p, spec, w, masks)
+            _kick_drift(plan, a, kick_time, mult, p, spec, w, masks)
             pending[:] = lead
         return a
 
@@ -560,7 +559,7 @@ def residual(trajectory, equation) -> float:
         u = snaps[k].field
         du_dt = (snaps[k + 1].field.values - snaps[k - 1].field.values) / (2.0 * dt)
         plan = spectral_plan(u.grid)
-        lap = np.fft.ifftn(np.fft.fftn(u.values) * -plan.xi2)
+        lap = plan.apply_multiplier(u.values, -plan.xi2)
         if isinstance(equation, NLSParams):
             rhs = equation.mu * np.abs(u.values) ** (2.0 * equation.sigma) * u.values
         elif isinstance(equation, DNLSParams):

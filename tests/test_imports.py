@@ -181,3 +181,41 @@ def test_check_sees_an_unreferenced_member():
     assert unreferenced_members(sources) == [
         ("a.py", 13, "P.critical"), ("b.py", 4, "Q.LIMIT"), ("b.py", 6, "Q.unused"),
     ]
+
+
+def grid_transform_bypasses(sources):
+    """(module, line, name) of each use of numpy's n-dimensional FFTs
+    (``fftn``, ``ifftn``, ``fft2``, ``ifft2``) in ``sources`` (module name ->
+    source), and of each reference to the per-axis routine ``_along_grid``
+    outside ``core.py``: every grid transform goes through the spectral
+    plan's ``fft``/``ifft``."""
+    found = []
+    for module, source in sources.items():
+        for n in ast.walk(ast.parse(source)):
+            names = ([n.attr] if isinstance(n, ast.Attribute) else
+                     [n.id] if isinstance(n, ast.Name) else
+                     [a.name for a in n.names] if isinstance(n, ast.ImportFrom) else [])
+            for name in names:
+                if (name in ("fftn", "ifftn", "fft2", "ifft2")
+                        or (name == "_along_grid" and module != "core.py")):
+                    found.append((module, n.lineno, name))
+    return sorted(found)
+
+
+def test_one_grid_transform():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert grid_transform_bypasses(sources) == []
+
+
+def test_check_sees_a_grid_transform_bypass():
+    sources = {
+        "core.py": "import numpy as np\n\nclass P:\n    def _along_grid(self):\n"
+                   "        return np.fft.fft\n",
+        "born.py": "import numpy as np\nfrom .core import _along_grid\n\n"
+                   "spec = np.fft.fftn(x)\nback = np.fft.ifft2(spec)\n",
+        "solvers.py": "from numpy.fft import ifftn\n\nprint(plan._along_grid)\n",
+    }
+    assert grid_transform_bypasses(sources) == [
+        ("born.py", 2, "_along_grid"), ("born.py", 4, "fftn"), ("born.py", 5, "ifft2"),
+        ("solvers.py", 1, "ifftn"), ("solvers.py", 3, "_along_grid"),
+    ]

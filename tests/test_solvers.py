@@ -39,7 +39,7 @@ from nlslab.transforms import (
 )
 
 from oracles import GROUND_STATE_MASS, blowup_solution, boosted_soliton, ground_state
-from test_spectral import gaussian_field, grid1d, random_band_limited
+from test_spectral import bits, gaussian_field, grid1d, random_band_limited
 
 
 def sech_field(grid, amplitude=0.3, width=1.0):
@@ -67,7 +67,8 @@ def strang_step(u, dt, p):
     half-kick and the free flow, then the trailing half-kick, the latter by
     the unmasked reference kick."""
     a = np.array(u.values)[np.newaxis]
-    _kick_drift(a, 0.5 * dt, spectral_plan(u.grid).free_multiplier(dt), p, *kick_work(a))
+    plan = spectral_plan(u.grid)
+    _kick_drift(plan, a, 0.5 * dt, plan.free_multiplier(dt), p, *kick_work(a))
     return u.with_values(unmasked_kick(a, 0.5 * dt, p))
 
 
@@ -104,12 +105,6 @@ class TestNlsStep:
         p = NLSParams(sigma=2.0, mu=-1.0)
         out = strang_step(f, 0.02, p)
         assert abs(l2_norm(out) - l2_norm(f)) < 1e-13
-
-
-def bits(x):
-    """The bits of the float64 parts of ``x``, so that equal bits mean equal
-    values with -0.0 and 0.0 told apart."""
-    return np.ascontiguousarray(x).view(np.uint64)
 
 
 class TestMaskedKick:
@@ -435,7 +430,8 @@ class TestStackedRows:
         # row, against the one-row form: each row kicked alone by the
         # unmasked kick, then fftn, its multiplier and ifftn over the field;
         # k more rows of modulus up to 1e-3 put phases on both sides of
-        # SMALL_PHASE
+        # SMALL_PHASE.  The plan's multiplier method, which the kernel's
+        # drift is, equals the same per-row form, out of place and in place
         grid = TestRawLoop.datum(dim).grid
         plan = spectral_plan(grid)
         p = NLSParams(sigma=2.0 / dim, mu=1.0)
@@ -446,13 +442,21 @@ class TestStackedRows:
         theta = np.reshape(taus, (2 * k, *(1,) * dim)) * np.abs(rows) ** (2 * p.sigma)
         assert (np.abs(theta) < SMALL_PHASE).any() and (np.abs(theta) > SMALL_PHASE).any()
         a = rows.copy()
-        _kick_drift(a, np.reshape(taus, (2 * k, *(1,) * dim)),
-                    np.stack([plan.free_multiplier(h) for h in steps]), p, *kick_work(a))
-        for row, v, tau, h in zip(a, rows, taus, steps, strict=True):
+        m = np.stack([plan.free_multiplier(h) for h in steps])
+        _kick_drift(plan, a, np.reshape(taus, (2 * k, *(1,) * dim)), m, p, *kick_work(a))
+        drifted = plan.apply_multiplier(rows, m)
+        in_place = rows.copy()
+        plan.apply_multiplier(in_place, m, in_place, in_place)
+        for r, (v, tau, h) in enumerate(zip(rows, taus, steps, strict=True)):
+            ref_spec = np.fft.fftn(v)
+            ref_spec *= plan.free_multiplier(h)
+            ref = np.fft.ifftn(ref_spec)
+            assert np.array_equal(bits(drifted[r]), bits(ref))
+            assert np.array_equal(bits(in_place[r]), bits(ref))
             ref = unmasked_kick(v.copy(), tau, p)
             ref_spec = np.fft.fftn(ref)
             ref_spec *= plan.free_multiplier(h)
-            assert np.array_equal(row, np.fft.ifftn(ref_spec, out=ref))
+            assert np.array_equal(a[r], np.fft.ifftn(ref_spec, out=ref))
 
     def test_unequal_step_counts_rejected_before_any_step(self, monkeypatch):
         def no_step(*args, **kwargs):
@@ -558,11 +562,16 @@ class TestDnlsEvolve:
         seen = []
         dnls_evolve(sech_field(grid1d(256, 0.1), 0.5), 0.0, 0.05, DNLSParams(1.0),
                     0.01, observer=lambda t, fld: seen.append((calls[0], transforms[0])))
-        # one FFT for the start state's spectrum; then per step four stages,
-        # each one inverse call on psi and psi_x and one FFT back, and one
-        # inverse FFT for the field the observer gets
-        assert seen[0] == (1, 1)
-        assert np.diff(seen, axis=0).tolist() == [[8 + 1, 12 + 1]] * 5
+        # one FFT for the start state's spectrum and one for the health
+        # monitor's spectral tail (``diagnostics``) at the start; then per
+        # step four stages, each one inverse call on psi and psi_x and one
+        # FFT back, and one inverse FFT for the field the observer gets.
+        # Five steps are fewer than HEALTH_CHECKS_PER_RUN, so the monitor
+        # checks after every step, once the observer has seen it: from the
+        # second step on, each difference holds the last step's monitor FFT
+        assert seen[0] == (2, 2)
+        assert np.diff(seen, axis=0).tolist() == (
+            [[8 + 1, 12 + 1]] + [[8 + 1 + 1, 12 + 1 + 1]] * 4)
 
     def test_product_rule_slope_equals_density_form(self):
         # a field whose spectrum lies below N/4 has a band-limited |psi|^2,

@@ -74,6 +74,16 @@ class TestGridDescriptor:
         with pytest.raises(ValueError):
             GridDescriptor.centered((100,), (0.1,))
 
+    @pytest.mark.parametrize("counts", [(1024.7,), (16.9, 8.2), (float("inf"),)])
+    def test_rejects_non_integral_counts(self, counts):
+        # a fraction is refused, not truncated to a power of two, and an
+        # infinite count is a ValueError too
+        with pytest.raises(ValueError, match="not all integers"):
+            GridDescriptor.centered(counts, (0.1,) * len(counts))
+
+    def test_accepts_integral_float_counts(self):
+        assert GridDescriptor.centered((1024.0, 8.0), (0.1, 0.2)).counts == (1024, 8)
+
     def test_dual_round_trip(self):
         g = GridDescriptor.centered((256, 64), (0.05, 0.2))
         gd = g.dual().dual()
@@ -221,6 +231,60 @@ class TestSpectralPlan:
         x = g.axis_coords(0)
         out = spectral_plan(g).derivative(np.exp(-0.5 * x**2))
         assert np.max(np.abs(out - (-x * np.exp(-0.5 * x**2)))) < 1e-12
+
+
+def bits(x):
+    """The bits of the float64 parts of ``x``, so that equal bits mean equal
+    values with -0.0 and 0.0 told apart."""
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+class TestGridTransformPins:
+    """The field-level operators run on the plan's per-axis transform; each
+    is bit for bit its formula on np.fft.fftn and ifftn."""
+
+    @pytest.fixture(params=[((256,), (0.1,)), ((64, 32), (0.3, 0.45))], ids=["1d", "2d"])
+    def field(self, request):
+        return random_band_limited(GridDescriptor.centered(*request.param), seed=11)
+
+    def test_forward_and_inverse(self, field):
+        plan = spectral_plan(field.grid)
+        spec = np.fft.fftshift(np.fft.fftn(field.values))
+        spec *= plan.signs
+        spec *= plan.prefactor
+        assert np.array_equal(bits(forward_fourier(field).values), bits(spec))
+        vals = np.fft.ifftn(np.fft.ifftshift(field.values * plan.signs))
+        vals *= plan.prefactor * field.grid.size
+        assert np.array_equal(bits(inverse_fourier(field).values), bits(vals))
+
+    def test_free_propagate(self, field):
+        plan = spectral_plan(field.grid)
+        for t in (0.37, -2.5):
+            spec = np.fft.fftn(field.values)
+            spec *= plan.free_multiplier(t)
+            assert np.array_equal(bits(free_propagate(field, t).values),
+                                  bits(np.fft.ifftn(spec)))
+
+    def test_diagnostics(self, field):
+        plan = spectral_plan(field.grid)
+        for f in (field, free_propagate(field, 40.0)):
+            spec = np.fft.fftn(f.values)
+            density = np.abs(spec) ** 2
+            tail = float(density[plan.dual_shell].sum() / density.sum())
+            d = diagnostics(f)
+            assert d.spectral_tail_fraction == tail and tail > 0.0
+            density = np.abs(f.values) ** 2
+            assert d.boundary_mass_fraction == float(density[plan.shell].sum()
+                                                     / density.sum())
+
+    def test_derivative(self):
+        f = random_band_limited(grid1d(256, 0.1), seed=12)
+        plan = spectral_plan(f.grid)
+        # a complex field, and a real density as ``residual`` differentiates
+        for a in (f.values, np.abs(f.values) ** 2):
+            spec = np.fft.fftn(a)
+            spec *= plan.derivative_symbol
+            assert np.array_equal(bits(plan.derivative(a)), bits(np.fft.ifftn(spec)))
 
 
 class TestQuadraticPhase:
