@@ -27,17 +27,21 @@ since the alternating signs of a grid and of its dual are the same array
 and cancel, and a shift is a permutation undone before any step that is
 not elementwise.
 
-Quadrature is composite Gauss-Legendre on panels graded linearly near zero
-and geometrically in the tail.  Each panel's GL_NODES nodes are evaluated
-in both orientations as one (2, GL_NODES, *counts) block, with batched
-transforms along the grid axes; one panel is held at a time, so a
-temporary costs 2 GL_NODES complex samples per grid point (~21 MB on a 2D
-256^2 grid).  A singular endpoint weight |t|^a with a in (-1, 0) is removed
-exactly by the substitution t = s^(1/(1+a)), under which
-t^a dt = ds/(1+a).  The part of the half line beyond t_max is estimated,
-not bounded: ``_tail_bound`` samples the integrand at 0.5 and 0.995 t_max
-and extrapolates the algebraic decay with the smaller of the measured and
-the assumed exponent.
+Quadrature is composite Gauss-Legendre in two uniform halves, which meet
+at T_SWITCH, so no panel mixes the two row routes.  The near half is
+uniform in u = t^(1+a): a singular endpoint weight |t|^a with a in (-1, 0)
+is removed exactly, since t^a dt = du/(1+a).  Beyond T_SWITCH the rows are
+|t|^(-n sigma) times a function that is smooth in s = 1/t, so the far half
+is uniform in r = s^q, q = n sigma - a - 1, which turns t^a times that
+decay into a smooth integrand in r; ``panels`` counts the panels of both
+halves.  Each panel's GL_NODES nodes are evaluated in both orientations as
+one (2, GL_NODES, *counts) block, with batched transforms along the grid
+axes; one panel is held at a time, so a temporary costs 2 GL_NODES complex
+samples per grid point (~21 MB on a 2D 256^2 grid).  The half line is
+truncated at t_max, and the part beyond it is estimated, not bounded:
+``_tail_bound`` samples the integrand at 0.5 and 0.995 t_max and
+extrapolates the algebraic decay with the smaller of the measured and the
+assumed exponent.
 """
 
 from __future__ import annotations
@@ -59,9 +63,9 @@ from .errors import ConvergenceError
 
 GL_NODES = 10
 T_SWITCH = 1.0
-# Most panels a quadrature may have (28x the largest default, 144); the
-# fine pass runs twice as many.  A larger count is a ValueError before any
-# panel edge is built.
+# Most panels a quadrature may have (256x the default of every experiment,
+# 16); the fine pass runs twice as many.  A larger count is a ValueError
+# before any panel edge is built.
 MAX_PANELS = 4096
 # The orientations of every integral pair, in the order results come back.
 ORIENTATIONS = (+1, -1)
@@ -69,10 +73,13 @@ ORIENTATIONS = (+1, -1)
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Half-line quadrature plan.
+    """Half-line quadrature plan on [0, t_max].
 
-    singular_exponent is the endpoint weight power a (0 for unweighted
-    integrals).
+    panels counts every panel of the rule: panels // 2 near ones, uniform
+    in t^(1+a) on [0, T_SWITCH], and the rest far ones, uniform in a power
+    of s = 1/t on [1/t_max, 1/T_SWITCH] (all near when t_max <= T_SWITCH).
+    A weighted rule adds 12 cascade panels near zero.  singular_exponent is
+    the endpoint weight power a (0 for unweighted integrals).
     """
 
     t_max: float = 400.0
@@ -185,55 +192,68 @@ def _flow_rows(phi: ComplexField, sigma):
     return rows
 
 
-def _panel_edges(t_max, panels):
-    """Panel edges on [0, t_max]: linear up to min(1, t_max/4), then geometric."""
-    if t_max <= 8.0:
-        return np.linspace(0.0, t_max, panels + 1)
-    t_break = min(1.0, t_max / 4.0)
-    n_lin = max(4, panels // 4)
-    n_log = panels - n_lin
-    lin = np.linspace(0.0, t_break, n_lin + 1)
-    log = np.geomspace(t_break, t_max, n_log + 1)[1:]
-    return np.concatenate([lin, log])
+def _panels(t_max, panels, a, n_sigma):
+    """The panels of the rule for |t|^a f(t) on [0, t_max], each as the
+    GL_NODES times and weights of its nodes, with |t|^a and every Jacobian
+    folded into the weights; f is assumed to decay like |t|^(-n_sigma).
+
+    The near half, panels // 2 of them, is uniform in u = t^(1+a) on
+    [0, T_SWITCH], where t^a dt = du/(1+a); for a != 0 its first panel is
+    cascaded geometrically into 13.  The far half, the rest, is uniform in
+    r = s^q on [(1/t_max)^q, (1/T_SWITCH)^q], with s = 1/t and
+    q = n_sigma - a - 1 > 0: there t^a dt = s^(-a-2) ds, and
+    f = s^n_sigma H(s) with H smooth in s turns into H/q dr.  No panel
+    straddles T_SWITCH, so each takes one row route.  When
+    t_max <= T_SWITCH every panel is near, on [0, t_max].
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(GL_NODES)
+    p = 1.0 + a
+    n_near = panels if t_max <= T_SWITCH else panels // 2
+    edges = np.linspace(0.0, min(t_max, T_SWITCH) ** p, n_near + 1)
+    if a != 0.0:
+        # the substituted integrand is bounded but only Hoelder at u = 0;
+        # cascade the first panel geometrically so each sub-panel sees a
+        # smooth relative variation
+        cascade = edges[1] * 10.0 ** -np.arange(12.0, 0.0, -1.0)
+        edges = np.concatenate([[0.0], cascade, edges[1:]])
+    for ua, ub in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (ua + ub), 0.5 * (ub - ua)
+        yield (mid + half * nodes) ** (1.0 / p), weights * half / p
+    if n_near == panels:
+        return
+    q = n_sigma - a - 1.0
+    edges = np.linspace(t_max ** -q, T_SWITCH ** -q, panels - n_near + 1)
+    for ra, rb in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (ra + rb), 0.5 * (rb - ra)
+        s = (mid + half * nodes) ** (1.0 / q)
+        # s^(-a-2) ds/dr = s^(-n_sigma) / q
+        yield 1.0 / s, weights * half * s ** -n_sigma / q
 
 
-def _panel_sum(block, weights, half, p):
+def _panel_sum(block, weights):
     """Sum over the nodes of a (2, GL_NODES, *counts) ``block`` with the
-    weights w * half / p, in node order, in place on the block."""
-    block *= _column(weights * half / p, block.ndim - 2)
+    node ``weights``, in node order, in place on the block."""
+    block *= _column(weights, block.ndim - 2)
     for j in range(1, len(weights)):
         block[:, 0] += block[:, j]
     return block[:, 0]
 
 
-def _quad_panels(rows, template, spec: QuadratureSpec, panels):
-    """Both oriented integrals of |t|^a * rows over [0, t_max], on the grid
-    of ``template``: for each sign of ORIENTATIONS, sign times the integral
-    of that orientation's rows.
+def _quad_panels(rows, template, spec: QuadratureSpec, panels, n_sigma):
+    """Both oriented integrals of |t|^a * rows over [0, t_max] on the
+    ``panels`` of ``_panels``, on the grid of ``template``: for each sign of
+    ORIENTATIONS, sign times the integral of that orientation's rows.
 
     ``rows(us)`` returns a (2, len(us), *counts) block, the rows at +u and
     at -u; each panel's GL_NODES times go in one call, and the block is
     consumed in place.
     """
-    a = spec.singular_exponent
-    p = 1.0 + a
-    nodes, weights = np.polynomial.legendre.leggauss(GL_NODES)
-    edges_t = _panel_edges(spec.t_max, panels)
-    edges_s = edges_t**p
-    if a != 0.0:
-        # the substituted integrand is bounded but only Hoelder at s = 0;
-        # cascade the first panel geometrically so each sub-panel sees a
-        # smooth relative variation
-        cascade = edges_s[1] * 10.0 ** -np.arange(12.0, 0.0, -1.0)
-        edges_s = np.concatenate([[0.0], cascade, edges_s[1:]])
     # a fixed order keeps results bitwise reproducible: nodes are summed
     # within a panel, then panels into a zero total
     total = 0.0
-    for sa, sb in zip(edges_s[:-1], edges_s[1:]):
-        mid, half = 0.5 * (sa + sb), 0.5 * (sb - sa)
+    for ts, ws in _panels(spec.t_max, panels, spec.singular_exponent, n_sigma):
         # the block is dropped before the next panel's rows are built
-        total = total + _panel_sum(rows((mid + half * nodes) ** (1.0 / p)),
-                                   weights, half, p)
+        total = total + _panel_sum(rows(ts), ws)
     return tuple(template.with_values(sign * part)
                  for sign, part in zip(ORIENTATIONS, total))
 
@@ -288,8 +308,8 @@ def _refined_quadrature(rows, template, spec, n_sigma):
         evaluations += len(us)
         return rows(us)
 
-    coarse = _quad_panels(counted, template, spec, spec.panels)
-    fine = _quad_panels(counted, template, spec, 2 * spec.panels)
+    coarse = _quad_panels(counted, template, spec, spec.panels, n_sigma)
+    fine = _quad_panels(counted, template, spec, 2 * spec.panels, n_sigma)
     tails = _tail_bound(counted, template, spec, n_sigma)
     return tuple(QuadratureResult(f, l2_difference(f, c), tail, decay, evaluations)
                  for f, c, (tail, decay) in zip(fine, coarse, tails))
@@ -356,10 +376,13 @@ def subcritical_sides(phi: ComplexField, sigma: float, q: QuadratureSpec) -> tup
                      _sides(phi, sigma, weighted, plain)))
 
 
-def scalar_weighted_integral(fn, a, t_max, panels):
+def scalar_weighted_integral(fn, a, t_max, panels, decay=2.0):
     """Quadrature of t^a * fn(t) over [0, t_max] through the exact same panel
     and substitution machinery, using a constant 8-point field; scalar
-    oracles with known closed forms pin the substitution down."""
+    oracles with known closed forms pin the substitution down.  ``decay`` is
+    the exponent n_sigma of the far half's substitution, which is exact for
+    an fn that decays like t^-decay times a smooth function of 1/t; the
+    default is that of every critical integrand."""
     grid = GridDescriptor.centered((8,), (1.0,))
     ones = ComplexField(grid, np.ones(8))
 
@@ -368,5 +391,5 @@ def scalar_weighted_integral(fn, a, t_max, panels):
         return np.stack([column, column])
 
     spec = QuadratureSpec(t_max=t_max, panels=panels, singular_exponent=a)
-    plus, _ = _quad_panels(rows, ones, spec, panels)
+    plus, _ = _quad_panels(rows, ones, spec, panels, decay)
     return complex(plus.values[0])

@@ -4,7 +4,10 @@ Everything here deliberately avoids the package's FFT pipeline: transforms
 are dense sums, integrals are trapezoid sums, free-flow references come
 from closed-form Gaussian solutions, and nonlinear references from the
 focusing quintic's ground state, its Galilean boosts and its
-pseudo-conformal blow-up, all in closed form.
+pseudo-conformal blow-up, all in closed form.  The one exception is
+``graded_quadrature``, the half-line panel layout that the package used
+before its far panels moved to s = 1/t: it takes the package's row
+evaluator, so it is a reference for the layout, not for the rows.
 """
 
 import numpy as np
@@ -90,3 +93,34 @@ def cumulative_trapezoid(y, dx):
     out = np.zeros_like(np.asarray(y, dtype=float))
     out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1])) * dx
     return out
+
+
+def graded_quadrature(rows, a, t_max, panels, nodes=10):
+    """Both oriented integrals of |t|^a rows(t) over [0, t_max] on the
+    linear-then-geometric panels: linear on [0, t_max] when t_max <= 8,
+    otherwise max(4, panels // 4) linear panels up to min(1, t_max / 4) and
+    geometric ones beyond, each panel mapped to u = t^(1+a), where
+    t^a dt = du/(1+a), and the first one cascaded geometrically into 13
+    when a != 0.  ``rows(us)`` returns the (2, len(us), ...) block of the
+    rows at +u and -u; the result is (integral at +, -(integral at -)).
+    """
+    if t_max <= 8.0:
+        edges = np.linspace(0.0, t_max, panels + 1)
+    else:
+        t_break = min(1.0, t_max / 4.0)
+        n_lin = max(4, panels // 4)
+        lin = np.linspace(0.0, t_break, n_lin + 1)
+        log = np.geomspace(t_break, t_max, panels - n_lin + 1)[1:]
+        edges = np.concatenate([lin, log])
+    p = 1.0 + a
+    edges = edges**p
+    if a != 0.0:
+        edges = np.concatenate([[0.0], edges[1] * 10.0 ** -np.arange(12.0, 0.0, -1.0),
+                                edges[1:]])
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    total = 0.0
+    for ua, ub in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (ua + ub), 0.5 * (ub - ua)
+        block = rows((mid + half * x) ** (1.0 / p))
+        total = total + np.tensordot(w * half / p, block, axes=([0], [1]))
+    return total[0], -total[1]

@@ -26,6 +26,7 @@ from nlslab.core import (
 )
 from nlslab.errors import ConvergenceError
 
+from oracles import graded_quadrature
 from test_spectral import gaussian_field, grid1d
 
 
@@ -153,25 +154,36 @@ class TestRowEvaluators:
 
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_panels_straddling_switch_match_per_node_sum(self, phi, sign):
-        # t_max <= 8 gives linear panels; [0.625, 1.25] straddles T_SWITCH
-        spec = QuadratureSpec(t_max=5.0, panels=8)
-        rows = born_module._flow_rows(phi, 2.0)
-        out = orient(born_module._quad_panels(rows, phi, spec, 8), sign)
+        # the near half meets the far half at T_SWITCH: four panels uniform
+        # in t on [0, 1], four uniform in r = s^q on [(1/5)^q, 1], s = 1/t,
+        # q = n sigma - 1, where dt = s^-2 ds = s^-2 r^(1/q - 1) / q dr
         nodes, weights = np.polynomial.legendre.leggauss(born_module.GL_NODES)
-        edges = np.linspace(0.0, 5.0, 9)
-        total = 0.0
-        for sa, sb in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (sa + sb), 0.5 * (sb - sa)
-            total = total + sum(w * half * flow_node(phi, sign * (mid + half * x), 2.0)
-                                for x, w in zip(nodes, weights))
-        expected = sign * total.reshape(-1)
-        assert np.linalg.norm(out.values - expected) < 1e-14 * np.linalg.norm(expected)
+        for sigma in (2.0, 1.5):
+            q = sigma - 1.0
+            spec = QuadratureSpec(t_max=5.0, panels=8)
+            rows = born_module._flow_rows(phi, sigma)
+            out = orient(born_module._quad_panels(rows, phi, spec, 8, sigma), sign)
+            total = 0.0
+            for ta, tb in zip(np.linspace(0.0, 1.0, 5)[:-1], np.linspace(0.0, 1.0, 5)[1:]):
+                mid, half = 0.5 * (ta + tb), 0.5 * (tb - ta)
+                total = total + sum(w * half * flow_node(phi, sign * (mid + half * x), sigma)
+                                    for x, w in zip(nodes, weights))
+            far = np.linspace(0.2**q, 1.0, 5)
+            for ra, rb in zip(far[:-1], far[1:]):
+                mid, half = 0.5 * (ra + rb), 0.5 * (rb - ra)
+                for x, w in zip(nodes, weights):
+                    r = mid + half * x
+                    s = r ** (1.0 / q)
+                    jacobian = s**-2.0 * r ** (1.0 / q - 1.0) / q
+                    total = total + w * half * jacobian * flow_node(phi, sign / s, sigma)
+            expected = sign * total.reshape(-1)
+            assert np.linalg.norm(out.values - expected) < 1e-14 * np.linalg.norm(expected)
 
     def test_quad_panels_bitwise_reproducible(self, phi):
         spec = QuadratureSpec(t_max=400.0, panels=12)
         rows = born_module._flow_rows(phi, 2.0)
-        a = born_module._quad_panels(rows, phi, spec, 12)
-        b = born_module._quad_panels(rows, phi, spec, 12)
+        a = born_module._quad_panels(rows, phi, spec, 12, 2.0)
+        b = born_module._quad_panels(rows, phi, spec, 12, 2.0)
         for x, y in zip(a, b):
             assert np.array_equal(x.values, y.values)
 
@@ -230,8 +242,8 @@ def shifted_far_rows(phi, ts, sigma):
     return np.array(rows)
 
 
-# node times of one panel each: near zero, far out, and one straddling
-# T_SWITCH (the fifth of eight linear panels on [0, 5])
+# node times of one block each: near zero, far out, and one straddling
+# T_SWITCH, as the tail samples do when 1.005 < t_max <= 2
 _NODES = np.polynomial.legendre.leggauss(born_module.GL_NODES)[0]
 PANEL_TIMES = {
     "near": 0.05 + 0.05 * _NODES,
@@ -395,6 +407,75 @@ class TestScalarSubstitutionOracles:
         v = scalar_weighted_integral(lambda t: np.exp(-t), a, t_max, 32)
         exact = gamma(a + 1.0) * gammainc(a + 1.0, t_max)
         assert abs(v - exact) < 1e-10
+
+
+    @pytest.mark.parametrize("t_max", [2.0, 50.0, 1e4, 1e9])
+    def test_arctan_past_switch(self, t_max):
+        # 1/(1 + t^2) = t^-2 s^2/(1 + s^2) with s = 1/t: the far half's
+        # integrand in r = s is smooth
+        v = scalar_weighted_integral(lambda t: 1.0 / (1.0 + t * t), 0.0, t_max, 16,
+                                     decay=2.0)
+        assert abs(v - np.arctan(t_max)) < 1e-12 * np.arctan(t_max)
+
+    def test_inverse_sqrt_weight_past_switch(self):
+        # 1/(1 + t^2) = t^-1 s/(1 + s^2): at decay 1 and a = -1/2 the far
+        # half runs in r = s^(1/2), where the integrand is smooth; the
+        # integral to infinity is pi/sqrt(2), less a tail of
+        # (2/3) T^(-3/2) - (2/7) T^(-7/2) + ...
+        t_max = 1e9
+        exact = np.pi / np.sqrt(2.0) - (2.0 / 3.0) * t_max**-1.5 + (2.0 / 7.0) * t_max**-3.5
+        fn = lambda t: 1.0 / (1.0 + t * t)  # noqa: E731
+        v = scalar_weighted_integral(fn, -0.5, t_max, 16, decay=1.0)
+        assert abs(v - exact) < 1e-12 * exact
+        # the decay exponent is the substitution's: the true decay 2 gives
+        # r = s^(3/2), in which the integrand is only Hoelder at r = 0
+        wrong = scalar_weighted_integral(fn, -0.5, t_max, 16, decay=2.0)
+        assert abs(wrong - exact) > 1e-10 * exact
+
+
+def _unit_gaussian(grid):
+    f = gaussian_field(grid)
+    return f.with_values(f.values / l2_norm(f))
+
+
+def _plane():
+    return field_from_function(
+        GridDescriptor.centered((32, 32), (0.45, 0.45)),
+        lambda x, y: np.exp(-0.5 * (x - 0.3) ** 2 - 0.4 * y**2 + 0.5j * y))
+
+
+# (datum, sigma, singular exponent, t_max, reference panels) of each
+# quadrature an experiment runs: corollary2, proposition and both
+# sub-critical integrands at their defaults, with the reference at twice the
+# panels its layout used there, and the same integrands on a 2D grid
+GRADED_CASES = {
+    "corollary2": (lambda: gaussian_field(grid1d(1024, 0.039)), 2.0, 0.0, 25600.0, 160),
+    "proposition": (lambda: _unit_gaussian(grid1d(4096, 0.34)), 2.0, 0.0, 20000.0, 128),
+    "subcritical_plain": (lambda: gaussian_field(grid1d(1024, 0.039)), 1.5, 0.0, 1e9, 288),
+    "subcritical_weighted": (lambda: gaussian_field(grid1d(1024, 0.039)), 1.5, -0.5,
+                             1e9, 288),
+    "2d_critical": (_plane, 1.0, 0.0, 25600.0, 160),
+    "2d_subcritical_plain": (_plane, 0.75, 0.0, 1e9, 288),
+    "2d_subcritical_weighted": (_plane, 0.75, -0.5, 1e9, 288),
+}
+
+
+class TestGradedReference:
+    """The two uniform halves at 16 panels against the linear-then-geometric
+    layout they replaced (``oracles.graded_quadrature``) at twice its
+    default panels, on the same rows, for the datum and its transform."""
+
+    @pytest.mark.parametrize("case", sorted(GRADED_CASES))
+    def test_halves_match_graded_layout(self, case):
+        make, sigma, a, t_max, reference_panels = GRADED_CASES[case]
+        phi = make()
+        spec = QuadratureSpec(t_max=t_max, panels=16, singular_exponent=a)
+        for f in (phi, forward_fourier(phi)):
+            rows = born_module._flow_rows(f, sigma)
+            halves = born_module._quad_panels(rows, f, spec, 16, f.grid.dim * sigma)
+            graded = graded_quadrature(rows, a, t_max, reference_panels)
+            for got, ref in zip(halves, graded):
+                assert np.linalg.norm(got.values - ref) < 1e-13 * np.linalg.norm(ref)
 
 
 class TestCorollary2:

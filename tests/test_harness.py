@@ -18,8 +18,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nlslab import cli
-from nlslab.born import QuadratureSpec, born_integral
-from nlslab.core import GridDescriptor, l2_norm
+from nlslab.born import QuadratureSpec, born_integral, corollary2_sides
+from nlslab.core import GridDescriptor, l2_difference, l2_norm
 from nlslab.errors import ConfigError, NlslabError, SnapshotFormatError
 from nlslab.harness import (
     DEFAULTS,
@@ -640,6 +640,25 @@ class TestReportShape:
         assert rep.notes == notes
         resolved = rep.params["config"]["grid"]
         assert rep.grid == {"counts": resolved["counts"], "spacings": resolved["spacings"]}
+
+
+class TestCorollary2Experiment:
+    def test_orientation_control_uses_the_other_signs_right_side(self):
+        # identity / control, the control being -K_{+s}(F phi) in place of
+        # -K_{-s}(F phi): the right side of the other sign's pair
+        rep = run("corollary2")
+        residuals = {r.name: r for r in rep.residuals}
+        grid = GridDescriptor.centered((1024,), (0.039,))
+        datum = make_datum(InitialDatumSpec(**DEFAULTS["corollary2"]["datum"]), grid)
+        pairs = corollary2_sides(datum, QuadratureSpec(t_max=25600.0, panels=16))
+        for label, (lhs, rhs), (_, wrong) in zip(("plus", "minus"), pairs, pairs[::-1]):
+            scale = l2_norm(lhs.field)
+            identity = l2_difference(lhs.field, rhs.field) / scale
+            control = l2_difference(lhs.field, wrong.field) / scale
+            assert control > 0.5
+            got = residuals[f"orientation_control_{label}"]
+            assert got.tolerance == 0.1 and got.ok
+            assert abs(got.value - identity / control) < 1e-12 * got.value
 
 
 class TestSubcriticalExperiment:
