@@ -95,14 +95,15 @@ def cumulative_trapezoid(y, dx):
     return out
 
 
-def graded_quadrature(rows, a, t_max, panels, nodes=10):
+def graded_quadrature(rows, a, t_max, panels):
     """Both oriented integrals of |t|^a rows(t) over [0, t_max] on the
     linear-then-geometric panels: linear on [0, t_max] when t_max <= 8,
     otherwise max(4, panels // 4) linear panels up to min(1, t_max / 4) and
-    geometric ones beyond, each panel mapped to u = t^(1+a), where
-    t^a dt = du/(1+a), and the first one cascaded geometrically into 13
-    when a != 0.  ``rows(us)`` returns the (2, len(us), ...) block of the
-    rows at +u and -u; the result is (integral at +, -(integral at -)).
+    geometric ones beyond, each of 10 Gauss-Legendre nodes and mapped to
+    u = t^(1+a), where t^a dt = du/(1+a), and the first one cascaded
+    geometrically into 13 when a != 0.  ``rows(us)`` returns the
+    (2, len(us), ...) block of the rows at +u and -u; the result is
+    (integral at +, -(integral at -)).
     """
     if t_max <= 8.0:
         edges = np.linspace(0.0, t_max, panels + 1)
@@ -117,7 +118,7 @@ def graded_quadrature(rows, a, t_max, panels, nodes=10):
     if a != 0.0:
         edges = np.concatenate([[0.0], edges[1] * 10.0 ** -np.arange(12.0, 0.0, -1.0),
                                 edges[1:]])
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = np.polynomial.legendre.leggauss(10)
     total = 0.0
     for ua, ub in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (ua + ub), 0.5 * (ub - ua)

@@ -164,7 +164,8 @@ class TestRowEvaluators:
             rows = born_module._flow_rows(phi, sigma)
             out = orient(born_module._quad_panels(rows, phi, spec, 8, sigma), sign)
             total = 0.0
-            for ta, tb in zip(np.linspace(0.0, 1.0, 5)[:-1], np.linspace(0.0, 1.0, 5)[1:]):
+            near = np.linspace(0.0, 1.0, 5)
+            for ta, tb in zip(near[:-1], near[1:]):
                 mid, half = 0.5 * (ta + tb), 0.5 * (tb - ta)
                 total = total + sum(w * half * flow_node(phi, sign * (mid + half * x), sigma)
                                     for x, w in zip(nodes, weights))
