@@ -414,12 +414,13 @@ _NAMED = ("quantity", "value")
 def _add_sides(report, sides, scale, tolerance):
     """Add ||lhs - rhs|| / ``scale`` of each (name, lhs, rhs) of ``sides``,
     in order, against ``tolerance``; return the values by name.  The pairs
-    are taken one at a time, so the pairs of a generator are never all held
-    at once."""
+    are taken one at a time and let go of once measured, so a generator's
+    next pair is made while no earlier pair is held."""
     values = {}
     for name, lhs, rhs in sides:
         values[name] = l2_difference(lhs, rhs) / scale
         report.add_residual(name, values[name], tolerance)
+        del lhs, rhs
     return values
 
 
@@ -570,6 +571,7 @@ def _run_thm1(config, grid, datum, report):
             value = residuals[name]
             report.add_residual(f"{name}_decreases_with_horizon",
                                 doubled / value if value > 0 else 0.0, 1.0)
+            del lhs, rhs
 
 
 def _run_conjugation(config, grid, datum, report):

@@ -16,15 +16,17 @@ fourth-order error only falls below a second-order one below some dt, and
 at wave_op's dt = 0.04 the Yoshida steps of 4 dt err 2.6 times more than
 Strang steps of dt.  The lens route, ``solve`` and
 ``free_return_ladder`` take Strang steps of dt.  An outward schedule and its
-reverse take the same step count, so on a 1D grid all the truncated
-evolutions of one identity march as one stack through
-``_truncated_operators``, the one owner of the grading, the composition, the
-stacking and the datum and horizon checks.  Each row is bitwise its own
-evolution.  The lens route is exact for sigma = 2/n: the pseudo-conformal
-(lens) transform swaps t = +-infinity with tau = 0, so W+- become
-finite-time evolutions joined by the Fourier transform.  The small-data
-expansion runs on the lens route; the theorem-1, conjugation and lemma
-checks keep the truncated operators as their independent side.
+reverse take the same step count, so the truncated evolutions of one
+identity march as stacks through ``_truncated_operators``, the one owner of
+the grading, the composition, the stacking and the datum and horizon
+checks: all of them as one stack on a 1D grid, whose transforms numpy
+batches across the rows, and two consecutive ones per stack on a grid of
+more dimensions, whose two rows step in two threads.  Each row is bitwise
+its own evolution.  The lens route is exact for sigma = 2/n: the
+pseudo-conformal (lens) transform swaps t = +-infinity with tau = 0, so W+-
+become finite-time evolutions joined by the Fourier transform.  The
+small-data expansion runs on the lens route; the theorem-1, conjugation and
+lemma checks keep the truncated operators as their independent side.
 """
 
 from __future__ import annotations
@@ -117,18 +119,21 @@ def _truncated_operators(calls, p, horizon, dt):
     evolution takes the graded Yoshida steps of YOSHIDA_STEP_RATIO * dt.
     Every datum and the horizon are checked before any evolution.  The
     calls march as one stack on a 1D grid, whose FFTs numpy batches across
-    the rows, and one at a time on a grid of more dimensions, whose
-    transforms already batch over its own rows.  A stack marches when its
-    first operator is asked for, so on a 2D grid a caller that takes the
-    operators one at a time holds no more fields than one evolution
-    needs."""
+    the rows, and as stacks of two consecutive calls on a grid of more
+    dimensions, whose two rows step in two threads (``nls_evolve_rows``);
+    an odd last call is a stack of one.  A stack marches when its first
+    operator is asked for, and the generator lets go of each operator once
+    it has handed it out, so on a 2D grid a caller that takes the
+    operators in turn, and lets go of them too, holds no more fields than
+    one pair of evolutions needs."""
     for f, sign, _ in calls:
         _check_datum(f, sign)
     if not (horizon > 0):
         raise ValueError("horizon must be positive")
-    stacks = [calls] if calls[0][0].grid.dim == 1 else [[call] for call in calls]
+    size = len(calls) if calls[0][0].grid.dim == 1 else 2
     step = YOSHIDA_STEP_RATIO * dt
-    for stack in stacks:
+    for first in range(0, len(calls), size):
+        stack = calls[first:first + size]
         ends = nls_evolve_rows(
             [f if inverse else free_propagate(f, sign * horizon) for f, sign, inverse in stack],
             [_graded_schedule(0.0, sign * horizon, step) if inverse
@@ -142,6 +147,8 @@ def _truncated_operators(calls, p, horizon, dt):
             if inverse:
                 u = free_propagate(u, -sign * horizon)
             yield u
+            # and let go of once handed out, before the next stack marches
+            del u
 
 
 def wave_operator(
@@ -219,6 +226,8 @@ def theorem1_sides(u0: ComplexField, p: NLSParams, horizon: float, dt: float):
     for _, label in SIGNS:
         lhs = forward_fourier(next(ops))
         yield f"sign_{label}", lhs, resample(next(ops), lhs.grid)
+        # not held while the next sign's operators march
+        del lhs
 
 
 def conjugation_sides(u0: ComplexField, p: NLSParams, horizon: float, dt: float):
@@ -240,6 +249,7 @@ def conjugation_sides(u0: ComplexField, p: NLSParams, horizon: float, dt: float)
     for _, label in SIGNS:
         lhs, rhs = next(ops), inverse_fourier(conjugate(next(ops)))
         yield f"transform_conjugated_inverse_{label}", resample(lhs, rhs.grid), rhs
+        del lhs, rhs
 
 
 def small_data_sweep(
@@ -326,3 +336,4 @@ def asymptotic_state_sides(u0: ComplexField, p: NLSParams, horizon: float, dt: f
         v_limit = pseudo_conformal(SnapshotAtTime(u_t, sign * horizon)).field
         predicted = inverse_fourier(reflect(v_limit))
         yield f"asymptotic_state_match_{label}", resample(u_asym, predicted.grid), predicted
+        del u_asym, u_t, v_limit, predicted

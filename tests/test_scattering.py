@@ -1,10 +1,12 @@
 """Wave operators, their inverses, and the two sides of the operator
 identities."""
 
+import weakref
+
 import numpy as np
 import pytest
 
-from nlslab import scattering
+from nlslab import harness, scattering
 from nlslab.born import QuadratureSpec, born_integral
 from nlslab.core import (
     GridDescriptor,
@@ -16,6 +18,7 @@ from nlslab.core import (
     resample,
 )
 from nlslab.errors import NlslabError
+from nlslab.reports import VerificationReport
 from nlslab.scattering import (
     SIGNS,
     T_GRADE,
@@ -242,12 +245,13 @@ class TestGradedSteps:
                 u = evolve_composed(u, a, b, params, h, composition)
             assert np.array_equal(row.values, u.values)
 
-    @pytest.mark.parametrize("counts, stacks", [((512,), [4]), ((64, 64), [1, 1, 1, 1])])
+    @pytest.mark.parametrize("counts, stacks", [((512,), [4]), ((64, 64), [2, 2])])
     def test_stacks_follow_the_dimension(self, monkeypatch, counts, stacks):
-        # a 1D identity marches its four evolutions as one stack; a 2D one,
-        # whose transforms already batch over the grid's rows, one at a time.
-        # The first pair of sides needs the first two operators and no more:
-        # the whole stack in 1D, two stacks of one in 2D
+        # a 1D identity marches its four evolutions as one stack; a 2D one
+        # as two stacks of two, W_s^{-1} u0 and W_{-s} F u0 for each sign,
+        # whose rows step in two threads.  The first pair of sides needs
+        # the first two operators and no more: the whole stack in 1D, the
+        # first stack of two in 2D
         seen = []
 
         def recording(fields, schedules, p, **kwargs):
@@ -259,9 +263,37 @@ class TestGradedSteps:
         u0 = normalized_gaussian(g, 0.2)
         sides = theorem1_sides(u0, NLSParams(sigma=2.0 / len(counts)), 2.0, 0.1)
         next(sides)
-        assert seen == stacks[:2]
+        assert seen == stacks[:1]
         list(sides)
         assert seen == stacks
+
+
+    def test_first_sign_let_go_of_before_second_stack_marches(self, monkeypatch):
+        # run through the harness, the first sign's evolved rows and its lhs
+        # and rhs are dead when the second sign's stack starts to march, so
+        # the two pairs of evolutions are never held at once: a
+        # deterministic stand-in for the peak resident set
+        held, marched = [], []
+
+        def measuring(lhs, rhs):
+            held.extend(weakref.ref(f.values) for f in (lhs, rhs))
+            return l2_difference(lhs, rhs)
+
+        def marching(fields, schedules, p, **kwargs):
+            marched.append([ref() is not None for ref in held])
+            ends = nls_evolve_rows(fields, schedules, p, **kwargs)
+            held.extend(weakref.ref(f.values) for f in ends)
+            return ends
+
+        monkeypatch.setattr(harness, "l2_difference", measuring)
+        monkeypatch.setattr(scattering, "nls_evolve_rows", marching)
+        g = GridDescriptor.centered((64, 64), (0.35, 0.35))
+        u0 = normalized_gaussian(g, 0.2)
+        report = VerificationReport("fourier_exchange")
+        sides = theorem1_sides(u0, NLSParams(sigma=1.0), 2.0, 0.1)
+        harness._add_sides(report, sides, l2_norm(u0), 1e-2)
+        assert marched == [[], [False] * 4]
+        assert [r.name for r in report.residuals] == ["sign_plus", "sign_minus"]
 
 
 class TestLensWaveOperators:

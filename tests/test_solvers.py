@@ -2,6 +2,8 @@
 equation, and the strong-form residual check."""
 
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from nlslab.solvers import (
     DNLSParams,
     NLSParams,
     SMALL_PHASE,
+    STRANG,
     YOSHIDA,
     _kick,
     _kick_drift,
@@ -409,15 +412,17 @@ class TestStackedRows:
             u = nls_evolve(u, t0, t1, p, dt)
         return u
 
+    # 20 steps each, the segments starting at different steps
+    SCHEDULES = [[(0.0, 0.2, 0.02), (0.2, 0.6, 0.04)],
+                 [(0.0, -0.3, 0.015)],
+                 [(0.5, 0.0, 0.05), (0.0, -0.25, 0.025)]]
+
     @pytest.mark.parametrize("dim", [1, 2])
     def test_rows_equal_chained_evolutions(self, dim):
         f = TestRawLoop.datum(dim)
         p = NLSParams(sigma=2.0 / dim, mu=1.0)
-        # 20 steps each, the segments starting at different steps; three
-        # rows, so that a 1D stack is no multiple of a SIMD width
-        schedules = [[(0.0, 0.2, 0.02), (0.2, 0.6, 0.04)],
-                     [(0.0, -0.3, 0.015)],
-                     [(0.5, 0.0, 0.05), (0.0, -0.25, 0.025)]]
+        # three rows, so that a 1D stack is no multiple of a SIMD width
+        schedules = self.SCHEDULES
         fields = [f, conjugate(f), free_propagate(f, 0.5)]
         out = nls_evolve_rows(fields, schedules, p)
         assert len(out) == 3
@@ -493,6 +498,102 @@ class TestStackedRows:
                             NLSParams(sigma=2.0, mu=1.0))
         assert "boundary_mass_fraction" in info.value.diagnostics
         assert 5.0 < info.value.diagnostics["t"] <= 5.4
+
+    # A stack of two or more rows on a 2D grid steps in two threads, half
+    # of its rows in each: every row is bitwise its own one-row march, and
+    # no thread outlives the march
+
+    @classmethod
+    def assert_rows_equal_own_marches(cls, k, composition):
+        f = TestRawLoop.datum(2)
+        p = NLSParams(sigma=1.0, mu=1.0)
+        fields = [f, conjugate(f), free_propagate(f, 0.5)][:k]
+        schedules = cls.SCHEDULES[:k]
+        out = nls_evolve_rows(fields, schedules, p, composition=composition)
+        for u, schedule, row in zip(fields, schedules, out, strict=True):
+            alone = nls_evolve_rows([u], [schedule], p, composition=composition)[0]
+            assert np.array_equal(bits(row.values), bits(alone.values))
+
+    @pytest.mark.parametrize("composition", [STRANG, YOSHIDA], ids=["strang", "yoshida"])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_rows_equal_own_marches(self, k, composition):
+        self.assert_rows_equal_own_marches(k, composition)
+
+    def test_rows_equal_own_marches_under_frequent_switches(self):
+        # the interpreter hands the GIL between the threads every microsecond
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self.assert_rows_equal_own_marches(3, YOSHIDA)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("dim, k, threads", [(2, 2, 2), (2, 3, 2), (2, 1, 1), (1, 3, 1)])
+    def test_threads_follow_rows_and_dimension(self, monkeypatch, dim, k, threads):
+        # the threads that run the kernel: two for a 2D stack of two or
+        # more rows, the calling thread alone for one row or a 1D stack
+        seen = set()
+
+        def recording(*args):
+            seen.add(threading.get_ident())
+            return _kick_drift(*args)
+
+        monkeypatch.setattr(solvers, "_kick_drift", recording)
+        f = TestRawLoop.datum(dim)
+        nls_evolve_rows([f] * k, [[(0.0, 0.1, 0.05)]] * k, NLSParams(sigma=2.0 / dim))
+        assert len(seen) == threads
+
+    @pytest.mark.parametrize("schedules, built", [
+        ([[(0.0, 0.1, 0.05)], [(-0.1, 0.0, 0.05)]], 2),
+        ([[(0.0, 0.1, 0.05)], [(0.0, -0.1, 0.05)]], 4)])
+    def test_rows_of_one_step_share_multipliers(self, monkeypatch, schedules, built):
+        # the two rows of a 2D stack share the multipliers of Yoshida's two
+        # distinct fractions when their steps agree, and each row builds
+        # its own when they do not
+        calls = []
+        build = SpectralPlan.free_multiplier
+
+        def counted(plan, t):
+            calls.append(t)
+            return build(plan, t)
+
+        monkeypatch.setattr(SpectralPlan, "free_multiplier", counted)
+        f = TestRawLoop.datum(2)
+        nls_evolve_rows([f, f], schedules, NLSParams(sigma=1.0), composition=YOSHIDA)
+        assert len(calls) == built
+
+    def test_health_violation_in_worker_row_names_its_run(self):
+        # the second row, stepped by the worker, is a packet running into
+        # the boundary shell |x| >= 5.6 at speed 8; the march fails naming
+        # its run, and the worker is gone afterwards
+        g = TestRawLoop.datum(2).grid
+        good = field_from_function(g, lambda x, y: 0.1 * np.exp(-0.5 * (x**2 + y**2)))
+        runner = field_from_function(
+            g, lambda x, y: 0.1 * np.exp(-0.5 * ((x - 1.0)**2 + y**2) + 8j * x))
+        before = threading.active_count()
+        with pytest.raises(SolverHealthError,
+                           match="the run from 5 to 5.4: health violation") as info:
+            nls_evolve_rows([good, runner], [[(0.0, 0.4, 0.01)], [(5.0, 5.4, 0.01)]],
+                            NLSParams(sigma=1.0, mu=1.0))
+        assert 5.0 < info.value.diagnostics["t"] <= 5.4
+        assert threading.active_count() == before
+
+    def test_error_in_worker_leaves_the_march(self, monkeypatch):
+        # an error raised in the worker's half of a step leaves the march
+        # as it was raised, and the worker is gone afterwards
+        main = threading.get_ident()
+
+        def failing(*args):
+            if threading.get_ident() != main:
+                raise RuntimeError("worker row")
+            return _kick_drift(*args)
+
+        monkeypatch.setattr(solvers, "_kick_drift", failing)
+        f = TestRawLoop.datum(2)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="worker row"):
+            nls_evolve_rows([f, f], [[(0.0, 0.1, 0.05)]] * 2, NLSParams(sigma=1.0))
+        assert threading.active_count() == before
 
 
 def position_space_rk4(psi0, t0, t1, lam, steps):
