@@ -431,7 +431,7 @@ def nls_evolve_rows(fields, schedules, p: NLSParams, observer=None,
         for r in rows:
             for j in order:
                 pending[r] += half[j, r]
-                _kick_drift(plan, a[r], kick_time[r], mults[r][j], p, spec[r], w[r],
+                _kick_drift(plan, a[r], pending[r], mults[r][j], p, spec[r], w[r],
                             masks[:, r])
                 pending[r] = half[j, r]
 

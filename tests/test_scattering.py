@@ -267,7 +267,6 @@ class TestGradedSteps:
         list(sides)
         assert seen == stacks
 
-
     def test_first_sign_let_go_of_before_second_stack_marches(self, monkeypatch):
         # run through the harness, the first sign's evolved rows and its lhs
         # and rhs are dead when the second sign's stack starts to march, so
