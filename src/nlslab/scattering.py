@@ -21,8 +21,9 @@ identity march as stacks through ``_truncated_operators``, the one owner of
 the grading, the composition, the stacking and the datum and horizon
 checks: all of them as one stack on a 1D grid, whose transforms numpy
 batches across the rows, and two consecutive ones per stack on a grid of
-more dimensions, whose two rows step in two threads.  Each row is bitwise
-its own evolution.  The lens route is exact for sigma = 2/n: the
+more dimensions.  ``nls_evolve_rows`` steps a stack in parts, the whole
+stack in 1D and two halves in two threads otherwise, so a 2D pair's two
+rows step in two threads.  Each row is bitwise its own evolution.  The lens route is exact for sigma = 2/n: the
 pseudo-conformal (lens) transform swaps t = +-infinity with tau = 0, so W+-
 become finite-time evolutions joined by the Fourier transform.  The
 small-data expansion runs on the lens route; the theorem-1, conjugation and
@@ -120,8 +121,8 @@ def _truncated_operators(calls, p, horizon, dt):
     Every datum and the horizon are checked before any evolution.  The
     calls march as one stack on a 1D grid, whose FFTs numpy batches across
     the rows, and as stacks of two consecutive calls on a grid of more
-    dimensions, whose two rows step in two threads (``nls_evolve_rows``);
-    an odd last call is a stack of one.  A stack marches when its first
+    dimensions, which ``nls_evolve_rows`` steps in two parts, one row in
+    each of two threads; an odd last call is a stack of one.  A stack marches when its first
     operator is asked for, and the generator lets go of each operator once
     it has handed it out, so on a 2D grid a caller that takes the
     operators in turn, and lets go of them too, holds no more fields than

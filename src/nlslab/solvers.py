@@ -51,22 +51,23 @@ pending half-kick at its own segment ends, so that each row is bitwise the
 chain of one ``nls_evolve`` per segment.  ``nls_evolve`` is a stack of one
 row and one segment.  There is one split-step kernel, ``_kick_drift``, for
 every stack and composition; its drift is the plan's ``apply_multiplier``.
-On a 1D grid it takes the whole stack in each numpy call, which batches the
-rows' transforms.  A stack of two or more rows on a grid of two or more
-axes steps in two threads instead: its rows split into two contiguous
-halves, the calling thread steps the first and one worker thread the
-second, each row by itself through all of the step's sub-steps, and the
-march waits for both before it reads the state.  numpy releases the GIL in
-its transforms and elementwise loops, and a 256^2 row is work enough that
-one hand-off per step costs little: two loops of 64 per-axis FFT pairs on
-256^2 took 0.18-0.22 s one after the other and 0.11-0.16 s in two threads
-(2-CPU Xeon).  A 1D row is too small for that: a 1D stack split into two
-stacked halves in two threads measured no gain, and split into rows it
-took twice as long.  Rows that step by themselves share their free-flow
-multipliers where their segment steps agree.  The worker lives for one
-march.  Each row does the arithmetic of the stacked step, so the result is
-bitwise the same.  A health violation fails the run at once, naming the
-failing row's run; no smaller step is retried.
+A stack steps in parts, each through the kernel on its slices of the state
+and the work arrays: the whole stack in 1D or for one row, two halves in
+two threads otherwise.  On a 1D grid the kernel takes the whole stack in
+each numpy call, which batches the rows' transforms.  A stack of two or
+more rows on a grid of two or more axes splits into two contiguous halves:
+the calling thread steps the first and one worker thread the second, and
+the march waits for both before it reads the state.  numpy releases the
+GIL in its transforms and elementwise loops, and a 256^2 row is work
+enough that one hand-off per step costs little: two loops of 64 per-axis
+FFT pairs on 256^2 took 0.18-0.22 s one after the other and 0.11-0.16 s
+in two threads (2-CPU Xeon).  A 1D row is too small for that: a 1D stack
+split into two stacked halves in two threads measured no gain, and split
+into rows it took twice as long.  Parts whose rows' segment steps agree
+share their free-flow multipliers.  The worker lives for one march.  A
+part does the arithmetic of the whole stack's step on its rows, so the
+result is bitwise the same.  A health violation fails the run at once,
+naming the failing row's run; no smaller step is retried.
 
 The largest time step ``dt`` is the numerical choice a caller makes, and
 a caller of ``nls_evolve_rows`` also picks the composition; the finiteness
@@ -80,6 +81,7 @@ a relative mass drift of ``MASS_DRIFT_TOL``, a spectral-tail fraction of
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +111,9 @@ SMALL_PHASE = 2.0**-27
 STRANG = (1.0,)
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 YOSHIDA = (_W1, 1.0 - 2.0 * _W1, _W1)
+# how far the sum of a composition's fractions may lie from 1: the
+# roundoff of summing a few fractions of order 1
+COMPOSITION_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -342,18 +347,26 @@ def nls_evolve_rows(fields, schedules, p: NLSParams, observer=None,
     A step of size h is the composition of Strang steps of the sizes f h,
     for the drift fractions f of ``composition`` in order: ``STRANG``, one
     Strang step, or ``YOSHIDA``, Yoshida's fourth-order triple.  Any
-    palindrome of fractions that sums to 1 steps the same way; one that
-    is not gives a scheme that is not time-symmetric or not consistent,
-    and is not checked.
+    palindrome of fractions that sums to 1 steps the same way.  A
+    composition that is not a palindrome, or whose sum is off 1 by more
+    than ``COMPOSITION_SUM_TOL`` (roundoff of a few fractions), would give
+    a scheme that is not time-symmetric or not consistent, and is a
+    ValueError, raised before any step.
 
     The rows march as one stacked array (see ``_march``) and must take
-    equal total step counts; their step sizes may differ.  On a 1D grid
-    every FFT call transforms all of them; on a grid of more axes a stack
-    of two or more rows steps in two threads, half of its rows in each
-    (see the module docstring).  Unequal counts are a ValueError, raised
-    before any step.  ``observer`` and the monitors work as in ``nls_evolve``, for
-    every row, once per step, after all of its sub-steps.
+    equal total step counts; their step sizes may differ.  The stack steps
+    in parts, each through the one stacked kernel: the whole stack in 1D or
+    for one row, where every FFT call transforms all of its rows, and two
+    halves in two threads otherwise (see the module docstring).  Unequal
+    counts are a ValueError, raised before any step.  ``observer`` and the
+    monitors work as in ``nls_evolve``, for every row, once per step, after
+    all of its sub-steps.
     """
+    composition = tuple(composition)
+    if composition != composition[::-1] or not (
+            abs(math.fsum(composition) - 1.0) <= COMPOSITION_SUM_TOL):
+        raise ValueError(f"the composition {composition} is not a palindrome "
+                         "that sums to 1")
     plans = _plan(schedules, "nls_evolve")
     if len(plans) != len(fields):
         raise ValueError(f"{len(fields)} fields need as many schedules, got {len(plans)}")
@@ -376,85 +389,85 @@ def nls_evolve_rows(fields, schedules, p: NLSParams, observer=None,
     order = [distinct.index(f) for f in composition]
     half, pending = np.empty((len(distinct), k)), np.zeros(k)
     kick_time = pending.reshape(k, *(1,) * plan.grid.dim)
+    # the parts of the stack: the whole stack on a 1D grid or for one row,
+    # otherwise two contiguous halves, the second stepped by a worker
+    # thread; and each part's slices of the pending kicks, the half-kicks,
+    # the state and the kernel's work arrays
+    cuts = (0, k) if k < 2 or plan.grid.dim < 2 else (0, (k + 1) // 2, k)
+    parts = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    views = [(pending[s], half[:, s], a[s], kick_time[s], (spec[s], w[s], masks[:, s]))
+             for s in parts]
+    # per row its segment step h; per part its multipliers m(f h), one per
+    # distinct fraction and row, and the steps they were made for.  Parts
+    # whose rows' steps agree share one array, as the two rows of a 2D
+    # theorem-1 pair do on a span of one segment, and a shared array is
+    # never written
+    steps = [None] * k
+    mults, made = [None] * len(parts), [None] * len(parts)
 
     def start(r, seg, v):
         a[r] = v
         for j, f in enumerate(distinct):
             half[j, r] = 0.5 * f * seg.h
         pending[r] = 0.0
-        load_multipliers(r, seg.h)
+        steps[r] = seg.h
 
     def values(r, t):
         # a fresh array, so that no field aliases the evolving state; the
         # pending kick can overflow where the drifted state did not
         return _kick(a[r].copy(), pending[r], p, spec[r], w[r], masks[:, r])
 
-    if k < 2 or plan.grid.dim < 2:
-        # one stacked step for all rows: per distinct fraction, the rows'
-        # multipliers in one array
-        m = np.empty((len(distinct), *a.shape), dtype=np.complex128)
-        # the (half-kick, multiplier) views of each sub-step, in order
-        subs = [(half[j], m[j]) for j in order]
+    def load_multipliers():
+        # before each step, after the rows that start a segment there
+        for i, rows in enumerate(parts):
+            want = steps[rows]
+            if want == made[i]:
+                continue
+            twin = next((m for m, had in zip(mults, made) if had == want), None)
+            if twin is not None:
+                mults[i], made[i] = twin, want
+                continue
+            if mults[i] is None or sum(m is mults[i] for m in mults) > 1:
+                # the part lets go of a shared array before it makes its own
+                mults[i] = None
+                mults[i] = np.empty((len(distinct), len(want), *plan.grid.counts),
+                                    dtype=np.complex128)
+                made[i] = [None] * len(want)
+            # only the rows that start a segment with a new step
+            for r, (h, had) in enumerate(zip(want, made[i])):
+                if h != had:
+                    for j, f in enumerate(distinct):
+                        mults[i][j, r] = plan.free_multiplier(f * h)
+            made[i] = want
 
-        def load_multipliers(r, h):
-            for j, f in enumerate(distinct):
-                m[j, r] = plan.free_multiplier(f * h)
+    def step_part(i):
+        owed, halves, state, tau, work = views[i]
+        m = mults[i]
+        for j in order:
+            np.add(owed, halves[j], out=owed)
+            _kick_drift(plan, state, tau, m[j], p, *work)
+            owed[:] = halves[j]
 
-        def step():
-            for lead, mult in subs:
-                np.add(pending, lead, out=pending)
-                _kick_drift(plan, a, kick_time, mult, p, spec, w, masks)
-                pending[:] = lead
-            return a
-
-        return _march(fields, plans, "nls_evolve", start, step, values, observer)
-
-    # per row, its segment step h and its multipliers m(f h), one per
-    # distinct fraction.  An array of them is never written once made, so
-    # rows whose steps agree share one, as the two rows of a theorem-1 pair
-    # do on a span of one segment
-    steps, mults = [None] * k, [None] * k
-
-    def load_multipliers(r, h):
-        # the row lets go of its old array before it makes a new one
-        steps[r], mults[r] = h, None
-        mults[r] = next((mults[q] for q in range(k) if steps[q] == h and q != r), None)
-        if mults[r] is None:
-            mults[r] = np.empty((len(distinct), *plan.grid.counts), dtype=np.complex128)
-            for j, f in enumerate(distinct):
-                mults[r][j] = plan.free_multiplier(f * h)
-
-    def step_rows(rows):
-        # each row through all of the step's sub-steps, by the arithmetic
-        # of the stacked step, on its own views of the state and the work
-        # arrays
-        for r in rows:
-            for j in order:
-                pending[r] += half[j, r]
-                _kick_drift(plan, a[r], pending[r], mults[r][j], p, spec[r], w[r],
-                            masks[:, r])
-                pending[r] = half[j, r]
-
-    # imported here, on the one path that starts a thread
-    from concurrent.futures import ThreadPoolExecutor
-
-    split = (k + 1) // 2
-    worker = ThreadPoolExecutor(max_workers=1)
-
-    def two_halves():
-        second = worker.submit(step_rows, range(split, k))
+    def step():
+        load_multipliers()
+        rest = [worker.submit(step_part, i) for i in range(1, len(parts))]
         try:
-            step_rows(range(split))
+            step_part(0)
         finally:
             # the worker is done with the state before anything reads it
             # or an error leaves the march
-            second.result()
+            for future in rest:
+                future.result()
         return a
 
-    try:
-        return _march(fields, plans, "nls_evolve", start, two_halves, values, observer)
-    finally:
-        worker.shutdown()
+    pool = nullcontext()
+    if len(parts) > 1:
+        # imported here, on the one path that starts a thread
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(max_workers=1)
+    # the worker lives for one march
+    with pool as worker:
+        return _march(fields, plans, "nls_evolve", start, step, values, observer)
 
 
 def nls_evolve(

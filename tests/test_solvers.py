@@ -474,6 +474,19 @@ class TestStackedRows:
                 nls_evolve_rows([datum, datum], [[(0.0, 0.1, 0.01)], [(0.0, 0.1, 0.02)]],
                                 NLSParams(sigma=1.0))
 
+    @pytest.mark.parametrize("composition", [(0.3, 0.7), (0.5, 0.6, 0.5)])
+    def test_composition_not_a_palindrome_summing_to_one_rejected(self, monkeypatch,
+                                                                  composition):
+        # the first is not time-symmetric, the second not consistent
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran before the composition was checked")
+
+        monkeypatch.setattr(solvers, "_kick_drift", no_step)
+        f = gaussian_field(grid1d(128, 0.1), amplitude=0.1)
+        with pytest.raises(ValueError, match="not a palindrome that sums to 1"):
+            nls_evolve_rows([f], [[(0.0, 0.1, 0.01)]], NLSParams(sigma=1.0),
+                            composition=composition)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_row_fails_at_its_time(self):
         g = grid1d(256, 0.1)
@@ -543,13 +556,23 @@ class TestStackedRows:
         nls_evolve_rows([f] * k, [[(0.0, 0.1, 0.05)]] * k, NLSParams(sigma=2.0 / dim))
         assert len(seen) == threads
 
-    @pytest.mark.parametrize("schedules, built", [
-        ([[(0.0, 0.1, 0.05)], [(-0.1, 0.0, 0.05)]], 2),
-        ([[(0.0, 0.1, 0.05)], [(0.0, -0.1, 0.05)]], 4)])
-    def test_rows_of_one_step_share_multipliers(self, monkeypatch, schedules, built):
+    @pytest.mark.parametrize("dim, schedules, built", [
+        (2, [[(0.0, 0.1, 0.05)], [(-0.1, 0.0, 0.05)]], 2),
+        (2, [[(0.0, 0.1, 0.05)], [(0.0, -0.1, 0.05)]], 4),
+        (2, [[(0.0, 0.125, 0.0625), (0.125, 0.375, 0.125), (0.375, 0.5, 0.0625)],
+             [(0.0, 0.375, 0.0625)]], 4),
+        (1, SCHEDULES, 10)],
+        ids=["schedules0-2", "schedules1-4", "share-diverge-share", "1d-segment-starts"])
+    def test_rows_of_one_step_share_multipliers(self, monkeypatch, dim, schedules, built):
         # the two rows of a 2D stack share the multipliers of Yoshida's two
         # distinct fractions when their steps agree, and each row builds
-        # its own when they do not
+        # its own when they do not.  The third pair shares on its first
+        # segment, diverges when the first row doubles its step, and shares
+        # again when it halves it back; a shared array is never written, so
+        # each row stays bitwise its own march.  A 1D stack builds the
+        # multipliers of the rows that start a segment, not of all its
+        # rows: the first and third rows of SCHEDULES start their second
+        # segments at one step, so five segment starts build ten
         calls = []
         build = SpectralPlan.free_multiplier
 
@@ -558,9 +581,13 @@ class TestStackedRows:
             return build(plan, t)
 
         monkeypatch.setattr(SpectralPlan, "free_multiplier", counted)
-        f = TestRawLoop.datum(2)
-        nls_evolve_rows([f, f], schedules, NLSParams(sigma=1.0), composition=YOSHIDA)
+        f = TestRawLoop.datum(dim)
+        p = NLSParams(sigma=2.0 / dim)
+        out = nls_evolve_rows([f] * len(schedules), schedules, p, composition=YOSHIDA)
         assert len(calls) == built
+        for schedule, row in zip(schedules, out, strict=True):
+            alone = nls_evolve_rows([f], [schedule], p, composition=YOSHIDA)[0]
+            assert np.array_equal(bits(row.values), bits(alone.values))
 
     def test_health_violation_in_worker_row_names_its_run(self):
         # the second row, stepped by the worker, is a packet running into
