@@ -391,12 +391,12 @@ def nls_evolve_rows(fields, schedules, p: NLSParams, observer=None,
     kick_time = pending.reshape(k, *(1,) * plan.grid.dim)
     # the parts of the stack: the whole stack on a 1D grid or for one row,
     # otherwise two contiguous halves, the second stepped by a worker
-    # thread; and each part's slices of the pending kicks, the half-kicks,
-    # the state and the kernel's work arrays
+    # thread; and each part's slices of the pending kicks, the half-kicks
+    # of its sub-steps in order, the state and the kernel's work arrays
     cuts = (0, k) if k < 2 or plan.grid.dim < 2 else (0, (k + 1) // 2, k)
     parts = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    views = [(pending[s], half[:, s], a[s], kick_time[s], (spec[s], w[s], masks[:, s]))
-             for s in parts]
+    views = [(pending[s], [half[j, s] for j in order], a[s], kick_time[s],
+              (spec[s], w[s], masks[:, s])) for s in parts]
     # per row its segment step h; per part its multipliers m(f h), one per
     # distinct fraction and row, and the steps they were made for.  Parts
     # whose rows' steps agree share one array, as the two rows of a 2D
@@ -441,12 +441,12 @@ def nls_evolve_rows(fields, schedules, p: NLSParams, observer=None,
             made[i] = want
 
     def step_part(i):
-        owed, halves, state, tau, work = views[i]
+        owed, leads, state, tau, work = views[i]
         m = mults[i]
-        for j in order:
-            np.add(owed, halves[j], out=owed)
+        for j, lead in zip(order, leads):
+            np.add(owed, lead, out=owed)
             _kick_drift(plan, state, tau, m[j], p, *work)
-            owed[:] = halves[j]
+            owed[:] = lead
 
     def step():
         load_multipliers()
