@@ -390,20 +390,18 @@ def nls_evolve_rows(fields, schedules, p: NLSParams, observer=None,
     half, pending = np.empty((len(distinct), k)), np.zeros(k)
     kick_time = pending.reshape(k, *(1,) * plan.grid.dim)
     # the parts of the stack: the whole stack on a 1D grid or for one row,
-    # otherwise two contiguous halves, the second stepped by a worker
-    # thread; and each part's slices of the pending kicks, the half-kicks
-    # of its sub-steps in order, the state and the kernel's work arrays
+    # otherwise two contiguous halves, the second stepped by a worker thread
     cuts = (0, k) if k < 2 or plan.grid.dim < 2 else (0, (k + 1) // 2, k)
     parts = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    views = [(pending[s], [half[j, s] for j in order], a[s], kick_time[s],
-              (spec[s], w[s], masks[:, s])) for s in parts]
-    # per row its segment step h; per part its multipliers m(f h), one per
-    # distinct fraction and row, and the steps they were made for.  Parts
-    # whose rows' steps agree share one array, as the two rows of a 2D
-    # theorem-1 pair do on a span of one segment, and a shared array is
-    # never written
-    steps = [None] * k
-    mults, made = [None] * len(parts), [None] * len(parts)
+    # per row its segment step h, and the rows that started a segment since
+    # the last step; per part its multipliers m(f h), one per distinct
+    # fraction and row, the steps they were made for, and per sub-step its
+    # leading half-kick and the kernel's arguments, all on the part's
+    # slices.  Parts whose rows' steps agree share one array, as the two
+    # rows of a 2D theorem-1 pair do on a span of one segment, and a shared
+    # array is never written
+    steps, started = [None] * k, []
+    mults, made, subs = ([None] * len(parts) for _ in range(3))
 
     def start(r, seg, v):
         a[r] = v
@@ -411,6 +409,7 @@ def nls_evolve_rows(fields, schedules, p: NLSParams, observer=None,
             half[j, r] = 0.5 * f * seg.h
         pending[r] = 0.0
         steps[r] = seg.h
+        started.append(r)
 
     def values(r, t):
         # a fresh array, so that no field aliases the evolving state; the
@@ -418,38 +417,42 @@ def nls_evolve_rows(fields, schedules, p: NLSParams, observer=None,
         return _kick(a[r].copy(), pending[r], p, spec[r], w[r], masks[:, r])
 
     def load_multipliers():
-        # before each step, after the rows that start a segment there
+        # before a step at which rows start a segment
         for i, rows in enumerate(parts):
             want = steps[rows]
             if want == made[i]:
                 continue
             twin = next((m for m, had in zip(mults, made) if had == want), None)
             if twin is not None:
-                mults[i], made[i] = twin, want
-                continue
-            if mults[i] is None or sum(m is mults[i] for m in mults) > 1:
-                # the part lets go of a shared array before it makes its own
-                mults[i] = None
-                mults[i] = np.empty((len(distinct), len(want), *plan.grid.counts),
-                                    dtype=np.complex128)
-                made[i] = [None] * len(want)
-            # only the rows that start a segment with a new step
-            for r, (h, had) in enumerate(zip(want, made[i])):
-                if h != had:
-                    for j, f in enumerate(distinct):
-                        mults[i][j, r] = plan.free_multiplier(f * h)
+                mults[i] = twin
+            else:
+                if mults[i] is None or sum(m is mults[i] for m in mults) > 1:
+                    # the part lets go of a shared array before it makes its own
+                    mults[i] = None
+                    mults[i] = np.empty((len(distinct), len(want), *plan.grid.counts),
+                                        dtype=np.complex128)
+                    made[i] = [None] * len(want)
+                # only the rows that start a segment with a new step
+                for r, (h, had) in enumerate(zip(want, made[i])):
+                    if h != had:
+                        for j, f in enumerate(distinct):
+                            mults[i][j, r] = plan.free_multiplier(f * h)
             made[i] = want
+            subs[i] = [(half[j, rows], (plan, a[rows], kick_time[rows], mults[i][j], p,
+                                        spec[rows], w[rows], masks[:, rows]))
+                       for j in order]
 
     def step_part(i):
-        owed, leads, state, tau, work = views[i]
-        m = mults[i]
-        for j, lead in zip(order, leads):
+        owed = pending[parts[i]]
+        for lead, args in subs[i]:
             np.add(owed, lead, out=owed)
-            _kick_drift(plan, state, tau, m[j], p, *work)
+            _kick_drift(*args)
             owed[:] = lead
 
     def step():
-        load_multipliers()
+        if started:
+            load_multipliers()
+            started.clear()
         rest = [worker.submit(step_part, i) for i in range(1, len(parts))]
         try:
             step_part(0)
